@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals as fn
-from .report import CheckReport, CorpusSpec, RatioTracker
+from .report import CheckReport, CorpusSpec, RatioTracker, finish_report
 from .tree import FiltrationTree, Martingale
 
 SQRT3 = math.sqrt(3.0)
@@ -170,17 +170,7 @@ def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
         lhs, rhs = pathwise_sharp_sides(pm)
         tracker.add(float(w @ lhs), float(w @ rhs))
         tracker.commit_trial()
-    return CheckReport(
-        check="sharp_davis",
-        params={},
-        trials=spec.trials,
-        violations=tracker.violations,
-        worst_ratio=tracker.worst,
-        constant_used=SQRT3,
-        seed=spec.seed,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        measured={"max_ES_over_Estar": worst_ratio_s},
-    )
+    return finish_report("sharp_davis", {}, spec, tracker, t0, SQRT3, measured={"max_ES_over_Estar": worst_ratio_s})
 
 
 # -- extremal construction ----------------------------------------------------

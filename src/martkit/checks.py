@@ -11,6 +11,7 @@ scan point first and count non-qualifying trials separately.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from typing import Callable
@@ -19,24 +20,8 @@ import numpy as np
 
 from . import functionals as fn
 from .generators import gen_doubling
-from .report import CheckReport, CorpusSpec, RatioTracker, closed_tail_scan, lambda_candidates, lq_norm, ratio
+from .report import CheckReport, CorpusSpec, RatioTracker, closed_tail_scan, finish_report, lambda_candidates, lq_norm, ratio
 from .tree import Martingale, StoppingRule, hitting_time
-
-
-def _finish(name, params, spec, tracker, t0, constant, hypothesis_failures=0, measured=None, trials=None):
-    tracker.commit_trial()
-    return CheckReport(
-        check=name,
-        params=params,
-        trials=spec.trials if trials is None else trials,
-        violations=tracker.violations,
-        worst_ratio=tracker.worst,
-        constant_used=constant,
-        seed=spec.seed,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        hypothesis_failures=hypothesis_failures,
-        measured=measured or {},
-    )
 
 
 def _conjugate(p: float) -> float:
@@ -67,7 +52,7 @@ def check_doob(spec: CorpusSpec, p: float | tuple = (1.5, 2.0, 4.0)) -> CheckRep
         levels, tail_mu, tail_f = closed_tail_scan(mf, w, w * f_n)
         tracker.add_many(levels * tail_mu, tail_f)
         tracker.commit_trial()
-    return _finish("doob", {"p": list(ps)}, spec, tracker, t0, constant=max(_conjugate(pp) for pp in ps))
+    return finish_report("doob", {"p": list(ps)}, spec, tracker, t0, constant=max(_conjugate(pp) for pp in ps))
 
 
 # -- weak square function -------------------------------------------------
@@ -101,7 +86,7 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
         keep = lams > 0
         tracker.add_many(csum[idx][keep], 2.0 * lams[keep] * f1)
         tracker.commit_trial()
-    return _finish("square_weak", {}, spec, tracker, t0, constant=3.0)
+    return finish_report("square_weak", {}, spec, tracker, t0, constant=3.0)
 
 
 # -- Davis decomposition ----------------------------------------------------
@@ -131,7 +116,7 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
         tv = np.abs(fn.increments(bv)).sum(axis=0)
         tracker.add(float(w @ tv), 2.0 * float(w @ np.abs(df).max(axis=0)))
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "davis_decomposition", {}, spec, tracker, t0, constant=2.0, measured={"worst_split_residual": worst_split}
     )
 
@@ -159,7 +144,7 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
         lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
         lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "davis_bdg",
         {"p": p},
         spec,
@@ -212,7 +197,7 @@ def check_garsia_neveu(spec: CorpusSpec, p: float | tuple = (1.0, 2.0, 3.0)) -> 
         for pp in ps:
             tracker.add(lq_norm(big_w, pp, w), pp * lq_norm(xi, pp, w))
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "garsia_neveu",
         {"p": list(ps)},
         spec,
@@ -301,7 +286,7 @@ def check_aux_lemmas(
         for pp in m_vs_s_p:
             tracker.add(lq_norm(mf, pp, w), 5.0 ** (1.0 / pp) * lq_norm(sf_pred, pp, w))
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "aux_lemmas",
         {
             "sum_ek_p": list(sum_ek_p),
@@ -346,7 +331,7 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
                 ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)),
             )
         tracker.commit_trial()
-    return _finish("lepingle", {"r": list(rs), "p": p}, spec, tracker, t0, constant=8.0, measured=moment)
+    return finish_report("lepingle", {"r": list(rs), "p": p}, spec, tracker, t0, constant=8.0, measured=moment)
 
 
 # -- vector-valued inequalities ---------------------------------------------------
@@ -413,7 +398,7 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
             ),
         )
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "vector_valued",
         {"q": q, "r": r, "p": p, "K": spec.width},
         spec,
@@ -537,7 +522,7 @@ def check_paraproduct(
         s_full = _lr_norm_across(fn.square_function_paths(fam.paths())[-1], r0)
         tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
         tracker.commit_trial()
-    return _finish(
+    return finish_report(
         "paraproduct",
         {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var},
         spec,
@@ -585,7 +570,12 @@ REGISTRY: dict[str, Callable[..., CheckReport]] = {
 def run_check(name: str, spec: CorpusSpec, **params) -> CheckReport:
     if name not in REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {sorted(REGISTRY)}")
-    return REGISTRY[name](spec, **params)
+    check = REGISTRY[name]
+    try:
+        inspect.signature(check).bind(spec, **params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for check {name!r}: {exc}") from None
+    return check(spec, **params)
 
 
 def default_suite(seed: int = 20240, trials_scale: float = 1.0) -> list[dict]:

@@ -128,6 +128,9 @@ def cmd_suite(args) -> int:
     reports: list[CheckReport] = []
     try:
         for entry in entries:
+            unknown = sorted(set(entry) - {"check", "params", "corpus"})
+            if unknown:
+                raise ValueError(f"unknown suite entry keys {unknown}")
             name = entry["check"]
             corpus_cfg = dict(entry.get("corpus", {}))
             if seed is not None and "seed" not in entry.get("corpus", {}):

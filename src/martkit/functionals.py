@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import report
 from .tree import FiltrationTree, Martingale, TreeProcess
 
 
@@ -164,36 +165,39 @@ def _dist(a, b) -> float:
     return float(np.sqrt((d * d).sum()))
 
 
-def _pairwise_dist(values: np.ndarray) -> np.ndarray:
+def pairwise_dist(values: np.ndarray) -> np.ndarray:
     """(n, n) matrix of |f_i - f_j| (Euclidean for vector paths)."""
     v = np.asarray(values, dtype=np.float64)
+    diff = v[:, None] - v[None, :]
     if v.ndim == 1:
-        return np.abs(v[:, None] - v[None, :])
-    diff = v[:, None, :] - v[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+        return np.abs(diff, out=diff)
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1))
 
 
-def chain_dp(cost: np.ndarray) -> tuple[float, list[int]]:
-    """Maximize sum of cost[u_{j-1}, u_j] over increasing chains u_0 < ... < u_J.
+def _step_costs(pairs: np.ndarray, j: int, r: float) -> np.ndarray:
+    """|pairs[i, j]|^r for i < j, as a fresh contiguous array."""
+    cost = np.abs(pairs[:j, j])
+    cost **= r
+    return cost
 
-    cost must be nonnegative above the diagonal.  Returns the best total and
-    one maximizing chain (a single index when the best total is 0).
+
+def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
+    """Best totals of sum |pairs[u_{k-1}, u_k]|^r over increasing chains.
+
+    ``pairs`` has shape (n, n, ...); only its strict upper triangle is read,
+    one column at a time, and trailing axes are independent problems.
+    Returns ``best`` of shape (n, ...) with best[j] the largest total over
+    chains ending at j (0 for the one-point chain), so the r-variation is
+    best.max(axis=0) ** (1 / r).
     """
-    n = cost.shape[0]
-    best = np.zeros(n)
-    prev = np.full(n, -1, dtype=np.int64)
+    n = pairs.shape[0]
+    best = np.zeros((n,) + pairs.shape[2:])
     for j in range(1, n):
-        cand = best[:j] + cost[:j, j]
-        i = int(np.argmax(cand))
-        if cand[i] > 0.0:
-            best[j] = cand[i]
-            prev[j] = i
-    end = int(np.argmax(best))
-    total = float(best[end])
-    chain = [end]
-    while prev[chain[-1]] >= 0:
-        chain.append(int(prev[chain[-1]]))
-    return total, chain[::-1]
+        cand = _step_costs(pairs, j, r)
+        cand += best[:j]
+        best[j] = np.maximum.reduce(cand)
+    return best
 
 
 def variation(values: np.ndarray, r: float) -> VariationResult:
@@ -207,14 +211,19 @@ def variation(values: np.ndarray, r: float) -> VariationResult:
     n = values.shape[0]
     if n <= 1:
         return VariationResult(0.0, list(range(n)), r)
-    dist = _pairwise_dist(values)
+    dist = pairwise_dist(values)
     if np.isinf(r):
         iu = np.triu_indices(n, k=1)
         k = int(np.argmax(dist[iu]))
         i, j = int(iu[0][k]), int(iu[1][k])
         return VariationResult(float(dist[i, j]), [i, j], r)
-    total, chain = chain_dp(np.triu(dist**r, k=1))
-    return VariationResult(total ** (1.0 / r), chain, r)
+    best = chain_dp(dist, r)
+    # backtrack: the first maximizing predecessor, as the forward pass found it
+    chain = [int(np.argmax(best))]
+    while best[chain[-1]] > 0.0:
+        j = chain[-1]
+        chain.append(int(np.argmax(best[:j] + _step_costs(dist, j, r))))
+    return VariationResult(float(best[chain[0]]) ** (1.0 / r), chain[::-1], r)
 
 
 def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
@@ -222,28 +231,17 @@ def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
     if not r > 0:
         raise ValueError("variation exponent must be positive")
     pm = np.asarray(pathmat, dtype=np.float64)
-    n = pm.shape[0]
     if np.isinf(r):
-        osc = np.zeros(pm.shape[1])
-        for j in range(1, n):
-            osc = np.maximum(osc, np.abs(pm[:j] - pm[j]).max(axis=0))
-        return osc
-    best = np.zeros_like(pm)
-    for j in range(1, n):
-        best[j] = (best[:j] + np.abs(pm[:j] - pm[j]) ** r).max(axis=0)
-    return best.max(axis=0) ** (1.0 / r)
+        # fl(max - min) is the largest rounded gap: rounding is monotone
+        return running_oscillation(pm)[-1]
+    return chain_dp(pm[None, :] - pm[:, None], r).max(axis=0) ** (1.0 / r)
 
 
 def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
     """Chain DP over a per-path cost tensor of shape (n, n, L)."""
     if not rho > 0:
         raise ValueError("variation exponent must be positive")
-    c = np.asarray(cost, dtype=np.float64)
-    n = c.shape[0]
-    best = np.zeros((n,) + c.shape[2:])
-    for j in range(1, n):
-        best[j] = (best[:j] + np.abs(c[:j, j]) ** rho).max(axis=0)
-    return best.max(axis=0) ** (1.0 / rho)
+    return chain_dp(np.asarray(cost, dtype=np.float64), rho).max(axis=0) ** (1.0 / rho)
 
 
 # -- Lepingle stopping times and pathwise domination ------------------------
@@ -584,14 +582,5 @@ def weighted_maximal_data(
     w_mart = Martingale.from_leaf_values(tree, w_leaf)
     mw = maximal_paths(w_mart.paths())[-1]
     mf = maximal_paths(f_sub)[-1]
-    f_n = f_sub[-1]
-    order = np.argsort(-mf, kind="stable")
-    w_mass = np.cumsum((tree.leaf_prob * w_leaf)[order])
-    mix_mass = np.cumsum((tree.leaf_prob * f_n * mw)[order])
-    sorted_mf = mf[order]
-    # last position of each distinct value in the descending order
-    boundaries = np.nonzero(np.diff(sorted_mf) != 0)[0]
-    idx = np.append(boundaries, len(sorted_mf) - 1)
-    lams = sorted_mf[idx]
-    keep = lams > 0
-    return lams[keep], lams[keep] * w_mass[idx][keep], mix_mass[idx][keep]
+    lams, w_mass, mix_mass = report.closed_tail_scan(mf, tree.leaf_prob * w_leaf, tree.leaf_prob * f_sub[-1] * mw)
+    return lams, lams * w_mass, mix_mass

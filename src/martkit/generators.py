@@ -165,11 +165,6 @@ def gen_log_weight(depth: int) -> Martingale:
     return Martingale.from_leaf_values(tree, leaves)
 
 
-def gen_family(depth: int, width: int, seed: int, dist: str = "normal") -> Martingale:
-    """Vector martingale: ``width`` independent components on a shared tree."""
-    return gen_leaf_backprop(dist, depth, seed, width=width)
-
-
 def gen_walk_increments(depth: int, seed: int) -> Martingale:
     """Martingale with independent symmetric increments of random magnitude."""
     _check_depth(depth)
@@ -204,10 +199,8 @@ def corpus_martingale(kind: str, depth: int, seed: int, index: int, dist: str = 
     """
     if kind == "mixed":
         d = 2 + (index % max(1, depth - 1))
-        if index % 10 < 7:
+        if index % 10 < 7 or width:
             return gen_leaf_backprop(_MIX_DISTS[index % 3], d, seed=_sub(seed, index), width=width)
-        if width:
-            return gen_family(d, width, _sub(seed, index), dist=_MIX_DISTS[index % 3])
         return gen_increment(d, seed=_sub(seed, index), dist=_MIX_DISTS[index % 3])
     if kind == "backprop":
         return gen_leaf_backprop(dist, depth, seed=_sub(seed, index), width=width)
@@ -216,7 +209,7 @@ def corpus_martingale(kind: str, depth: int, seed: int, index: int, dist: str = 
     if kind == "walk":
         return gen_walk_increments(depth, seed=_sub(seed, index))
     if kind == "family":
-        return gen_family(depth, width or 4, _sub(seed, index), dist=dist)
+        return gen_leaf_backprop(dist, depth, seed=_sub(seed, index), width=width or 4)
     if kind == "doubling":
         return gen_doubling(depth)
     if kind == "log_weight":

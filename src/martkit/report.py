@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -53,6 +54,24 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def finish_report(name, params, spec, tracker, t0, constant, hypothesis_failures=0, measured=None, trials=None):
+    """Close the tracker's last trial and build the check's report; ``t0`` is
+    the check's ``time.perf_counter()`` start."""
+    tracker.commit_trial()
+    return CheckReport(
+        check=name,
+        params=params,
+        trials=spec.trials if trials is None else trials,
+        violations=tracker.violations,
+        worst_ratio=tracker.worst,
+        constant_used=constant,
+        seed=spec.seed,
+        runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        hypothesis_failures=hypothesis_failures,
+        measured=measured or {},
+    )
+
+
 def validate_report_dict(data: dict) -> None:
     missing = [k for k in REPORT_FIELDS if k not in data]
     if missing:
@@ -89,7 +108,10 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
-        return cls(**{k: data[k] for k in ("kind", "depth", "trials", "seed", "dist", "width") if k in data})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown corpus keys {unknown}")
+        return cls(**data)
 
 
 class RatioTracker:

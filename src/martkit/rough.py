@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import functionals as fn
 from .functionals import chain_dp
 
 GRID_GUARD = 512
@@ -158,15 +159,7 @@ def variation_control(path: SampledPath, r: float) -> Control:
         grid = path.times
         mask = (grid > s) & (grid < t)
         pts = np.concatenate([path.eval(np.array([s])), path.values[mask], path.eval(np.array([t]))], axis=0)
-        if pts.shape[0] <= 1:
-            return 0.0
-        if pts.shape[1] == 1:
-            diffs = np.abs(pts[:, 0][:, None] - pts[:, 0][None, :])
-        else:
-            d = pts[:, None, :] - pts[None, :, :]
-            diffs = np.sqrt((d * d).sum(axis=-1))
-        total, _ = chain_dp(np.triu(diffs**r, k=1))
-        return total
+        return chain_dp(fn.pairwise_dist(pts[:, 0] if path.dim == 1 else pts), r).max()
 
     return Control(fun)
 
@@ -350,9 +343,7 @@ class RoughPath:
     def variation_norms(self) -> tuple[float, float]:
         """(V^r X, V^{r/2} XX) over [0, T] on the grid."""
         vx = variation_control(self.path, self.r)(0.0, self.path.T) ** (1.0 / self.r)
-        norms = np.sqrt((self.xx**2).sum(axis=(2, 3)))
-        total, _ = chain_dp(np.triu(norms ** (self.r / 2.0), k=1))
-        return vx, total ** (2.0 / self.r)
+        return vx, two_param_variation(self.xx, self.r / 2.0)
 
     def restrict(self, i0: int, i1: int) -> "RoughPath":
         t = self.path.times[i0 : i1 + 1] - self.path.times[i0]
@@ -392,24 +383,12 @@ def rough_line(T: float, n: int, r: float = 2.5) -> RoughPath:
 # -- controlled paths ----------------------------------------------------------
 
 
-def _flat_variation(values: np.ndarray, r: float) -> float:
-    v = values.reshape(values.shape[0], -1)
-    d = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt((d * d).sum(axis=-1))
-    total, _ = chain_dp(np.triu(dist**r, k=1))
-    return total ** (1.0 / r)
-
-
-def _two_param_norm(arr: np.ndarray, rho: float) -> float:
-    """V^rho of a two-parameter array on grid pairs (Frobenius per pair)."""
-    mag = np.sqrt((arr.reshape(arr.shape[0], arr.shape[1], -1) ** 2).sum(axis=-1))
-    total, _ = chain_dp(np.triu(mag**rho, k=1))
-    return total ** (1.0 / rho)
-
-
 def two_param_variation(xi: np.ndarray, rho: float) -> float:
-    """Exact rho-variation of a two-parameter grid array over partitions."""
-    return _two_param_norm(np.asarray(xi, dtype=np.float64), rho)
+    """Exact rho-variation of a two-parameter grid array over partitions
+    (Frobenius norm per pair for array-valued entries)."""
+    xi = np.asarray(xi, dtype=np.float64)
+    mag = np.sqrt((xi.reshape(xi.shape[0], xi.shape[1], -1) ** 2).sum(axis=-1))
+    return float(chain_dp(mag, rho).max()) ** (1.0 / rho)
 
 
 @dataclass
@@ -436,10 +415,10 @@ class ControlledPath:
     def norms(self) -> dict:
         r = self.rough.r
         out = {
-            "Y_r": _flat_variation(self.values[:, None], r),
-            "Yp_r": _flat_variation(self.deriv, r),
+            "Y_r": fn.variation(self.values[:, None], r).value,
+            "Yp_r": fn.variation(self.deriv, r).value,
             "Yp_sup": float(np.sqrt((self.deriv**2).sum(axis=1)).max()),
-            "R_r2": _two_param_norm(self.remainder()[:, :, None], r / 2.0),
+            "R_r2": two_param_variation(self.remainder(), r / 2.0),
         }
         return out
 
@@ -466,11 +445,11 @@ class ControlledCovector:
     def norms(self) -> dict:
         r = self.rough.r
         return {
-            "P_r": _flat_variation(self.values, r),
-            "Pp_r": _flat_variation(self.deriv.reshape(self.deriv.shape[0], -1), r),
+            "P_r": fn.variation(self.values, r).value,
+            "Pp_r": fn.variation(self.deriv.reshape(self.deriv.shape[0], -1), r).value,
             "Pp_sup": float(np.sqrt((self.deriv.reshape(self.deriv.shape[0], -1) ** 2).sum(axis=1)).max()),
             "P_sup": float(np.sqrt((self.values**2).sum(axis=1)).max()),
-            "R_r2": _two_param_norm(self.remainder(), r / 2.0),
+            "R_r2": two_param_variation(self.remainder(), r / 2.0),
         }
 
 
@@ -651,9 +630,9 @@ def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath)
     dvals = Y.values - Z.values
     dder = Y.deriv - Z.deriv
     drem = Y.remainder() - Z.remainder()
-    m1 = _two_param_norm(drem[:, :, None], r / 2.0)
-    m2 = _flat_variation(dder, r)
-    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * _flat_variation(dvals[:, None], r)
+    m1 = two_param_variation(drem, r / 2.0)
+    m2 = fn.variation(dder, r).value
+    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation(dvals[:, None], r).value
     return max(m1, m2, m3)
 
 
@@ -759,13 +738,13 @@ def rde_stability(
     s2 = rde_solve(phi, X2, y02, **kw)
     r = X.r
     num = max(
-        _two_param_norm((s1.path.remainder() - s2.path.remainder())[:, :, None], r / 2.0),
-        _flat_variation(s1.path.deriv - s2.path.deriv, r),
-        _flat_variation((s1.path.values - s2.path.values)[:, None], r),
+        two_param_variation(s1.path.remainder() - s2.path.remainder(), r / 2.0),
+        fn.variation(s1.path.deriv - s2.path.deriv, r).value,
+        fn.variation((s1.path.values - s2.path.values)[:, None], r).value,
     )
     den = max(
-        _flat_variation(X.path.values - X2.path.values, r),
-        _two_param_norm(X.xx - X2.xx, r / 2.0),
+        fn.variation(X.path.values - X2.path.values, r).value,
+        two_param_variation(X.xx - X2.xx, r / 2.0),
         abs(y0 - y02),
     )
     out = {"solution_distance": num, "data_distance": den}

@@ -45,6 +45,7 @@ def test_check_exit_codes(tmp_path):
 def test_check_usage_error():
     assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"p": 0.5}']) == 2
     assert main(["check", "doesnotexist", "--seed", "1", "--trials", "5"]) == 2
+    assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"q": 2}']) == 2
 
 
 def test_check_requires_seed():
@@ -94,6 +95,22 @@ def test_suite_config_file(tmp_path):
     out = tmp_path / "out.json"
     assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 0
     assert len(read(out)["reports"]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"check": "doob", "corpus": {"kind": "mixed", "depth": 4, "trails": 3}}, "unknown corpus keys ['trails']"),
+        ({"check": "doob", "parms": {"p": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "unknown suite entry keys ['parms']"),
+        ({"check": "doob", "params": {"q": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "bad parameters for check 'doob'"),
+    ],
+)
+def test_suite_unknown_keys_are_usage_errors(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1, "checks": [entry]}))
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_suite_empty_config_is_usage_error(tmp_path):

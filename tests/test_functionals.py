@@ -163,6 +163,55 @@ def test_variation_paths_agrees_with_scalar():
         assert np.isclose(out[c], fn.variation(pm[:, c], 2.5).value)
 
 
+def test_variation_paths_infinity_is_oscillation():
+    rng = np.random.default_rng(12)
+    pm = rng.normal(size=(9, 20))
+    gaps = np.abs(pm[:, None] - pm[None, :]).max(axis=(0, 1))
+    assert np.array_equal(fn.variation_paths(pm, np.inf), gaps)
+
+
+def test_chain_dp_reads_only_the_strict_upper_triangle():
+    rng = np.random.default_rng(13)
+    n = 7
+    pairs = rng.normal(size=(n, n, 3))
+    poisoned, zeroed = pairs.copy(), pairs.copy()
+    poisoned[np.tril_indices(n)] = np.nan  # diagonal and below
+    zeroed[np.tril_indices(n)] = 0.0
+    for r in (1.0, 2.0, 3.5):
+        best = fn.chain_dp(poisoned, r)
+        assert np.array_equal(best, fn.chain_dp(zeroed, r))
+        assert best.shape == (n, 3) and best[0].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_two_param_variation_paths_batch_equals_slices():
+    rng = np.random.default_rng(14)
+    cost = rng.normal(size=(8, 8, 5))
+    for rho in (1.0, 1.7, 2.5):
+        batched = fn.two_param_variation_paths(cost, rho)
+        single = [fn.two_param_variation_paths(cost[:, :, k : k + 1], rho)[0] for k in range(5)]
+        assert np.array_equal(batched, single)
+
+
+def brute_vector_variation(values, r):
+    n = len(values)
+    best = 0.0
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            s = sum(np.linalg.norm(values[combo[i + 1]] - values[combo[i]]) ** r for i in range(size - 1))
+            best = max(best, s)
+    return best ** (1.0 / r)
+
+
+def test_vector_variation_matches_bruteforce():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        vals = rng.normal(size=(rng.integers(2, 8), 3))
+        for r in (1.0, 2.0, 2.5):
+            res = fn.variation(vals, r)
+            assert np.isclose(res.value, brute_vector_variation(vals, r))
+            assert np.isclose(res.recompute(vals), res.value**r)
+
+
 # -- Lepingle ------------------------------------------------------------------------
 
 

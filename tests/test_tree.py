@@ -234,7 +234,7 @@ def test_same_seed_bit_identical():
 
 def test_vector_process_guard():
     with pytest.raises(TreeError):
-        G.gen_family(3, 65, seed=0)
+        G.gen_leaf_backprop("normal", 3, seed=0, width=65)
 
 
 # -- serialization ----------------------------------------------------------------
