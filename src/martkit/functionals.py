@@ -226,6 +226,19 @@ def variation(values: np.ndarray, r: float) -> VariationResult:
     return VariationResult(float(best[chain[0]]) ** (1.0 / r), chain[::-1], r)
 
 
+class _PathGaps:
+    """pairs[i, j] = pm[j] - pm[i] of a (N+1, L) path matrix, made one column
+    at a time, so chain_dp never holds the (N+1, N+1, L) difference tensor."""
+
+    def __init__(self, pm: np.ndarray):
+        self.pm = pm
+        self.shape = pm.shape[:1] + pm.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, j = key
+        return self.pm[j] - self.pm[rows]
+
+
 def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
     """Per-path r-variation values for a (N+1, L) path matrix."""
     if not r > 0:
@@ -234,7 +247,7 @@ def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
     if np.isinf(r):
         # fl(max - min) is the largest rounded gap: rounding is monotone
         return running_oscillation(pm)[-1]
-    return chain_dp(pm[None, :] - pm[:, None], r).max(axis=0) ** (1.0 / r)
+    return chain_dp(_PathGaps(pm), r).max(axis=0) ** (1.0 / r)
 
 
 def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
