@@ -185,7 +185,8 @@ def _step_costs(pairs: np.ndarray, j: int, r: float) -> np.ndarray:
 def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     """Best totals of sum |pairs[u_{k-1}, u_k]|^r over increasing chains.
 
-    ``pairs`` has shape (n, n, ...); only its strict upper triangle is read,
+    ``pairs`` has shape (n, n, ...), as an array or as any object whose
+    ``pairs[:j, j]`` makes column j; only its strict upper triangle is read,
     one column at a time, and trailing axes are independent problems.
     Returns ``best`` of shape (n, ...) with best[j] the largest total over
     chains ending at j (0 for the one-point chain), so the r-variation is
