@@ -151,6 +151,17 @@ def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
 # -- sharp Davis bound over a corpus -----------------------------------------
 
 
+def sharp_davis_clause(tracker: RatioTracker, pm: np.ndarray, w: np.ndarray) -> tuple:
+    """Assert E Sf_N <= sqrt(3) E f*_N for one trial's path matrix under leaf
+    weights w; returns (Sf_N, f*_N, E Sf_N, E f*_N)."""
+    sf = fn.square_function_paths(pm)[-1]
+    fstar = fn.maximal_paths(pm)[-1]
+    e_s = float(w @ sf)
+    e_star = float(w @ fstar)
+    tracker.add(e_s, SQRT3 * e_star)
+    return sf, fstar, e_s, e_star
+
+
 def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
     """E Sf <= sqrt(3) E f* asserted per trial, together with the expectation
     form E(3|f_0| + sum |df_n|^2 / f*_n) <= E(2 f*_N + |f_N|^2 / f*_N)."""
@@ -160,11 +171,7 @@ def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
         pm = mart.paths()
-        sf = fn.square_function_paths(pm)[-1]
-        fstar = fn.maximal_paths(pm)[-1]
-        e_s = float(w @ sf)
-        e_star = float(w @ fstar)
-        tracker.add(e_s, SQRT3 * e_star)
+        _, _, e_s, e_star = sharp_davis_clause(tracker, pm, w)
         if e_star > 0:
             worst_ratio_s = max(worst_ratio_s, e_s / e_star)
         lhs, rhs = pathwise_sharp_sides(pm)

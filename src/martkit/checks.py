@@ -18,10 +18,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import bellman
 from . import functionals as fn
-from .generators import gen_doubling
-from .report import CheckReport, CorpusSpec, RatioTracker, closed_tail_scan, finish_report, lambda_candidates, lq_norm, ratio
-from .tree import Martingale, StoppingRule, hitting_time
+from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, finish_report, lambda_candidates, lq_norm, ratio
+from .tree import Martingale, StoppingRule
 
 
 def _conjugate(p: float) -> float:
@@ -75,16 +75,8 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
         # look-ahead: tau > k  <=>  running max R_k <= lam
         run = fn.maximal_paths(pm)[1:]  # R_k for k = 1..N
         df2 = fn.increments(pm) ** 2
-        r_flat = run.ravel()
-        m_flat = (df2 * w[None, :]).ravel()
-        order = np.argsort(r_flat, kind="stable")
-        csum = np.cumsum(m_flat[order])
-        rs = r_flat[order]
-        boundaries = np.nonzero(np.diff(rs) != 0)[0]
-        idx = np.append(boundaries, rs.size - 1)
-        lams = rs[idx]
-        keep = lams > 0
-        tracker.add_many(csum[idx][keep], 2.0 * lams[keep] * f1)
+        lams, head = closed_sublevel_scan(run.ravel(), (df2 * w[None, :]).ravel())
+        tracker.add_many(head, 2.0 * lams * f1)
         tracker.commit_trial()
     return finish_report("square_weak", {}, spec, tracker, t0, constant=3.0)
 
@@ -134,12 +126,7 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
     lp_m_over_s = 0.0
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
-        pm = mart.paths()
-        sf = fn.square_function_paths(pm)[-1]
-        mf = fn.maximal_paths(pm)[-1]
-        e_s = float(w @ sf)
-        e_m = float(w @ mf)
-        tracker.add(e_s, math.sqrt(3.0) * e_m)
+        sf, mf, e_s, e_m = bellman.sharp_davis_clause(tracker, mart.paths(), w)
         m_over_s = max(m_over_s, ratio(e_m, e_s))
         lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
         lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
@@ -150,7 +137,7 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
         spec,
         tracker,
         t0,
-        constant=math.sqrt(3.0),
+        constant=bellman.SQRT3,
         measured={
             "max_EM_over_ES": m_over_s,
             "max_Lp_S_over_M": lp_s_over_m,
@@ -487,11 +474,11 @@ def check_paraproduct(
         lhs_pow = np.zeros(tree.n_leaves)
         f_pow = np.zeros(tree.n_leaves)
         for a, b in zip(bounds, bounds[1:]):
-            block_sup = np.zeros(tree.n_leaves)
+            span_sup = np.zeros(tree.n_leaves)
             for s in range(a, b + 1):
                 for t in range(s, b + 1):
-                    block_sup = np.maximum(block_sup, np.abs(pi[s, t]))
-            lhs_pow += block_sup**r_df
+                    span_sup = np.maximum(span_sup, np.abs(pi[s, t]))
+            lhs_pow += span_sup**r_df
             df_sup = np.zeros(tree.n_leaves)
             for t in range(a, b):
                 df_sup = np.maximum(df_sup, np.abs(f_pm[t] - f_pm[a]))
@@ -533,26 +520,6 @@ def check_paraproduct(
     )
 
 
-# -- sharp square-function inequality ------------------------------------------
-
-
-def check_sharp_davis(spec: CorpusSpec) -> CheckReport:
-    """E Sf <= sqrt(3) E f* with the optimal constant, plus the expectation
-    form of the pathwise inequality behind it."""
-    from . import bellman
-
-    return bellman.sharp_davis_check(spec)
-
-
-# -- doubling example sanity -----------------------------------------------------
-
-
-def check_doubling_means(depth: int = 10) -> list[float]:
-    """E f_n for the doubling martingale; all equal to 1."""
-    mart = gen_doubling(depth)
-    return [float(mart.tree.node_prob[n] @ mart.values[n]) for n in range(depth + 1)]
-
-
 REGISTRY: dict[str, Callable[..., CheckReport]] = {
     "doob": check_doob,
     "square_weak": check_square_weak,
@@ -563,7 +530,7 @@ REGISTRY: dict[str, Callable[..., CheckReport]] = {
     "lepingle": check_lepingle,
     "vector_valued": check_vector_valued,
     "paraproduct": check_paraproduct,
-    "sharp_davis": check_sharp_davis,
+    "sharp_davis": bellman.sharp_davis_check,
 }
 
 

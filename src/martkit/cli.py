@@ -120,25 +120,17 @@ def cmd_suite(args) -> int:
         raise ValueError("either --config or --default is required")
     if not entries:
         raise ValueError("suite configuration has no checks")
-    from . import report as report_mod
-
-    old_tol = report_mod.RATIO_TOL
-    if args.tol is not None:
-        report_mod.RATIO_TOL = args.tol
     reports: list[CheckReport] = []
-    try:
-        for entry in entries:
-            unknown = sorted(set(entry) - {"check", "params", "corpus"})
-            if unknown:
-                raise ValueError(f"unknown suite entry keys {unknown}")
-            name = entry["check"]
-            corpus_cfg = dict(entry.get("corpus", {}))
-            if seed is not None and "seed" not in entry.get("corpus", {}):
-                corpus_cfg["seed"] = seed
-            spec = CorpusSpec.from_dict(corpus_cfg)
-            reports.append(checks.run_check(name, spec, **entry.get("params", {})))
-    finally:
-        report_mod.RATIO_TOL = old_tol
+    for entry in entries:
+        unknown = sorted(set(entry) - {"check", "params", "corpus"})
+        if unknown:
+            raise ValueError(f"unknown suite entry keys {unknown}")
+        name = entry["check"]
+        corpus_cfg = dict(entry.get("corpus", {}))
+        if seed is not None and "seed" not in entry.get("corpus", {}):
+            corpus_cfg["seed"] = seed
+        spec = CorpusSpec.from_dict(corpus_cfg)
+        reports.append(checks.run_check(name, spec, **entry.get("params", {})))
     payload = {
         "all_pass": all(r.violations == 0 for r in reports),
         "reports": [r.to_dict() for r in reports],
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--default", action="store_true", help="run the built-in acceptance-scale suite")
     s.add_argument("--scale", type=float, default=1.0, help="trial-count scale for --default")
     s.add_argument("--seed", type=int)
-    s.add_argument("--tol", type=float)
     s.add_argument("--out")
     s.set_defaults(func=cmd_suite)
 

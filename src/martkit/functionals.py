@@ -9,7 +9,6 @@ bundles through the same code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,49 +265,6 @@ def running_oscillation(pathmat: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(pathmat, axis=0) - np.minimum.accumulate(pathmat, axis=0)
 
 
-@dataclass
-class GreedyPartition:
-    """Per-path stopping indices of one greedy oscillation scale m."""
-
-    m: int
-    stops: list[list[int]]  # per path, starting with 0
-
-    def stopping_rules(self, tree: FiltrationTree) -> list:
-        """Materialize tau_j as validated StoppingRules (INFINITY past the end)."""
-        from .tree import INFINITY, StoppingRule
-
-        count = max(len(s) for s in self.stops)
-        rules = []
-        for j in range(count):
-            times = np.full(len(self.stops), INFINITY, dtype=np.int64)
-            for leaf, s in enumerate(self.stops):
-                if j < len(s):
-                    times[leaf] = s[j]
-            rules.append(StoppingRule.from_times(tree, times))
-        return rules
-
-
-def lepingle_partition_path(values: np.ndarray, m: int) -> list[int]:
-    """Greedy partition of one path: stop as soon as the move from the last
-    stop reaches 2^-m times the running oscillation."""
-    values = np.asarray(values, dtype=np.float64)
-    osc = running_oscillation(values[:, None])[:, 0]
-    thr = 2.0**-m
-    stops = [0]
-    anchor = values[0]
-    for t in range(1, len(values)):
-        if osc[t] > 0 and abs(values[t] - anchor) >= thr * osc[t]:
-            stops.append(t)
-            anchor = values[t]
-    return stops
-
-
-def lepingle_partition(f: TreeProcess, m: int) -> GreedyPartition:
-    pm = f.paths()
-    stops = [lepingle_partition_path(pm[:, leaf], m) for leaf in range(pm.shape[1])]
-    return GreedyPartition(m=m, stops=stops)
-
-
 def _greedy_squares(pathmat: np.ndarray, m: int, active: np.ndarray) -> np.ndarray:
     """Sum of squared sampled jumps of the scale-m greedy partition, per path."""
     pm = pathmat
@@ -366,49 +322,6 @@ def lepingle_pathwise_bound(pathmat: np.ndarray, r: float) -> tuple[np.ndarray, 
     return lhs, 64.0 * rhs
 
 
-def comparable_jump_check(values: np.ndarray, r: float) -> dict:
-    """Check the greedy partitions against the witness jumps of the r-variation.
-
-    Every nonzero witness jump d = |f_{t'} - f_t| falls in the unique window
-    2 < d / (2^-m M_t) <= 4; the claim is that the scale-m partition has a
-    stop in (t', t] whose own jump is at least d / 8.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    res = variation(values, r)
-    osc = running_oscillation(values[:, None])[:, 0]
-    checked = 0
-    failures = []
-    parts: dict[int, list[int]] = {}
-    for a, b in zip(res.witness, res.witness[1:]):
-        d = abs(values[b] - values[a])
-        if d == 0:
-            continue
-        m_t = osc[b]
-        m = max(2, math.ceil(math.log2(2.0 * m_t / d) - 1e-12))
-        while d / (2.0**-m * m_t) <= 2.0:
-            m += 1
-        while d / (2.0**-m * m_t) > 4.0:
-            m -= 1
-        if m < 2:
-            continue  # outside the window handled by smaller scales
-        if m not in parts:
-            parts[m] = lepingle_partition_path(values, m)
-        stops = parts[m]
-        inside = [j for j, s in enumerate(stops) if a < s <= b]
-        checked += 1
-        if not inside:
-            failures.append((a, b, m, "no stop in window"))
-            continue
-        j = max(j for j, s in enumerate(stops) if s <= b)
-        if j == 0:
-            failures.append((a, b, m, "stop has no predecessor"))
-            continue
-        jump = abs(values[stops[j]] - values[stops[j - 1]])
-        if d > 8.0 * jump + 1e-12 * max(1.0, d):
-            failures.append((a, b, m, f"jump ratio {d / jump if jump else np.inf:.3f}"))
-    return {"checked": checked, "failures": failures}
-
-
 # -- paraproducts -----------------------------------------------------------
 
 
@@ -440,140 +353,6 @@ def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
         for t in range(s + 1, n):
             acc = acc + (f_pm[t - 1] - f_pm[s]) * dg[t - 1]
             out[s, t] = acc
-    return out
-
-
-def paraproduct(F: np.ndarray, g: TreeProcess | np.ndarray, s: int, t: int) -> np.ndarray:
-    """Single paraproduct value per path; requires s <= t."""
-    g_pm = g.paths() if isinstance(g, TreeProcess) else np.asarray(g, dtype=np.float64)
-    if not 0 <= s <= t < g_pm.shape[0]:
-        raise ValueError("need 0 <= s <= t within the time horizon")
-    dg = np.diff(g_pm, axis=0)
-    acc = np.zeros(g_pm.shape[1])
-    for j in range(s + 1, t + 1):
-        acc = acc + F[s, j - 1] * dg[j - 1]
-    return acc
-
-
-def paraproduct_deltaf(f, g, s: int, t: int) -> np.ndarray:
-    f_pm = f.paths() if isinstance(f, TreeProcess) else np.asarray(f, dtype=np.float64)
-    g_pm = g.paths() if isinstance(g, TreeProcess) else np.asarray(g, dtype=np.float64)
-    if not 0 <= s <= t < g_pm.shape[0]:
-        raise ValueError("need 0 <= s <= t within the time horizon")
-    dg = np.diff(g_pm, axis=0)
-    acc = np.zeros(g_pm.shape[1])
-    for j in range(s + 1, t + 1):
-        acc = acc + (f_pm[j - 1] - f_pm[s]) * dg[j - 1]
-    return acc
-
-
-def chen_residuals(pi_pairs: np.ndarray, f_pm: np.ndarray, g_pm: np.ndarray) -> float:
-    """Max |delta Pi_{s,t,u} - (f_t - f_s)(g_u - g_t)| over all index triples."""
-    n = pi_pairs.shape[0]
-    worst = 0.0
-    for s in range(n):
-        for t in range(s, n):
-            for u in range(t, n):
-                resid = (
-                    pi_pairs[s, u]
-                    - pi_pairs[s, t]
-                    - pi_pairs[t, u]
-                    - (f_pm[t] - f_pm[s]) * (g_pm[u] - g_pm[t])
-                )
-                worst = max(worst, float(np.abs(resid).max()))
-    return worst
-
-
-def running_pair_sup(pi_pairs: np.ndarray) -> np.ndarray:
-    """Pi*_t = sup_{0 <= n < n' <= t} |Pi_{n,n'}| per path, shape (n, L)."""
-    n, _, L = pi_pairs.shape
-    out = np.zeros((n, L))
-    for t in range(1, n):
-        out[t] = np.maximum(out[t - 1], np.abs(pi_pairs[:t, t]).max(axis=0))
-    return out
-
-
-def block_sup(pi_pairs: np.ndarray) -> np.ndarray:
-    """B[t', t] = max_{t' <= u < t} |Pi_{u,t}| per path (suffix maxima)."""
-    n, _, L = pi_pairs.shape
-    B = np.zeros((n, n, L))
-    for t in range(1, n):
-        B[t - 1, t] = np.abs(pi_pairs[t - 1, t])
-        for u in range(t - 2, -1, -1):
-            B[u, t] = np.maximum(np.abs(pi_pairs[u, t]), B[u + 1, t])
-    return B
-
-
-def paraproduct_partition_path(pi_pairs_one: np.ndarray, m: int) -> list[int]:
-    """Greedy partition of one path of a two-parameter process at scale m."""
-    n = pi_pairs_one.shape[0]
-    star = running_pair_sup(pi_pairs_one[:, :, None])[:, 0]
-    stops = [0]
-    for t in range(1, n):
-        a = stops[-1]
-        sup = np.abs(pi_pairs_one[a:t, t]).max(initial=0.0)
-        if sup > 2.0 ** (-m - 1) * star[t]:
-            stops.append(t)
-    return stops
-
-
-def paraproduct_partition_blocks(pi_pairs: np.ndarray, m: int, rho: float = 2.0) -> np.ndarray:
-    """Per-path sum over blocks of (sup_{tau_{j-1} <= t < tau_j} |Pi_{t, tau_j}|)^rho
-    for the scale-m greedy partition."""
-    n, _, L = pi_pairs.shape
-    B = block_sup(pi_pairs)
-    star = running_pair_sup(pi_pairs)
-    anchor = np.zeros(L, dtype=np.int64)
-    acc = np.zeros(L)
-    cols = np.arange(L)
-    for t in range(1, n):
-        sup_here = B[anchor, t, cols]
-        trig = sup_here > 2.0 ** (-m - 1) * star[t]
-        acc[trig] += sup_here[trig] ** rho
-        anchor[trig] = t
-    return acc
-
-
-def paraproduct_variation_bound(pi_pairs: np.ndarray, r: float, rho: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the greedy-partition domination of the r-variation of a
-    two-parameter adapted process (requires Pi_{t,t} = 0 and rho < r)."""
-    if not 0 < rho < r:
-        raise ValueError("need 0 < rho < r")
-    n, _, L = pi_pairs.shape
-    lhs = two_param_variation_paths(pi_pairs, r) ** r
-    star = running_pair_sup(pi_pairs)[-1]
-    d_min = np.full(L, np.inf)
-    for t in range(1, n):
-        d = np.abs(pi_pairs[:t, t])
-        d[d == 0] = np.inf
-        d_min = np.minimum(d_min, d.min(axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_star = np.where(star > 0, np.floor(np.log2(star / d_min)), 0.0)
-    m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 0), 0).astype(np.int64)
-    rhs = star**r / (1.0 - 2.0**-r)
-    for m in range(int(m_star.max(initial=0)) + 1):
-        active = m <= m_star
-        if not active.any():
-            break
-        blocks = paraproduct_partition_blocks(pi_pairs, m, rho)
-        rhs = rhs + np.where(active, 2.0**rho * (2.0**-m * star) ** (r - rho) * blocks, 0.0)
-    return lhs, rhs
-
-
-def variation_buckets(jumps: np.ndarray, star_at_end: np.ndarray) -> dict[int, list[int]]:
-    """Scale buckets of a chain: index l lands at the unique m with
-    2^{-m-1} Pi*_{u_l} < |Pi_{u_{l-1},u_l}| <= 2^{-m} Pi*_{u_l}."""
-    out: dict[int, list[int]] = {}
-    for l, (d, s) in enumerate(zip(jumps, star_at_end)):
-        if d == 0 or s == 0:
-            continue
-        m = int(math.floor(-math.log2(d / s) + 1e-12))
-        m = max(m, 0)
-        while d > 2.0**-m * s:
-            m -= 1
-        while d <= 2.0 ** (-m - 1) * s:
-            m += 1
-        out.setdefault(m, []).append(l)
     return out
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .tree import FiltrationTree, Martingale, TreeError
 
 DEPTH_GUARD = 24
+# corpus trial indices must stay below 2**TRIAL_BITS (see _sub)
+TRIAL_BITS = 20
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -220,8 +222,9 @@ def corpus_martingale(kind: str, depth: int, seed: int, index: int, dist: str = 
 
 
 def _sub(seed: int, index: int) -> int:
-    # stable per-trial seed; SeedSequence spawn keys keep streams independent
-    return (int(seed) << 20) + int(index)
+    # stable per-trial seed packed as (seed << TRIAL_BITS) + index, not a spawn
+    # key: an index of 2**TRIAL_BITS or more would replay seed + 1's corpus
+    return (int(seed) << TRIAL_BITS) + int(index)
 
 
 def corpus_rng(seed: int, index: int) -> np.random.Generator:

@@ -137,11 +137,6 @@ class AdaptedGridPartition:
         return cls(mask, path.tree)
 
 
-def floor_time(partition: AdaptedGridPartition, t: int) -> np.ndarray:
-    """Largest partition index <= t, per path."""
-    return partition.floor_indices()[t]
-
-
 def ito_sum_from(
     f: GridCadlagPath, g: GridCadlagPath, partition: AdaptedGridPartition, t: int
 ) -> np.ndarray:
@@ -298,11 +293,14 @@ def refine_converge(
     for level in range(levels + 1):
         stride = max(1, n >> (start_power + level))
         parts.append(base.union_grid(stride))
-    pair_procs = [ito_pairs(f, g, p) for p in parts]
     distances = []
-    for a, b in zip(pair_procs, pair_procs[1:]):
-        per_path = fn.two_param_variation_paths(b - a, r)
+    prev = ito_pairs(f, g, parts[0])
+    for p in parts[1:]:
+        cur = ito_pairs(f, g, p)
+        prev -= cur  # only |cur - prev| is read, and |a - b| = |b - a| exactly
+        per_path = fn.two_param_variation_paths(prev, r)
         distances.append(f.expectation(per_path))
+        prev = cur
     disc = []
     for p in parts:
         diff = f.values - discretize(f, p).values
@@ -332,29 +330,6 @@ def ito_bound_data(
         fn.variation_paths(g.values, np.inf), q0
     )
     return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}
-
-
-def ito_bound_check(f, g, partition, r: float = 2.5, p1: float = 3.0, q0: float = 2.0, q1: float = 2.0):
-    """Measured ratio of the Ito-sum variation bound as a check report
-    (nothing asserted: the constant is unspecified)."""
-    import time
-
-    from .report import CheckReport, ratio
-
-    t0 = time.perf_counter()
-    data = ito_bound_data(f, g, partition, r, p1, q0, q1)
-    rho = ratio(data["lhs"], data["rhs"])
-    return CheckReport(
-        check="ito_bound",
-        params={"r": r, "p1": p1, "q0": q0, "q1": q1},
-        trials=f.n_paths,
-        violations=0,
-        worst_ratio=0.0,
-        constant_used=float("nan"),
-        seed=0,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        measured={"ratio": rho, "lhs": data["lhs"], "rhs": data["rhs"], "sampled": data["sampled"]},
-    )
 
 
 # -- CSV interfaces ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .generators import corpus_martingale, corpus_rng
+from .generators import TRIAL_BITS, corpus_martingale, corpus_rng
 from .tree import Martingale
 
 # A trial counts as a violation when LHS / (constant * RHS) exceeds this.
@@ -89,6 +89,10 @@ class CorpusSpec:
     dist: str = "normal"
     width: int = 0
 
+    def __post_init__(self):
+        if self.trials >= 1 << TRIAL_BITS:
+            raise ValueError(f"trials must be below 2**{TRIAL_BITS}, or per-trial seeds overlap the next seed's")
+
     def martingales(self) -> Iterator[Martingale]:
         for i in range(self.trials):
             yield corpus_martingale(self.kind, self.depth, self.seed, i, self.dist, self.width)
@@ -119,13 +123,11 @@ class RatioTracker:
 
     ``violations`` counts trials, not individual ratios: every assertion of
     one trial raises a flag that ``commit_trial`` folds into the count, so
-    the report invariant "worst_ratio <= 1 + tol iff violations = 0" holds
-    with trial-level semantics.
+    the report invariant "worst_ratio <= 1 + RATIO_TOL iff violations = 0"
+    holds with trial-level semantics.
     """
 
-    def __init__(self, tol: float | None = None):
-        # late binding so a suite-level tolerance override takes effect
-        self.tol = RATIO_TOL if tol is None else tol
+    def __init__(self):
         self.worst = 0.0
         self.violations = 0
         self._trial_bad = False
@@ -137,7 +139,7 @@ class RatioTracker:
             ratio = lhs / rhs
         if ratio > self.worst:
             self.worst = float(ratio)
-        if ratio > 1.0 + self.tol:
+        if ratio > 1.0 + RATIO_TOL:
             self._trial_bad = True
         return ratio
 
@@ -148,7 +150,7 @@ class RatioTracker:
             ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
         if ratio.size:
             self.worst = max(self.worst, float(ratio.max()))
-            if (ratio > 1.0 + self.tol).any():
+            if (ratio > 1.0 + RATIO_TOL).any():
                 self._trial_bad = True
 
     def flag(self) -> None:
@@ -186,7 +188,19 @@ def closed_tail_scan(stat: np.ndarray, *mass_arrays: np.ndarray) -> tuple[np.nda
     lambda > 0" exactly.
     """
     stat = np.asarray(stat, dtype=np.float64)
-    order = np.argsort(-stat, kind="stable")
+    return _group_scan(stat, np.argsort(-stat, kind="stable"), mass_arrays)
+
+
+def closed_sublevel_scan(stat: np.ndarray, *mass_arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cumulative masses of the closed sets {stat <= v} at each distinct v > 0,
+    in ascending order of v; the return layout is that of closed_tail_scan."""
+    stat = np.asarray(stat, dtype=np.float64)
+    return _group_scan(stat, np.argsort(stat, kind="stable"), mass_arrays)
+
+
+def _group_scan(stat: np.ndarray, order: np.ndarray, mass_arrays) -> tuple[np.ndarray, ...]:
+    """Cumulative masses along ``order`` (a stable sort of ``stat``), read at
+    the last member of each run of equal values, for the positive values."""
     sorted_stat = stat[order]
     cums = [np.cumsum(np.asarray(m, dtype=np.float64)[order]) for m in mass_arrays]
     boundaries = np.nonzero(np.diff(sorted_stat) != 0)[0]

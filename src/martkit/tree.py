@@ -209,10 +209,6 @@ class TreeProcess:
     def leaf_values(self) -> np.ndarray:
         return self.values[-1]
 
-    def root_value(self) -> float | np.ndarray:
-        v = self.values[0][0]
-        return float(v) if self.width == 0 else v
-
     def component(self, k: int) -> "TreeProcess":
         if self.width == 0:
             raise TreeError("scalar process has no components")

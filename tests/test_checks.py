@@ -6,7 +6,7 @@ import pytest
 
 from martkit import checks as C
 from martkit import generators as G
-from martkit.report import CheckReport, CorpusSpec, RatioTracker, closed_tail_scan, validate_report_dict
+from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, validate_report_dict
 from martkit.tree import FiltrationTree, Martingale
 
 
@@ -25,7 +25,7 @@ def test_ratio_tracker_conventions():
     t.commit_trial()
     assert t.violations == 1
     # report invariant: worst <= 1 + tol iff violations == 0
-    assert (t.worst <= 1 + t.tol) == (t.violations == 0)
+    assert (t.worst <= 1 + RATIO_TOL) == (t.violations == 0)
 
 
 def test_closed_tail_scan():
@@ -34,6 +34,14 @@ def test_closed_tail_scan():
     levels, tails = closed_tail_scan(stat, mass)
     assert levels.tolist() == [3.0, 2.0, 1.0]
     assert tails.tolist() == [0.5, 0.75, 1.0]
+
+
+def test_closed_sublevel_scan():
+    stat = np.array([3.0, 0.0, 3.0, 1.0])
+    mass = np.array([0.25, 0.25, 0.25, 0.25])
+    levels, heads = closed_sublevel_scan(stat, mass)
+    assert levels.tolist() == [1.0, 3.0]
+    assert heads.tolist() == [0.5, 1.0]  # the zero's mass counts, its level does not
 
 
 def test_doob_constant_parametrization():

@@ -103,6 +103,7 @@ def test_suite_config_file(tmp_path):
         ({"check": "doob", "corpus": {"kind": "mixed", "depth": 4, "trails": 3}}, "unknown corpus keys ['trails']"),
         ({"check": "doob", "parms": {"p": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "unknown suite entry keys ['parms']"),
         ({"check": "doob", "params": {"q": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "bad parameters for check 'doob'"),
+        ({"check": "doob", "corpus": {"depth": 4, "trials": 2**20}}, "trials must be below 2**20"),
     ],
 )
 def test_suite_unknown_keys_are_usage_errors(tmp_path, capsys, entry, message):
@@ -118,6 +119,13 @@ def test_suite_empty_config_is_usage_error(tmp_path):
     cfg.write_text(json.dumps({"seed": 1, "checks": []}))
     assert main(["suite", "--config", str(cfg)]) == 2
     assert main(["suite"]) == 2
+
+
+def test_suite_has_no_tolerance_option():
+    # the ratio tolerance is fixed at report.RATIO_TOL
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--default", "--seed", "1", "--tol", "1e-6"])
+    assert exc.value.code == 2
 
 
 def test_rde_command(tmp_path):

@@ -215,22 +215,6 @@ def test_vector_variation_matches_bruteforce():
 # -- Lepingle ------------------------------------------------------------------------
 
 
-def test_lepingle_partition_examples():
-    assert fn.lepingle_partition_path(np.zeros(6), m=2) == [0]
-    zigzag = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    assert fn.lepingle_partition_path(zigzag, m=2) == [0, 1, 2, 3, 4]
-
-
-def test_lepingle_partition_stopping_rules():
-    mart = G.gen_walk_increments(5, seed=4)
-    part = fn.lepingle_partition(mart, m=3)
-    rules = part.stopping_rules(mart.tree)
-    assert all(np.all(rules[0].times == 0) for _ in [0])
-    for a, b in zip(rules, rules[1:]):
-        live = b.times <= mart.tree.depth
-        assert np.all(a.times[live] < b.times[live])
-
-
 def test_lepingle_pathwise_bound_examples():
     const = np.zeros((5, 1))
     lhs, rhs = fn.lepingle_pathwise_bound(const, 3.0)
@@ -251,38 +235,38 @@ def test_lepingle_pathwise_bound_random_walks():
             assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
 
 
-def test_comparable_jump_claim():
-    rng = np.random.default_rng(12)
-    checked = 0
-    for _ in range(150):
-        n = int(rng.integers(4, 14))
-        path = np.concatenate([[0.0], np.cumsum(rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.05, 1, size=n))])
-        res = fn.comparable_jump_check(path, 3.0)
-        checked += res["checked"]
-        assert res["failures"] == []
-    assert checked > 100
-
-
 # -- paraproducts -----------------------------------------------------------------------
 
 
 def test_paraproduct_empty_and_two_term():
     f = G.gen_leaf_backprop("normal", 3, seed=1)
     g = G.gen_leaf_backprop("uniform", 3, seed=2, tree=f.tree)
-    assert np.allclose(fn.paraproduct_deltaf(f, g, 2, 2), 0.0)
     pm_f, pm_g = f.paths(), g.paths()
+    pi = fn.paraproduct_deltaf_pairs(pm_f, pm_g)
+    # empty sums on and below the diagonal
+    assert not pi[np.tril_indices(pi.shape[0])].any()
     # two-term expansion with s = 0, t = 2: first term vanishes
     expect = (pm_f[1] - pm_f[0]) * (pm_g[2] - pm_g[1])
-    assert np.allclose(fn.paraproduct_deltaf(f, g, 0, 2), expect, atol=1e-14)
-    with pytest.raises(ValueError):
-        fn.paraproduct_deltaf(f, g, 2, 1)
+    assert np.allclose(pi[0, 2], expect, atol=1e-14)
+
+
+def chen_residuals(pi_pairs, f_pm, g_pm) -> float:
+    """Max |delta Pi_{s,t,u} - (f_t - f_s)(g_u - g_t)| over all index triples."""
+    n = pi_pairs.shape[0]
+    worst = 0.0
+    for s in range(n):
+        for t in range(s, n):
+            for u in range(t, n):
+                resid = pi_pairs[s, u] - pi_pairs[s, t] - pi_pairs[t, u] - (f_pm[t] - f_pm[s]) * (g_pm[u] - g_pm[t])
+                worst = max(worst, float(np.abs(resid).max()))
+    return worst
 
 
 def test_paraproduct_chen_identity_all_triples():
     f = G.gen_leaf_backprop("normal", 6, seed=5)
     g = G.gen_leaf_backprop("exponential", 6, seed=6, tree=f.tree)
     pi = fn.paraproduct_deltaf_pairs(f.paths(), g.paths())
-    assert fn.chen_residuals(pi, f.paths(), g.paths()) <= 1e-12
+    assert chen_residuals(pi, f.paths(), g.paths()) <= 1e-12
 
 
 def test_paraproduct_martingale_in_second_index():
@@ -305,37 +289,6 @@ def test_paraproduct_general_F_matches_deltaf():
     a = fn.paraproduct_pairs(F, g.paths())
     b = fn.paraproduct_deltaf_pairs(pm, g.paths())
     assert np.abs(a - b).max() <= 1e-12
-
-
-def test_paraproduct_partition_and_bound():
-    rng = np.random.default_rng(13)
-    for seed in range(40):
-        f = G.gen_walk_increments(7, seed=seed)
-        g = G.gen_walk_increments(7, seed=seed + 1000)
-        tree = f.tree
-        gp = Martingale.from_leaf_values(tree, rng.normal(size=tree.n_leaves))
-        pi = fn.paraproduct_deltaf_pairs(f.paths(), gp.paths())
-        lhs, rhs = fn.paraproduct_variation_bound(pi, r=3.0)
-        assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
-
-
-def test_paraproduct_trivial_partition():
-    pi = np.zeros((5, 5, 3))
-    assert fn.paraproduct_partition_path(pi[:, :, 0], m=2) == [0]
-
-
-def test_bucket_split_hand_example():
-    # chain of 4 jumps against a running pair-sup of 8
-    jumps = np.array([8.0, 3.0, 1.5, 0.4])
-    star = np.array([8.0, 8.0, 8.0, 8.0])
-    buckets = fn.variation_buckets(jumps, star)
-    assert buckets[0] == [0]  # 4 < 8 <= 8
-    assert buckets[1] == [1]  # 2 < 3 <= 4
-    assert buckets[2] == [2]  # 1 < 1.5 <= 2
-    assert buckets[4] == [3]  # 0.25 < 0.4 <= 0.5
-    total_r = sum(j**3 for j in jumps)
-    split = sum(jumps[i] ** 3 for ids in buckets.values() for i in ids)
-    assert np.isclose(total_r, split)
 
 
 # -- weighted maximal ------------------------------------------------------------------

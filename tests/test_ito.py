@@ -208,14 +208,6 @@ def test_ito_bound_data(small_bundle):
         I.ito_bound_data(f, g, part, r=1.0, p1=3.0)
 
 
-def test_ito_bound_check_report(small_bundle):
-    f, g, part = small_bundle
-    rep = I.ito_bound_check(f, g, part)
-    assert rep.check == "ito_bound"
-    assert rep.violations == 0
-    assert np.isfinite(rep.measured["ratio"])
-
-
 def test_path_and_partition_csv(tmp_path, small_bundle):
     f, g, part = small_bundle
     p1 = tmp_path / "path.csv"
