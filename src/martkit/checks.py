@@ -308,10 +308,8 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
         w = mart.tree.leaf_prob
         pm = mart.paths()
         mf = fn.maximal_paths(pm)[-1]
-        for rr in rs:
-            lhs, rhs = fn.lepingle_pathwise_bound(pm, rr)
-            tracker.add_many(lhs, rhs)
-            vr = fn.variation_paths(pm, rr)
+        for rr, (vr, rhs) in zip(rs, fn.lepingle_pathwise_bound(pm, rs)):
+            tracker.add_many(vr**2, rhs)
             key = f"moment_ratio_r={rr}"
             moment[key] = max(
                 moment[key],

@@ -265,61 +265,62 @@ def running_oscillation(pathmat: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(pathmat, axis=0) - np.minimum.accumulate(pathmat, axis=0)
 
 
-def _greedy_squares(pathmat: np.ndarray, m: int, active: np.ndarray) -> np.ndarray:
-    """Sum of squared sampled jumps of the scale-m greedy partition, per path."""
-    pm = pathmat
-    osc = running_oscillation(pm)
-    thr = 2.0**-m
-    anchor = pm[0].copy()
-    s2 = np.zeros(pm.shape[1])
-    for t in range(1, pm.shape[0]):
-        jump = pm[t] - anchor
-        trig = active & (osc[t] > 0) & (np.abs(jump) >= thr * osc[t])
-        s2[trig] += jump[trig] ** 2
-        anchor[trig] = pm[t][trig]
-    return s2
-
-
 def min_nonzero_pairwise(pathmat: np.ndarray) -> np.ndarray:
-    """Smallest nonzero |f_i - f_j| over index pairs, per path (inf if none)."""
-    pm = pathmat
-    n = pm.shape[0]
-    out = np.full(pm.shape[1], np.inf)
-    for j in range(1, n):
-        d = np.abs(pm[:j] - pm[j])
-        d[d == 0] = np.inf
-        out = np.minimum(out, d.min(axis=0))
-    return out
+    """Smallest nonzero |f_i - f_j| over index pairs, per path (inf if none).
 
-
-def lepingle_pathwise_bound(pathmat: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the square-scale domination of the r-variation.
-
-    lhs = V^r(f)^2 and rhs = 64 * sum_m 2^{-(m-2)(r-2)} S_(m)^2, the m-sum
-    truncated at the first scale where 2^-m M_inf falls below a quarter of
-    the smallest nonzero pathwise jump (all later buckets are empty, so the
-    truncation only sharpens the asserted inequality).
+    Sorted neighbours suffice: rounding is monotone, so fl(c - a) >= fl(b - a)
+    for a <= b <= c, and under gradual underflow x - y = 0 only when x = y.
     """
-    if not r > 2:
+    gaps = np.diff(np.sort(pathmat, axis=0), axis=0)
+    gaps[gaps == 0] = np.inf
+    return gaps.min(axis=0, initial=np.inf)
+
+
+def lepingle_pathwise_bound(pathmat: np.ndarray, rs: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per exponent r in ``rs``: the per-path r-variation V^r(f) and the
+    square-scale bound rhs = 64 * sum_m 2^{-(m-2)(r-2)} S_(m)^2 on V^r(f)^2.
+
+    S_(m)^2 sums the squared sampled jumps of the scale-m greedy partition,
+    whose anchor moves to f_t once |f_t - anchor| >= 2^-m M_t (M the running
+    oscillation).  The m-sum stops at m_star, the last scale where 2^-m M_inf
+    is at least a quarter of the smallest nonzero pathwise jump.  Past m_star
+    every nonzero increment triggers, so S_(m)^2 is the full sum of squared
+    increments; those dropped terms are nonnegative, so the truncation only
+    strengthens the asserted inequality.  One sweep over t evaluates blocks
+    of at most N+1 scales, so the working set stays a fixed multiple of the
+    path matrix, and each S_(m)^2 serves every exponent.
+    """
+    if not all(r > 2 for r in rs):
         raise ValueError("pathwise domination needs r > 2")
     pm = np.asarray(pathmat, dtype=np.float64)
     if pm.ndim == 1:
         pm = pm[:, None]
-    lhs = variation_paths(pm, r) ** 2
-    m_inf = running_oscillation(pm)[-1]
+    n = pm.shape[0]
+    osc = running_oscillation(pm)
+    m_inf = osc[-1]
     d_min = min_nonzero_pairwise(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
     m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
-    rhs = np.zeros(pm.shape[1])
+    out = [(variation_paths(pm, r), np.zeros(pm.shape[1])) for r in rs]
     m_max = int(m_star.max(initial=2))
-    for m in range(2, m_max + 1):
-        active = (m <= m_star) & (m_inf > 0)
-        if not active.any():
-            break
-        s2 = _greedy_squares(pm, m, active)
-        rhs += 2.0 ** (-(m - 2) * (r - 2)) * s2
-    return lhs, 64.0 * rhs
+    for lo in range(2, m_max + 1, n):
+        ms = np.arange(lo, min(lo + n, m_max + 1))
+        thr = np.ldexp(1.0, -ms)[:, None]
+        active = (ms[:, None] <= m_star) & (m_inf > 0)
+        anchor = np.repeat(pm[:1], len(ms), axis=0)
+        s2 = np.zeros(anchor.shape)
+        for t in range(1, n):
+            jump = pm[t] - anchor
+            trig = active & (osc[t] > 0) & (np.abs(jump) >= thr * osc[t])
+            np.add(s2, np.square(jump), out=s2, where=trig)
+            np.copyto(anchor, pm[t], where=trig)
+        for r, (_, rhs) in zip(rs, out):
+            for m, s2_m in zip(ms.tolist(), s2):
+                rhs += 2.0 ** (-(m - 2) * (r - 2)) * s2_m
+    for _, rhs in out:
+        rhs *= 64.0
+    return out
 
 
 # -- paraproducts -----------------------------------------------------------

@@ -3,9 +3,12 @@ name it wraps must still exist where it looks it up."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from martkit import checks
+from martkit import functionals as fn
+from martkit.report import CorpusSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -30,3 +33,22 @@ def test_traced_attributes_resolve():
 
 def test_traced_checks_are_registered():
     assert set(load_tracing().CHECK_NAMES) <= set(checks.REGISTRY)
+
+
+def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
+    # keeps the traced lepingle and variation buckets one call per unit of work
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(fn, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lepingle_pathwise_bound", "variation_paths"):
+        monkeypatch.setattr(fn, name, counting(name))
+    checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
+    assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 12}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,24 +216,103 @@ def test_vector_variation_matches_bruteforce():
 # -- Lepingle ------------------------------------------------------------------------
 
 
+def greedy_squares(pm, m, active):
+    """Sum of squared sampled jumps of the scale-m greedy partition, per path."""
+    osc = fn.running_oscillation(pm)
+    thr = 2.0**-m
+    anchor = pm[0].copy()
+    s2 = np.zeros(pm.shape[1])
+    for t in range(1, pm.shape[0]):
+        jump = pm[t] - anchor
+        trig = active & (osc[t] > 0) & (np.abs(jump) >= thr * osc[t])
+        s2[trig] += jump[trig] ** 2
+        anchor[trig] = pm[t][trig]
+    return s2
+
+
+def min_nonzero_all_pairs(pm):
+    out = np.full(pm.shape[1], np.inf)
+    for j in range(1, pm.shape[0]):
+        d = np.abs(pm[:j] - pm[j])
+        d[d == 0] = np.inf
+        out = np.minimum(out, d.min(axis=0))
+    return out
+
+
+def lepingle_one_scale_at_a_time(pathmat, r):
+    """(V^r(f)^2, rhs) for one exponent, one greedy scale per pass."""
+    pm = np.asarray(pathmat, dtype=np.float64)
+    if pm.ndim == 1:
+        pm = pm[:, None]
+    lhs = fn.variation_paths(pm, r) ** 2
+    m_inf = fn.running_oscillation(pm)[-1]
+    d_min = min_nonzero_all_pairs(pm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
+    m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
+    rhs = np.zeros(pm.shape[1])
+    for m in range(2, int(m_star.max(initial=2)) + 1):
+        active = (m <= m_star) & (m_inf > 0)
+        if not active.any():
+            break
+        rhs += 2.0 ** (-(m - 2) * (r - 2)) * greedy_squares(pm, m, active)
+    return lhs, 64.0 * rhs
+
+
+def lepingle_inputs():
+    for kind in ("walk", "backprop", "mixed", "increment"):
+        for index in range(3):
+            yield G.corpus_martingale(kind, 8, 11, index).paths()
+    yield np.array([0.0, 1.0, 1.0, 3.0, 3.0, -0.5])
+    yield np.full((6, 1), 2.5)
+    walk = G.gen_walk_increments(3, seed=4).paths()
+    yield np.column_stack([np.zeros(4), walk[:, 0], np.full(4, -1.0), walk[:, 5]])
+    yield np.array([0.0, 1e-300, 1.0])  # about 1000 scales
+
+
+def test_min_nonzero_pairwise_matches_all_pairs():
+    for pm in lepingle_inputs():
+        pm = pm.reshape(pm.shape[0], -1)
+        assert np.array_equal(fn.min_nonzero_pairwise(pm), min_nonzero_all_pairs(pm))
+
+
+def test_lepingle_pathwise_bound_equals_one_scale_at_a_time():
+    rs = (2.1, 2.5, 3.0, 4.0)
+    for pm in lepingle_inputs():
+        for r, (vr, rhs) in zip(rs, fn.lepingle_pathwise_bound(pm, rs)):
+            lhs_ref, rhs_ref = lepingle_one_scale_at_a_time(pm, r)
+            assert np.array_equal(vr**2, lhs_ref)
+            assert np.array_equal(rhs, rhs_ref)
+
+
 def test_lepingle_pathwise_bound_examples():
     const = np.zeros((5, 1))
-    lhs, rhs = fn.lepingle_pathwise_bound(const, 3.0)
-    assert lhs[0] == rhs[0] == 0.0
+    [(vr, rhs)] = fn.lepingle_pathwise_bound(const, (3.0,))
+    assert vr[0] == rhs[0] == 0.0
     two_jump = np.array([0.0, 1.0, 1.0, 3.0, 3.0])
-    lhs, rhs = fn.lepingle_pathwise_bound(two_jump[:, None], 3.0)
-    assert lhs[0] <= rhs[0]
+    [(vr, rhs)] = fn.lepingle_pathwise_bound(two_jump[:, None], (3.0,))
+    assert vr[0] ** 2 <= rhs[0]
     with pytest.raises(ValueError):
-        fn.lepingle_pathwise_bound(two_jump[:, None], 2.0)
+        fn.lepingle_pathwise_bound(two_jump[:, None], (2.0,))
 
 
 def test_lepingle_pathwise_bound_random_walks():
     for seed in range(100):
         mart = G.gen_walk_increments(10, seed=seed)
-        pm = mart.paths()
-        for r in (2.5, 3.0, 4.0):
-            lhs, rhs = fn.lepingle_pathwise_bound(pm, r)
-            assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
+        for vr, rhs in fn.lepingle_pathwise_bound(mart.paths(), (2.5, 3.0, 4.0)):
+            assert np.all(vr**2 <= rhs * (1 + 1e-9) + 1e-12)
+
+
+def test_lepingle_pathwise_bound_working_set():
+    # 3 rows and about 1000 scales: the blocks of N+1 scales bound the memory
+    pm = np.stack([np.zeros(4096), np.full(4096, 1e-300), 1.0 + 1e-3 * np.arange(4096)])
+    tracemalloc.start()
+    try:
+        fn.lepingle_pathwise_bound(pm, (2.5, 3.0, 4.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pm.nbytes
 
 
 # -- paraproducts -----------------------------------------------------------------------
