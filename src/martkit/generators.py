@@ -12,9 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import FiltrationTree, Martingale, TreeError
+from .tree import MAX_DEPTH, FiltrationTree, Martingale, TreeError
 
-DEPTH_GUARD = 24
 # corpus trial indices must stay below 2**TRIAL_BITS (see _sub)
 TRIAL_BITS = 20
 
@@ -38,16 +37,10 @@ def draw(dist: str, rng: np.random.Generator, size) -> np.ndarray:
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _check_depth(depth: int) -> None:
-    if not 0 <= depth <= DEPTH_GUARD:
-        raise TreeError(f"depth {depth} exceeds guard {DEPTH_GUARD}")
-
-
 def gen_leaf_backprop(
     dist: str,
     depth: int,
     seed: int,
-    tree: FiltrationTree | None = None,
     center: bool = True,
     width: int = 0,
 ) -> Martingale:
@@ -57,9 +50,7 @@ def gen_leaf_backprop(
     subtracts the root value so that f_0 = 0.  ``width`` > 0 makes a
     vector-valued process of that many independent components.
     """
-    _check_depth(depth)
-    if tree is None:
-        tree = FiltrationTree.dyadic(depth)
+    tree = FiltrationTree.dyadic(depth)
     rng = rng_for(seed)
     shape = (tree.n_leaves,) if width == 0 else (tree.n_leaves, width)
     leaves = draw(dist, rng, shape)
@@ -77,7 +68,10 @@ def gen_increment(
     branching: tuple[int, ...] = (2, 3),
 ) -> Martingale:
     """Random tree shape with child offsets re-centered to conditional mean zero."""
-    _check_depth(depth)
+    # guarded before drawing: a deep random shape outgrows memory before the
+    # tree constructor could reject it (dyadic generators rely on uniform's guard)
+    if not 0 <= depth <= MAX_DEPTH:
+        raise TreeError(f"depth {depth} exceeds guard {MAX_DEPTH}")
     rng = rng_for(seed)
     parents = [np.empty(0, dtype=np.int64)]
     values = [np.zeros(1)]
@@ -115,7 +109,6 @@ def gen_dyadic_of_function(func: Callable[[np.ndarray], np.ndarray], depth: int,
     Leaf values are midpoint-rule averages over each dyadic interval
     (exact for affine functions), then back-propagated.
     """
-    _check_depth(depth)
     tree = FiltrationTree.dyadic(depth)
     n_leaves = tree.n_leaves
     pts = (np.arange(n_leaves * sub) + 0.5) / (n_leaves * sub)
@@ -129,7 +122,6 @@ def gen_scaled_walk(depth: int) -> Martingale:
     Exact in floating point whenever sqrt(depth) is a power of two
     (depth = 4, 16, 64, ...).
     """
-    _check_depth(depth)
     if depth < 1:
         raise TreeError("walk needs depth >= 1")
     tree = FiltrationTree.dyadic(depth)
@@ -144,7 +136,6 @@ def gen_scaled_walk(depth: int) -> Martingale:
 def gen_doubling(depth: int) -> Martingale:
     """Doubling martingale f_n = 2^n on [0, 2^-n]: L^1-bounded, E f_n = 1,
     converging pointwise to 0, not uniformly integrable."""
-    _check_depth(depth)
     tree = FiltrationTree.dyadic(depth)
     leaves = np.zeros(tree.n_leaves)
     leaves[0] = 2.0**depth
@@ -154,7 +145,6 @@ def gen_doubling(depth: int) -> Martingale:
 def gen_log_weight(depth: int) -> Martingale:
     """Positive L^1 martingale whose maximal function is not integrable
     (closure of sum_m (m+1)^-2 2^m on [2^-m-1, 2^-m])."""
-    _check_depth(depth)
     tree = FiltrationTree.dyadic(depth)
     n = tree.n_leaves
     leaves = np.zeros(n)
@@ -169,7 +159,6 @@ def gen_log_weight(depth: int) -> Martingale:
 
 def gen_walk_increments(depth: int, seed: int) -> Martingale:
     """Martingale with independent symmetric increments of random magnitude."""
-    _check_depth(depth)
     tree = FiltrationTree.dyadic(depth)
     rng = rng_for(seed)
     values = [np.zeros(1)]

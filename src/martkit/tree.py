@@ -7,11 +7,13 @@ conditional expectation) is an exact finite computation.
 
 Canonical layout: nodes are indexed breadth-first, level by level, and the
 parent array of each level is nondecreasing, so the leaves below any node
-form a contiguous block.  All arrays are frozen after construction.
+form a contiguous block.  Arrays are frozen and held in tuples, so trees are
+shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Callable, Sequence
 
@@ -45,7 +47,7 @@ class FiltrationTree:
     """
 
     def __init__(self, parents: Sequence[np.ndarray], leaf_prob: np.ndarray):
-        self.parents = [_freeze(np.asarray(p, dtype=np.int64).copy()) for p in parents]
+        self.parents = tuple(_freeze(np.asarray(p, dtype=np.int64).copy()) for p in parents)
         self.depth = len(self.parents) - 1
         if self.depth < 0:
             raise TreeError("need at least the root level")
@@ -54,18 +56,23 @@ class FiltrationTree:
         if self.parents[0].size != 0:
             raise TreeError("level 0 has no parents")
 
-        self.level_sizes = [1]
+        # One diff per level decides all three checks: a sorted, in-range parent
+        # array leaves no node childless iff it runs 0..size-1 in steps <= 1.
+        sizes, first_child = [1], [None]
         for n in range(1, self.depth + 1):
             par = self.parents[n]
             if par.size == 0:
                 raise TreeError(f"level {n} is empty")
-            if np.any(np.diff(par) < 0):
+            step = np.diff(par)
+            if step.min(initial=0) < 0:
                 raise TreeError(f"parent array of level {n} is not nondecreasing")
-            if par.min() < 0 or par.max() >= self.level_sizes[n - 1]:
+            if par[0] < 0 or par[-1] >= sizes[n - 1]:
                 raise TreeError(f"parent index out of range at level {n}")
-            if np.unique(par).size != self.level_sizes[n - 1]:
+            if par[0] != 0 or par[-1] != sizes[n - 1] - 1 or step.max(initial=0) > 1:
                 raise TreeError(f"childless node at level {n - 1}")
-            self.level_sizes.append(int(par.size))
+            sizes.append(int(par.size))
+            first_child.append(np.flatnonzero(np.concatenate(([1], step))))
+        self.level_sizes = tuple(sizes)
 
         leaf_prob = np.asarray(leaf_prob, dtype=np.float64).copy()
         if leaf_prob.shape != (self.level_sizes[-1],):
@@ -84,19 +91,19 @@ class FiltrationTree:
             anc[n - 1] = self.parents[n][anc[n]]
         self.ancestors = _freeze(anc)
 
-        # node_prob[n][i] = probability of the level-n atom i.
-        self.node_prob = []
-        for n in range(self.depth + 1):
-            p = np.bincount(anc[n], weights=self.leaf_prob, minlength=self.level_sizes[n])
-            self.node_prob.append(_freeze(p))
+        # node_prob[n][i] = probability of the level-n atom i, summed in leaf order.
+        self.node_prob = tuple(
+            _freeze(np.bincount(anc[n], weights=self.leaf_prob, minlength=self.level_sizes[n]))
+            for n in range(self.depth + 1)
+        )
         if any(p.min() <= 0 for p in self.node_prob):
             raise TreeError("null atom: every node must have positive probability")
 
-        # First leaf of each node's contiguous leaf block.
-        self.leaf_start = [
-            _freeze(np.searchsorted(anc[n], np.arange(self.level_sizes[n])))
-            for n in range(self.depth + 1)
-        ]
+        # First leaf of each node's contiguous leaf block: its first child's.
+        starts = [np.arange(self.n_leaves)]
+        for n in range(self.depth, 0, -1):
+            starts.append(starts[-1][first_child[n]])
+        self.leaf_start = tuple(_freeze(s) for s in reversed(starts))
         self.n_nodes = int(sum(self.level_sizes))
 
     # -- constructors ---------------------------------------------------
@@ -104,14 +111,14 @@ class FiltrationTree:
     @classmethod
     def dyadic(cls, depth: int) -> "FiltrationTree":
         """Uniform binary tree: the dyadic filtration on [0, 1]."""
-        parents = [np.empty(0, dtype=np.int64)]
-        for n in range(1, depth + 1):
-            parents.append(np.repeat(np.arange(2 ** (n - 1)), 2))
-        leaf_prob = np.full(2**depth, 2.0**-depth)
-        return cls(parents, leaf_prob)
+        return cls.uniform(depth, 2)
 
     @classmethod
+    @functools.cache
     def uniform(cls, depth: int, branching: int) -> "FiltrationTree":
+        """Every node has ``branching`` children; built once per shape, shared read-only."""
+        if not 0 <= depth <= MAX_DEPTH or branching < 1:
+            raise TreeError(f"uniform tree needs depth 0..{MAX_DEPTH}, branching >= 1; got {depth}, {branching}")
         parents = [np.empty(0, dtype=np.int64)]
         for n in range(1, depth + 1):
             parents.append(np.repeat(np.arange(branching ** (n - 1)), branching))

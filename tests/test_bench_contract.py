@@ -8,7 +8,9 @@ from pathlib import Path
 
 from martkit import checks
 from martkit import functionals as fn
+from martkit import generators as G
 from martkit.report import CorpusSpec
+from martkit.tree import FiltrationTree
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -52,3 +54,29 @@ def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
         monkeypatch.setattr(fn, name, counting(name))
     checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
     assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 12}
+
+
+def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):
+    # keeps the traced tree.build_* numbers a count of irregular trees
+    calls = Counter()
+    real_init, real_increment = FiltrationTree.__init__, G.gen_increment
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_increment(*args, **kwargs):
+        calls["increment"] += 1
+        return real_increment(*args, **kwargs)
+
+    monkeypatch.setattr(FiltrationTree, "__init__", counting_init)
+    monkeypatch.setattr(G, "gen_increment", counting_increment)
+    spec = CorpusSpec(kind="mixed", depth=8, trials=100, seed=5)
+    for _ in spec.martingales():
+        pass
+    assert calls["increment"] == 30
+    assert calls["increment"] <= calls["init"] <= calls["increment"] + 7
+    calls.clear()
+    for _ in spec.martingales():
+        pass
+    assert calls == {"init": 30, "increment": 30}

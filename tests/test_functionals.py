@@ -320,7 +320,8 @@ def test_lepingle_pathwise_bound_working_set():
 
 def test_paraproduct_empty_and_two_term():
     f = G.gen_leaf_backprop("normal", 3, seed=1)
-    g = G.gen_leaf_backprop("uniform", 3, seed=2, tree=f.tree)
+    g = G.gen_leaf_backprop("uniform", 3, seed=2)
+    assert g.tree is f.tree
     pm_f, pm_g = f.paths(), g.paths()
     pi = fn.paraproduct_deltaf_pairs(pm_f, pm_g)
     # empty sums on and below the diagonal
@@ -344,14 +345,14 @@ def chen_residuals(pi_pairs, f_pm, g_pm) -> float:
 
 def test_paraproduct_chen_identity_all_triples():
     f = G.gen_leaf_backprop("normal", 6, seed=5)
-    g = G.gen_leaf_backprop("exponential", 6, seed=6, tree=f.tree)
+    g = G.gen_leaf_backprop("exponential", 6, seed=6)
     pi = fn.paraproduct_deltaf_pairs(f.paths(), g.paths())
     assert chen_residuals(pi, f.paths(), g.paths()) <= 1e-12
 
 
 def test_paraproduct_martingale_in_second_index():
     f = G.gen_leaf_backprop("normal", 5, seed=7)
-    g = G.gen_leaf_backprop("normal", 5, seed=8, tree=f.tree)
+    g = G.gen_leaf_backprop("normal", 5, seed=8)
     tree = f.tree
     pi = fn.paraproduct_deltaf_pairs(f.paths(), g.paths())
     s = 1
@@ -363,7 +364,7 @@ def test_paraproduct_martingale_in_second_index():
 
 def test_paraproduct_general_F_matches_deltaf():
     f = G.gen_leaf_backprop("normal", 4, seed=9)
-    g = G.gen_leaf_backprop("normal", 4, seed=10, tree=f.tree)
+    g = G.gen_leaf_backprop("normal", 4, seed=10)
     pm = f.paths()
     F = pm[None, :, :] - pm[:, None, :]
     a = fn.paraproduct_pairs(F, g.paths())

@@ -97,6 +97,134 @@ def test_prob_sum_checked():
         FiltrationTree([np.empty(0, dtype=np.int64), np.array([0, 0])], np.array([0.6, 0.5]))
 
 
+# -- shape validation and the shape cache ---------------------------------------
+
+
+def parent_structure_error(parents):
+    """Per-level parent checks as the constructor once made them, with
+    ``np.unique`` for childless nodes: the oracle of the one-diff checks."""
+    sizes = [1]
+    for n in range(1, len(parents)):
+        par = parents[n]
+        if par.size == 0:
+            return f"level {n} is empty"
+        if np.any(np.diff(par) < 0):
+            return f"parent array of level {n} is not nondecreasing"
+        if par.min() < 0 or par.max() >= sizes[n - 1]:
+            return f"parent index out of range at level {n}"
+        if np.unique(par).size != sizes[n - 1]:
+            return f"childless node at level {n - 1}"
+        sizes.append(par.size)
+    return None
+
+
+def mutate_parents(par, kind, i, delta):
+    """One structural fault in a valid parent array (``i`` picks where)."""
+    par = par.copy()
+    if kind == "decreasing" and par[-1] > 0:
+        rises = np.flatnonzero(np.diff(par))
+        j = rises[i % rises.size]
+        par[j], par[j + 1] = par[j + 1], par[j]
+    elif kind == "out_of_range":
+        par[i % par.size] = -1 if delta < 0 else par[-1] + 1
+    elif kind == "skip":
+        k = par[i % par.size]
+        par[par == k] = k + 1 if k < par[-1] else k - 1
+    elif kind == "empty":
+        par = par[:0]
+    elif kind == "nudge":
+        par[i % par.size] += delta
+    return par
+
+
+@st.composite
+def parent_arrays(draw):
+    """A random valid parent-array list, with at most one level mutated."""
+    depth = draw(st.integers(1, 5))
+    parents = [np.empty(0, dtype=np.int64)]
+    size = 1
+    for _ in range(depth):
+        kids = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+        parents.append(np.repeat(np.arange(size), kids))
+        size = parents[-1].size
+    n = draw(st.integers(1, depth))
+    kind = draw(st.sampled_from(["none", "decreasing", "out_of_range", "skip", "empty", "nudge"]))
+    i, delta = draw(st.integers(0, 10**6)), draw(st.sampled_from([-2, -1, 1, 2]))
+    parents[n] = mutate_parents(parents[n], kind, i, delta)
+    return parents
+
+
+@given(parent_arrays())
+@settings(max_examples=300, deadline=None)
+def test_parent_validation_matches_oracle(parents):
+    expect = parent_structure_error(parents)
+    n_leaves = max(parents[-1].size, 1)
+    leaf_prob = np.full(n_leaves, 1.0 / n_leaves)
+    if expect is not None:
+        with pytest.raises(TreeError) as err:
+            FiltrationTree(parents, leaf_prob)
+        assert str(err.value) == expect
+        return
+    tree = FiltrationTree(parents, leaf_prob)
+    for n in range(tree.depth + 1):
+        oracle = np.searchsorted(tree.ancestors[n], np.arange(tree.level_sizes[n]))
+        assert np.array_equal(tree.leaf_start[n], oracle)
+
+
+def fresh_dyadic(depth):
+    """The dyadic tree built from scratch, bypassing the shape cache."""
+    parents = [np.empty(0, dtype=np.int64)]
+    parents += [np.repeat(np.arange(2 ** (n - 1)), 2) for n in range(1, depth + 1)]
+    return FiltrationTree(parents, np.full(2**depth, 2.0**-depth))
+
+
+def assert_same_tree(a, b):
+    assert a.level_sizes == b.level_sizes
+    for name in ("parents", "node_prob", "leaf_start"):
+        assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
+    assert np.array_equal(a.leaf_prob, b.leaf_prob)
+    assert np.array_equal(a.ancestors, b.ancestors)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 8])
+def test_dyadic_is_one_cached_uniform_tree(depth):
+    tree = FiltrationTree.dyadic(depth)
+    assert FiltrationTree.dyadic(depth) is tree
+    assert FiltrationTree.uniform(depth, 2) is tree
+    assert_same_tree(tree, fresh_dyadic(depth))
+
+
+@pytest.mark.parametrize("depth, branching", [(-1, 2), (2, 0), (25, 2)])
+def test_uniform_rejects_bad_shape(depth, branching):
+    with pytest.raises(TreeError):
+        FiltrationTree.uniform(depth, branching)
+    if branching == 2:
+        with pytest.raises(TreeError):
+            FiltrationTree.dyadic(depth)
+
+
+def test_shared_tree_is_read_only():
+    tree = FiltrationTree.dyadic(3)
+    for name in ("parents", "level_sizes", "node_prob", "leaf_start"):
+        with pytest.raises(TypeError):
+            getattr(tree, name)[1] = getattr(tree, name)[0]
+    for arr in (tree.parents[1], tree.node_prob[1], tree.leaf_start[1], tree.leaf_prob, tree.ancestors):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("kind", ["mixed", "backprop", "walk", "family", "scaled_walk"])
+def test_corpus_on_cached_trees_matches_fresh_trees(kind, monkeypatch):
+    cached = [G.corpus_martingale(kind, depth=6, seed=17, index=i) for i in range(30)]
+    monkeypatch.setattr(FiltrationTree, "dyadic", classmethod(lambda cls, depth: fresh_dyadic(depth)))
+    fresh = [G.corpus_martingale(kind, depth=6, seed=17, index=i) for i in range(30)]
+    for a, b in zip(cached, fresh):
+        assert a.tree is not b.tree
+        assert_same_tree(a.tree, b.tree)
+        assert all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
+        assert np.array_equal(a.paths(), b.paths())
+
+
 # -- stopping rules ------------------------------------------------------------
 
 
