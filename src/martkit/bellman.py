@@ -100,21 +100,18 @@ def concavity_counterexample(gamma: float, h_max: float = 16.0, h_pts: int = 641
 # -- pathwise form ---------------------------------------------------------
 
 
-def pathwise_sharp_sides(pathmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pathwise_sharp_sides(pm: np.ndarray, fstar: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-path sides of the pathwise inequality
 
         3|f_0| + sum_{n>=1} |df_n|^2 / f*_n
-          <=  2 f*_N + |f_N|^2 / f*_N - sum_{n=0}^{N-1} 2 f_n df_{n+1} / f*_n.
+          <=  2 f*_N + |f_N|^2 / f*_N - sum_{n=0}^{N-1} 2 f_n df_{n+1} / f*_n
 
+    for a (N+1, L) path matrix ``pm`` with running maximum
+    ``fstar = fn.maximal_paths(pm)`` and increments ``df = fn.increments(pm)``.
     Terms with f*_n = 0 vanish (a zero running maximum forces f_n = 0 and
     df_n = 0), so the 0/0 convention is 0.  The drift sum pairs f_n with
     df_{n+1}, matching the telescoping of U along the path.
     """
-    pm = np.asarray(pathmat, dtype=np.float64)
-    if pm.ndim == 1:
-        pm = pm[:, None]
-    fstar = fn.maximal_paths(pm)
-    df = fn.increments(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = np.where(fstar[1:] > 0, df**2 / np.where(fstar[1:] > 0, fstar[1:], 1.0), 0.0)
         drift = np.where(fstar[:-1] > 0, 2.0 * pm[:-1] * df / np.where(fstar[:-1] > 0, fstar[:-1], 1.0), 0.0)
@@ -125,7 +122,8 @@ def pathwise_sharp_sides(pathmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pathwise_sharp_check(pathmat: np.ndarray, tol: float = 1e-10) -> bool:
-    lhs, rhs = pathwise_sharp_sides(pathmat)
+    pm = np.asarray(pathmat, dtype=np.float64)
+    lhs, rhs = pathwise_sharp_sides(pm, fn.maximal_paths(pm), fn.increments(pm))
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     return bool((lhs <= rhs + tol * scale).all())
 
@@ -151,11 +149,12 @@ def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
 # -- sharp Davis bound over a corpus -----------------------------------------
 
 
-def sharp_davis_clause(tracker: RatioTracker, pm: np.ndarray, w: np.ndarray) -> tuple:
-    """Assert E Sf_N <= sqrt(3) E f*_N for one trial's path matrix under leaf
-    weights w; returns (Sf_N, f*_N, E Sf_N, E f*_N)."""
-    sf = fn.square_function_paths(pm)[-1]
-    fstar = fn.maximal_paths(pm)[-1]
+def sharp_davis_clause(tracker: RatioTracker, fstar: np.ndarray, df: np.ndarray, w: np.ndarray) -> tuple:
+    """Assert E Sf_N <= sqrt(3) E f*_N for one trial under leaf weights w, from
+    the running maximum ``fstar`` and the increments ``df`` of its path
+    matrix; returns (Sf_N, f*_N, E Sf_N, E f*_N)."""
+    sf = np.sqrt(np.cumsum(df**2, axis=0)[-1])  # fn.square_function_paths' additions, in its order
+    fstar = fstar[-1]
     e_s = float(w @ sf)
     e_star = float(w @ fstar)
     tracker.add(e_s, SQRT3 * e_star)
@@ -171,10 +170,12 @@ def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
         pm = mart.paths()
-        _, _, e_s, e_star = sharp_davis_clause(tracker, pm, w)
+        fstar = fn.maximal_paths(pm)
+        df = fn.increments(pm)
+        _, _, e_s, e_star = sharp_davis_clause(tracker, fstar, df, w)
         if e_star > 0:
             worst_ratio_s = max(worst_ratio_s, e_s / e_star)
-        lhs, rhs = pathwise_sharp_sides(pm)
+        lhs, rhs = pathwise_sharp_sides(pm, fstar, df)
         tracker.add(float(w @ lhs), float(w @ rhs))
         tracker.commit_trial()
     return finish_report("sharp_davis", {}, spec, tracker, t0, SQRT3, measured={"max_ES_over_Estar": worst_ratio_s})

@@ -93,9 +93,7 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
         pm = mart.paths()
-        parts = fn.davis_decompose(mart)
-        pred = parts.f_pred.paths()
-        bv = parts.f_bv.paths()
+        pred, bv = fn.davis_decompose(mart)
         scale = max(1.0, float(np.abs(pm).max()))
         split = float(np.abs(pm - pred - bv).max()) / scale
         worst_split = max(worst_split, split)
@@ -126,7 +124,8 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
     lp_m_over_s = 0.0
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
-        sf, mf, e_s, e_m = bellman.sharp_davis_clause(tracker, mart.paths(), w)
+        pm = mart.paths()
+        sf, mf, e_s, e_m = bellman.sharp_davis_clause(tracker, fn.maximal_paths(pm), fn.increments(pm), w)
         m_over_s = max(m_over_s, ratio(e_m, e_s))
         lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
         lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
@@ -322,12 +321,6 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
 # -- vector-valued inequalities ---------------------------------------------------
 
 
-def _lr_norm_across(components: np.ndarray, r: float) -> np.ndarray:
-    if np.isinf(r):
-        return np.abs(components).max(axis=-1)
-    return (np.abs(components) ** r).sum(axis=-1) ** (1.0 / r)
-
-
 def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: float = 2.0) -> CheckReport:
     """Families of martingales on a shared tree.
 
@@ -352,16 +345,16 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
 
         measured["bdg_lq_lr"] = max(
             measured["bdg_lq_lr"],
-            ratio(lq_norm(_lr_norm_across(m_comp, r), q, w), lq_norm(_lr_norm_across(s_comp, r), q, w)),
+            ratio(lq_norm(fn.component_norm(m_comp, r), q, w), lq_norm(fn.component_norm(s_comp, r), q, w)),
         )
         measured["maximal_lp_lr"] = max(
             measured["maximal_lp_lr"],
-            ratio(lq_norm(_lr_norm_across(m_comp, r), p, w), lq_norm(_lr_norm_across(f_comp, r), p, w)),
+            ratio(lq_norm(fn.component_norm(m_comp, r), p, w), lq_norm(fn.component_norm(f_comp, r), p, w)),
         )
         # exact special cases
         tracker.add(
-            lq_norm(_lr_norm_across(m_comp, q), q, w),
-            _conjugate(q) * lq_norm(_lr_norm_across(f_comp, q), q, w),
+            lq_norm(fn.component_norm(m_comp, q), q, w),
+            _conjugate(q) * lq_norm(fn.component_norm(f_comp, q), q, w),
         )
         tracker.add(
             lq_norm(m_comp.max(axis=-1), p, w),
@@ -497,14 +490,13 @@ def check_paraproduct(
         fam = Martingale.from_leaf_values(
             tree, spec.rng(i * 1000 + 888).normal(size=(tree.n_leaves, max(2, families)))
         )
-        parts = fn.davis_decompose(fam, norm_exponent=r0)
-        d_bv = fn.increments(parts.f_bv.paths())
-        x_dbv = fn._norm_reduce(d_bv, r0).sum(axis=0)
-        x_df = fn._norm_reduce(fn.increments(fam.paths()), r0)
+        pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
+        x_dbv = fn.component_norm(fn.increments(bv), r0).sum(axis=0)
+        x_df = fn.component_norm(fn.increments(fam.paths()), r0)
         m_x_df = np.maximum.accumulate(np.vstack([np.zeros(tree.n_leaves), x_df]), axis=0)[-1]
         tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
-        s_pred = _lr_norm_across(fn.square_function_paths(parts.f_pred.paths())[-1], r0)
-        s_full = _lr_norm_across(fn.square_function_paths(fam.paths())[-1], r0)
+        s_pred = fn.component_norm(fn.square_function_paths(pred)[-1], r0)
+        s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)
         tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
         tracker.commit_trial()
     return finish_report(

@@ -1,10 +1,11 @@
 """Pathwise functionals of adapted processes.
 
-Most operations come in two forms: a tree-level wrapper taking a
-:class:`~martkit.tree.TreeProcess` and a vectorized kernel acting on a path
-matrix of shape (depth+1, n_paths), one column per root-to-leaf path.  The
-kernels are shared with the grid-time layers, which feed sampled path
-bundles through the same code.
+The kernels act on a path matrix of shape (depth+1, n_paths[, K]), one
+column per root-to-leaf path, and are shared with the grid-time layers,
+which feed sampled path bundles through the same code.  The three
+tree-level wrappers ``maximal``, ``square_function`` and
+``predictable_square`` have no caller in the package; they stay because
+``benchmarks/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -66,48 +67,35 @@ def predictable_square(f: Martingale) -> TreeProcess:
 # -- Davis decomposition ---------------------------------------------------
 
 
-@dataclass
-class DavisParts:
-    """Splitting f = f_pred + f_bv into a martingale with predictably bounded
-    jumps and a martingale of integrable total variation."""
-
-    f_pred: Martingale
-    f_bv: Martingale
-    g: TreeProcess
-    h: TreeProcess
-
-
-def _norm_reduce(arr: np.ndarray, exponent: float) -> np.ndarray:
-    """Pointwise norm across the trailing component axis (scalar arrays pass
-    through as absolute values)."""
-    if arr.ndim == 2:
-        return np.abs(arr)
-    if np.isinf(exponent):
+def component_norm(arr: np.ndarray, r: float) -> np.ndarray:
+    """l^r norm across the trailing (component) axis; r = inf takes the max."""
+    if np.isinf(r):
         return np.abs(arr).max(axis=-1)
-    return (np.abs(arr) ** exponent).sum(axis=-1) ** (1.0 / exponent)
+    return (np.abs(arr) ** r).sum(axis=-1) ** (1.0 / r)
 
 
-def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> DavisParts:
+def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Split a martingale against the running maximum of its jump sizes.
 
-    Jump sizes are |df_n| for scalar processes and the l^p norm across
-    components (``norm_exponent``) for vector processes.  Conventions:
-    M df_0 = 0 (the first increment goes entirely to the bounded-variation
-    part) and the 0/0 scaling factor at df_n = 0 is taken to be 0.
+    Returns the path matrices (f_pred, f_bv) of f = f_pred + f_bv: a
+    martingale with predictably bounded jumps and one of integrable total
+    variation, each shaped like ``f.paths()``.  Jump sizes are |df_n| for
+    scalar processes and the l^p norm across components (``norm_exponent``)
+    for vector processes.  Conventions: M df_0 = 0 (the first increment goes
+    entirely to the bounded-variation part) and the 0/0 scaling factor at
+    df_n = 0 is taken to be 0.  Row n of each part is built from level-n
+    measurable values and level-(n-1) atom averages, so it is constant on the
+    level-n atoms.
     """
     tree = f.tree
     pm = f.paths()
     df = increments(pm)
-    size = _norm_reduce(df, norm_exponent)  # (N, L)
+    size = np.abs(df) if df.ndim == 2 else component_norm(df, norm_exponent)  # (N, L)
     mdf_prev = np.zeros(tree.n_leaves)  # M df_{n-1}, starting from M df_0 = 0
 
     pred = np.zeros_like(pm)
     bv = np.zeros_like(pm)
-    g = np.zeros_like(pm)
-    h = np.zeros_like(pm)
     bv[0] = pm[0]
-    h[0] = pm[0]
-
     for n in range(1, tree.depth + 1):
         dfn = df[n - 1]
         sz = size[n - 1]
@@ -115,27 +103,10 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> DavisParts:
             factor = np.where(sz > 0, np.minimum(1.0, mdf_prev / np.where(sz > 0, sz, 1.0)), 0.0)
         dg = (factor if dfn.ndim == 1 else factor[:, None]) * dfn
         dh = dfn - dg
-        if dfn.ndim == 1:
-            e_dg = tree.atom_average_leaves(n - 1, dg)
-            e_dh = tree.atom_average_leaves(n - 1, dh)
-        else:
-            e_dg = tree.atom_average(n - 1, dg)[tree.ancestors[n - 1]]
-            e_dh = tree.atom_average(n - 1, dh)[tree.ancestors[n - 1]]
-        pred[n] = pred[n - 1] + dg - e_dg
-        bv[n] = bv[n - 1] + dh - e_dh
-        g[n] = g[n - 1] + dg
-        h[n] = h[n - 1] + dh
+        pred[n] = pred[n - 1] + dg - tree.atom_average_leaves(n - 1, dg)
+        bv[n] = bv[n - 1] + dh - tree.atom_average_leaves(n - 1, dh)
         mdf_prev = np.maximum(mdf_prev, sz)
-
-    def as_mart(mat):
-        return Martingale(tree, TreeProcess.from_paths(tree, mat).values, validate=False)
-
-    return DavisParts(
-        f_pred=as_mart(pred),
-        f_bv=as_mart(bv),
-        g=TreeProcess.from_paths(tree, g),
-        h=TreeProcess.from_paths(tree, h),
-    )
+    return pred, bv
 
 
 # -- r-variation -----------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals as fn
+from . import report
 from .tree import FiltrationTree, TreeProcess
 
 GRID_GUARD = 4096
@@ -55,12 +56,6 @@ class GridCadlagPath:
 
     def expectation(self, per_path: np.ndarray) -> float:
         return float(self.weights @ np.asarray(per_path, dtype=np.float64))
-
-    def lq_norm(self, per_path: np.ndarray, q: float) -> float:
-        x = np.abs(np.asarray(per_path, dtype=np.float64))
-        if np.isinf(q):
-            return float(x.max(initial=0.0))
-        return float((self.weights @ x**q) ** (1.0 / q))
 
     @classmethod
     def from_tree_process(cls, proc: TreeProcess, T: float = 1.0) -> "GridCadlagPath":
@@ -324,10 +319,10 @@ def ito_bound_data(
         raise ValueError("exponents must satisfy 1/r < 1/p1 + 1/2")
     q = 1.0 / (1.0 / q0 + 1.0 / q1)
     pairs = ito_pairs(f, g, partition)
-    lhs = f.lq_norm(fn.two_param_variation_paths(pairs, r), q)
+    lhs = report.lq_norm(fn.two_param_variation_paths(pairs, r), q, f.weights)
     fd = discretize(f, partition)
-    rhs = f.lq_norm(fn.variation_paths(fd.values, p1), q1) * f.lq_norm(
-        fn.variation_paths(g.values, np.inf), q0
+    rhs = report.lq_norm(fn.variation_paths(fd.values, p1), q1, f.weights) * report.lq_norm(
+        fn.variation_paths(g.values, np.inf), q0, f.weights
     )
     return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}
 

@@ -38,6 +38,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _group_sum(keys: np.ndarray, weights: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums of weights * values per key; per column for (n, K) vector values."""
+    if values.ndim == 1:
+        return np.bincount(keys, weights=weights * values, minlength=size)
+    return np.stack([_group_sum(keys, weights, values[:, k], size) for k in range(values.shape[1])], axis=1)
+
+
 class FiltrationTree:
     """Rooted tree of atoms with leaf probabilities.
 
@@ -130,20 +137,9 @@ class FiltrationTree:
     def atom_average(self, n: int, leaf_values: np.ndarray) -> np.ndarray:
         """Probability-weighted average of a leaf array over each level-n atom."""
         leaf_values = np.asarray(leaf_values, dtype=np.float64)
-        anc = self.ancestors[n]
-        w = self.leaf_prob
-        if leaf_values.ndim == 1:
-            num = np.bincount(anc, weights=w * leaf_values, minlength=self.level_sizes[n])
-        else:
-            num = np.stack(
-                [
-                    np.bincount(anc, weights=w * leaf_values[:, k], minlength=self.level_sizes[n])
-                    for k in range(leaf_values.shape[1])
-                ],
-                axis=1,
-            )
-            return num / self.node_prob[n][:, None]
-        return num / self.node_prob[n]
+        num = _group_sum(self.ancestors[n], self.leaf_prob, leaf_values, self.level_sizes[n])
+        # the transposes divide every component of a node by that node's mass
+        return (num.T / self.node_prob[n]).T
 
     def atom_average_leaves(self, n: int, leaf_values: np.ndarray) -> np.ndarray:
         """Same as :meth:`atom_average` but broadcast back to the leaves."""
@@ -154,15 +150,6 @@ class FiltrationTree:
         if leaf_values.ndim == 1:
             return float(self.leaf_prob @ leaf_values)
         return self.leaf_prob @ leaf_values
-
-    def lp_norm(self, leaf_values: np.ndarray, p: float) -> float:
-        """Exact L^p norm of a leaf-measurable quantity (p = inf allowed)."""
-        x = np.abs(np.asarray(leaf_values, dtype=np.float64))
-        if np.isinf(p):
-            return float(x.max())
-        if p <= 0:
-            raise ValueError("p must be positive")
-        return float((self.leaf_prob @ x**p) ** (1.0 / p))
 
     def node_level_offsets(self) -> list[int]:
         offs = [0]
@@ -216,11 +203,6 @@ class TreeProcess:
     def leaf_values(self) -> np.ndarray:
         return self.values[-1]
 
-    def component(self, k: int) -> "TreeProcess":
-        if self.width == 0:
-            raise TreeError("scalar process has no components")
-        return TreeProcess(self.tree, [v[:, k] for v in self.values])
-
     @classmethod
     def from_paths(
         cls, tree: FiltrationTree, pathmat: np.ndarray, validate: bool = True
@@ -249,51 +231,23 @@ class Martingale(TreeProcess):
             self.validate_martingale()
 
     def validate_martingale(self, rtol: float = MARTINGALE_RTOL) -> None:
-        for n in range(1, self.tree.depth + 1):
-            par = self.tree.parents[n]
-            cp = self.tree.node_prob[n]
-            v = self.values[n]
-            size = self.tree.level_sizes[n - 1]
-            if self.width == 0:
-                child_mass = np.bincount(par, weights=cp * v, minlength=size)
-                parent_mass = self.tree.node_prob[n - 1] * self.values[n - 1]
-            else:
-                child_mass = np.stack(
-                    [np.bincount(par, weights=cp * v[:, k], minlength=size) for k in range(self.width)],
-                    axis=1,
-                )
-                parent_mass = self.tree.node_prob[n - 1][:, None] * self.values[n - 1]
+        tree = self.tree
+        for n in range(1, tree.depth + 1):
+            child_mass = _group_sum(tree.parents[n], tree.node_prob[n], self.values[n], tree.level_sizes[n - 1])
+            parent_mass = (self.values[n - 1].T * tree.node_prob[n - 1]).T
             scale = max(1.0, float(np.abs(child_mass).max(initial=0.0)))
             if np.abs(child_mass - parent_mass).max() > rtol * scale:
                 raise TreeError(f"martingale averaging violated at level {n}")
 
     @classmethod
-    def from_leaf_values(
-        cls, tree: FiltrationTree, leaf_values: np.ndarray, validate: bool = False
-    ) -> "Martingale":
+    def from_leaf_values(cls, tree: FiltrationTree, leaf_values: np.ndarray) -> "Martingale":
         """Closed martingale f_n = E(f | F_n): back-propagate leaf averages."""
-        leaf_values = np.asarray(leaf_values, dtype=np.float64)
         values = [None] * (tree.depth + 1)
-        values[tree.depth] = leaf_values
+        values[tree.depth] = np.asarray(leaf_values, dtype=np.float64)
         for n in range(tree.depth, 0, -1):
-            par = tree.parents[n]
-            cp = tree.node_prob[n]
-            size = tree.level_sizes[n - 1]
-            v = values[n]
-            if leaf_values.ndim == 1:
-                mass = np.bincount(par, weights=cp * v, minlength=size)
-                values[n - 1] = mass / tree.node_prob[n - 1]
-            else:
-                mass = np.stack(
-                    [np.bincount(par, weights=cp * v[:, k], minlength=size) for k in range(v.shape[1])],
-                    axis=1,
-                )
-                values[n - 1] = mass / tree.node_prob[n - 1][:, None]
-        return cls(tree, values, validate=validate)
-
-    @classmethod
-    def from_tree_process(cls, proc: TreeProcess, validate: bool = True) -> "Martingale":
-        return cls(proc.tree, proc.values, validate=validate)
+            mass = _group_sum(tree.parents[n], tree.node_prob[n], values[n], tree.level_sizes[n - 1])
+            values[n - 1] = (mass.T / tree.node_prob[n - 1]).T
+        return cls(tree, values, validate=False)
 
 
 def conditional_expectation(tree: FiltrationTree, leaf_values: np.ndarray, n: int) -> np.ndarray:
@@ -342,7 +296,7 @@ class StoppingRule:
         return cls(tree, marks)
 
     @classmethod
-    def from_times(cls, tree: FiltrationTree, times: np.ndarray, validate: bool = True) -> "StoppingRule":
+    def from_times(cls, tree: FiltrationTree, times: np.ndarray) -> "StoppingRule":
         """Rebuild marks from per-leaf stopping levels; validates adaptedness."""
         times = np.asarray(times, dtype=np.int64)
         marks = []
@@ -350,7 +304,7 @@ class StoppingRule:
             is_n = times == n
             flag = is_n[tree.leaf_start[n]]
             # {tau = n} must be a union of level-n atoms
-            if validate and np.any(flag[tree.ancestors[n]] != is_n):
+            if np.any(flag[tree.ancestors[n]] != is_n):
                 raise TreeError(f"times are not a stopping rule at level {n}")
             marks.append(flag)
         return cls(tree, marks)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from martkit import bellman as B
+from martkit import functionals as fn
 from martkit import generators as G
 from martkit.report import CorpusSpec
 
@@ -59,13 +60,13 @@ def test_reduced_form_explains_gamma_crit():
 
 def test_pathwise_constant_path_equality():
     path = np.full((6, 1), 2.5)
-    lhs, rhs = B.pathwise_sharp_sides(path)
+    lhs, rhs = B.pathwise_sharp_sides(path, fn.maximal_paths(path), fn.increments(path))
     assert np.isclose(lhs[0], 7.5) and np.isclose(rhs[0], 7.5)
 
 
 def test_pathwise_single_fair_step():
     up = np.array([0.0, 1.0])[:, None]
-    lhs, rhs = B.pathwise_sharp_sides(up)
+    lhs, rhs = B.pathwise_sharp_sides(up, fn.maximal_paths(up), fn.increments(up))
     assert np.isclose(lhs[0], 1.0) and np.isclose(rhs[0], 3.0)
 
 
@@ -100,7 +101,6 @@ def test_sharp_davis_scaled_walk_16():
 
 
 def test_sharp_davis_scale_invariance():
-    from martkit import functionals as fn
     from martkit.tree import Martingale
 
     mart = G.gen_leaf_backprop("normal", 6, seed=9)

@@ -6,11 +6,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from martkit import checks
+from martkit import bellman, checks
 from martkit import functionals as fn
 from martkit import generators as G
 from martkit.report import CorpusSpec
-from martkit.tree import FiltrationTree
+from martkit.tree import FiltrationTree, TreeProcess
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -37,12 +37,11 @@ def test_traced_checks_are_registered():
     assert set(load_tracing().CHECK_NAMES) <= set(checks.REGISTRY)
 
 
-def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
-    # keeps the traced lepingle and variation buckets one call per unit of work
-    calls = Counter()
+def count_calls(monkeypatch, calls: Counter, owner, names) -> None:
+    """Add one to ``calls[name]`` at every later call of ``owner.name``."""
 
     def counting(name):
-        real = getattr(fn, name)
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -50,10 +49,33 @@ def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
 
         return wrapper
 
-    for name in ("lepingle_pathwise_bound", "variation_paths"):
-        monkeypatch.setattr(fn, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name))
+
+
+def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
+    # keeps the traced lepingle and variation buckets one call per unit of work
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn, ("lepingle_pathwise_bound", "variation_paths"))
     checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
     assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 12}
+
+
+def test_davis_decomposition_check_decomposes_once_per_trial(monkeypatch):
+    # keeps the traced davis bucket one call per trial, with no path round trip
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn, ("davis_decompose",))
+    count_calls(monkeypatch, calls, TreeProcess, ("from_paths",))
+    checks.check_davis_decomposition(CorpusSpec(kind="mixed", depth=5, trials=6, seed=3))
+    assert calls == {"davis_decompose": 6}
+
+
+def test_sharp_davis_check_forms_path_functionals_once_per_trial(monkeypatch):
+    # the sqrt(3) clause and the pathwise clause share one f* and one df
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn, ("maximal_paths", "increments", "square_function_paths"))
+    bellman.sharp_davis_check(CorpusSpec(kind="mixed", depth=5, trials=6, seed=3))
+    assert calls == {"maximal_paths": 6, "increments": 6}
 
 
 def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):

@@ -54,9 +54,10 @@ def test_doob_constant_parametrization():
     # direct evaluation on the constant martingale
     w = tree.leaf_prob
     from martkit import functionals as fn
+    from martkit.report import lq_norm
 
     mf = fn.maximal_paths(np.abs(mart.paths()))[-1]
-    assert np.isclose(tree.lp_norm(mf, 2.0) / (2.0 * tree.lp_norm(np.abs(mart.paths()[-1]), 2.0)), 0.5)
+    assert np.isclose(lq_norm(mf, 2.0, w) / (2.0 * lq_norm(np.abs(mart.paths()[-1]), 2.0, w)), 0.5)
     assert w.sum() == 1.0
 
 

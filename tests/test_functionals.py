@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from martkit import functionals as fn
 from martkit import generators as G
-from martkit.tree import FiltrationTree, Martingale
+from martkit.report import lq_norm
+from martkit.tree import FiltrationTree, Martingale, TreeProcess
 
 
 def walk2():
@@ -51,8 +52,8 @@ def test_l2_isometry_and_predictable_square():
         tree = mart.tree
         pm = mart.paths()
         sf = fn.square_function_paths(pm)[-1]
-        lhs = tree.lp_norm(pm[-1], 2.0)
-        rhs = tree.lp_norm(sf, 2.0)
+        lhs = lq_norm(pm[-1], 2.0, tree.leaf_prob)
+        rhs = lq_norm(sf, 2.0, tree.leaf_prob)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
         # predictable square function of independent +-1 increments is sqrt(n)
     walk = G.gen_scaled_walk(9)
@@ -65,9 +66,9 @@ def test_l2_isometry_and_predictable_square():
 
 
 def test_davis_two_step_example():
-    parts = fn.davis_decompose(walk2())
-    dpred = np.diff(parts.f_pred.paths(), axis=0)
-    dbv = np.diff(parts.f_bv.paths(), axis=0)
+    pred, bv = fn.davis_decompose(walk2())
+    dpred = np.diff(pred, axis=0)
+    dbv = np.diff(bv, axis=0)
     assert np.allclose(dpred[0], 0.0)
     assert np.allclose(np.abs(dpred[1]), 0.5)
     assert np.allclose(np.abs(dbv[0]), 1.0)
@@ -78,8 +79,8 @@ def test_davis_nonincreasing_jumps_all_predictable():
     tree = FiltrationTree.dyadic(2)
     # |df_1| = 0 and |df_2| <= M df_1 = 0 forces f_bv = 0
     f = Martingale(tree, [np.zeros(1), np.zeros(2), np.zeros(4)])
-    parts = fn.davis_decompose(f)
-    assert np.allclose(parts.f_bv.paths(), 0.0)
+    _, bv = fn.davis_decompose(f)
+    assert np.allclose(bv, 0.0)
 
 
 def test_davis_invariants_random():
@@ -87,17 +88,33 @@ def test_davis_invariants_random():
         mart = G.corpus_martingale("mixed", 6, seed=77, index=seed)
         tree = mart.tree
         pm = mart.paths()
-        parts = fn.davis_decompose(mart)
-        assert np.abs(pm - parts.f_pred.paths() - parts.f_bv.paths()).max() <= 1e-12 * max(1, np.abs(pm).max())
+        pred, bv = fn.davis_decompose(mart)
+        assert np.abs(pm - pred - bv).max() <= 1e-12 * max(1, np.abs(pm).max())
         df = np.abs(np.diff(pm, axis=0))
         mdf_prev = np.vstack([np.zeros(tree.n_leaves), np.maximum.accumulate(df, axis=0)[:-1]])
-        dpred = np.abs(np.diff(parts.f_pred.paths(), axis=0))
+        dpred = np.abs(np.diff(pred, axis=0))
         assert np.all(dpred <= 2 * mdf_prev + 1e-10)
-        # telescoping: sum |dh_n| = M df_N
-        dh = np.abs(np.diff(parts.h.paths(), axis=0))
-        assert np.allclose(dh.sum(axis=0), df.max(axis=0), atol=1e-12)
-        tv = np.abs(np.diff(parts.f_bv.paths(), axis=0)).sum(axis=0)
+        # the jump excess dh_n = sign(df_n) (|df_n| - M df_{n-1})+ telescopes:
+        # sum |dh_n| = M df_N, and f_bv is its compensated sum
+        dh = np.sign(np.diff(pm, axis=0)) * np.maximum(df - mdf_prev, 0.0)
+        assert np.allclose(np.abs(dh).sum(axis=0), df.max(axis=0), atol=1e-12)
+        e_dh = np.array([tree.atom_average_leaves(n, dh[n]) for n in range(tree.depth)])
+        assert np.allclose(np.diff(bv, axis=0), dh - e_dh, atol=1e-12)
+        tv = np.abs(np.diff(bv, axis=0)).sum(axis=0)
         assert tree.expectation(tv) <= 2 * tree.expectation(df.max(axis=0)) + 1e-10
+
+
+@pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", 2.0), ("family", np.inf)])
+def test_davis_parts_are_adapted_martingales(kind, norm_exponent):
+    # row n is built from level-n values and level-(n-1) averages only
+    for index in range(60):
+        mart = G.corpus_martingale(kind, 6, seed=31, index=index)
+        tree = mart.tree
+        for part in fn.davis_decompose(mart, norm_exponent):
+            assert part.shape == mart.paths().shape
+            for n in range(tree.depth + 1):
+                assert np.array_equal(part[n], part[n][tree.leaf_start[n]][tree.ancestors[n]])
+            Martingale(tree, TreeProcess.from_paths(tree, part).values)
 
 
 # -- variation ---------------------------------------------------------------------
