@@ -135,14 +135,23 @@ def _dist(a, b) -> float:
     return float(np.sqrt((d * d).sum()))
 
 
-def pairwise_dist(values: np.ndarray) -> np.ndarray:
-    """(n, n) matrix of |f_i - f_j| (Euclidean for vector paths)."""
-    v = np.asarray(values, dtype=np.float64)
-    diff = v[:, None] - v[None, :]
-    if v.ndim == 1:
-        return np.abs(diff, out=diff)
-    diff *= diff
-    return np.sqrt(diff.sum(axis=-1))
+class DistColumns:
+    """pairs[i, j] = |f_i - f_j| of a sequence (Euclidean across the trailing
+    axis for vector values), made one column at a time, so chain_dp never
+    holds the (n, n) distance matrix."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.shape = (values.shape[0],) * 2
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, j = key
+        diff = self.values[rows] - self.values[j]
+        if diff.ndim == 1:
+            return np.abs(diff, out=diff)
+        diff *= diff
+        dist = np.add.reduce(diff, axis=-1)
+        return np.sqrt(dist, out=dist)
 
 
 def _step_costs(pairs: np.ndarray, j: int, r: float) -> np.ndarray:
@@ -171,6 +180,25 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     return best
 
 
+def chain_dp_table(pairs: np.ndarray, r: float) -> np.ndarray:
+    """chain_dp from every start point at once.
+
+    ``pairs`` is read as by chain_dp, with no trailing axes.  Returns
+    ``table`` of shape (n, n) with table[s, j] the largest total over
+    chains inside [s, j] that end at j; row s restricted to [s, n) is
+    chain_dp of ``pairs`` restricted to [s, n), float for float, because
+    column j adds the same |pairs[i, j]|^r + best candidates for every start
+    s <= i.  Entries below the diagonal are unused.
+    """
+    n = pairs.shape[0]
+    table = np.zeros((n, n))
+    inside = np.triu(np.ones((n, n), dtype=bool))  # inside[s, i]: s <= i
+    for j in range(1, n):
+        cand = table[:j, :j] + _step_costs(pairs, j, r)
+        np.maximum.reduce(cand, axis=1, where=inside[:j, :j], initial=-np.inf, out=table[:j, j])
+    return table
+
+
 def variation(values: np.ndarray, r: float) -> VariationResult:
     """Exact r-variation of a finite sequence via dynamic programming.
 
@@ -182,12 +210,16 @@ def variation(values: np.ndarray, r: float) -> VariationResult:
     n = values.shape[0]
     if n <= 1:
         return VariationResult(0.0, list(range(n)), r)
-    dist = pairwise_dist(values)
+    dist = DistColumns(values)
     if np.isinf(r):
-        iu = np.triu_indices(n, k=1)
-        k = int(np.argmax(dist[iu]))
-        i, j = int(iu[0][k]), int(iu[1][k])
-        return VariationResult(float(dist[i, j]), [i, j], r)
+        # the widest pair first in row-major order, smallest i then smallest j
+        top, pair = -1.0, [0, 1]
+        for j in range(1, n):
+            col = dist[:j, j]
+            i = int(np.argmax(col))
+            if col[i] > top or (col[i] == top and i < pair[0]):
+                top, pair = float(col[i]), [i, j]
+        return VariationResult(top, pair, r)
     best = chain_dp(dist, r)
     # backtrack: the first maximizing predecessor, as the forward pass found it
     chain = [int(np.argmax(best))]

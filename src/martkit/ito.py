@@ -165,11 +165,22 @@ def ito_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
 
 
 def ito_pairs(f, g, partition) -> np.ndarray:
-    """Pi^pi(f, g) on all grid index pairs, shape (N+1, N+1, P)."""
-    n1 = f.values.shape[0]
-    out = np.zeros((n1, n1, f.values.shape[1]))
+    """Pi^pi(f, g) on all grid index pairs, shape (N+1, N+1, P).
+
+    Row t is ``ito_sum_from(f, g, partition, t)``, float for float: the
+    floors, f at the floors and the increments of g are formed once.
+    """
+    vals_f, vals_g = f.values, g.values
+    n1 = vals_f.shape[0]
+    floors = partition.floor_indices()
+    f_floor = np.take_along_axis(vals_f, floors, axis=0)
+    a = floors[:-1]  # a(u) for u = 0..N-1
+    f_a = np.take_along_axis(vals_f, a, axis=0)
+    dg = vals_g[1:] - vals_g[:-1]
+    out = np.zeros((n1, n1, vals_f.shape[1]))
     for t in range(n1 - 1):
-        out[t] = ito_sum_from(f, g, partition, t)
+        contrib = (f_a[t:] - f_floor[t][None, :]) * dg[t:] * (a[t:] > t)
+        np.cumsum(contrib, axis=0, out=out[t, t + 1 :])
     return out
 
 

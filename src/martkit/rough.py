@@ -6,7 +6,10 @@ evaluated between samples, so Riemann-type sums refine indefinitely; a
 piecewise-constant cadlag path saturates at its own grid, which is then the
 finest resolvable partition scale.  Controlled paths have scalar state and
 a d-dimensional driver; second-level arrays are stored densely on grid
-pairs (n <= 512 guard).
+pairs (n <= 512 guard).  Distances between path values are made one
+column at a time, so a control or a variation never holds an (n, n)
+distance matrix, and the RDE solver picks each split point from one
+chain-DP table over the interval it splits.
 """
 
 from __future__ import annotations
@@ -159,7 +162,7 @@ def variation_control(path: SampledPath, r: float) -> Control:
         grid = path.times
         mask = (grid > s) & (grid < t)
         pts = np.concatenate([path.eval(np.array([s])), path.values[mask], path.eval(np.array([t]))], axis=0)
-        return chain_dp(fn.pairwise_dist(pts[:, 0] if path.dim == 1 else pts), r).max()
+        return chain_dp(fn.DistColumns(pts[:, 0] if path.dim == 1 else pts), r).max()
 
     return Control(fun)
 
@@ -199,8 +202,6 @@ def sew(
     """
     if not theta > 1:
         raise ValueError("need theta > 1")
-    if split is None:
-        split = lambda u, v: 0.5 * (u + v)  # noqa: E731
     parts = np.array([0.0, T])
     germ_value = float(np.asarray(xi(np.array([0.0]), np.array([T])))[0])
     value = germ_value
@@ -208,12 +209,14 @@ def sew(
     converged = False
     levels = 0
     for level in range(1, max_level + 1):
-        mids = [split(u, v) for u, v in zip(parts[:-1], parts[1:])]
-        new_pts = [m for m in mids if m is not None]
-        if not new_pts:
+        if split is None:
+            new_pts = 0.5 * (parts[:-1] + parts[1:])
+        else:
+            new_pts = np.array([m for m in map(split, parts[:-1], parts[1:]) if m is not None])
+        if new_pts.size == 0:
             converged = True  # no cell can be refined further: grid saturated
             break
-        parts = np.unique(np.concatenate([parts, np.asarray(new_pts)]))
+        parts = np.unique(np.concatenate([parts, new_pts]))
         new_value = float(np.asarray(xi(parts[:-1], parts[1:])).sum())
         diffs.append(abs(new_value - value))
         value = new_value
@@ -573,22 +576,27 @@ def compose(phi: SmoothFunction, Y: ControlledPath, check: bool = True) -> Contr
 # -- rough integration -------------------------------------------------------------
 
 
-def rough_integral(P: ControlledCovector, X: RoughPath, check_remainder: bool = True) -> tuple[ControlledPath, dict]:
+def _sew_on_grid(P: ControlledCovector, X: RoughPath) -> ControlledPath:
     """Z_t = int_0^t P dX sewn on the grid (the finest resolvable partition),
-    with Z' = P; the germ is P_s dX_{s,t} + P'_s XX_{s,t}.
+    with Z' = P: the cumulative sum of the germs P_s dX_{s,t} + P'_s XX_{s,t}
+    over grid steps."""
+    x = X.path.values
+    dx = np.diff(x, axis=0)
+    idx = np.arange(x.shape[0] - 1)
+    xx_step = X.xx[idx, idx + 1]
+    germs = np.einsum("td,td->t", P.values[:-1], dx) + np.einsum("tde,tde->t", P.deriv[:-1], xx_step)
+    return ControlledPath(X, np.concatenate([[0.0], np.cumsum(germs)]), P.values.copy())
+
+
+def rough_integral(P: ControlledCovector, X: RoughPath) -> tuple[ControlledPath, dict]:
+    """Z_t = int_0^t P dX sewn on the grid, with its remainder diagnostics.
 
     The remainder estimate |R^Z|_{r/2} <= K (|R^P|_{r/2} |X|_r + |P'|_r |XX|_{r/2}
     + |P'|_sup |XX|_{r/2}) is asserted with the derived constant
     K = 2 (1 + sum_k (2/k)^{3/r}); the single-cell local error bound is
     reported in the diagnostics.
     """
-    x = X.path.values
-    dx = np.diff(x, axis=0)
-    idx = np.arange(x.shape[0] - 1)
-    xx_step = X.xx[idx, idx + 1]
-    germs = np.einsum("td,td->t", P.values[:-1], dx) + np.einsum("tde,tde->t", P.deriv[:-1], xx_step)
-    z_vals = np.concatenate([[0.0], np.cumsum(germs)])
-    Z = ControlledPath(X, z_vals, P.values.copy())
+    Z = _sew_on_grid(P, X)
     r = X.r
     const = 2.0 * (1.0 + zeta_sum(3.0 / r))
     np_norms = P.norms()
@@ -601,7 +609,7 @@ def rough_integral(P: ControlledCovector, X: RoughPath, check_remainder: bool = 
         "sewing_constant": const,
         "local_error_bound": zeta_sum(3.0 / r) * (np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx),
     }
-    if check_remainder and lhs > const * rhs * (1 + 1e-9) + 1e-12:
+    if lhs > const * rhs * (1 + 1e-9) + 1e-12:
         raise RdeError(f"rough-integral remainder {lhs:.4g} exceeds bound {const * rhs:.4g}")
     return Z, diag
 
@@ -653,11 +661,14 @@ def rde_solve(
 
     Intervals whose driver norms exceed the smallness threshold are split at
     the grid time halving the r-variation of X and solved left to right with
-    matched initial data.  A single grid step already above the threshold is
-    a jump the local theory cannot absorb and raises.  The contraction
-    metric must decrease strictly until it falls below tol; the iterates
-    after the first are checked to stay in the solution set of radius A
-    (chosen from the first iterate when not supplied).
+    matched initial data; every prefix and suffix control of the interval is
+    read from one chain-DP table (``functionals.chain_dp_table``).  A single
+    grid step already above the threshold is a jump the local theory cannot
+    absorb and raises.  Each Picard step only sews on the grid: it computes
+    no remainder diagnostics.  The contraction metric must decrease strictly
+    until it falls below tol; the iterates after the first are checked to
+    stay in the solution set of radius A (chosen from the first iterate when
+    not supplied).
     """
     if eps is None:
         eps = default_smallness(phi)
@@ -689,7 +700,7 @@ def rde_solve(
     increase_run = 0
     for it in range(1, max_iter + 1):
         P = compose(phi, Y, check=False)
-        Z, _ = rough_integral(P, X, check_remainder=False)
+        Z = _sew_on_grid(P, X)
         Z = ControlledPath(X, Z.values + y0, Z.deriv)
         if it == 1 and A_auto is None:
             nz = Z.norms()
@@ -719,12 +730,15 @@ def rde_solve(
 
 
 def _halving_index(X: RoughPath) -> int:
-    ctrl = variation_control(X.path, X.r)
-    times = X.times
-    n = times.size - 1
+    """First grid index k minimizing |omega(0, t_k) - omega(t_k, T)| for the
+    r-variation control omega of X, read from one chain-DP table."""
+    vals = X.path.values
+    table = fn.chain_dp_table(fn.DistColumns(vals[:, 0] if X.dim == 1 else vals), X.r)
+    prefix = np.maximum.accumulate(table[0])
+    n = vals.shape[0] - 1
     best, arg = math.inf, n // 2
     for k in range(1, n):
-        gap = abs(ctrl(0.0, float(times[k])) - ctrl(float(times[k]), float(times[-1])))
+        gap = abs(float(prefix[k]) - float(table[k, k:].max()))
         if gap < best:
             best, arg = gap, k
     return arg

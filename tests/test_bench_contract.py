@@ -3,12 +3,15 @@ name it wraps must still exist where it looks it up."""
 
 import importlib
 import importlib.util
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 from martkit import bellman, checks
 from martkit import functionals as fn
 from martkit import generators as G
+from martkit import ito
+from martkit import rough as R
 from martkit.report import CorpusSpec
 from martkit.tree import FiltrationTree, TreeProcess
 
@@ -102,3 +105,33 @@ def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):
     for _ in spec.martingales():
         pass
     assert calls == {"init": 30, "increment": 30}
+
+
+def test_rde_solve_reads_driver_norms_once_per_solver_node(monkeypatch):
+    # the Picard loop computes no remainder diagnostics, so no driver norms
+    calls = Counter()
+    count_calls(monkeypatch, calls, R, ("rde_solve",))
+    count_calls(monkeypatch, calls, R.RoughPath, ("variation_norms",))
+    sol = R.rde_solve(R.linear_coefficient(1.0), R.rough_line(0.3, 64), 1.0)
+    assert calls["variation_norms"] == calls["rde_solve"] == 2 * sol.subdivisions + 1
+    assert sol.iterations > calls["rde_solve"]
+
+
+def test_ito_pairs_forms_the_floors_once(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, ito.AdaptedGridPartition, ("floor_indices",))
+    walk = ito.GridCadlagPath.sampled_walk(64, 8, seed=1)
+    ito.ito_pairs(walk, walk, ito.AdaptedGridPartition.from_oscillation(walk, 0.5))
+    assert calls == {"floor_indices": 1}
+
+
+def test_variation_control_holds_no_distance_matrix():
+    # the dense (4097, 4097) distance matrix would take 134 MB
+    omega = R.variation_control(R.SampledPath.line(1.0, 4096), 1.0)
+    tracemalloc.start()
+    try:
+        omega(0.0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -201,6 +201,50 @@ def test_chain_dp_reads_only_the_strict_upper_triangle():
         assert best.shape == (n, 3) and best[0].tolist() == [0.0, 0.0, 0.0]
 
 
+def dense_dist(values):
+    """(n, n) matrix of |f_i - f_j|, Euclidean across the trailing axis."""
+    diff = values[:, None] - values[None, :]
+    if values.ndim == 1:
+        return np.abs(diff)
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def dist_inputs():
+    rng = np.random.default_rng(16)
+    yield rng.normal(size=30)
+    yield np.round(rng.normal(size=30))  # ties among distances
+    for dim in (1, 2, 3):
+        yield rng.normal(size=(30, dim))
+        yield np.round(rng.normal(size=(30, dim)))
+
+
+def test_dist_columns_equal_the_dense_matrix():
+    for vals in dist_inputs():
+        dense, cols = dense_dist(vals), fn.DistColumns(vals)
+        assert cols.shape == dense.shape
+        for j in range(1, vals.shape[0]):
+            assert np.array_equal(cols[:j, j], dense[:j, j])
+
+
+def test_variation_at_infinity_takes_the_first_widest_pair():
+    for vals in dist_inputs():
+        dense = dense_dist(vals)
+        iu = np.triu_indices(vals.shape[0], k=1)
+        k = int(np.argmax(dense[iu]))
+        res = fn.variation(vals, np.inf)
+        assert res.witness == [int(iu[0][k]), int(iu[1][k])]
+        assert res.value == dense[iu][k]
+
+
+def test_chain_dp_table_rows_equal_chain_dp_from_each_start():
+    for vals in dist_inputs():
+        dense = dense_dist(vals)
+        for r in (1.0, 2.5):
+            table = fn.chain_dp_table(fn.DistColumns(vals), r)
+            for s in range(vals.shape[0]):
+                assert np.array_equal(table[s, s:], fn.chain_dp(dense[s:, s:], r))
+
+
 def test_two_param_variation_paths_batch_equals_slices():
     rng = np.random.default_rng(14)
     cost = rng.normal(size=(8, 8, 5))

@@ -87,6 +87,15 @@ def test_discretize_identities(small_bundle):
     assert np.all(I.discretize(f, zero).values == f.values[0])
 
 
+def test_ito_pairs_equal_stacked_ito_sum_from_rows(small_bundle):
+    f, g, part = small_bundle
+    walk = I.GridCadlagPath.sampled_walk(64, 9, seed=2)
+    cases = [(f, g, part), (g, f, part), (walk, walk, I.AdaptedGridPartition.from_oscillation(walk, 0.4))]
+    for a, b, pi in cases:
+        rows = [I.ito_sum_from(a, b, pi, t) for t in range(a.n_steps)] + [np.zeros(a.values.shape)]
+        assert np.array_equal(I.ito_pairs(a, b, pi), np.stack(rows))
+
+
 def test_coarsening_identity(small_bundle):
     f, g, part = small_bundle
     rng = np.random.default_rng(5)

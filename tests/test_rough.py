@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from martkit import functionals as fn
 from martkit import rough as R
-from martkit.functionals import chain_dp
 
 
 def dyadic_walk_path(n, seed=0, step=None):
@@ -68,6 +68,15 @@ def test_sew_young_identity():
     assert res.hypothesis_ok
     # evaluate the k-sum: 0.5 = |I - Xi_{0,1}| <= sum (2/k)^2 omega(0,1)^2
     assert 0.5 <= R.zeta_sum(2.0) * omega(0.0, 1.0) ** 2
+
+
+def test_sew_default_midpoints_equal_a_midpoint_splitter():
+    a = R.SampledPath.line(1.0, 256)
+    omega = R.variation_control(a, 1.0)
+    vectorized = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6)
+    per_cell = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6, split=lambda u, v: 0.5 * (u + v))
+    assert vectorized == per_cell
+    assert vectorized.levels > 1
 
 
 def test_sew_non_cauchy_raises():
@@ -230,6 +239,42 @@ def test_rde_piecewise_linear_lift_driver():
     assert np.abs(sol.path.values - np.exp(X.times)).max() <= 1e-3
 
 
+def halving_one_interval_at_a_time(X):
+    """Prefix and suffix controls at every inner grid time, each from its own
+    variation_control DP, and the first index minimizing their gap."""
+    ctrl = R.variation_control(X.path, X.r)
+    times = X.times
+    n = times.size - 1
+    prefix = np.array([ctrl(0.0, float(times[k])) for k in range(1, n)])
+    suffix = np.array([ctrl(float(times[k]), float(times[-1])) for k in range(1, n)])
+    best, arg = math.inf, n // 2
+    for k in range(1, n):
+        gap = abs(prefix[k - 1] - suffix[k - 1])
+        if gap < best:
+            best, arg = gap, k
+    return prefix, suffix, arg
+
+
+def halving_drivers():
+    yield R.rough_line(0.3, 128, r=2.5)
+    for dim in (1, 2, 3):
+        rng = np.random.default_rng(20 + dim)
+        vals = np.cumsum(rng.choice([-0.05, 0.05], size=(97, dim)), axis=0)
+        for interpretation in ("step", "linear"):
+            yield R.lift(R.SampledPath(np.linspace(0.0, 0.3, 97), vals, interpretation), r=2.5)
+
+
+def test_halving_table_equals_one_interval_at_a_time():
+    for X in halving_drivers():
+        prefix, suffix, arg = halving_one_interval_at_a_time(X)
+        vals = X.path.values
+        table = fn.chain_dp_table(fn.DistColumns(vals[:, 0] if X.dim == 1 else vals), X.r)
+        n = vals.shape[0] - 1
+        assert np.array_equal(np.maximum.accumulate(table[0])[1:n], prefix)
+        assert np.array_equal(np.array([table[k, k:].max() for k in range(1, n)]), suffix)
+        assert R._halving_index(X) == arg
+
+
 def test_rde_jump_too_large_raises():
     t = np.array([0.0, 0.5, 1.0])
     vals = np.array([0.0, 5.0, 5.0])
@@ -318,7 +363,7 @@ def test_compose_then_integrate_remainder_structure():
     Y = R.ControlledPath(X, np.sin(X.times), np.cos(X.times)[:, None])
     sq = R.scalar_coefficient(lambda y: y**2, lambda y: 2 * y, lambda y: 2 * np.ones_like(y), box=2.0)
     P = R.compose(sq, Y)
-    Z, diag = R.rough_integral(P, X, check_remainder=True)
+    Z, diag = R.rough_integral(P, X)
     assert diag["remainder_r2"] <= diag["remainder_bound"]
     assert diag["local_error_bound"] >= 0.0
     assert np.allclose(Z.deriv, P.values)  # Z' = phi(Y)
