@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bellman
 from . import functionals as fn
-from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, finish_report, lambda_candidates, lq_norm, ratio
+from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, finish_report, good_lambda_sup, lambda_candidates, lq_norm, ratio, truncation_ratio_sup
 from .tree import Martingale, StoppingRule
 
 
@@ -237,36 +237,24 @@ def check_aux_lemmas(
         # truncated-moment comparison: measure the best C, then assert with it
         zz = np.abs(pm[-1]) + rng.uniform(0, 0.5, size=tree.n_leaves)
         ww = np.abs(rng.normal(size=tree.n_leaves)) + 0.1
-        lams = lambda_candidates(zz, ww)
-        ez = np.array([float(w @ np.minimum(zz, lam)) for lam in lams])
-        ew = np.array([float(w @ np.minimum(ww, lam)) for lam in lams])
-        c_star = float(np.max(ez / ew))
+        c_star = truncation_ratio_sup(zz, ww, w, lambda_candidates(zz, ww))
         measured["best_truncation_C"] = max(measured["best_truncation_C"], c_star)
         for pp in concave_p:
             tracker.add(float(w @ zz**pp), c_star * float(w @ ww**pp))
 
         # good-lambda: g = Mf, f = Sf, epsilon measured at every scan point
-        g_big = fn.maximal_paths(pm)[-1]
-        f_big = fn.square_function_paths(pm)[-1]
-        lams = lambda_candidates(g_big / beta, g_big, f_big / delta)
-        eps_star = 0.0
-        for lam in lams:
-            denom = float(w @ (g_big > lam))
-            if denom == 0.0:
-                continue
-            num = float(w @ ((g_big > beta * lam) & (f_big <= delta * lam)))
-            eps_star = max(eps_star, num / denom)
+        mf = fn.maximal_paths(pm)[-1]
+        sf = fn.square_function_paths(pm)[-1]
+        eps_star = good_lambda_sup(mf, sf, w, lambda_candidates(mf / beta, mf, sf / delta), beta, delta)
         measured["worst_good_lambda_eps"] = max(measured["worst_good_lambda_eps"], eps_star)
         if beta**gl_p * eps_star >= 1.0:
             hyp_failures += 1
         else:
             const = delta**-gl_p / (beta**-gl_p - eps_star)
-            tracker.add(float(w @ g_big**gl_p), const * float(w @ f_big**gl_p))
+            tracker.add(float(w @ mf**gl_p), const * float(w @ sf**gl_p))
 
-        # predictable square function comparisons
-        sf = fn.square_function_paths(pm)[-1]
-        sf_pred = fn.predictable_square_paths(mart)[-1]
-        mf = fn.maximal_paths(pm)[-1]
+        # predictable square function comparisons; big_w is sf_pred^2
+        sf_pred = np.sqrt(big_w)
         for pp in s_vs_S_p:
             tracker.add(lq_norm(sf_pred, pp, w), math.sqrt(pp / 2.0) * lq_norm(sf, pp, w))
         for pp in m_vs_s_p:

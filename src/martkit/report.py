@@ -210,6 +210,106 @@ def _group_scan(stat: np.ndarray, order: np.ndarray, mass_arrays) -> tuple[np.nd
     return (levels[keep],) + tuple(c[idx][keep] for c in cums)
 
 
+# Unit roundoff of IEEE double precision.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u).  A sum of nonnegative terms, each
+    rounded at most n times (products and additions, in any order), is within
+    gamma_n of its exact value relatively (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Lemma 3.1 and ch. 4), barring underflow."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def truncation_ratio_at(z: np.ndarray, v: np.ndarray, w: np.ndarray, lam: float) -> float:
+    """E min(z, lam) / E min(v, lam) from two dot products."""
+    return float(w @ np.minimum(z, lam)) / float(w @ np.minimum(v, lam))
+
+
+def _truncated_means(x: np.ndarray, w: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """E min(x, lam) at every lam: the mass of w * x on {x < lam} plus lam times
+    the weight of {x >= lam}, read from a prefix and a suffix cumsum of the
+    sorted nonnegative terms."""
+    order = np.argsort(x)
+    xs, ws = x[order], w[order]
+    below = np.concatenate(([0.0], np.cumsum(ws * xs)))
+    above = np.concatenate((np.cumsum(ws[::-1])[::-1], [0.0]))
+    k = np.searchsorted(xs, lams)
+    return below[k] + lams * above[k]
+
+
+def truncation_ratio_sup(z: np.ndarray, v: np.ndarray, w: np.ndarray, lams: np.ndarray) -> float:
+    """max over ``lams`` of ``truncation_ratio_at(z, v, w, lam)``, bit for bit,
+    for nonnegative z and v, positive weights and v of positive mass.
+
+    Each truncated mean, from the cumsums or from the dot product, rounds
+    every term at most n + 1 times, so both ratios lie within
+    G = gamma_{2n+3} of the exact ratio.  The lam that attains the dot-product
+    maximum therefore has a cumsum ratio of at least (1 - G)^2 / (1 + G)^2 >=
+    1 - 4G times the cumsum maximum.  The band below is twice as wide, which
+    also covers the rounding of the test itself, and only the lam inside it
+    are evaluated with dot products.
+    """
+    fast = _truncated_means(z, w, lams) / _truncated_means(v, w, lams)
+    band = fast.max() * (1.0 - 8.0 * _gamma(2 * w.size + 3))
+    return max(truncation_ratio_at(z, v, w, lam) for lam in lams[fast >= band])
+
+
+def good_lambda_ratio_at(g: np.ndarray, f: np.ndarray, w: np.ndarray, lam: float, beta: float, delta: float) -> float:
+    """P(g > beta lam, f <= delta lam) / P(g > lam) from two dot products;
+    P(g > lam) must be positive."""
+    denom = float(w @ (g > lam))
+    return float(w @ ((g > beta * lam) & (f <= delta * lam))) / denom
+
+
+def good_lambda_sup(g: np.ndarray, f: np.ndarray, w: np.ndarray, lams: np.ndarray, beta: float, delta: float) -> float:
+    """max(0, max of ``good_lambda_ratio_at`` over the lam in ``lams`` with
+    P(g > lam) > 0), bit for bit, for positive weights and beta, delta > 0.
+
+    ``lams`` ascends, so do beta * lams and delta * lams (the same products the
+    per-lam sets use), and leaf i lies in the numerator set exactly at the
+    candidates j in [lo_i, hi_i) with lo_i = #{delta lam_j < f_i} and
+    hi_i = #{beta lam_j < g_i}.  Integer counts of both sets decide empty sets
+    exactly: an empty denominator is skipped and an empty numerator gives 0.
+    Elsewhere the numerator mass is the difference of two cumulative masses,
+    within 2 gamma_n of their sum, and the denominator a suffix mass of the
+    sorted g, within gamma_n of itself.  The dot-product ratio is within
+    gamma_{2n} of the exact one, and gamma_{4n+8} covers that, the
+    denominator's error and the rounding of the bounds, so every candidate
+    gets an interval [L, U] that holds its dot-product ratio.  Only
+    candidates with U >= max L can attain the maximum, and of a run of
+    candidates with the same two sets only the first is evaluated.
+    """
+    if not (beta > 0 and delta > 0):
+        raise ValueError("good-lambda scan needs beta > 0 and delta > 0")
+    n, m = w.size, lams.size
+    order = np.argsort(g)
+    g_tail = np.concatenate((np.cumsum(w[order][::-1])[::-1], [0.0]))
+    g_below = np.searchsorted(g[order], lams, side="right")  # #{g <= lam}
+    lo = np.searchsorted(delta * lams, f)
+    hi = np.searchsorted(beta * lams, g)
+    live = lo < hi
+    lo, hi, w_live = lo[live], hi[live], w[live]
+    starts = np.bincount(lo, minlength=m + 1)[:m]
+    ends = np.bincount(hi, minlength=m + 1)[:m]
+    members = np.cumsum(starts - ends)
+    first = np.ones(m, dtype=bool)
+    first[1:] = (starts[1:] + ends[1:] > 0) | (g_below[1:] != g_below[:-1])
+    cand = np.flatnonzero((members > 0) & (g_below < n))
+    if cand.size == 0:
+        return 0.0
+    enter = np.cumsum(np.bincount(lo, w_live, minlength=m + 1))[cand]
+    leave = np.cumsum(np.bincount(hi, w_live, minlength=m + 1))[cand]
+    denom = g_tail[g_below[cand]]
+    err = 2.0 * _gamma(n) * (enter + leave)
+    spread = _gamma(4 * n + 8)
+    upper = (enter - leave + err) / denom * (1.0 + spread)
+    lower = (enter - leave - err) / denom * (1.0 - spread)
+    keep = cand[(upper >= lower.max()) & first[cand]]
+    return max(0.0, *(good_lambda_ratio_at(g, f, w, lam, beta, delta) for lam in lams[keep]))
+
+
 def lambda_candidates(*value_arrays: np.ndarray) -> np.ndarray:
     """Breakpoints-and-midpoints scan grid built from finite value sets."""
     vals = np.unique(np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in value_arrays]))

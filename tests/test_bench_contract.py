@@ -10,7 +10,7 @@ from pathlib import Path
 from martkit import bellman, checks
 from martkit import functionals as fn
 from martkit import generators as G
-from martkit import ito
+from martkit import ito, report
 from martkit import rough as R
 from martkit.report import CorpusSpec
 from martkit.tree import FiltrationTree, TreeProcess
@@ -79,6 +79,24 @@ def test_sharp_davis_check_forms_path_functionals_once_per_trial(monkeypatch):
     count_calls(monkeypatch, calls, fn, ("maximal_paths", "increments", "square_function_paths"))
     bellman.sharp_davis_check(CorpusSpec(kind="mixed", depth=5, trials=6, seed=3))
     assert calls == {"maximal_paths": 6, "increments": 6}
+
+
+def test_aux_lemmas_check_evaluates_few_lambdas_exactly(monkeypatch):
+    # the sorted cumulative sums leave only the lambda that can attain each sup
+    # to the dot products, not every one of the ~4L scan candidates
+    calls = Counter()
+    count_calls(monkeypatch, calls, report, ("truncation_ratio_at", "good_lambda_ratio_at"))
+    spec = CorpusSpec(kind="mixed", depth=7, trials=100, seed=20244)
+    checks.check_aux_lemmas(spec)
+    assert calls["truncation_ratio_at"] < 5 * spec.trials
+    assert calls["good_lambda_ratio_at"] < 5 * spec.trials
+
+
+def test_aux_lemmas_check_forms_path_functionals_once_per_trial(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn, ("maximal_paths", "square_function_paths", "predictable_square_paths"))
+    checks.check_aux_lemmas(CorpusSpec(kind="mixed", depth=5, trials=6, seed=3))
+    assert calls == {"maximal_paths": 6, "square_function_paths": 6}
 
 
 def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martkit import checks as C
+from martkit import functionals as fn
 from martkit import generators as G
-from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, validate_report_dict
+from martkit import report as R
+from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, lambda_candidates, validate_report_dict
 from martkit.tree import FiltrationTree, Martingale
 
 
@@ -118,6 +122,174 @@ def test_aux_lemmas():
     rep = C.check_aux_lemmas(small(trials=150))
     assert rep.violations == 0
     assert rep.measured["best_truncation_C"] > 0
+
+
+# Reference per-lambda loops, one dot product per candidate: the sorted
+# scans must return the same floats.
+
+
+def truncation_loop(zz, ww, w):
+    lams = lambda_candidates(zz, ww)
+    ez = np.array([float(w @ np.minimum(zz, lam)) for lam in lams])
+    ew = np.array([float(w @ np.minimum(ww, lam)) for lam in lams])
+    return float(np.max(ez / ew))
+
+
+def good_lambda_loop(g_big, f_big, w, beta, delta):
+    lams = lambda_candidates(g_big / beta, g_big, f_big / delta)
+    eps_star = 0.0
+    for lam in lams:
+        denom = float(w @ (g_big > lam))
+        if denom == 0.0:
+            continue
+        num = float(w @ ((g_big > beta * lam) & (f_big <= delta * lam)))
+        eps_star = max(eps_star, num / denom)
+    return eps_star
+
+
+def truncation_scan(zz, ww, w):
+    return R.truncation_ratio_sup(zz, ww, w, lambda_candidates(zz, ww))
+
+
+def good_lambda_scan(g, f, w, beta, delta):
+    return R.good_lambda_sup(g, f, w, lambda_candidates(g / beta, g, f / delta), beta, delta)
+
+
+def aux_statistics(mart, rng):
+    """The (zz, ww) and (Mf, Sf) pairs that check_aux_lemmas scans."""
+    pm = mart.paths()
+    zz = np.abs(pm[-1]) + rng.uniform(0, 0.5, size=mart.tree.n_leaves)
+    ww = np.abs(rng.normal(size=mart.tree.n_leaves)) + 0.1
+    return zz, ww, fn.maximal_paths(pm)[-1], fn.square_function_paths(pm)[-1]
+
+
+def test_aux_scans_equal_the_loops_on_a_corpus():
+    spec = CorpusSpec(kind="mixed", depth=7, trials=300, seed=77)
+    for i, mart in enumerate(spec.martingales()):
+        w = mart.tree.leaf_prob
+        zz, ww, mf, sf = aux_statistics(mart, spec.rng(index=i))
+        assert truncation_scan(zz, ww, w) == truncation_loop(zz, ww, w), i
+        assert good_lambda_scan(mf, sf, w, 2.0, 1.0) == good_lambda_loop(mf, sf, w, 2.0, 1.0), i
+
+
+@st.composite
+def weighted_pairs(draw):
+    # small integers make ties, and values that sit on each other's breakpoints
+    a = draw(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    n = len(a)
+    b = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    # weights with no exact binary form, so sums equal in the reals round apart
+    w = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 1.0 / 3.0]), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, 1e3]))
+    return np.array(a, dtype=float) * scale, np.array(b, dtype=float) * scale, np.array(w)
+
+
+@given(weighted_pairs())
+@settings(max_examples=300, deadline=None)
+def test_truncation_scan_matches_loop_on_ties(data):
+    z, v, w = data
+    v = v + (v.max() == 0)  # the scan needs v of positive mass
+    assert truncation_scan(z, v, w) == truncation_loop(z, v, w)
+
+
+@given(weighted_pairs(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_good_lambda_scan_matches_loop_on_ties(data, beta, delta):
+    g, f, w = data
+    assert good_lambda_scan(g, f, w, beta, delta) == good_lambda_loop(g, f, w, beta, delta)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(5, 6), st.sampled_from(["normal", "sign", "uniform"]))
+@settings(max_examples=20, deadline=None)
+def test_aux_scans_match_loops_on_irregular_trees(seed, depth, dist):
+    mart = G.gen_increment(depth, seed=seed, dist=dist)  # 32 to 729 leaves
+    w = mart.tree.leaf_prob
+    zz, ww, mf, sf = aux_statistics(mart, np.random.default_rng(seed))
+    assert truncation_scan(zz, ww, w) == truncation_loop(zz, ww, w)
+    assert good_lambda_scan(mf, sf, w, 2.0, 1.0) == good_lambda_loop(mf, sf, w, 2.0, 1.0)
+
+
+def counted(monkeypatch, name):
+    """The lam of every later call of ``report.<name>``, in call order."""
+    lams, real = [], getattr(R, name)
+
+    def wrapper(*args):
+        lams.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(R, name, wrapper)
+    return lams
+
+
+@pytest.mark.parametrize(
+    "g, f, w",
+    [
+        ([1.0, 2.0, 3.0], [0.0, 2.0, 1.0], [0.6, 0.1, 0.2]),
+        ([1.0, 2.0, 1.0, 3.0, 4.0], [0.0, 2.0, 0.0, 3.0, 1.0], [0.7, 0.7, 0.3, 0.2, 0.6]),
+    ],
+)
+def test_good_lambda_scan_on_ratios_that_tie_in_the_reals(g, f, w):
+    # two sets give the same ratio in the reals but floats an ulp apart, and
+    # the cumulative sums rank them the other way than the dot products
+    g, f, w = np.array(g), np.array(f), np.array(w)
+    assert good_lambda_scan(g, f, w, 2.0, 1.0) == good_lambda_loop(g, f, w, 2.0, 1.0)
+
+
+def test_good_lambda_scan_at_the_lower_padding_point(monkeypatch):
+    # only lam = 1/4, below every breakpoint, puts a leaf with f = 0 in the numerator
+    g, f, w = np.array([1.0, 1.0]), np.array([0.0, 5.0]), np.array([0.5, 0.5])
+    calls = counted(monkeypatch, "good_lambda_ratio_at")
+    assert good_lambda_scan(g, f, w, 2.0, 1.0) == good_lambda_loop(g, f, w, 2.0, 1.0) == 0.5
+    assert calls == [0.25]
+
+
+@pytest.mark.parametrize(
+    "z, v, w",
+    [
+        ([0.1, 0.4], [0.0, 3 * 0.1], [0.1, 0.2]),
+        ([0.3, 0.2, 0.2, 0.4, 0.2], [0.2, 0.4, 0.4, 0.4, 0.2], [0.7, 0.1, 0.6, 0.1, 1.0 / 3.0]),
+    ],
+)
+def test_truncation_scan_on_ratios_that_tie_in_the_reals(z, v, w):
+    # several lam give the same ratio in the reals, and the cumulative sums
+    # and the dot products round them to different maxima
+    z, v, w = np.array(z), np.array(v), np.array(w)
+    assert truncation_scan(z, v, w) == truncation_loop(z, v, w)
+
+
+def test_truncation_scan_ties_at_both_padding_points():
+    # the ratio is 1 below every breakpoint and above the last one
+    z, v, w = np.array([1.0, 3.0]), np.array([2.0, 2.0]), np.array([0.5, 0.5])
+    lams = lambda_candidates(z, v)
+    assert lams[0] == 0.5 and lams[-1] == 6.0
+    assert truncation_scan(z, v, w) == truncation_loop(z, v, w) == 1.0
+
+
+def test_aux_scans_on_plateaus(monkeypatch):
+    # z = v: every lam attains the ratio 1, so every lam lies in the band
+    z = np.array([0.5, 1.0, 1.0, 4.0])
+    w = np.full(4, 0.25)
+    assert truncation_scan(z, z.copy(), w) == truncation_loop(z, z.copy(), w) == 1.0
+    # f = 0 and constant g: the ratio is 1 at every lam below g / beta, all
+    # with the same two sets, so one dot-product evaluation decides it
+    g, f = np.full(4, 3.0), np.zeros(4)
+    calls = counted(monkeypatch, "good_lambda_ratio_at")
+    assert good_lambda_scan(g, f, w, 2.0, 1.0) == good_lambda_loop(g, f, w, 2.0, 1.0) == 1.0
+    assert len(calls) == 1
+
+
+def test_good_lambda_scan_with_an_empty_numerator_everywhere(monkeypatch):
+    # g > 2 lam and 10 g <= lam never hold together
+    g = np.array([0.5, 1.0, 2.0, 2.0, 7.0])
+    w = np.full(5, 0.2)
+    calls = counted(monkeypatch, "good_lambda_ratio_at")
+    assert good_lambda_scan(g, 10.0 * g, w, 2.0, 1.0) == good_lambda_loop(g, 10.0 * g, w, 2.0, 1.0) == 0.0
+    assert calls == []
+
+
+def test_good_lambda_scan_rejects_nonpositive_factors():
+    with pytest.raises(ValueError):
+        R.good_lambda_sup(np.ones(2), np.ones(2), np.full(2, 0.5), np.array([0.5, 1.0, 2.0]), 2.0, 0.0)
 
 
 def test_lepingle_check():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from martkit import functionals as fn
 from martkit import generators as G
-from martkit.report import lq_norm
+from martkit.report import CorpusSpec, lq_norm
 from martkit.tree import FiltrationTree, Martingale, TreeProcess
 
 
@@ -60,6 +60,17 @@ def test_l2_isometry_and_predictable_square():
     sf_pred = fn.predictable_square_paths(walk)
     expected = np.sqrt(np.arange(10) / 9.0)
     assert np.allclose(sf_pred[:, 0], expected)
+
+
+def test_predictable_square_is_the_root_of_the_conditional_sum():
+    # check_aux_lemmas reads sf_pred as sqrt(big_w): the same additions in the same order
+    for mart in CorpusSpec(kind="mixed", depth=8, trials=300, seed=8).martingales():
+        tree = mart.tree
+        z = fn.increments(mart.paths()) ** 2
+        big_w = np.zeros(tree.n_leaves)
+        for k in range(1, tree.depth + 1):
+            big_w = big_w + tree.atom_average_leaves(k - 1, z[k - 1])
+        assert np.array_equal(np.sqrt(big_w), fn.predictable_square_paths(mart)[-1])
 
 
 # -- Davis decomposition ---------------------------------------------------------
