@@ -136,7 +136,9 @@ def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
     df = fn.increments(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = np.where(fstar[1:] > 0, df**2 / np.where(fstar[1:] > 0, fstar[1:], 1.0), 0.0)
-    s_tilde = gamma * np.abs(pm[0]) + np.vstack([np.zeros(pm.shape[1]), np.cumsum(quot, axis=0)])
+    s_tilde = np.zeros_like(pm)
+    fn.accumulate_rows(np.add, quot, out=s_tilde[1:])
+    np.add(gamma * np.abs(pm[0]), s_tilde, out=s_tilde)
     out = []
     for n in range(pm.shape[0]):
         m = fstar[n]
@@ -153,7 +155,10 @@ def sharp_davis_clause(tracker: RatioTracker, fstar: np.ndarray, df: np.ndarray,
     """Assert E Sf_N <= sqrt(3) E f*_N for one trial under leaf weights w, from
     the running maximum ``fstar`` and the increments ``df`` of its path
     matrix; returns (Sf_N, f*_N, E Sf_N, E f*_N)."""
-    sf = np.sqrt(np.cumsum(df**2, axis=0)[-1])  # fn.square_function_paths' additions, in its order
+    sf = np.square(df[0])  # fn.square_function_paths' additions, in its order
+    for d in df[1:]:
+        sf += np.square(d)
+    np.sqrt(sf, out=sf)
     fstar = fstar[-1]
     e_s = float(w @ sf)
     e_star = float(w @ fstar)

@@ -99,12 +99,13 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
         worst_split = max(worst_split, split)
         if split > 1e-12:
             tracker.flag()
-        df = fn.increments(pm)
-        mdf_prev = np.vstack([np.zeros(pm.shape[1]), np.maximum.accumulate(np.abs(df), axis=0)[:-1]])
+        size = np.abs(fn.increments(pm))
+        mdf_prev = np.zeros_like(size)  # M df_{n-1} for n = 1..N, from M df_0 = 0
+        fn.accumulate_rows(np.maximum, size[:-1], out=mdf_prev[1:])
         dpred = fn.increments(pred)
         tracker.add_many(np.abs(dpred).ravel(), 2.0 * mdf_prev.ravel())
         tv = np.abs(fn.increments(bv)).sum(axis=0)
-        tracker.add(float(w @ tv), 2.0 * float(w @ np.abs(df).max(axis=0)))
+        tracker.add(float(w @ tv), 2.0 * float(w @ size.max(axis=0)))
         tracker.commit_trial()
     return finish_report(
         "davis_decomposition", {}, spec, tracker, t0, constant=2.0, measured={"worst_split_residual": worst_split}
@@ -433,7 +434,7 @@ def check_paraproduct(
                 strict = (lo_t <= t) & (t < hi_t)
                 sup_f = np.where(strict, np.maximum(sup_f, np.abs(F[lo_t, t, cols])), sup_f)
             dg2 = np.vstack([np.zeros(tree.n_leaves), np.diff(g_pm, axis=0) ** 2])
-            cums = np.cumsum(dg2, axis=0)
+            cums = fn.accumulate_rows(np.add, dg2, out=dg2)
             s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
             lhs_pow += sup_pi**r
             f_pow += sup_f**r1
@@ -481,7 +482,9 @@ def check_paraproduct(
         pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
         x_dbv = fn.component_norm(fn.increments(bv), r0).sum(axis=0)
         x_df = fn.component_norm(fn.increments(fam.paths()), r0)
-        m_x_df = np.maximum.accumulate(np.vstack([np.zeros(tree.n_leaves), x_df]), axis=0)[-1]
+        m_x_df = np.zeros(tree.n_leaves)
+        for row in x_df:
+            np.maximum(m_x_df, row, out=m_x_df)
         tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
         s_pred = fn.component_norm(fn.square_function_paths(pred)[-1], r0)
         s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)

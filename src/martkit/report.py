@@ -311,10 +311,24 @@ def good_lambda_sup(g: np.ndarray, f: np.ndarray, w: np.ndarray, lams: np.ndarra
 
 
 def lambda_candidates(*value_arrays: np.ndarray) -> np.ndarray:
-    """Breakpoints-and-midpoints scan grid built from finite value sets."""
+    """Breakpoints-and-midpoints scan grid built from finite value sets: the
+    distinct positive values, the midpoint of each neighbouring pair and the
+    padding points vals[0] / 2 and vals[-1] * 2, ascending and distinct.
+
+    One sort suffices: fl((a + b) / 2) lies in [a, b] for 0 < a <= b, since
+    rounding is monotone, unless a + b overflows to inf.  Then b >= 2**1023,
+    so the padding point vals[-1] * 2 is inf already, and the midpoint is
+    clamped to b.  Adjacent duplicates, such as a midpoint that rounds onto a
+    breakpoint, are dropped.
+    """
     vals = np.unique(np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in value_arrays]))
     vals = vals[vals > 0]
     if vals.size == 0:
         return np.array([1.0])
-    mids = (vals[1:] + vals[:-1]) / 2.0
-    return np.unique(np.concatenate([vals, mids, [vals[0] / 2.0, vals[-1] * 2.0]]))
+    grid = np.empty(2 * vals.size + 1)
+    with np.errstate(over="ignore"):
+        grid[0] = vals[0] / 2.0
+        grid[1::2] = vals
+        np.minimum((vals[1:] + vals[:-1]) / 2.0, vals[1:], out=grid[2:-1:2])
+        grid[-1] = vals[-1] * 2.0
+    return grid[np.append(True, grid[1:] != grid[:-1])]

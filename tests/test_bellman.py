@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from martkit import bellman as B
 from martkit import functionals as fn
 from martkit import generators as G
-from martkit.report import CorpusSpec
+from martkit.report import CorpusSpec, RatioTracker
+from martkit.tree import Martingale
 
 
 def test_bellman_U_values():
@@ -81,6 +83,37 @@ def test_induction_values_nonincreasing():
         mart = G.corpus_martingale("mixed", 7, seed=6, index=seed)
         vals = B.induction_values(mart)
         assert np.all(np.diff(vals) <= 1e-10)
+
+
+def induction_values_cumsum(mart, gamma=3.0):
+    """induction_values with the numpy time scans it had before the row-wise
+    ones, as their oracle."""
+    pm = mart.paths()
+    w = mart.tree.leaf_prob
+    fstar = np.maximum.accumulate(np.abs(pm), axis=0)
+    df = np.diff(pm, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = np.where(fstar[1:] > 0, df**2 / np.where(fstar[1:] > 0, fstar[1:], 1.0), 0.0)
+    s_tilde = gamma * np.abs(pm[0]) + np.vstack([np.zeros(pm.shape[1]), np.cumsum(quot, axis=0)])
+    out = []
+    for n in range(pm.shape[0]):
+        m = fstar[n]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(m > 0, s_tilde[n] - (pm[n] ** 2 + (gamma - 1.0) * m * m) / np.where(m > 0, m, 1.0), s_tilde[n])
+        out.append(float(w @ u))
+    return np.asarray(out)
+
+
+def test_bellman_scans_equal_the_numpy_cumsums():
+    for spec in (CorpusSpec(kind="mixed", depth=8, trials=40, seed=64), CorpusSpec(kind="backprop", depth=12, trials=3, seed=65)):
+        for mart in spec.martingales():
+            shifted = Martingale(mart.tree, [v + 0.75 for v in mart.values])  # f_0 != 0
+            for m, gamma in itertools.product((mart, shifted), (3.0, 2.5)):
+                assert np.array_equal(B.induction_values(m, gamma), induction_values_cumsum(m, gamma))
+            pm = mart.paths()
+            df = fn.increments(pm)
+            sf, _, _, _ = B.sharp_davis_clause(RatioTracker(), fn.maximal_paths(pm), df, mart.tree.leaf_prob)
+            assert np.array_equal(sf, np.sqrt(np.cumsum(df**2, axis=0)[-1]))
 
 
 # -- sharp Davis check -------------------------------------------------------------

@@ -153,3 +153,17 @@ def test_variation_control_holds_no_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_time_scans_hold_one_path_matrix():
+    # both kernels scan in their output array: the strided numpy scans held
+    # 2.00 (maximal) and 3.82 (square function) times the path matrix
+    pm = next(CorpusSpec(kind="backprop", depth=16, trials=1, seed=3).martingales()).paths()
+    for kernel in (fn.maximal_paths, fn.square_function_paths):
+        tracemalloc.start()
+        try:
+            kernel(pm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * pm.nbytes, kernel.__name__

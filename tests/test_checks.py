@@ -92,6 +92,34 @@ def test_davis_decomposition_check():
     assert rep.measured["worst_split_residual"] <= 1e-12
 
 
+def recorded(monkeypatch, owner, name):
+    """The positional arguments of every later call of ``owner.<name>``."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [small(depth=8, trials=30, seed=66), CorpusSpec(kind="backprop", depth=12, trials=2, seed=67)])
+def test_davis_decomposition_bounds_equal_the_numpy_scan(monkeypatch, spec):
+    # the old call-site expressions, on the martingales the check decomposes
+    marts = recorded(monkeypatch, fn, "davis_decompose")
+    many = recorded(monkeypatch, RatioTracker, "add_many")
+    one = recorded(monkeypatch, RatioTracker, "add")
+    C.check_davis_decomposition(spec)
+    assert len(marts) == len(many) == len(one) == spec.trials
+    for (mart,), (_, _, jump_bound), (_, _, tv_bound) in zip(marts, many, one):
+        pm = mart.paths()
+        df = fn.increments(pm)
+        mdf_prev = np.vstack([np.zeros(pm.shape[1]), np.maximum.accumulate(np.abs(df), axis=0)[:-1]])
+        assert np.array_equal(jump_bound, 2.0 * mdf_prev.ravel())
+        assert tv_bound == 2.0 * float(mart.tree.leaf_prob @ np.abs(df).max(axis=0))
+
+
 def test_davis_bdg_sqrt3():
     rep = C.check_davis_bdg(small(trials=300), p=2.0)
     assert rep.violations == 0
@@ -292,6 +320,66 @@ def test_good_lambda_scan_rejects_nonpositive_factors():
         R.good_lambda_sup(np.ones(2), np.ones(2), np.full(2, 0.5), np.array([0.5, 1.0, 2.0]), 2.0, 0.0)
 
 
+def lambda_candidates_two_sorts(*value_arrays):
+    """The scan grid as first built, with a second np.unique over values,
+    midpoints and padding points: the oracle of the one-sort grid."""
+    vals = np.unique(np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in value_arrays]))
+    vals = vals[vals > 0]
+    if vals.size == 0:
+        return np.array([1.0])
+    mids = (vals[1:] + vals[:-1]) / 2.0
+    return np.unique(np.concatenate([vals, mids, [vals[0] / 2.0, vals[-1] * 2.0]]))
+
+
+def assert_one_sort_grid(*value_arrays):
+    with np.errstate(over="ignore"):
+        expected = lambda_candidates_two_sorts(*value_arrays)
+    assert np.array_equal(lambda_candidates(*value_arrays), expected)
+
+
+TINY = np.nextafter(0.0, 1.0)
+HUGE = 2.0**1023
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, np.nextafter(1.0, 2.0)],  # the midpoint rounds onto a breakpoint
+        [1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)],
+        [3.0],
+        [TINY],  # its lower padding point rounds to 0
+        [TINY, 2 * TINY, 3 * TINY, 2.0**-1022],
+        [HUGE],
+        [1.0, HUGE, 1.5 * HUGE, np.finfo(float).max],  # midpoints overflow to inf
+        [1e308, 3.0, 1.7e308],
+        [2.0, np.inf],
+        [0.0, -1.0, np.nan],
+    ],
+)
+def test_lambda_candidates_one_sort_on_edge_values(values):
+    assert_one_sort_grid(np.array(values))
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.floats(),
+                st.floats(0.0, 1e-307),
+                st.floats(min_value=HUGE, allow_infinity=False),
+                st.integers(-3, 12).map(lambda k: 1.0 + k * np.spacing(1.0)),
+            ),
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_lambda_candidates_one_sort_equals_two(arrays):
+    assert_one_sort_grid(*(np.array(a, dtype=np.float64) for a in arrays))
+
+
 def test_lepingle_check():
     rep = C.check_lepingle(small("walk", depth=10, trials=150), r=(2.5, 3.0, 4.0), p=1.0)
     assert rep.violations == 0
@@ -330,6 +418,32 @@ def test_paraproduct_check():
     assert 0 < rep.measured["variation_bound"] < math.inf
     with pytest.raises(ValueError):
         C.check_paraproduct(small(trials=1), q0=0.5)
+
+
+def test_paraproduct_scans_equal_the_numpy_accumulates(monkeypatch):
+    scans, real = [], fn.accumulate_rows
+
+    def spy(ufunc, arr, out=None):
+        before = arr.copy()
+        result = real(ufunc, arr, out=out)
+        scans.append((ufunc, before, result.copy()))
+        return result
+
+    monkeypatch.setattr(fn, "accumulate_rows", spy)
+    fams = recorded(monkeypatch, fn, "davis_decompose")
+    adds = recorded(monkeypatch, RatioTracker, "add")
+    spec = small(depth=6, trials=8, seed=68)
+    C.check_paraproduct(spec, q0=2.0, r0=2.0)
+    # the window sums np.cumsum(dg2, axis=0), and the square functions
+    assert sum(ufunc is np.add for ufunc, _, _ in scans) >= 4 * spec.trials
+    for ufunc, arr, result in scans:
+        assert np.array_equal(result, ufunc.accumulate(arr, axis=0))
+    # M|df|_N read through the first asserted clause of each trial
+    assert len(fams) == spec.trials and len(adds) == 2 * spec.trials
+    for (fam,), (_, _, rhs) in zip(fams, adds[::2]):
+        x_df = fn.component_norm(fn.increments(fam.paths()), 2.0)
+        m_x_df = np.maximum.accumulate(np.vstack([np.zeros(fam.tree.n_leaves), x_df]), axis=0)[-1]
+        assert rhs == 3.0 * R.lq_norm(m_x_df, 2.0, fam.tree.leaf_prob)
 
 
 def test_sharp_davis_registry_entry():

@@ -73,6 +73,75 @@ def test_predictable_square_is_the_root_of_the_conditional_sum():
         assert np.array_equal(np.sqrt(big_w), fn.predictable_square_paths(mart)[-1])
 
 
+# -- row-wise time scans ------------------------------------------------------------
+
+
+def same_floats(a, b) -> bool:
+    """Equal as doubles, telling -0.0 from 0.0.  NaNs match NaNs whatever their
+    sign bit: IEEE 754 leaves the sign of inf - inf open, and numpy's
+    vectorised and strided loops set it differently."""
+    a, b = np.asarray(a), np.asarray(b)
+    real = ~np.isnan(a)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a[real]), np.signbit(b[real]))
+
+
+SCAN_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def scan_arrays(draw):
+    """(1..25, 1..300) arrays, or (N+1, L, K) ones, of small halves with ties,
+    of signed zeros, infinities and NaNs, or of normal draws."""
+    shape = (draw(st.integers(1, 25)), draw(st.integers(1, 300)))
+    shape += draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["ties", "special", "normal"]))
+    if fill == "ties":
+        return rng.integers(-3, 4, size=shape) * 0.5
+    if fill == "special":
+        return rng.choice(SCAN_VALUES, size=shape)
+    return rng.normal(size=shape)
+
+
+@given(scan_arrays())
+@settings(max_examples=200, deadline=None)
+def test_accumulate_rows_equals_numpy_accumulate(arr):
+    for ufunc in (np.maximum, np.minimum, np.add):
+        with np.errstate(invalid="ignore"):
+            expected = ufunc.accumulate(arr, axis=0)
+            before = arr.copy()
+            assert same_floats(fn.accumulate_rows(ufunc, arr), expected)
+            assert same_floats(arr, before)
+            out = np.full_like(arr, 7.0)
+            assert fn.accumulate_rows(ufunc, arr, out=out) is out
+            assert same_floats(out, expected)
+            inplace = arr.copy()
+            assert fn.accumulate_rows(ufunc, inplace, out=inplace) is inplace
+            assert same_floats(inplace, expected)
+
+
+def scan_corpora():
+    """Martingales of a mixed, a depth-12 backprop and a family corpus."""
+    for spec in (
+        CorpusSpec(kind="mixed", depth=8, trials=40, seed=61),
+        CorpusSpec(kind="backprop", depth=12, trials=3, seed=62),
+        CorpusSpec(kind="family", depth=6, trials=20, seed=63, width=3),
+    ):
+        yield from spec.martingales()
+
+
+def test_time_scans_equal_the_numpy_accumulates():
+    # the numpy call-site expressions the row scans replaced are the oracles
+    for mart in scan_corpora():
+        pm = mart.paths()
+        assert same_floats(fn.maximal_paths(pm), np.maximum.accumulate(np.abs(pm), axis=0))
+        sf = np.zeros_like(pm)
+        sf[1:] = np.sqrt(np.cumsum(fn.increments(pm) ** 2, axis=0))
+        assert same_floats(fn.square_function_paths(pm), sf)
+        osc = np.maximum.accumulate(pm, axis=0) - np.minimum.accumulate(pm, axis=0)
+        assert same_floats(fn.running_oscillation(pm), osc)
+
+
 # -- Davis decomposition ---------------------------------------------------------
 
 
