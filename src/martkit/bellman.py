@@ -112,10 +112,9 @@ def pathwise_sharp_sides(pm: np.ndarray, fstar: np.ndarray, df: np.ndarray) -> t
     df_n = 0), so the 0/0 convention is 0.  The drift sum pairs f_n with
     df_{n+1}, matching the telescoping of U along the path.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = np.where(fstar[1:] > 0, df**2 / np.where(fstar[1:] > 0, fstar[1:], 1.0), 0.0)
-        drift = np.where(fstar[:-1] > 0, 2.0 * pm[:-1] * df / np.where(fstar[:-1] > 0, fstar[:-1], 1.0), 0.0)
-        final = np.where(fstar[-1] > 0, pm[-1] ** 2 / np.where(fstar[-1] > 0, fstar[-1], 1.0), 0.0)
+    quot = fn.quotient(df**2, fstar[1:])
+    drift = fn.quotient(2.0 * pm[:-1] * df, fstar[:-1])
+    final = fn.quotient(pm[-1] ** 2, fstar[-1])
     lhs = 3.0 * np.abs(pm[0]) + quot.sum(axis=0)
     rhs = 2.0 * fstar[-1] + final - drift.sum(axis=0)
     return lhs, rhs
@@ -134,16 +133,14 @@ def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
     w = mart.tree.leaf_prob
     fstar = fn.maximal_paths(pm)
     df = fn.increments(pm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = np.where(fstar[1:] > 0, df**2 / np.where(fstar[1:] > 0, fstar[1:], 1.0), 0.0)
+    quot = fn.quotient(df**2, fstar[1:])
     s_tilde = np.zeros_like(pm)
     fn.accumulate_rows(np.add, quot, out=s_tilde[1:])
     np.add(gamma * np.abs(pm[0]), s_tilde, out=s_tilde)
     out = []
     for n in range(pm.shape[0]):
         m = fstar[n]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(m > 0, s_tilde[n] - (pm[n] ** 2 + (gamma - 1.0) * m * m) / np.where(m > 0, m, 1.0), s_tilde[n])
+        u = s_tilde[n] - fn.quotient(pm[n] ** 2 + (gamma - 1.0) * m * m, m)
         out.append(float(w @ u))
     return np.asarray(out)
 
@@ -228,14 +225,7 @@ def extremal_tree(depth: int, r: float) -> Martingale:
         values.append(new_x.copy())
         cond.append(cp)
         x, m = new_x, new_m
-    anc = np.arange(x.size, dtype=np.int64)
-    leaf_prob = np.ones(x.size)
-    for level in range(depth, 0, -1):
-        leaf_prob *= cond[level - 1][anc]
-        anc = parents[level][anc]
-    leaf_prob /= leaf_prob.sum()
-    tree = FiltrationTree(parents, leaf_prob)
-    return Martingale(tree, values)
+    return Martingale(FiltrationTree.from_conditional(parents, cond), values)
 
 
 def extremal_ratio(depth: int, r: float) -> float:

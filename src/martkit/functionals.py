@@ -4,10 +4,13 @@ The kernels act on a path matrix of shape (depth+1, n_paths[, K]), one
 column per root-to-leaf path, and are shared with the grid-time layers,
 which feed sampled path bundles through the same code.  Running maxima and
 running sums along time go through ``accumulate_rows``, which scans the
-matrix one contiguous row at a time.  The three
-tree-level wrappers ``maximal``, ``square_function`` and
-``predictable_square`` have no caller in the package; they stay because
-``benchmarks/tracing.py`` wraps them by name.
+matrix one contiguous row at a time; ratios whose denominator may vanish
+go through ``quotient``, which takes 0/0 to be 0.  The tree-level wrappers
+``maximal``, ``square_function`` and ``predictable_square`` turn a kernel's
+path matrix back into a ``TreeProcess`` through ``TreeProcess.from_paths``,
+which checks that each row is constant on the atoms of its level.  No check
+or CLI command calls them; they stay because ``benchmarks/tracing.py`` wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ import numpy as np
 
 from . import report
 from .tree import FiltrationTree, Martingale, TreeProcess
+
+
+def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for float arrays of one shape where den > 0, and 0 elsewhere,
+    without warnings: the 0/0 convention of the tree functionals, dividing
+    straight into the result."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
 # -- maximal and square functions ----------------------------------------
@@ -52,7 +62,7 @@ def maximal_paths(pathmat: np.ndarray) -> np.ndarray:
 
 
 def maximal(f: TreeProcess) -> TreeProcess:
-    return TreeProcess.from_paths(f.tree, maximal_paths(f.paths()), validate=False)
+    return TreeProcess.from_paths(f.tree, maximal_paths(f.paths()))
 
 
 def increments(pathmat: np.ndarray) -> np.ndarray:
@@ -71,7 +81,7 @@ def square_function_paths(pathmat: np.ndarray) -> np.ndarray:
 
 
 def square_function(f: Martingale) -> TreeProcess:
-    return TreeProcess.from_paths(f.tree, square_function_paths(f.paths()), validate=False)
+    return TreeProcess.from_paths(f.tree, square_function_paths(f.paths()))
 
 
 def predictable_square_paths(f: Martingale) -> np.ndarray:
@@ -88,7 +98,7 @@ def predictable_square_paths(f: Martingale) -> np.ndarray:
 
 
 def predictable_square(f: Martingale) -> TreeProcess:
-    return TreeProcess.from_paths(f.tree, predictable_square_paths(f), validate=False)
+    return TreeProcess.from_paths(f.tree, predictable_square_paths(f))
 
 
 # -- Davis decomposition ---------------------------------------------------
@@ -126,8 +136,7 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[np.ndarr
     for n in range(1, tree.depth + 1):
         dfn = df[n - 1]
         sz = size[n - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(sz > 0, np.minimum(1.0, mdf_prev / np.where(sz > 0, sz, 1.0)), 0.0)
+        factor = np.minimum(1.0, quotient(mdf_prev, sz))
         dg = (factor if dfn.ndim == 1 else factor[:, None]) * dfn
         dh = dfn - dg
         pred[n] = pred[n - 1] + dg - tree.atom_average_leaves(n - 1, dg)

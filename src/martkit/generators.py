@@ -92,15 +92,7 @@ def gen_increment(
         values.append(vals)
         cond_prob.append(cp)
         sizes.append(size)
-    # leaf probability = product of conditional probabilities along the path
-    anc = np.arange(sizes[-1], dtype=np.int64)
-    leaf_prob = np.ones(sizes[-1])
-    for n in range(depth, 0, -1):
-        leaf_prob *= cond_prob[n - 1][anc]
-        anc = parents[n][anc]
-    leaf_prob /= leaf_prob.sum()
-    tree = FiltrationTree(parents, leaf_prob)
-    return Martingale(tree, values)
+    return Martingale(FiltrationTree.from_conditional(parents, cond_prob), values)
 
 
 def gen_dyadic_of_function(func: Callable[[np.ndarray], np.ndarray], depth: int, sub: int = 64) -> Martingale:

@@ -93,7 +93,7 @@ class AdaptedGridPartition:
             for n in range(self.mask.shape[0]):
                 level = min(n, self.tree.depth)
                 row = self.mask[n]
-                rep = row[self.tree.leaf_start[level]][self.tree.ancestors[level]]
+                rep = self.tree.to_leaves(level, row[self.tree.leaf_start[level]])
                 if np.any(rep != row):
                     raise ValueError(f"partition mask not adapted at grid index {n}")
 

@@ -5,10 +5,14 @@ leaf probabilities.  Level-n nodes are the atoms of the n-th sigma-algebra,
 so every discrete-time object (adapted process, martingale, stopping time,
 conditional expectation) is an exact finite computation.
 
-Canonical layout: nodes are indexed breadth-first, level by level, and the
+Leaf-block layout: nodes are indexed breadth-first, level by level, and the
 parent array of each level is nondecreasing, so the leaves below any node
-form a contiguous block.  Arrays are frozen and held in tuples, so trees are
-shared read-only.
+form one contiguous block.  A tree stores each block as its first leaf
+(``leaf_start[n]``) and its length (``leaf_count[n]``); an F_n-measurable
+function is one value per level-n node, and ``to_leaves(n, values)`` repeats
+each value over its block.  Leaf arrays are made from the blocks only when a
+caller needs them, so a tree holds O(n_nodes) numbers.  Arrays are frozen
+and held in tuples, so trees are shared read-only.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ class FiltrationTree:
             par = self.parents[n]
             if par.size == 0:
                 raise TreeError(f"level {n} is empty")
-            step = np.diff(par)
+            step = par[1:] - par[:-1]
             if step.min(initial=0) < 0:
                 raise TreeError(f"parent array of level {n} is not nondecreasing")
             if par[0] < 0 or par[-1] >= sizes[n - 1]:
@@ -90,28 +94,29 @@ class FiltrationTree:
             raise TreeError("null atom: every leaf must have positive probability")
         self.leaf_prob = _freeze(leaf_prob)
         self.n_leaves = self.level_sizes[-1]
-
-        # ancestors[n, leaf] = index of the level-n ancestor of each leaf.
-        anc = np.empty((self.depth + 1, self.n_leaves), dtype=np.int64)
-        anc[self.depth] = np.arange(self.n_leaves)
-        for n in range(self.depth, 0, -1):
-            anc[n - 1] = self.parents[n][anc[n]]
-        self.ancestors = _freeze(anc)
-
-        # node_prob[n][i] = probability of the level-n atom i, summed in leaf order.
-        self.node_prob = tuple(
-            _freeze(np.bincount(anc[n], weights=self.leaf_prob, minlength=self.level_sizes[n]))
-            for n in range(self.depth + 1)
-        )
-        if any(p.min() <= 0 for p in self.node_prob):
-            raise TreeError("null atom: every node must have positive probability")
+        self.n_nodes = int(sum(self.level_sizes))
 
         # First leaf of each node's contiguous leaf block: its first child's.
+        # The block runs up to the next node's first leaf.
         starts = [np.arange(self.n_leaves)]
         for n in range(self.depth, 0, -1):
             starts.append(starts[-1][first_child[n]])
         self.leaf_start = tuple(_freeze(s) for s in reversed(starts))
-        self.n_nodes = int(sum(self.level_sizes))
+        counts = []
+        for s in self.leaf_start:
+            c = np.empty_like(s)
+            c[:-1] = s[1:] - s[:-1]
+            c[-1] = self.n_leaves - s[-1]
+            counts.append(_freeze(c))
+        self.leaf_count = tuple(counts)
+
+        # node_prob[n][i] = probability of the level-n atom i, summed in leaf order.
+        self.node_prob = tuple(
+            _freeze(np.bincount(self._leaf_keys(n), weights=self.leaf_prob, minlength=size))
+            for n, size in enumerate(self.level_sizes)
+        )
+        if any(p.min() <= 0 for p in self.node_prob):
+            raise TreeError("null atom: every node must have positive probability")
 
     # -- constructors ---------------------------------------------------
 
@@ -132,30 +137,46 @@ class FiltrationTree:
         leaf_prob = np.full(branching**depth, float(branching) ** -depth)
         return cls(parents, leaf_prob)
 
+    @classmethod
+    def from_conditional(cls, parents: Sequence[np.ndarray], cond_prob: Sequence[np.ndarray]) -> "FiltrationTree":
+        """Tree whose leaf probabilities are the products along each path of the
+        conditional child probabilities, ``cond_prob[n - 1]`` for level n,
+        multiplied from the leaf up and then normalised to sum to 1."""
+        anc = np.arange(max(len(parents[-1]), 1), dtype=np.int64)
+        leaf_prob = np.ones(anc.size)
+        for n in range(len(parents) - 1, 0, -1):
+            leaf_prob *= cond_prob[n - 1][anc]
+            anc = parents[n][anc]
+        leaf_prob /= leaf_prob.sum()
+        return cls(parents, leaf_prob)
+
     # -- helpers ---------------------------------------------------------
+
+    def to_leaves(self, n: int, node_values: np.ndarray) -> np.ndarray:
+        """Repeat one value per level-n node (or row, for vectors) over its leaf block."""
+        return np.repeat(node_values, self.leaf_count[n], axis=0)
+
+    def _leaf_keys(self, n: int) -> np.ndarray:
+        """Level-n node of each leaf: the ``np.bincount`` keys of block sums,
+        which add each block in leaf order."""
+        return self.to_leaves(n, np.arange(self.level_sizes[n]))
 
     def atom_average(self, n: int, leaf_values: np.ndarray) -> np.ndarray:
         """Probability-weighted average of a leaf array over each level-n atom."""
         leaf_values = np.asarray(leaf_values, dtype=np.float64)
-        num = _group_sum(self.ancestors[n], self.leaf_prob, leaf_values, self.level_sizes[n])
+        num = _group_sum(self._leaf_keys(n), self.leaf_prob, leaf_values, self.level_sizes[n])
         # the transposes divide every component of a node by that node's mass
         return (num.T / self.node_prob[n]).T
 
     def atom_average_leaves(self, n: int, leaf_values: np.ndarray) -> np.ndarray:
         """Same as :meth:`atom_average` but broadcast back to the leaves."""
-        return self.atom_average(n, leaf_values)[self.ancestors[n]]
+        return self.to_leaves(n, self.atom_average(n, leaf_values))
 
     def expectation(self, leaf_values: np.ndarray) -> float | np.ndarray:
         leaf_values = np.asarray(leaf_values, dtype=np.float64)
         if leaf_values.ndim == 1:
             return float(self.leaf_prob @ leaf_values)
         return self.leaf_prob @ leaf_values
-
-    def node_level_offsets(self) -> list[int]:
-        offs = [0]
-        for s in self.level_sizes:
-            offs.append(offs[-1] + s)
-        return offs
 
     def same_shape(self, other: "FiltrationTree") -> bool:
         return self.level_sizes == other.level_sizes and all(
@@ -196,28 +217,26 @@ class TreeProcess:
     def paths(self) -> np.ndarray:
         """Per-path value matrix, shape (depth+1, n_leaves[, K])."""
         if self._paths is None:
-            rows = [self.values[n][self.tree.ancestors[n]] for n in range(self.tree.depth + 1)]
-            self._paths = _freeze(np.stack(rows, axis=0))
+            # to_leaves of every level at once: row n repeats values[n] over leaf_count[n]
+            tree = self.tree
+            pm = np.repeat(np.concatenate(self.values), np.concatenate(tree.leaf_count), axis=0)
+            self._paths = _freeze(pm.reshape((tree.depth + 1,) + self.values[-1].shape))
         return self._paths
 
     def leaf_values(self) -> np.ndarray:
         return self.values[-1]
 
     @classmethod
-    def from_paths(
-        cls, tree: FiltrationTree, pathmat: np.ndarray, validate: bool = True
-    ) -> "TreeProcess":
+    def from_paths(cls, tree: FiltrationTree, pathmat: np.ndarray) -> "TreeProcess":
         """Build from a per-path matrix; row n must be constant on level-n atoms."""
         pathmat = np.asarray(pathmat, dtype=np.float64)
         values = []
         for n in range(tree.depth + 1):
             row = pathmat[n]
-            starts = tree.leaf_start[n]
-            vals = row[starts]
-            if validate:
-                spread = np.abs(row - vals[tree.ancestors[n]])
-                if spread.max() > 1e-9 * max(1.0, np.abs(row).max()):
-                    raise TreeError(f"path matrix is not adapted at level {n}")
+            vals = row[tree.leaf_start[n]]
+            spread = np.abs(row - tree.to_leaves(n, vals))
+            if spread.max() > 1e-9 * max(1.0, np.abs(row).max()):
+                raise TreeError(f"path matrix is not adapted at level {n}")
             values.append(vals)
         return cls(tree, values)
 
@@ -278,8 +297,7 @@ class StoppingRule:
         self.marks = ms
         times = np.full(tree.n_leaves, INFINITY, dtype=np.int64)
         for n in range(tree.depth, -1, -1):
-            hit = self.marks[n][tree.ancestors[n]]
-            times[hit] = n
+            times[tree.to_leaves(n, self.marks[n])] = n
         self.times = _freeze(times)
 
     def is_bounded(self) -> bool:
@@ -304,7 +322,7 @@ class StoppingRule:
             is_n = times == n
             flag = is_n[tree.leaf_start[n]]
             # {tau = n} must be a union of level-n atoms
-            if np.any(flag[tree.ancestors[n]] != is_n):
+            if np.any(tree.to_leaves(n, flag) != is_n):
                 raise TreeError(f"times are not a stopping rule at level {n}")
             marks.append(flag)
         return cls(tree, marks)
@@ -332,48 +350,37 @@ def hitting_time(f: TreeProcess, predicate: Callable[[np.ndarray], np.ndarray]) 
 
 
 def stop_process(f: Martingale, tau: StoppingRule) -> Martingale:
-    """Stopped process f^tau, again a martingale on the same tree."""
+    """Stopped process f^tau, again a martingale on the same tree.
+
+    {tau <= n-1} is a union of level-(n-1) atoms, so each level-n node reads
+    it at its parent: s_n = s_{n-1}[parent] there and f_n elsewhere.
+    """
     if f.tree is not tau.tree and not f.tree.same_shape(tau.tree):
         raise TreeError("process and stopping rule live on different trees")
-    pm = f.paths()
-    depth, n_leaves = f.tree.depth, f.tree.n_leaves
-    lev = np.arange(depth + 1, dtype=np.int64)[:, None]
-    idx = np.minimum(lev, np.minimum(tau.times, depth)[None, :])
-    if f.width == 0:
-        stopped = np.take_along_axis(pm, idx, axis=0)
-    else:
-        stopped = np.take_along_axis(pm, idx[:, :, None], axis=0)
-    proc = TreeProcess.from_paths(f.tree, stopped)
-    return Martingale(f.tree, proc.values)
-
-
-def sigma_algebra_atoms(sigma: StoppingRule) -> np.ndarray:
-    """Group key of the F_sigma atom containing each leaf.
-
-    On {sigma = m} the atoms are the level-m atoms; on {sigma = infinity}
-    they are the leaves themselves.
-    """
-    tree = sigma.tree
-    offsets = tree.node_level_offsets()
-    lev = np.minimum(sigma.times, tree.depth).astype(np.int64)
-    node = tree.ancestors[lev, np.arange(tree.n_leaves)]
-    return np.asarray(offsets, dtype=np.int64)[lev] + node
+    values = [f.values[0]]
+    stopped = tau.marks[0]  # tau <= n-1, per level-(n-1) node
+    for n in range(1, f.tree.depth + 1):
+        par = f.tree.parents[n]
+        held = stopped[par]
+        values.append(np.where(held if f.width == 0 else held[:, None], values[-1][par], f.values[n]))
+        stopped = held | tau.marks[n]
+    return Martingale(f.tree, values)
 
 
 def conditional_expectation_at(sigma: StoppingRule, leaf_values: np.ndarray) -> np.ndarray:
-    """E(f | F_sigma) per leaf, by weighted averaging over F_sigma atoms."""
+    """E(f | F_sigma) per leaf.
+
+    {sigma = n} is a union of level-n atoms, which are the F_sigma atoms
+    there, so E(f | F_sigma) is the level-n atom average of f; on
+    {sigma = infinity} the atoms are the leaves themselves.
+    """
     tree = sigma.tree
-    key = sigma_algebra_atoms(sigma)
-    order = np.argsort(key, kind="stable")
-    w = tree.leaf_prob
     x = np.asarray(leaf_values, dtype=np.float64)
-    ks = key[order]
-    uniq, start = np.unique(ks, return_index=True)
-    num = np.add.reduceat((w * x)[order], start)
-    den = np.add.reduceat(w[order], start)
-    means = num / den
+    lev = np.minimum(sigma.times, tree.depth)
     out = np.empty_like(x)
-    out[order] = np.repeat(means, np.diff(np.append(start, len(ks))))
+    for n in np.unique(lev):
+        on = lev == n
+        out[on] = tree.atom_average_leaves(n, x)[on]
     return out
 
 

@@ -3,9 +3,15 @@ name it wraps must still exist where it looks it up."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from martkit import bellman, checks
 from martkit import functionals as fn
@@ -15,18 +21,21 @@ from martkit import rough as R
 from martkit.report import CorpusSpec
 from martkit.tree import FiltrationTree, TreeProcess
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "benchmarks" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+BENCH_RUN = load_bench("run")
+
+
 def test_traced_attributes_resolve():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     missing = []
     for mod_name, owner_name, attr, _bucket in tracing.INSTRUMENTS:
         module = importlib.import_module(f"martkit.{mod_name}")
@@ -37,7 +46,7 @@ def test_traced_attributes_resolve():
 
 
 def test_traced_checks_are_registered():
-    assert set(load_tracing().CHECK_NAMES) <= set(checks.REGISTRY)
+    assert set(load_bench("tracing").CHECK_NAMES) <= set(checks.REGISTRY)
 
 
 def count_calls(monkeypatch, calls: Counter, owner, names) -> None:
@@ -167,3 +176,16 @@ def test_time_scans_hold_one_path_matrix():
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * pm.nbytes, kernel.__name__
+
+
+@pytest.mark.parametrize("workload", BENCH_RUN.WORKLOADS)
+def test_timed_worker_completes_each_workload(workload):
+    # one round at least, then the reference round, in a worker as run.py starts it
+    cmd = [sys.executable, str(BENCH_RUN.WORKER), "--mode", "timed", "--seconds", "0.01"]
+    cmd += ["--workload", workload, "--seed", "1"]
+    env = dict(os.environ, **BENCH_RUN.PINNED_THREADS)
+    proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["attempted"] > 0
+    assert res["failed"] == 0, res["failures"]

@@ -142,6 +142,18 @@ def test_time_scans_equal_the_numpy_accumulates():
         assert same_floats(fn.running_oscillation(pm), osc)
 
 
+@given(scan_arrays())
+@settings(max_examples=200, deadline=None)
+def test_quotient_equals_the_nested_where(num):
+    # the nested np.where expression quotient replaced is the oracle
+    den = np.abs(num[::-1])
+    den[::2] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    with np.errstate(divide="raise", invalid="ignore"):  # no zero denominator is divided by
+        assert same_floats(fn.quotient(num, den), expected)
+
+
 # -- Davis decomposition ---------------------------------------------------------
 
 
@@ -193,7 +205,7 @@ def test_davis_parts_are_adapted_martingales(kind, norm_exponent):
         for part in fn.davis_decompose(mart, norm_exponent):
             assert part.shape == mart.paths().shape
             for n in range(tree.depth + 1):
-                assert np.array_equal(part[n], part[n][tree.leaf_start[n]][tree.ancestors[n]])
+                assert np.array_equal(part[n], tree.to_leaves(n, part[n][tree.leaf_start[n]]))
             Martingale(tree, TreeProcess.from_paths(tree, part).values)
 
 

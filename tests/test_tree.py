@@ -53,7 +53,7 @@ def test_conditional_expectation_properties():
     # L^p contraction at p = 2 and the product rule for F'-measurable g
     assert tree.node_prob[g_level] @ ce**2 <= tree.expectation(f**2) + 1e-12
     g_vals = rng.normal(size=tree.level_sizes[g_level])
-    g_leaf = g_vals[tree.ancestors[g_level]]
+    g_leaf = tree.to_leaves(g_level, g_vals)
     prod = conditional_expectation(tree, f * g_leaf, g_level)
     assert np.allclose(prod, ce * g_vals, atol=1e-12)
 
@@ -75,7 +75,7 @@ def test_increment_orthogonality():
     pm = mart.paths()
     rng = np.random.default_rng(5)
     for n in range(1, tree.depth + 1):
-        g = rng.normal(size=tree.level_sizes[n - 1])[tree.ancestors[n - 1]]
+        g = tree.to_leaves(n - 1, rng.normal(size=tree.level_sizes[n - 1]))
         assert abs(tree.expectation(g * (pm[n] - pm[n - 1]))) <= 1e-10
 
 
@@ -166,9 +166,28 @@ def test_parent_validation_matches_oracle(parents):
         assert str(err.value) == expect
         return
     tree = FiltrationTree(parents, leaf_prob)
-    for n in range(tree.depth + 1):
-        oracle = np.searchsorted(tree.ancestors[n], np.arange(tree.level_sizes[n]))
-        assert np.array_equal(tree.leaf_start[n], oracle)
+    anc = ancestor_oracle(tree)
+    values = np.arange(tree.n_nodes, dtype=np.float64)
+    for n, size in enumerate(tree.level_sizes):
+        nodes = np.arange(size)
+        assert np.array_equal(tree.leaf_start[n], np.searchsorted(anc[n], nodes))
+        assert np.array_equal(tree.leaf_count[n], np.bincount(anc[n], minlength=size))
+        assert np.array_equal(tree.to_leaves(n, nodes), anc[n])
+        assert np.array_equal(tree.to_leaves(n, values[:size]), values[:size][anc[n]])
+        pairs = np.stack([nodes, -nodes], axis=1)
+        assert np.array_equal(tree.to_leaves(n, pairs), pairs[anc[n]])
+    levels = [values[:size] for size in tree.level_sizes]
+    assert np.array_equal(TreeProcess(tree, levels).paths(), np.stack([v[a] for v, a in zip(levels, anc)]))
+
+
+def ancestor_oracle(tree):
+    """The (depth+1, n_leaves) matrix of each leaf's level-n ancestor, walked
+    up through the parent arrays: the oracle of the leaf blocks."""
+    anc = np.empty((tree.depth + 1, tree.n_leaves), dtype=np.int64)
+    anc[tree.depth] = np.arange(tree.n_leaves)
+    for n in range(tree.depth, 0, -1):
+        anc[n - 1] = tree.parents[n][anc[n]]
+    return anc
 
 
 def fresh_dyadic(depth):
@@ -180,10 +199,21 @@ def fresh_dyadic(depth):
 
 def assert_same_tree(a, b):
     assert a.level_sizes == b.level_sizes
-    for name in ("parents", "node_prob", "leaf_start"):
+    for name in ("parents", "node_prob", "leaf_start", "leaf_count"):
         assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
     assert np.array_equal(a.leaf_prob, b.leaf_prob)
-    assert np.array_equal(a.ancestors, b.ancestors)
+
+
+def test_tree_arrays_grow_with_nodes_not_paths():
+    # the leaf blocks take O(n_nodes) space; a per-leaf ancestor matrix alone
+    # would take (depth + 1) * n_leaves int64s, about 8.5 * 8 * n_nodes bytes here
+    tree = fresh_dyadic(16)
+    arrays = []
+    for attr in vars(tree).values():
+        arrays += attr if isinstance(attr, tuple) else [attr]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert all(a.ndim == 1 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 6 * 8 * tree.n_nodes
 
 
 @pytest.mark.parametrize("depth", [0, 1, 4, 8])
@@ -205,10 +235,10 @@ def test_uniform_rejects_bad_shape(depth, branching):
 
 def test_shared_tree_is_read_only():
     tree = FiltrationTree.dyadic(3)
-    for name in ("parents", "level_sizes", "node_prob", "leaf_start"):
+    for name in ("parents", "level_sizes", "node_prob", "leaf_start", "leaf_count"):
         with pytest.raises(TypeError):
             getattr(tree, name)[1] = getattr(tree, name)[0]
-    for arr in (tree.parents[1], tree.node_prob[1], tree.leaf_start[1], tree.leaf_prob, tree.ancestors):
+    for arr in (tree.parents[1], tree.node_prob[1], tree.leaf_start[1], tree.leaf_count[1], tree.leaf_prob):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -223,6 +253,18 @@ def test_corpus_on_cached_trees_matches_fresh_trees(kind, monkeypatch):
         assert_same_tree(a.tree, b.tree)
         assert all(np.array_equal(x, y) for x, y in zip(a.values, b.values))
         assert np.array_equal(a.paths(), b.paths())
+
+
+def test_from_paths_round_trip_and_rejects_unadapted_rows():
+    mart = G.gen_increment(5, seed=4)
+    pm = mart.paths()
+    back = TreeProcess.from_paths(mart.tree, pm)
+    assert all(np.array_equal(a, b) for a, b in zip(back.values, mart.values))
+    for n in range(1, mart.tree.depth):
+        bent = pm.copy()
+        bent[n, mart.tree.leaf_start[n][1:] - 1] += 1.0  # the last leaf of every block but the last
+        with pytest.raises(TreeError, match=f"not adapted at level {n}"):
+            TreeProcess.from_paths(mart.tree, bent)
 
 
 # -- stopping rules ------------------------------------------------------------
@@ -251,6 +293,60 @@ def test_stopped_process(depth2):
     assert np.allclose(frozen.paths(), 0.0)
     tau = hitting_time(f, lambda v: v >= 1)
     assert stop_process(f, tau).leaf_values().tolist() == [1.0, 1.0, 0.0, -2.0]
+
+
+def stop_process_oracle(f, tau):
+    """f^tau as stop_process once built it: each path matrix column read at
+    min(n, tau), then turned back into node values."""
+    pm = f.paths()
+    lev = np.arange(f.tree.depth + 1)[:, None]
+    idx = np.minimum(lev, np.minimum(tau.times, f.tree.depth)[None, :])
+    stopped = np.take_along_axis(pm, idx if f.width == 0 else idx[:, :, None], axis=0)
+    return TreeProcess.from_paths(f.tree, stopped)
+
+
+def conditional_expectation_at_oracle(sigma, leaf_values):
+    """E(f | F_sigma) as conditional_expectation_at once built it: one group
+    average keyed by the (level, node) of each leaf's F_sigma atom."""
+    tree = sigma.tree
+    offsets = np.cumsum((0,) + tree.level_sizes)
+    lev = np.minimum(sigma.times, tree.depth)
+    key = offsets[lev] + ancestor_oracle(tree)[lev, np.arange(tree.n_leaves)]
+    order = np.argsort(key, kind="stable")
+    w, x = tree.leaf_prob, np.asarray(leaf_values, dtype=np.float64)
+    _, start = np.unique(key[order], return_index=True)
+    means = np.add.reduceat((w * x)[order], start) / np.add.reduceat(w[order], start)
+    out = np.empty_like(x)
+    out[order] = np.repeat(means, np.diff(np.append(start, len(key))))
+    return out
+
+
+def stopping_pairs():
+    """Martingales on dyadic, irregular and vector corpora, each with hitting
+    times of several thresholds, including never and at once."""
+    rng = np.random.default_rng(11)
+    for kind in ("mixed", "increment", "family"):
+        for index in range(40):
+            mart = G.corpus_martingale(kind, 6, seed=23, index=index)
+            level = mart.values if mart.width == 0 else [np.abs(v).max(axis=1) for v in mart.values]
+            for a in (-np.inf, *rng.uniform(-1.0, 1.0, size=3), np.inf):
+                yield mart, hitting_time(TreeProcess(mart.tree, level), lambda v, a=a: v >= a)
+
+
+def test_stop_process_matches_path_oracle():
+    for mart, tau in stopping_pairs():
+        stopped, oracle = stop_process(mart, tau), stop_process_oracle(mart, tau)
+        assert all(np.array_equal(a, b) for a, b in zip(stopped.values, oracle.values))
+
+
+def test_conditional_expectation_at_matches_group_oracle():
+    for mart, sigma in stopping_pairs():
+        if mart.width:
+            continue
+        f_leaf = mart.leaf_values() ** 2 - mart.leaf_values()
+        ce = conditional_expectation_at(sigma, f_leaf)
+        scale = max(1.0, float(np.abs(f_leaf).max()))
+        assert np.abs(ce - conditional_expectation_at_oracle(sigma, f_leaf)).max() <= 1e-12 * scale
 
 
 def test_stopping_lattice_ops():
