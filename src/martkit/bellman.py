@@ -5,6 +5,11 @@ The function U(x, y, m) = y - (|x|^2 + (gamma - 1) m^2) / m on the domain
 yields E Sf <= sqrt(3) E f* with the best possible constant.  The module
 also hosts the extremal two-point construction approaching sqrt(3) from
 below.
+
+The pathwise form telescopes U along each path, so every sum in it is
+F_n-measurable: ``pathwise_sharp_sides`` runs it as one parent-to-child
+recursion over a flat node array, and a raw path matrix is the layout whose
+parent maps are the identity.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import functionals as fn
 from .report import CheckReport, CorpusSpec, RatioTracker, finish_report
-from .tree import FiltrationTree, Martingale
+from .tree import FiltrationTree, Martingale, NodeLayout
 
 SQRT3 = math.sqrt(3.0)
 
@@ -100,29 +105,40 @@ def concavity_counterexample(gamma: float, h_max: float = 16.0, h_pts: int = 641
 # -- pathwise form ---------------------------------------------------------
 
 
-def pathwise_sharp_sides(pm: np.ndarray, fstar: np.ndarray, df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pathwise_sharp_sides(values: np.ndarray, layout: NodeLayout | None = None) -> tuple[np.ndarray, ...]:
     """Per-path sides of the pathwise inequality
 
         3|f_0| + sum_{n>=1} |df_n|^2 / f*_n
           <=  2 f*_N + |f_N|^2 / f*_N - sum_{n=0}^{N-1} 2 f_n df_{n+1} / f*_n
 
-    for a (N+1, L) path matrix ``pm`` with running maximum
-    ``fstar = fn.maximal_paths(pm)`` and increments ``df = fn.increments(pm)``.
-    Terms with f*_n = 0 vanish (a zero running maximum forces f_n = 0 and
-    df_n = 0), so the 0/0 convention is 0.  The drift sum pairs f_n with
-    df_{n+1}, matching the telescoping of U along the path.
+    for a flat node array on ``layout``, or for a (N+1, L) path matrix when
+    ``layout`` is None.  Returns (lhs, rhs, Sf_N, f*_N), one entry per leaf
+    (per path).  Terms with f*_n = 0 vanish (a zero running maximum forces
+    f_n = 0 and df_n = 0), so the 0/0 convention is 0.  The drift sum pairs
+    f_n with df_{n+1}, matching the telescoping of U along the path.  The
+    squares, the quotients and the drift terms are summed in one scan along
+    the paths, each in the order of its path.
     """
-    quot = fn.quotient(df**2, fstar[1:])
-    drift = fn.quotient(2.0 * pm[:-1] * df, fstar[:-1])
-    final = fn.quotient(pm[-1] ** 2, fstar[-1])
-    lhs = 3.0 * np.abs(pm[0]) + quot.sum(axis=0)
-    rhs = 2.0 * fstar[-1] + final - drift.sum(axis=0)
-    return lhs, rhs
+    if layout is None:
+        layout = NodeLayout.rows(*values.shape)
+        values = values.reshape(-1)
+    fstar = fn.maximal_paths(values, layout)
+    up = layout.up
+    prev = values[up]
+    df = fn.increments(values, layout)
+    terms = np.empty((values.shape[0], 3))  # |df|^2, |df|^2 / f*, 2 f_{n-1} df / f*_{n-1}
+    np.square(df, out=terms[:, 0])
+    terms[:, 1] = fn.quotient(terms[:, 0], fstar)
+    terms[:, 2] = fn.quotient(2.0 * prev * df, fstar[up])
+    sums = layout.leaves(layout.accumulate(np.add, terms, start=2))
+    fstar, last = layout.leaves(fstar), layout.leaves(values)
+    lhs = 3.0 * np.abs(values[: layout.offsets[1]]) + sums[:, 1]
+    rhs = 2.0 * fstar + fn.quotient(last**2, fstar) - sums[:, 2]
+    return lhs, rhs, np.sqrt(sums[:, 0]), fstar
 
 
 def pathwise_sharp_check(pathmat: np.ndarray, tol: float = 1e-10) -> bool:
-    pm = np.asarray(pathmat, dtype=np.float64)
-    lhs, rhs = pathwise_sharp_sides(pm, fn.maximal_paths(pm), fn.increments(pm))
+    lhs, rhs, _, _ = pathwise_sharp_sides(np.asarray(pathmat, dtype=np.float64))
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     return bool((lhs <= rhs + tol * scale).all())
 
@@ -148,19 +164,13 @@ def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
 # -- sharp Davis bound over a corpus -----------------------------------------
 
 
-def sharp_davis_clause(tracker: RatioTracker, fstar: np.ndarray, df: np.ndarray, w: np.ndarray) -> tuple:
-    """Assert E Sf_N <= sqrt(3) E f*_N for one trial under leaf weights w, from
-    the running maximum ``fstar`` and the increments ``df`` of its path
-    matrix; returns (Sf_N, f*_N, E Sf_N, E f*_N)."""
-    sf = np.square(df[0])  # fn.square_function_paths' additions, in its order
-    for d in df[1:]:
-        sf += np.square(d)
-    np.sqrt(sf, out=sf)
-    fstar = fstar[-1]
+def sharp_davis_clause(tracker: RatioTracker, sf: np.ndarray, fstar: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Assert E Sf_N <= sqrt(3) E f*_N for one trial under leaf weights w;
+    returns (E Sf_N, E f*_N)."""
     e_s = float(w @ sf)
     e_star = float(w @ fstar)
     tracker.add(e_s, SQRT3 * e_star)
-    return sf, fstar, e_s, e_star
+    return e_s, e_star
 
 
 def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
@@ -171,13 +181,10 @@ def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
     worst_ratio_s = 0.0
     for mart in spec.martingales():
         w = mart.tree.leaf_prob
-        pm = mart.paths()
-        fstar = fn.maximal_paths(pm)
-        df = fn.increments(pm)
-        _, _, e_s, e_star = sharp_davis_clause(tracker, fstar, df, w)
+        lhs, rhs, sf, fstar = pathwise_sharp_sides(mart.flat, mart.tree.layout)
+        e_s, e_star = sharp_davis_clause(tracker, sf, fstar, w)
         if e_star > 0:
             worst_ratio_s = max(worst_ratio_s, e_s / e_star)
-        lhs, rhs = pathwise_sharp_sides(pm, fstar, df)
         tracker.add(float(w @ lhs), float(w @ rhs))
         tracker.commit_trial()
     return finish_report("sharp_davis", {}, spec, tracker, t0, SQRT3, measured={"max_ES_over_Estar": worst_ratio_s})

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bellman
 from . import functionals as fn
-from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, finish_report, good_lambda_sup, lambda_candidates, lq_norm, ratio, truncation_ratio_sup
+from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_block_scan, closed_tail_scan, finish_report, good_lambda_sup, lambda_candidates, lq_norm, ratio, truncation_ratio_sup
 from .tree import Martingale, StoppingRule
 
 
@@ -43,10 +43,10 @@ def check_doob(spec: CorpusSpec, p: float | tuple = (1.5, 2.0, 4.0)) -> CheckRep
     t0 = time.perf_counter()
     tracker = RatioTracker()
     for mart in spec.martingales():
+        layout = mart.tree.layout
         w = mart.tree.leaf_prob
-        f = np.abs(mart.paths())
-        mf = fn.maximal_paths(f)[-1]
-        f_n = f[-1]
+        mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
+        f_n = np.abs(mart.leaf_values())
         for pp in ps:
             tracker.add(lq_norm(mf, pp, w), _conjugate(pp) * lq_norm(f_n, pp, w))
         levels, tail_mu, tail_f = closed_tail_scan(mf, w, w * f_n)
@@ -65,17 +65,21 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
     t0 = time.perf_counter()
     tracker = RatioTracker()
     for mart in spec.martingales():
-        w = mart.tree.leaf_prob
-        pm = mart.paths()
-        f1 = float(w @ np.abs(pm[-1]))
-        sf = fn.square_function_paths(pm)[-1]
+        tree = mart.tree
+        layout = tree.layout
+        w = tree.leaf_prob
+        f1 = float(w @ np.abs(mart.leaf_values()))
+        sf = layout.leaves(fn.square_function_paths(mart.flat, layout))
         levels, tail_mu = closed_tail_scan(sf, w)
         tracker.add_many(levels * tail_mu, np.full_like(levels, 3.0 * f1))
 
-        # look-ahead: tau > k  <=>  running max R_k <= lam
-        run = fn.maximal_paths(pm)[1:]  # R_k for k = 1..N
-        df2 = fn.increments(pm) ** 2
-        lams, head = closed_sublevel_scan(run.ravel(), (df2 * w[None, :]).ravel())
+        # look-ahead: tau > k  <=>  running max R_k <= lam, for the nodes of
+        # levels k = 1..N, each standing for its block of leaves
+        first = layout.offsets[1]
+        run = fn.maximal_paths(mart.flat, layout)[first:]
+        df2 = np.square(fn.increments(mart.flat, layout)[first:])
+        start, count = np.concatenate(tree.leaf_start)[first:], np.concatenate(tree.leaf_count)[first:]
+        lams, head = closed_sublevel_block_scan(run, df2, start, count, w)
         tracker.add_many(head, 2.0 * lams * f1)
         tracker.commit_trial()
     return finish_report("square_weak", {}, spec, tracker, t0, constant=3.0)
@@ -86,26 +90,30 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
 
 def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
     """Exactness and size bounds of the decomposition: f = f_pred + f_bv to
-    1e-12, |df_pred_n| <= 2 M df_{n-1} pathwise, E sum |df_bv| <= 2 E M df."""
+    1e-12, |df_pred_n| <= 2 M df_{n-1} pathwise, E sum |df_bv| <= 2 E M df.
+
+    Every quantity is F_n-measurable, so the pathwise bounds are asserted
+    once per node: a ratio and its violation flag do not depend on how many
+    leaves repeat it."""
     t0 = time.perf_counter()
     tracker = RatioTracker()
     worst_split = 0.0
     for mart in spec.martingales():
+        layout = mart.tree.layout
         w = mart.tree.leaf_prob
-        pm = mart.paths()
+        f = mart.flat
         pred, bv = fn.davis_decompose(mart)
-        scale = max(1.0, float(np.abs(pm).max()))
-        split = float(np.abs(pm - pred - bv).max()) / scale
+        scale = max(1.0, float(np.abs(f).max()))
+        split = float(np.abs(f - pred.flat - bv.flat).max()) / scale
         worst_split = max(worst_split, split)
         if split > 1e-12:
             tracker.flag()
-        size = np.abs(fn.increments(pm))
-        mdf_prev = np.zeros_like(size)  # M df_{n-1} for n = 1..N, from M df_0 = 0
-        fn.accumulate_rows(np.maximum, size[:-1], out=mdf_prev[1:])
-        dpred = fn.increments(pred)
-        tracker.add_many(np.abs(dpred).ravel(), 2.0 * mdf_prev.ravel())
-        tv = np.abs(fn.increments(bv)).sum(axis=0)
-        tracker.add(float(w @ tv), 2.0 * float(w @ size.max(axis=0)))
+        mdf = layout.accumulate(np.maximum, np.abs(fn.increments(f, layout)))  # M df_n, from M df_0 = 0
+        first = layout.offsets[1]
+        dpred = fn.increments(pred.flat, layout)[first:]
+        tracker.add_many(np.abs(dpred), 2.0 * mdf[layout.up[first:]])
+        tv = layout.accumulate(np.add, np.abs(fn.increments(bv.flat, layout)), start=2)
+        tracker.add(float(w @ layout.leaves(tv)), 2.0 * float(w @ layout.leaves(mdf)))
         tracker.commit_trial()
     return finish_report(
         "davis_decomposition", {}, spec, tracker, t0, constant=2.0, measured={"worst_split_residual": worst_split}
@@ -124,9 +132,11 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
     lp_s_over_m = 0.0
     lp_m_over_s = 0.0
     for mart in spec.martingales():
+        layout = mart.tree.layout
         w = mart.tree.leaf_prob
-        pm = mart.paths()
-        sf, mf, e_s, e_m = bellman.sharp_davis_clause(tracker, fn.maximal_paths(pm), fn.increments(pm), w)
+        sf = layout.leaves(fn.square_function_paths(mart.flat, layout))
+        mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
+        e_s, e_m = bellman.sharp_davis_clause(tracker, sf, mf, w)
         m_over_s = max(m_over_s, ratio(e_m, e_s))
         lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
         lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
@@ -480,13 +490,13 @@ def check_paraproduct(
             tree, spec.rng(i * 1000 + 888).normal(size=(tree.n_leaves, max(2, families)))
         )
         pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
-        x_dbv = fn.component_norm(fn.increments(bv), r0).sum(axis=0)
+        x_dbv = fn.component_norm(fn.increments(bv.paths()), r0).sum(axis=0)
         x_df = fn.component_norm(fn.increments(fam.paths()), r0)
         m_x_df = np.zeros(tree.n_leaves)
         for row in x_df:
             np.maximum(m_x_df, row, out=m_x_df)
         tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
-        s_pred = fn.component_norm(fn.square_function_paths(pred)[-1], r0)
+        s_pred = fn.component_norm(fn.square_function_paths(pred.paths())[-1], r0)
         s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)
         tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
         tracker.commit_trial()

@@ -2,15 +2,19 @@
 
 The kernels act on a path matrix of shape (depth+1, n_paths[, K]), one
 column per root-to-leaf path, and are shared with the grid-time layers,
-which feed sampled path bundles through the same code.  Running maxima and
-running sums along time go through ``accumulate_rows``, which scans the
-matrix one contiguous row at a time; ratios whose denominator may vanish
-go through ``quotient``, which takes 0/0 to be 0.  The tree-level wrappers
-``maximal``, ``square_function`` and ``predictable_square`` turn a kernel's
-path matrix back into a ``TreeProcess`` through ``TreeProcess.from_paths``,
-which checks that each row is constant on the atoms of its level.  No check
-or CLI command calls them; they stay because ``benchmarks/tracing.py`` wraps
-them by name.
+which feed sampled path bundles through the same code.  The running
+maximum, the increments, the square function and the Davis decomposition
+also act on node arrays: given a ``NodeLayout``, ``maximal_paths``,
+``increments`` and ``square_function_paths`` take a flat node array and
+return one value per node, because each is F_n-measurable at level n.
+Running maxima and sums go through ``tree.accumulate_levels``, one parent-
+to-child step per level (for a path matrix, one contiguous row per step);
+ratios whose denominator may vanish go through ``quotient``, which takes 0/0
+to be 0.  The tree-level wrappers ``maximal``, ``square_function`` and
+``predictable_square`` turn a kernel's path matrix back into a
+``TreeProcess`` through ``TreeProcess.from_paths``, which checks that each
+row is constant on the atoms of its level.  No check or CLI command calls
+them; they stay because ``benchmarks/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import report
-from .tree import FiltrationTree, Martingale, TreeProcess
+from .tree import FiltrationTree, Martingale, NodeLayout, TreeProcess, accumulate_levels
 
 
 def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -36,7 +40,8 @@ def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def accumulate_rows(ufunc: np.ufunc, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``ufunc.accumulate(arr, axis=0)``, one row at a time: out[0] = arr[0]
     and out[k] = ufunc(out[k-1], arr[k]), the same operations in the same
-    order, so every float is equal.  ``out`` may be ``arr`` itself.
+    order, so every float is equal.  ``out`` may be ``arr`` itself.  This is
+    ``accumulate_levels`` with the identity parent maps of a path matrix.
 
     numpy scans axis 0 one column at a time, stepping a whole row's stride per
     element; on a tree path matrix (at most MAX_DEPTH + 1 rows of up to
@@ -48,33 +53,48 @@ def accumulate_rows(ufunc: np.ufunc, arr: np.ndarray, out: np.ndarray | None = N
     ``ito.AdaptedGridPartition.floor_indices`` keep ``ufunc.accumulate``.
     """
     if out is None:
-        out = np.empty_like(arr)
-    out[:1] = arr[:1]
-    for k in range(1, arr.shape[0]):
-        ufunc(out[k - 1], arr[k], out=out[k])
+        out = arr.copy()
+    elif out is not arr:
+        np.copyto(out, arr)
+    accumulate_levels(ufunc, out)
     return out
 
 
-def maximal_paths(pathmat: np.ndarray) -> np.ndarray:
-    """Running maximum of |f_k|, k <= n, along each path."""
-    out = np.abs(pathmat)
-    return accumulate_rows(np.maximum, out, out=out)
+def maximal_paths(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
+    """Running maximum of |f_k|, k <= n: along each path of a path matrix, or
+    per node of a flat node array on ``layout``."""
+    out = np.abs(values)
+    if layout is None:
+        return accumulate_rows(np.maximum, out, out=out)
+    return layout.accumulate(np.maximum, out)
 
 
 def maximal(f: TreeProcess) -> TreeProcess:
     return TreeProcess.from_paths(f.tree, maximal_paths(f.paths()))
 
 
-def increments(pathmat: np.ndarray) -> np.ndarray:
-    """df_k = f_k - f_{k-1} for k = 1..N (no k = 0 term)."""
-    return np.diff(pathmat, axis=0)
+def increments(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
+    """df_k = f_k - f_{k-1}: rows k = 1..N of a path matrix (no k = 0 term),
+    or one per node of a flat node array on ``layout``, 0 at level 0."""
+    if layout is None:
+        return np.diff(values, axis=0)
+    df = values - values[layout.up]
+    df[: layout.offsets[1]] = 0.0
+    return df
 
 
-def square_function_paths(pathmat: np.ndarray) -> np.ndarray:
-    """Sf_n = (sum_{k<=n} |df_k|^2)^(1/2) with increments counted from k = 1."""
-    out = np.empty_like(pathmat)
+def square_function_paths(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
+    """Sf_n = (sum_{k<=n} |df_k|^2)^(1/2) with increments counted from k = 1,
+    along each path of a path matrix or per node of a flat node array on
+    ``layout``."""
+    if layout is not None:
+        s2 = increments(values, layout)
+        np.square(s2, out=s2)
+        layout.accumulate(np.add, s2, start=2)
+        return np.sqrt(s2, out=s2)
+    out = np.empty_like(values)
     out[0] = 0.0
-    df2 = np.subtract(pathmat[1:], pathmat[:-1], out=out[1:])  # increments, in place
+    df2 = np.subtract(values[1:], values[:-1], out=out[1:])  # increments, in place
     np.square(df2, out=df2)
     np.sqrt(accumulate_rows(np.add, df2, out=df2), out=df2)
     return out
@@ -111,38 +131,39 @@ def component_norm(arr: np.ndarray, r: float) -> np.ndarray:
     return (np.abs(arr) ** r).sum(axis=-1) ** (1.0 / r)
 
 
-def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProcess, TreeProcess]:
     """Split a martingale against the running maximum of its jump sizes.
 
-    Returns the path matrices (f_pred, f_bv) of f = f_pred + f_bv: a
-    martingale with predictably bounded jumps and one of integrable total
-    variation, each shaped like ``f.paths()``.  Jump sizes are |df_n| for
-    scalar processes and the l^p norm across components (``norm_exponent``)
-    for vector processes.  Conventions: M df_0 = 0 (the first increment goes
-    entirely to the bounded-variation part) and the 0/0 scaling factor at
-    df_n = 0 is taken to be 0.  Row n of each part is built from level-n
-    measurable values and level-(n-1) atom averages, so it is constant on the
-    level-n atoms.
+    Returns the processes (f_pred, f_bv) of f = f_pred + f_bv: a martingale
+    with predictably bounded jumps and one of integrable total variation.
+    Jump sizes are |df_n| for scalar processes and the l^p norm across
+    components (``norm_exponent``) for vector processes.  Conventions:
+    M df_0 = 0 (the first increment goes entirely to the bounded-variation
+    part) and the 0/0 scaling factor at df_n = 0 is taken to be 0.
+
+    Every step is F_n-measurable, so it runs on node arrays; only the
+    level-(n-1) atom averages of the two level-n steps are summed over the
+    leaves, in leaf order, by one ``atom_average`` call per level.
     """
     tree = f.tree
-    pm = f.paths()
-    df = increments(pm)
-    size = np.abs(df) if df.ndim == 2 else component_norm(df, norm_exponent)  # (N, L)
-    mdf_prev = np.zeros(tree.n_leaves)  # M df_{n-1}, starting from M df_0 = 0
-
-    pred = np.zeros_like(pm)
-    bv = np.zeros_like(pm)
-    bv[0] = pm[0]
+    layout = tree.layout
+    df = increments(f.flat, layout)
+    size = np.abs(df) if df.ndim == 1 else component_norm(df, norm_exponent)
+    mdf_prev = layout.accumulate(np.maximum, size.copy())[layout.up]  # M df_{n-1}, from M df_0 = 0
+    factor = np.minimum(1.0, quotient(mdf_prev, size))
+    dg = (factor if df.ndim == 1 else factor[:, None]) * df
+    steps = np.stack((dg, df - dg), axis=1)  # (dg, dh) per node
+    parts = np.empty_like(steps)  # (f_pred, f_bv) per node
+    parts[0, 0] = 0.0
+    parts[0, 1] = f.flat[0]
+    levels, step_levels = layout.levels(parts), layout.levels(steps)
     for n in range(1, tree.depth + 1):
-        dfn = df[n - 1]
-        sz = size[n - 1]
-        factor = np.minimum(1.0, quotient(mdf_prev, sz))
-        dg = (factor if dfn.ndim == 1 else factor[:, None]) * dfn
-        dh = dfn - dg
-        pred[n] = pred[n - 1] + dg - tree.atom_average_leaves(n - 1, dg)
-        bv[n] = bv[n - 1] + dh - tree.atom_average_leaves(n - 1, dh)
-        mdf_prev = np.maximum(mdf_prev, sz)
-    return pred, bv
+        step = step_levels[n]
+        avg = tree.atom_average(n - 1, tree.to_leaves(n, step).reshape(tree.n_leaves, -1))
+        par = tree.parents[n]
+        np.add(levels[n - 1][par], step, out=levels[n])
+        np.subtract(levels[n], avg.reshape((-1,) + step.shape[1:])[par], out=levels[n])
+    return TreeProcess.from_flat(tree, parts[:, 0]), TreeProcess.from_flat(tree, parts[:, 1])
 
 
 # -- r-variation -----------------------------------------------------------

@@ -188,26 +188,49 @@ def closed_tail_scan(stat: np.ndarray, *mass_arrays: np.ndarray) -> tuple[np.nda
     lambda > 0" exactly.
     """
     stat = np.asarray(stat, dtype=np.float64)
-    return _group_scan(stat, np.argsort(-stat, kind="stable"), mass_arrays)
-
-
-def closed_sublevel_scan(stat: np.ndarray, *mass_arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Cumulative masses of the closed sets {stat <= v} at each distinct v > 0,
-    in ascending order of v; the return layout is that of closed_tail_scan."""
-    stat = np.asarray(stat, dtype=np.float64)
-    return _group_scan(stat, np.argsort(stat, kind="stable"), mass_arrays)
-
-
-def _group_scan(stat: np.ndarray, order: np.ndarray, mass_arrays) -> tuple[np.ndarray, ...]:
-    """Cumulative masses along ``order`` (a stable sort of ``stat``), read at
-    the last member of each run of equal values, for the positive values."""
+    order = np.argsort(-stat, kind="stable")
     sorted_stat = stat[order]
-    cums = [np.cumsum(np.asarray(m, dtype=np.float64)[order]) for m in mass_arrays]
-    boundaries = np.nonzero(np.diff(sorted_stat) != 0)[0]
-    idx = np.append(boundaries, stat.size - 1)
-    levels = sorted_stat[idx]
+    last = _run_ends(sorted_stat)
+    levels = sorted_stat[last]
     keep = levels > 0
-    return (levels[keep],) + tuple(c[idx][keep] for c in cums)
+    cums = (np.cumsum(np.asarray(m, dtype=np.float64)[order]) for m in mass_arrays)
+    return (levels[keep],) + tuple(c[last][keep] for c in cums)
+
+
+def closed_sublevel_block_scan(
+    stat: np.ndarray, node_mass: np.ndarray, start: np.ndarray, count: np.ndarray, leaf_mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative masses of the closed sets {stat <= v} at each distinct v > 0,
+    in ascending order of v, where entry j stands for the leaf block
+    [start[j], start[j] + count[j]) and weighs node_mass[j] * leaf_mass[i]
+    at each leaf i of it.
+
+    The entries must be blocks of a raveled (N, L) matrix in index order, as
+    the nodes of levels 1..N of a tree are, level after level.  Then the
+    stable sort of the entries, each block expanded into its leaves, is the
+    stable sort of the matrix, and one cumulative sum adds the masses in the
+    order that a scan of the matrix adds them; only that sum runs over all
+    N L terms.  Returns (levels, heads) for finite ``stat``.
+    """
+    order = np.argsort(stat, kind="stable")
+    sorted_stat = stat[order]
+    count = count[order]
+    ends = np.cumsum(count)  # one past each expanded block
+    leaf = np.arange(ends[-1] if ends.size else 0)
+    leaf += np.repeat(start[order] - (ends - count), count)
+    mass = np.repeat(node_mass[order], count)
+    mass *= leaf_mass[leaf]
+    cums = np.cumsum(mass, out=mass)
+    last = _run_ends(sorted_stat)
+    levels = sorted_stat[last]
+    keep = levels > 0
+    return levels[keep], cums[ends[last] - 1][keep]
+
+
+def _run_ends(sorted_stat: np.ndarray) -> np.ndarray:
+    """Index of the last member of each run of equal values in a sorted array."""
+    ends = np.flatnonzero(np.diff(sorted_stat) != 0)
+    return np.append(ends, sorted_stat.size - 1) if sorted_stat.size else ends
 
 
 # Unit roundoff of IEEE double precision.

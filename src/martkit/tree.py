@@ -13,11 +13,20 @@ function is one value per level-n node, and ``to_leaves(n, values)`` repeats
 each value over its block.  Leaf arrays are made from the blocks only when a
 caller needs them, so a tree holds O(n_nodes) numbers.  Arrays are frozen
 and held in tuples, so trees are shared read-only.
+
+Node arrays: a process keeps all its node values in one flat array, level
+after level (``TreeProcess.flat``), and ``NodeLayout`` says where each level
+lies in it and which node is each node's parent.  A functional that is
+F_n-measurable at every level n is then one parent-to-child recursion over
+n_nodes values (about 2L on a binary tree) rather than over the (N+1) L
+entries of a path matrix; the rows of a path matrix are the layout whose
+parent maps are the identity.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from typing import Callable, Sequence
 
@@ -28,6 +37,10 @@ INFINITY = np.iinfo(np.int64).max
 
 MAX_DEPTH = 24
 MAX_VECTOR_DIM = 64
+# Shapes FiltrationTree.uniform keeps: default_suite uses dyadic depths 2-8
+# and 10, so a suite never rebuilds one, and a process that walks through
+# deep shapes holds at most this many trees.
+UNIFORM_CACHE_SIZE = 16
 
 PROB_SUM_TOL = 1e-12
 MARTINGALE_RTOL = 1e-10
@@ -46,7 +59,68 @@ def _group_sum(keys: np.ndarray, weights: np.ndarray, values: np.ndarray, size: 
     """Sums of weights * values per key; per column for (n, K) vector values."""
     if values.ndim == 1:
         return np.bincount(keys, weights=weights * values, minlength=size)
-    return np.stack([_group_sum(keys, weights, values[:, k], size) for k in range(values.shape[1])], axis=1)
+    out = np.empty((size, values.shape[1]))
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(keys, weights=weights * values[:, k], minlength=size)
+    return out
+
+
+def accumulate_levels(ufunc: np.ufunc, levels, parents=None, start: int = 1) -> None:
+    """Scan along every root-to-leaf path, in place, from level ``start`` on:
+    levels[n] = ufunc(levels[n-1][parents[n]], levels[n]).
+
+    ``levels`` holds one array per level (views into a flat node array, or
+    the rows of a matrix); ``parents=None`` maps each entry to the one at the
+    same position of the level before, as along the rows of a path matrix.
+    Each path sees ``ufunc.accumulate`` of its own values, the same
+    operations in the same order.
+    """
+    for n in range(start, len(levels)):
+        prev = levels[n - 1] if parents is None else levels[n - 1][parents[n]]
+        ufunc(prev, levels[n], out=levels[n])
+
+
+class NodeLayout:
+    """Where each level of a flat, level-major node array lies, and how each
+    level maps to the one before.
+
+    Level n occupies ``flat[offsets[n]:offsets[n+1]]``.  ``parents[n]`` maps
+    level n into level n-1; ``parents=None`` is the identity, the layout of
+    the rows of a path matrix (:meth:`rows`).  ``up`` is the flat index of
+    every node's parent, with level 0 pointing at itself.
+    """
+
+    def __init__(self, sizes: Sequence[int], parents: Sequence[np.ndarray] | None = None):
+        self.offsets = tuple(itertools.accumulate(sizes, initial=0))
+        self.parents = parents
+
+    @classmethod
+    def rows(cls, n_rows: int, n_paths: int) -> "NodeLayout":
+        return cls((n_paths,) * n_rows)
+
+    def levels(self, flat: np.ndarray) -> list[np.ndarray]:
+        off = self.offsets
+        return [flat[off[n] : off[n + 1]] for n in range(len(off) - 1)]
+
+    def leaves(self, flat: np.ndarray) -> np.ndarray:
+        """The last level's block of a flat node array."""
+        return flat[self.offsets[-2] :]
+
+    def accumulate(self, ufunc: np.ufunc, flat: np.ndarray, start: int = 1) -> np.ndarray:
+        """:func:`accumulate_levels` on the levels of ``flat``, in place."""
+        accumulate_levels(ufunc, self.levels(flat), self.parents, start)
+        return flat
+
+    @functools.cached_property
+    def up(self) -> np.ndarray:
+        off = self.offsets
+        up = np.arange(off[-1], dtype=np.int64)
+        if self.parents is None:
+            up[off[1] :] -= off[1]
+        elif len(off) > 2:
+            up[off[1] :] = np.concatenate(self.parents[1:])
+            up[off[1] :] += np.repeat(off[:-2], np.diff(off[1:]))
+        return _freeze(up)
 
 
 class FiltrationTree:
@@ -95,20 +169,22 @@ class FiltrationTree:
         self.leaf_prob = _freeze(leaf_prob)
         self.n_leaves = self.level_sizes[-1]
         self.n_nodes = int(sum(self.level_sizes))
+        self.layout = NodeLayout(self.level_sizes, self.parents)
 
         # First leaf of each node's contiguous leaf block: its first child's.
-        # The block runs up to the next node's first leaf.
+        # The block runs up to the next node's first leaf, and the last block
+        # of a level to the last leaf.  Both are kept as one flat node array
+        # and read per level through views.
         starts = [np.arange(self.n_leaves)]
         for n in range(self.depth, 0, -1):
             starts.append(starts[-1][first_child[n]])
-        self.leaf_start = tuple(_freeze(s) for s in reversed(starts))
-        counts = []
-        for s in self.leaf_start:
-            c = np.empty_like(s)
-            c[:-1] = s[1:] - s[:-1]
-            c[-1] = self.n_leaves - s[-1]
-            counts.append(_freeze(c))
-        self.leaf_count = tuple(counts)
+        start = _freeze(np.concatenate(starts[::-1]))
+        count = np.empty_like(start)
+        count[:-1] = start[1:]
+        count[np.asarray(self.layout.offsets[1:]) - 1] = self.n_leaves
+        count -= start
+        self.leaf_start = tuple(self.layout.levels(start))
+        self.leaf_count = tuple(self.layout.levels(_freeze(count)))
 
         # node_prob[n][i] = probability of the level-n atom i, summed in leaf order.
         self.node_prob = tuple(
@@ -126,9 +202,11 @@ class FiltrationTree:
         return cls.uniform(depth, 2)
 
     @classmethod
-    @functools.cache
+    @functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
     def uniform(cls, depth: int, branching: int) -> "FiltrationTree":
-        """Every node has ``branching`` children; built once per shape, shared read-only."""
+        """Every node has ``branching`` children; built once per shape while
+        the shape is among the UNIFORM_CACHE_SIZE most recently used, and
+        shared read-only."""
         if not 0 <= depth <= MAX_DEPTH or branching < 1:
             raise TreeError(f"uniform tree needs depth 0..{MAX_DEPTH}, branching >= 1; got {depth}, {branching}")
         parents = [np.empty(0, dtype=np.int64)]
@@ -154,7 +232,7 @@ class FiltrationTree:
 
     def to_leaves(self, n: int, node_values: np.ndarray) -> np.ndarray:
         """Repeat one value per level-n node (or row, for vectors) over its leaf block."""
-        return np.repeat(node_values, self.leaf_count[n], axis=0)
+        return node_values.repeat(self.leaf_count[n], axis=0)
 
     def _leaf_keys(self, n: int) -> np.ndarray:
         """Level-n node of each leaf: the ``np.bincount`` keys of block sums,
@@ -189,10 +267,11 @@ class TreeProcess:
 
     def __init__(self, tree: FiltrationTree, values: Sequence[np.ndarray]):
         self.tree = tree
-        vals = []
+        vals = [np.asarray(v, dtype=np.float64) for v in values]
+        if len(vals) != tree.depth + 1:
+            raise TreeError("need one value array per level")
         width = None
-        for n, v in enumerate(values):
-            v = np.asarray(v, dtype=np.float64).copy()
+        for n, v in enumerate(vals):
             if v.shape[0] != tree.level_sizes[n]:
                 raise TreeError(f"value count mismatch at level {n}")
             if v.ndim == 2:
@@ -207,19 +286,33 @@ class TreeProcess:
                 width = w
             elif width != w:
                 raise TreeError("inconsistent value dimensions across levels")
-            vals.append(_freeze(v))
-        if len(vals) != tree.depth + 1:
-            raise TreeError("need one value array per level")
-        self.values = vals
-        self.width = width or 0
+        self._adopt(np.concatenate(vals))
+
+    def _adopt(self, flat: np.ndarray) -> None:
+        # all node values, level after level on tree.layout; values[n] is a view
+        self.flat = _freeze(flat)
+        self.values = self.tree.layout.levels(flat)
+        self.width = flat.shape[1] if flat.ndim == 2 else 0
         self._paths: np.ndarray | None = None
+
+    @classmethod
+    def from_flat(cls, tree: FiltrationTree, flat: np.ndarray) -> "TreeProcess":
+        """Build from a copy of one flat node array on ``tree.layout``, of
+        shape (n_nodes,) or (n_nodes, K)."""
+        flat = np.array(flat, dtype=np.float64)
+        if flat.ndim not in (1, 2) or flat.shape[0] != tree.n_nodes:
+            raise TreeError("flat node array does not fit the tree")
+        proc = TreeProcess.__new__(TreeProcess)
+        proc.tree = tree
+        proc._adopt(flat)
+        return proc
 
     def paths(self) -> np.ndarray:
         """Per-path value matrix, shape (depth+1, n_leaves[, K])."""
         if self._paths is None:
             # to_leaves of every level at once: row n repeats values[n] over leaf_count[n]
             tree = self.tree
-            pm = np.repeat(np.concatenate(self.values), np.concatenate(tree.leaf_count), axis=0)
+            pm = np.repeat(self.flat, np.concatenate(tree.leaf_count), axis=0)
             self._paths = _freeze(pm.reshape((tree.depth + 1,) + self.values[-1].shape))
         return self._paths
 
@@ -420,10 +513,7 @@ def tree_to_dict(tree: FiltrationTree, processes: dict[str, TreeProcess] | None 
     for name, proc in (processes or {}).items():
         if proc.width != 0:
             raise TreeError("only scalar processes serialize to JSON")
-        flat: list = []
-        for v in proc.values:
-            flat.extend(v.tolist())
-        out["processes"][name] = flat
+        out["processes"][name] = proc.flat.tolist()
     return out
 
 

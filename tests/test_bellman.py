@@ -10,6 +10,8 @@ from martkit import generators as G
 from martkit.report import CorpusSpec, RatioTracker
 from martkit.tree import Martingale
 
+import path_oracles
+
 
 def test_bellman_U_values():
     assert B.bellman_U((0.0, 5.0, 1.0)) == 3.0  # y - 2m
@@ -62,13 +64,15 @@ def test_reduced_form_explains_gamma_crit():
 
 def test_pathwise_constant_path_equality():
     path = np.full((6, 1), 2.5)
-    lhs, rhs = B.pathwise_sharp_sides(path, fn.maximal_paths(path), fn.increments(path))
+    lhs, rhs, sf, fstar = B.pathwise_sharp_sides(path)
+    assert sf[0] == 0.0 and fstar[0] == 2.5
     assert np.isclose(lhs[0], 7.5) and np.isclose(rhs[0], 7.5)
 
 
 def test_pathwise_single_fair_step():
     up = np.array([0.0, 1.0])[:, None]
-    lhs, rhs = B.pathwise_sharp_sides(up, fn.maximal_paths(up), fn.increments(up))
+    lhs, rhs, sf, fstar = B.pathwise_sharp_sides(up)
+    assert sf[0] == 1.0 and fstar[0] == 1.0
     assert np.isclose(lhs[0], 1.0) and np.isclose(rhs[0], 3.0)
 
 
@@ -112,8 +116,18 @@ def test_bellman_scans_equal_the_numpy_cumsums():
                 assert np.array_equal(B.induction_values(m, gamma), induction_values_cumsum(m, gamma))
             pm = mart.paths()
             df = fn.increments(pm)
-            sf, _, _, _ = B.sharp_davis_clause(RatioTracker(), fn.maximal_paths(pm), df, mart.tree.leaf_prob)
-            assert np.array_equal(sf, np.sqrt(np.cumsum(df**2, axis=0)[-1]))
+            fstar = np.maximum.accumulate(np.abs(pm), axis=0)
+            old_sides = path_oracles.pathwise_sharp_sides(pm, fstar, df)
+            # the node recursion, and the path matrix as identity parent maps
+            for sides in (B.pathwise_sharp_sides(mart.flat, mart.tree.layout), B.pathwise_sharp_sides(pm)):
+                lhs, rhs, sf, mf = sides
+                assert np.array_equal(sf, np.sqrt(np.cumsum(df**2, axis=0)[-1]))
+                assert np.array_equal(mf, fstar[-1])
+                assert np.array_equal(lhs, old_sides[0]) and np.array_equal(rhs, old_sides[1])
+            assert B.sharp_davis_clause(RatioTracker(), sf, mf, mart.tree.leaf_prob) == (
+                float(mart.tree.leaf_prob @ sf),
+                float(mart.tree.leaf_prob @ mf),
+            )
 
 
 # -- sharp Davis check -------------------------------------------------------------

@@ -83,11 +83,14 @@ def test_davis_decomposition_check_decomposes_once_per_trial(monkeypatch):
 
 
 def test_sharp_davis_check_forms_path_functionals_once_per_trial(monkeypatch):
-    # the sqrt(3) clause and the pathwise clause share one f* and one df
+    # the sqrt(3) clause and the pathwise clause share one node recursion,
+    # with one f* and one df, and no path matrix
     calls = Counter()
     count_calls(monkeypatch, calls, fn, ("maximal_paths", "increments", "square_function_paths"))
+    count_calls(monkeypatch, calls, bellman, ("pathwise_sharp_sides",))
+    count_calls(monkeypatch, calls, TreeProcess, ("paths",))
     bellman.sharp_davis_check(CorpusSpec(kind="mixed", depth=5, trials=6, seed=3))
-    assert calls == {"maximal_paths": 6, "increments": 6}
+    assert calls == {"pathwise_sharp_sides": 6, "maximal_paths": 6, "increments": 6}
 
 
 def test_aux_lemmas_check_evaluates_few_lambdas_exactly(monkeypatch):

@@ -10,8 +10,9 @@ from martkit import checks as C
 from martkit import functionals as fn
 from martkit import generators as G
 from martkit import report as R
-from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_scan, closed_tail_scan, lambda_candidates, validate_report_dict
+from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_block_scan, closed_tail_scan, lambda_candidates, validate_report_dict
 from martkit.tree import FiltrationTree, Martingale
+from path_oracles import closed_sublevel_scan, davis_decompose
 
 
 def small(kind="mixed", depth=6, trials=60, seed=123, **kw):
@@ -41,11 +42,25 @@ def test_closed_tail_scan():
 
 
 def test_closed_sublevel_scan():
+    # a 2 x 2 matrix raveled, each entry its own one-leaf block
     stat = np.array([3.0, 0.0, 3.0, 1.0])
-    mass = np.array([0.25, 0.25, 0.25, 0.25])
-    levels, heads = closed_sublevel_scan(stat, mass)
+    start, count = np.array([0, 1, 0, 1]), np.ones(4, dtype=np.int64)
+    levels, heads = closed_sublevel_block_scan(stat, np.ones(4), start, count, np.array([0.25, 0.25]))
     assert levels.tolist() == [1.0, 3.0]
     assert heads.tolist() == [0.5, 1.0]  # the zero's mass counts, its level does not
+    # row 1 one node over both leaves, row 2 one node per leaf: the tie at 2
+    # adds the whole first block before the second row's leaf
+    stat, node_mass = np.array([2.0, 1.0, 2.0]), np.array([1.0, 4.0, 9.0])
+    start, count, leaf_mass = np.array([0, 0, 1]), np.array([2, 1, 1]), np.array([0.25, 0.75])
+    levels, heads = closed_sublevel_block_scan(stat, node_mass, start, count, leaf_mass)
+    assert levels.tolist() == [1.0, 2.0]
+    assert heads.tolist() == [1.0, 8.75]
+    matrix = np.array([[2.0, 2.0], [1.0, 2.0]]).ravel()
+    masses = (np.array([[1.0, 1.0], [4.0, 9.0]]) * leaf_mass).ravel()
+    assert all(np.array_equal(a, b) for a, b in zip((levels, heads), closed_sublevel_scan(matrix, masses)))
+    # no levels below the root: nothing to scan
+    empty = np.empty(0)
+    assert [a.size for a in closed_sublevel_block_scan(empty, empty, empty.astype(int), empty.astype(int), leaf_mass)] == [0, 0]
 
 
 def test_doob_constant_parametrization():
@@ -104,6 +119,13 @@ def recorded(monkeypatch, owner, name):
     return calls
 
 
+def leaf_rows(tree, per_node):
+    """The (N, L) matrix of one value per node of levels 1..N, each repeated
+    over its leaf block."""
+    levels = tree.layout.levels(np.concatenate(([np.nan], per_node)))[1:]
+    return np.stack([tree.to_leaves(n, v) for n, v in enumerate(levels, start=1)])
+
+
 @pytest.mark.parametrize("spec", [small(depth=8, trials=30, seed=66), CorpusSpec(kind="backprop", depth=12, trials=2, seed=67)])
 def test_davis_decomposition_bounds_equal_the_numpy_scan(monkeypatch, spec):
     # the old call-site expressions, on the martingales the check decomposes
@@ -112,12 +134,14 @@ def test_davis_decomposition_bounds_equal_the_numpy_scan(monkeypatch, spec):
     one = recorded(monkeypatch, RatioTracker, "add")
     C.check_davis_decomposition(spec)
     assert len(marts) == len(many) == len(one) == spec.trials
-    for (mart,), (_, _, jump_bound), (_, _, tv_bound) in zip(marts, many, one):
+    for (mart,), (_, jump, jump_bound), (_, _, tv_bound) in zip(marts, many, one):
+        tree = mart.tree
         pm = mart.paths()
         df = fn.increments(pm)
         mdf_prev = np.vstack([np.zeros(pm.shape[1]), np.maximum.accumulate(np.abs(df), axis=0)[:-1]])
-        assert np.array_equal(jump_bound, 2.0 * mdf_prev.ravel())
-        assert tv_bound == 2.0 * float(mart.tree.leaf_prob @ np.abs(df).max(axis=0))
+        assert np.array_equal(leaf_rows(tree, jump_bound), 2.0 * mdf_prev)
+        assert np.array_equal(leaf_rows(tree, jump), np.abs(fn.increments(davis_decompose(mart)[0])))
+        assert tv_bound == 2.0 * float(tree.leaf_prob @ np.abs(df).max(axis=0))
 
 
 def test_davis_bdg_sqrt3():

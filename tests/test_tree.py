@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from martkit import checks as C
 from martkit import generators as G
+from martkit.report import CorpusSpec
 from martkit.tree import (
     INFINITY,
+    UNIFORM_CACHE_SIZE,
     FiltrationTree,
     Martingale,
     StoppingRule,
@@ -222,6 +225,25 @@ def test_dyadic_is_one_cached_uniform_tree(depth):
     assert FiltrationTree.dyadic(depth) is tree
     assert FiltrationTree.uniform(depth, 2) is tree
     assert_same_tree(tree, fresh_dyadic(depth))
+
+
+def test_uniform_cache_holds_the_default_suite_and_evicts_past_its_bound():
+    FiltrationTree.uniform.cache_clear()
+    for _ in range(2):
+        for entry in C.default_suite(seed=3, trials_scale=0.001):
+            C.run_check(entry["check"], CorpusSpec.from_dict(entry["corpus"]), **entry["params"])
+    info = FiltrationTree.uniform.cache_info()
+    assert info.maxsize == UNIFORM_CACHE_SIZE
+    # dyadic depths 2-8 (mixed and family corpora) and 10 (walk), each built once
+    assert info.misses == info.currsize == 8
+    FiltrationTree.uniform.cache_clear()
+    held = [FiltrationTree.uniform(depth, 1) for depth in range(UNIFORM_CACHE_SIZE)]
+    assert FiltrationTree.uniform(0, 1) is held[0]  # depth 1 is now the least recently used
+    FiltrationTree.uniform(UNIFORM_CACHE_SIZE, 1)
+    assert FiltrationTree.uniform.cache_info().currsize == UNIFORM_CACHE_SIZE
+    assert FiltrationTree.uniform(0, 1) is held[0]
+    assert FiltrationTree.uniform(1, 1) is not held[1]
+    assert_same_tree(FiltrationTree.uniform(1, 1), held[1])
 
 
 @pytest.mark.parametrize("depth, branching", [(-1, 2), (2, 0), (25, 2)])
