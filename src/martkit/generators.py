@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tree import MAX_DEPTH, FiltrationTree, Martingale, TreeError
+from .tree import MAX_DEPTH, FiltrationTree, Martingale, TreeError, guard_nodes
 
 # corpus trial indices must stay below 2**TRIAL_BITS (see _sub)
 TRIAL_BITS = 20
@@ -68,17 +68,21 @@ def gen_increment(
     branching: tuple[int, ...] = (2, 3),
 ) -> Martingale:
     """Random tree shape with child offsets re-centered to conditional mean zero."""
-    # guarded before drawing: a deep random shape outgrows memory before the
-    # tree constructor could reject it (dyadic generators rely on uniform's guard)
+    # guarded while drawing: a random shape outgrows memory before the tree
+    # constructor could reject it, so each level's node count is checked once
+    # its child counts are drawn (dyadic generators rely on uniform's guard)
     if not 0 <= depth <= MAX_DEPTH:
         raise TreeError(f"depth {depth} exceeds guard {MAX_DEPTH}")
     rng = rng_for(seed)
+    choices = np.asarray(branching)
     parents = [np.empty(0, dtype=np.int64)]
     values = [np.zeros(1)]
     cond_prob = []  # per level: conditional probability of each child
     sizes = [1]
     for n in range(1, depth + 1):
-        kids = rng.choice(branching, size=sizes[-1])
+        # the draws of rng.choice(branching, size=...), without its checks
+        kids = choices[rng.integers(0, choices.size, size=sizes[-1])]
+        guard_nodes(sum(sizes) + int(kids.sum()))
         par = np.repeat(np.arange(sizes[-1]), kids)
         size = int(par.size)
         # child probabilities bounded away from 0 so no atom degenerates

@@ -35,7 +35,13 @@ import numpy as np
 # Sentinel for "never stops"; large enough to dominate any admissible depth.
 INFINITY = np.iinfo(np.int64).max
 
-MAX_DEPTH = 24
+# Largest tree, in nodes, that a check may run on: dyadic depth 22 has
+# 2**23 - 1 nodes, and a doob plus davis_decomposition run on one such trial
+# peaks at 1,272 MB (2-core x86-64 host with 8 GB); depth 24 would need about
+# four times that.  MAX_DEPTH is the depth of that dyadic tree, which bounds
+# the per-level arrays of a narrow tree too.
+MAX_NODES = 2**23
+MAX_DEPTH = MAX_NODES.bit_length() - 2
 MAX_VECTOR_DIM = 64
 # Shapes FiltrationTree.uniform keeps: default_suite uses dyadic depths 2-8
 # and 10, so a suite never rebuilds one, and a process that walks through
@@ -48,6 +54,12 @@ MARTINGALE_RTOL = 1e-10
 
 class TreeError(ValueError):
     pass
+
+
+def guard_nodes(n_nodes: int) -> None:
+    """Reject a tree of more than MAX_NODES nodes, before it is built."""
+    if n_nodes > MAX_NODES:
+        raise TreeError(f"{n_nodes} nodes exceed guard {MAX_NODES}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -132,6 +144,7 @@ class FiltrationTree:
     """
 
     def __init__(self, parents: Sequence[np.ndarray], leaf_prob: np.ndarray):
+        guard_nodes(1 + sum(len(p) for p in parents[1:]))
         self.parents = tuple(_freeze(np.asarray(p, dtype=np.int64).copy()) for p in parents)
         self.depth = len(self.parents) - 1
         if self.depth < 0:
@@ -209,6 +222,7 @@ class FiltrationTree:
         shared read-only."""
         if not 0 <= depth <= MAX_DEPTH or branching < 1:
             raise TreeError(f"uniform tree needs depth 0..{MAX_DEPTH}, branching >= 1; got {depth}, {branching}")
+        guard_nodes(sum(branching**n for n in range(depth + 1)))
         parents = [np.empty(0, dtype=np.int64)]
         for n in range(1, depth + 1):
             parents.append(np.repeat(np.arange(branching ** (n - 1)), branching))

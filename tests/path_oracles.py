@@ -1,8 +1,9 @@
 """The five node-array checks as they were written on path matrices.
 
 Each oracle is the path-matrix body of its check: every functional is formed
-per leaf on the (N+1, L) matrix of ``mart.paths()``.  The node-array checks
-must reproduce their reports float for float (``runtime_ms`` aside).
+per leaf on the (N+1, L) matrix of ``mart.paths()``, and both breakpoint
+scans sort with numpy's stable argsort.  The node-array checks must
+reproduce their reports float for float (``runtime_ms`` aside).
 """
 
 import time
@@ -11,14 +12,23 @@ import numpy as np
 
 from martkit import bellman
 from martkit import functionals as fn
-from martkit.report import RatioTracker, closed_tail_scan, finish_report, lq_norm, ratio
+from martkit.report import RatioTracker, finish_report, lq_norm, ratio
+
+
+def closed_tail_scan(stat, *mass_arrays):
+    """The tail scan over {stat >= v}, one stable argsort of ``-stat``."""
+    stat = np.asarray(stat, dtype=np.float64)
+    return _scan(stat, np.argsort(-stat, kind="stable"), mass_arrays)
 
 
 def closed_sublevel_scan(stat, *mass_arrays):
     """The sublevel scan over a raveled path matrix, one stable argsort of all
     its entries."""
     stat = np.asarray(stat, dtype=np.float64)
-    order = np.argsort(stat, kind="stable")
+    return _scan(stat, np.argsort(stat, kind="stable"), mass_arrays)
+
+
+def _scan(stat, order, mass_arrays):
     sorted_stat = stat[order]
     cums = [np.cumsum(np.asarray(m, dtype=np.float64)[order]) for m in mass_arrays]
     idx = np.append(np.nonzero(np.diff(sorted_stat) != 0)[0], stat.size - 1)

@@ -1,18 +1,34 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from martkit import checks as C
 from martkit import functionals as fn
 from martkit import generators as G
 from martkit import report as R
-from martkit.report import RATIO_TOL, CheckReport, CorpusSpec, RatioTracker, closed_sublevel_block_scan, closed_tail_scan, lambda_candidates, validate_report_dict
+from martkit.report import (
+    RATIO_TOL,
+    STABLE_SORT_CUTOFF,
+    CheckReport,
+    CorpusSpec,
+    RatioTracker,
+    closed_sublevel_block_scan,
+    closed_tail_scan,
+    lambda_candidates,
+    stable_argsort,
+    validate_report_dict,
+)
 from martkit.tree import FiltrationTree, Martingale
 from path_oracles import closed_sublevel_scan, davis_decompose
+from path_oracles import closed_tail_scan as numpy_closed_tail_scan
 
 
 def small(kind="mixed", depth=6, trials=60, seed=123, **kw):
@@ -39,6 +55,13 @@ def test_closed_tail_scan():
     levels, tails = closed_tail_scan(stat, mass)
     assert levels.tolist() == [3.0, 2.0, 1.0]
     assert tails.tolist() == [0.5, 0.75, 1.0]
+    # above the cutoff: heavy ties, zeros and negatives, masses whose sums
+    # depend on the order they are added in
+    rng = np.random.default_rng(11)
+    stat = rng.integers(-2, 6, size=3 * STABLE_SORT_CUTOFF).astype(float)
+    masses = rng.random((2, stat.size))
+    got, expected = closed_tail_scan(stat, *masses), numpy_closed_tail_scan(stat, *masses)
+    assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_closed_sublevel_scan():
@@ -58,9 +81,76 @@ def test_closed_sublevel_scan():
     matrix = np.array([[2.0, 2.0], [1.0, 2.0]]).ravel()
     masses = (np.array([[1.0, 1.0], [4.0, 9.0]]) * leaf_mass).ravel()
     assert all(np.array_equal(a, b) for a, b in zip((levels, heads), closed_sublevel_scan(matrix, masses)))
+    # above the cutoff: the level-major node blocks of a depth-10 dyadic tree
+    # tile its raveled (10, 1024) matrix; small integer values tie across levels
+    tree, rng = FiltrationTree.dyadic(10), np.random.default_rng(12)
+    start, count = np.concatenate(tree.leaf_start[1:]), np.concatenate(tree.leaf_count[1:])
+    stat = rng.integers(0, 5, size=start.size).astype(float)
+    node_mass, leaf_mass = rng.random(start.size), rng.random(tree.n_leaves)
+    assert stat.size >= STABLE_SORT_CUTOFF
+    got = closed_sublevel_block_scan(stat, node_mass, start, count, leaf_mass)
+    expected = closed_sublevel_scan(np.repeat(stat, count), np.repeat(node_mass, count) * np.tile(leaf_mass, tree.depth))
+    assert len(got) == 2 and all(np.array_equal(a, b) for a, b in zip(got, expected))
     # no levels below the root: nothing to scan
     empty = np.empty(0)
     assert [a.size for a in closed_sublevel_block_scan(empty, empty, empty.astype(int), empty.astype(int), leaf_mass)] == [0, 0]
+
+
+SORT_VALUES = (-np.inf, -1.5, -0.0, 0.0, 1.0, 2.5, np.inf, np.nan)
+
+
+@given(
+    st.integers(0, 4 * STABLE_SORT_CUTOFF),
+    st.lists(st.sampled_from(SORT_VALUES), min_size=1, max_size=len(SORT_VALUES)),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(0, [1.0], 0.0, 0)
+@example(STABLE_SORT_CUTOFF - 1, [0.0, -0.0], 0.0, 1)
+@example(STABLE_SORT_CUTOFF, [0.0, -0.0], 0.0, 1)
+@example(STABLE_SORT_CUTOFF, [np.nan], 0.0, 2)
+@example(2 * STABLE_SORT_CUTOFF, [np.nan, 1.0], 0.5, 3)
+@settings(max_examples=200, deadline=None)
+def test_stable_argsort_is_numpys_stable_sort(n, pool, spread, seed):
+    # values drawn from a small pool tie heavily; a share ``spread`` of them
+    # is replaced by distinct normals
+    rng = np.random.default_rng(seed)
+    x = np.array(pool)[rng.integers(0, len(pool), size=n)]
+    distinct = rng.random(n) < spread
+    x[distinct] = rng.normal(size=int(distinct.sum()))
+    got, expected = stable_argsort(x), np.argsort(x, kind="stable")
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+SIMD_PROBE = """
+import json
+import numpy as np
+from martkit import checks
+from martkit.report import CorpusSpec, stable_argsort
+x = np.round(np.random.default_rng(7).normal(size=5000), 1)
+x[::97] = np.nan
+spec = CorpusSpec(kind="backprop", depth=16, trials=1, seed=20240)
+reports = [checks.check_doob(spec).to_dict(), checks.check_square_weak(spec).to_dict()]
+for report in reports:
+    del report["runtime_ms"]
+stable = bool(np.array_equal(stable_argsort(x), np.argsort(x, kind="stable")))
+print(json.dumps({"stable": stable, "reports": reports}, sort_keys=True))
+"""
+
+
+def test_stable_argsort_does_not_depend_on_the_simd_level():
+    # numpy's unstable argsort orders ties differently with AVX-512, with
+    # AVX2 and at its baseline; the stable order and the reports must not move
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", SIMD_PROBE], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout.strip().splitlines()[-1])
+    assert json.loads(outputs[0])["stable"]
+    assert outputs[1:] == outputs[:1] * 2
 
 
 def test_doob_constant_parametrization():

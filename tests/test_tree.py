@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from martkit import checks as C
 from martkit import generators as G
+from martkit import tree as tree_module
 from martkit.report import CorpusSpec
 from martkit.tree import (
     INFINITY,
@@ -520,3 +521,64 @@ def test_depth_guard():
         G.gen_scaled_walk(25)
     with pytest.raises(TreeError):
         G.gen_leaf_backprop("normal", 30, seed=0)
+
+
+def test_node_guard_rejects_a_tree_before_building_it(monkeypatch):
+    monkeypatch.setattr(tree_module, "MAX_NODES", 40)
+    assert FiltrationTree.uniform(1, 39).n_nodes == 40
+
+    def build(*args):
+        raise AssertionError("uniform built a tree above the bound")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FiltrationTree, "__init__", build)
+        with pytest.raises(TreeError, match="41 nodes exceed guard 40"):
+            FiltrationTree.uniform(1, 40)
+    # the constructor counts nodes before it reads anything else
+    with pytest.raises(TreeError, match="nodes exceed"):
+        FiltrationTree([np.empty(0, dtype=np.int64), np.zeros(40, dtype=np.int64)], None)
+
+
+class RecordingRng:
+    """A generator that records the name of each method drawn from."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def test_gen_increment_rejects_a_level_once_its_child_counts_are_drawn(monkeypatch):
+    fits = G.gen_increment(6, seed=3)
+    total = np.cumsum(fits.tree.level_sizes)
+    recorders, rng_for = [], G.rng_for
+
+    def recording_rng_for(seed):
+        recorders.append(RecordingRng(rng_for(seed)))
+        return recorders[-1]
+
+    monkeypatch.setattr(G, "rng_for", recording_rng_for)
+    monkeypatch.setattr(tree_module, "MAX_NODES", int(total[3]))
+    with pytest.raises(TreeError, match=f"{total[4]} nodes exceed"):
+        G.gen_increment(6, seed=3)
+    # levels 1-3 draw child counts, probabilities and offsets; level 4 only its counts
+    assert recorders[-1].calls == ["integers", "uniform", "normal"] * 3 + ["integers"]
+    monkeypatch.setattr(tree_module, "MAX_NODES", int(total[-1]))
+    again = G.gen_increment(6, seed=3)
+    assert again.tree.level_sizes == fits.tree.level_sizes
+    assert np.array_equal(again.tree.leaf_prob, fits.tree.leaf_prob) and np.array_equal(again.flat, fits.flat)
+
+
+@pytest.mark.parametrize("branching", [(2, 3), (1, 2, 4)])
+def test_branching_draw_equals_rng_choice(branching):
+    # gen_increment indexes ``branching`` with rng.integers: the same draws as
+    # rng.choice(branching, size), and the stream goes on with the same draws
+    for seed in range(300):
+        for size in (1, 2, 7, 100, 1000):
+            a, b = G.rng_for(seed), G.rng_for(seed)
+            chosen = a.choice(branching, size=size)
+            indexed = np.asarray(branching)[b.integers(0, len(branching), size=size)]
+            assert chosen.dtype == indexed.dtype and np.array_equal(chosen, indexed)
+            assert np.array_equal(a.normal(size=3), b.normal(size=3))
