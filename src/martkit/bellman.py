@@ -258,9 +258,3 @@ def extremal_search(depth: int, r_grid=tuple(float(r) for r in range(1, 9))) -> 
         raise AssertionError(f"extremal ratio {best[0]} exceeds sqrt(3)")
     return {"depth": depth, "best_ratio": best[0], "best_r": best[1], "gap_to_sqrt3": SQRT3 - best[0]}
 
-
-def v_scaling_residual(x: float, t: float, z: float, lam: float, gamma: float = SQRT3) -> float:
-    """|V(x,t,z) - lam V(x/lam, t/lam^2, z/lam)| for V(x,t,z) = sqrt(t) - gamma z."""
-    v = math.sqrt(t) - gamma * z
-    v_scaled = lam * (math.sqrt(t / lam**2) - gamma * z / lam)
-    return abs(v - v_scaled)

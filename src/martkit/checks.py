@@ -433,16 +433,13 @@ def check_paraproduct(
             lo, hi = _random_stopping_pair(tree, rng)
             lo_t = np.minimum(lo.times, depth)
             hi_t = np.minimum(hi.times, depth)
-            F = u_k[None, :, :] - u_k[:, None, :]  # F[s, t] = u_t - u_s, adapted in t
-            pi = fn.paraproduct_pairs(F, g_pm)
+            # Pi(F, g) with F[s, t] = u_t - u_s adapted in t is Pi(delta u, g);
+            # each path's sups over its window [lo, hi] are masked max reductions
+            pi_lo = np.take_along_axis(fn.paraproduct_deltaf_pairs(u_k, g_pm), lo_t[None, None, :], axis=0)[0]
             cols = np.arange(tree.n_leaves)
-            sup_pi = np.zeros(tree.n_leaves)
-            sup_f = np.zeros(tree.n_leaves)
-            for t in range(depth + 1):
-                in_win = (lo_t <= t) & (t <= hi_t)
-                sup_pi = np.where(in_win, np.maximum(sup_pi, np.abs(pi[lo_t, t, cols])), sup_pi)
-                strict = (lo_t <= t) & (t < hi_t)
-                sup_f = np.where(strict, np.maximum(sup_f, np.abs(F[lo_t, t, cols])), sup_f)
+            t = np.arange(depth + 1)[:, None]
+            sup_pi = np.abs(pi_lo).max(axis=0, where=(lo_t <= t) & (t <= hi_t), initial=0.0)
+            sup_f = np.abs(u_k - u_k[lo_t, cols]).max(axis=0, where=(lo_t <= t) & (t < hi_t), initial=0.0)
             dg2 = np.vstack([np.zeros(tree.n_leaves), np.diff(g_pm, axis=0) ** 2])
             cums = fn.accumulate_rows(np.add, dg2, out=dg2)
             s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
@@ -464,15 +461,10 @@ def check_paraproduct(
         lhs_pow = np.zeros(tree.n_leaves)
         f_pow = np.zeros(tree.n_leaves)
         for a, b in zip(bounds, bounds[1:]):
-            span_sup = np.zeros(tree.n_leaves)
-            for s in range(a, b + 1):
-                for t in range(s, b + 1):
-                    span_sup = np.maximum(span_sup, np.abs(pi[s, t]))
-            lhs_pow += span_sup**r_df
-            df_sup = np.zeros(tree.n_leaves)
-            for t in range(a, b):
-                df_sup = np.maximum(df_sup, np.abs(f_pm[t] - f_pm[a]))
-            f_pow += df_sup**r1
+            # pi is 0 on and below the diagonal, so the block's max is the sup
+            # over a <= s <= t <= b
+            lhs_pow += np.abs(pi[a : b + 1, a : b + 1]).max(axis=(0, 1)) ** r_df
+            f_pow += np.abs(f_pm[a:b] - f_pm[a]).max(axis=0, initial=0.0) ** r1
         sg = fn.square_function_paths(g_pm)[-1]
         lhs = lq_norm(lhs_pow ** (1.0 / r_df), q, w)
         rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(sg, q0, w)
@@ -492,9 +484,7 @@ def check_paraproduct(
         pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
         x_dbv = fn.component_norm(fn.increments(bv.paths()), r0).sum(axis=0)
         x_df = fn.component_norm(fn.increments(fam.paths()), r0)
-        m_x_df = np.zeros(tree.n_leaves)
-        for row in x_df:
-            np.maximum(m_x_df, row, out=m_x_df)
+        m_x_df = x_df.max(axis=0, initial=0.0)
         tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
         s_pred = fn.component_norm(fn.square_function_paths(pred.paths())[-1], r0)
         s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)

@@ -80,13 +80,21 @@ def _corpus_from_args(args) -> CorpusSpec | FileCorpus:
 
 
 def cmd_gen(args) -> int:
-    gen = args.gen
-    if gen in ("doubling", "log_weight", "scaled_walk"):
-        mart = generators.GENERATORS[gen](args.depth)
-    elif gen == "backprop":
-        mart = generators.gen_leaf_backprop(args.dist, args.depth, args.seed)
-    elif gen in ("increment", "walk"):
-        mart = generators.GENERATORS[gen](args.depth, seed=args.seed)
+    gen, dist = args.gen, args.dist
+    if dist is not None and gen in ("walk", "doubling", "log_weight", "scaled_walk"):
+        raise ValueError(f"generator {gen!r} takes no --dist")
+    if gen == "backprop":
+        mart = generators.gen_leaf_backprop(dist or "normal", args.depth, args.seed)
+    elif gen == "increment":
+        mart = generators.gen_increment(args.depth, seed=args.seed, dist=dist or "normal")
+    elif gen == "walk":
+        mart = generators.gen_walk_increments(args.depth, seed=args.seed)
+    elif gen == "doubling":
+        mart = generators.gen_doubling(args.depth)
+    elif gen == "log_weight":
+        mart = generators.gen_log_weight(args.depth)
+    elif gen == "scaled_walk":
+        mart = generators.gen_scaled_walk(args.depth)
     else:
         raise ValueError(f"unknown generator {gen!r}")
     save_tree(args.out, mart.tree, {"f": mart})
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a tree + martingale JSON corpus file")
     g.add_argument("--gen", default="backprop", help="backprop|increment|walk|doubling|log_weight|scaled_walk")
     g.add_argument("--depth", type=int, default=6)
-    g.add_argument("--dist", default="normal")
+    g.add_argument("--dist", help="normal (default)|uniform|exponential|sign; backprop and increment only")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)

@@ -15,6 +15,14 @@ to be 0.  The tree-level wrappers ``maximal``, ``square_function`` and
 ``TreeProcess`` through ``TreeProcess.from_paths``, which checks that each
 row is constant on the atoms of its level.  No check or CLI command calls
 them; they stay because ``benchmarks/tracing.py`` wraps them by name.
+
+``paraproduct_deltaf_pairs`` is the one pair-sum kernel: the discrete
+paraproduct Pi(delta f, g)_{s,t} = sum_{s<j<=t} (f_{j-1} - f_s) dg_j, one
+cumsum along time per start row (``paraproduct_deltaf_row``).  The Ito sum
+along an adapted partition pi is the same sum on the discretized path,
+Pi^pi(f, g) = Pi(delta f^(pi), g) with f^(pi)_u = f_{a(u)} frozen at the last
+partition point a(u) <= u: a step with a(u) <= t has a(u) = floor(t), so its
+term is (f_{floor(t)} - f_{floor(t)}) dg_u = 0 (see ``ito``).
 """
 
 from __future__ import annotations
@@ -392,7 +400,10 @@ def paraproduct_pairs(F: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
     """Pi(F, g)_{s,t} = sum_{s<j<=t} F_{s,j-1} dg_j for all index pairs.
 
     F has shape (n, n, L) with F[s, j] the F_j-measurable row value; the
-    result has the same shape with zeros on and below the diagonal.
+    result has the same shape with zeros on and below the diagonal.  For
+    F[s, j] = f_j - f_s this is ``paraproduct_deltaf_pairs``, which the
+    checks use; no check or CLI command calls this general form, which stays
+    because ``benchmarks/tracing.py`` wraps it by name.
     """
     n, L = g_pm.shape
     dg = np.diff(g_pm, axis=0)
@@ -405,17 +416,31 @@ def paraproduct_pairs(F: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
     return out
 
 
+def paraproduct_deltaf_row(f_pm: np.ndarray, dg: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Row s of Pi(delta f, g): out[t] = sum_{s<j<=t} (f_{j-1} - f_s) dg_j.
+
+    ``dg`` holds the increments g_j - g_{j-1} (``np.diff(g_pm, axis=0)``).
+    The terms are summed by one cumsum along t, in time order, into
+    out[s+1:]; out[:s+1] is left as it is (zeros when ``out`` is made here).
+    """
+    if out is None:
+        out = np.zeros(f_pm.shape)
+    np.cumsum((f_pm[s:-1] - f_pm[s]) * dg[s:], axis=0, out=out[s + 1 :])
+    return out
+
+
 def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
-    """Pi(delta f, g)_{s,t} for all pairs, via the incremental recursion
-    Pi_{s,t+1} = Pi_{s,t} + (f_t - f_s) dg_{t+1}."""
-    n, L = g_pm.shape
+    """Pi(delta f, g)_{s,t} for all index pairs, shape (n, n, L), zeros on and
+    below the diagonal; row s is ``paraproduct_deltaf_row``.
+
+    This is the one pair-sum kernel: the Ito sums are Pi^pi(f, g) =
+    Pi(delta f^(pi), g) on the discretized path (see ``ito``), and the
+    paraproduct check's window and delta-f estimates read it too.
+    """
     dg = np.diff(g_pm, axis=0)
-    out = np.zeros((n, n, L))
-    for s in range(n):
-        acc = np.zeros(L)
-        for t in range(s + 1, n):
-            acc = acc + (f_pm[t - 1] - f_pm[s]) * dg[t - 1]
-            out[s, t] = acc
+    out = np.zeros((g_pm.shape[0],) + g_pm.shape)
+    for s in range(g_pm.shape[0] - 1):
+        paraproduct_deltaf_row(f_pm, dg, s, out[s])
     return out
 
 

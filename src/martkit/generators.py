@@ -165,15 +165,6 @@ def gen_walk_increments(depth: int, seed: int) -> Martingale:
     return Martingale(tree, values)
 
 
-GENERATORS: dict[str, Callable[..., Martingale]] = {
-    "backprop": gen_leaf_backprop,
-    "increment": gen_increment,
-    "scaled_walk": lambda depth, seed=0, dist=None: gen_scaled_walk(depth),
-    "doubling": lambda depth, seed=0, dist=None: gen_doubling(depth),
-    "log_weight": lambda depth, seed=0, dist=None: gen_log_weight(depth),
-    "walk": gen_walk_increments,
-}
-
 _MIX_DISTS = ("normal", "uniform", "exponential")
 
 

@@ -5,6 +5,17 @@ Continuous time is a uniform grid t_k = k T / N.  A path bundle is either
 backed by a finite tree (exact expectations, conditional identities
 testable to 1e-10) or sampled by Monte Carlo when full enumeration would
 exceed the path budget (flagged, pathwise identities still exact).
+
+The Ito sum along an adapted partition pi is the discrete paraproduct of
+the discretized path: Pi^pi(f, g) = Pi(delta f^(pi), g), where f^(pi)_u =
+f_{a(u)} is f frozen at the last partition point a(u) <= u.  Over the grid
+steps (u, u+1) with u >= t, Pi^pi(f, g)_{t, .} sums (f_{a(u)} - f_{floor(t)})
+dg_u over the steps whose a(u) lies beyond t; a step with a(u) <= t has
+a(u) = floor(t), so its term (f_{floor(t)} - f_{floor(t)}) dg_u is 0 and
+the two sums agree.  So every Ito sum here is
+``functionals.paraproduct_deltaf_pairs`` (or one of its rows) on
+``discretize(f, pi)``, summed along time in time order, and the
+covariation [f, g]^pi sums the increment products of f^(pi) and g^(pi).
 """
 
 from __future__ import annotations
@@ -135,26 +146,9 @@ class AdaptedGridPartition:
 def ito_sum_from(
     f: GridCadlagPath, g: GridCadlagPath, partition: AdaptedGridPartition, t: int
 ) -> np.ndarray:
-    """Pi^pi(f, g)_{t, t'} for all t' >= t at once, shape (N+1, P).
-
-    Decomposed over unit grid steps: the step (u, u+1) contributes
-    (f_{a(u)} - f_{floor(t)}) dg_u whenever the last partition point
-    a(u) <= u lies strictly beyond t.
-    """
-    vals_f, vals_g = f.values, g.values
-    n1, p = vals_f.shape
-    floors = partition.floor_indices()
-    cols = np.arange(p)
-    f_floor_t = vals_f[floors[t], cols]
-    out = np.zeros((n1, p))
-    if t >= n1 - 1:
-        return out
-    a = floors[t:-1]  # a(u) for u = t..N-1
-    f_a = np.take_along_axis(vals_f, a, axis=0)
-    dg = vals_g[t + 1 :] - vals_g[t:-1]
-    contrib = (f_a - f_floor_t[None, :]) * dg * (a > t)
-    out[t + 1 :] = np.cumsum(contrib, axis=0)
-    return out
+    """Pi^pi(f, g)_{t, t'} for all t' >= t at once, shape (N+1, P): row t of
+    ``ito_pairs``."""
+    return fn.paraproduct_deltaf_row(discretize(f, partition).values, np.diff(g.values, axis=0), t)
 
 
 def ito_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
@@ -165,23 +159,9 @@ def ito_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
 
 
 def ito_pairs(f, g, partition) -> np.ndarray:
-    """Pi^pi(f, g) on all grid index pairs, shape (N+1, N+1, P).
-
-    Row t is ``ito_sum_from(f, g, partition, t)``, float for float: the
-    floors, f at the floors and the increments of g are formed once.
-    """
-    vals_f, vals_g = f.values, g.values
-    n1 = vals_f.shape[0]
-    floors = partition.floor_indices()
-    f_floor = np.take_along_axis(vals_f, floors, axis=0)
-    a = floors[:-1]  # a(u) for u = 0..N-1
-    f_a = np.take_along_axis(vals_f, a, axis=0)
-    dg = vals_g[1:] - vals_g[:-1]
-    out = np.zeros((n1, n1, vals_f.shape[1]))
-    for t in range(n1 - 1):
-        contrib = (f_a[t:] - f_floor[t][None, :]) * dg[t:] * (a[t:] > t)
-        np.cumsum(contrib, axis=0, out=out[t, t + 1 :])
-    return out
+    """Pi^pi(f, g) on all grid index pairs, shape (N+1, N+1, P): the discrete
+    paraproduct Pi(delta f^(pi), g) of the discretized path."""
+    return fn.paraproduct_deltaf_pairs(discretize(f, partition).values, g.values)
 
 
 def discretize(f: GridCadlagPath, partition: AdaptedGridPartition) -> GridCadlagPath:
@@ -193,24 +173,19 @@ def discretize(f: GridCadlagPath, partition: AdaptedGridPartition) -> GridCadlag
 
 def covariation_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
     """[f, g]^pi_{t, t2}: sum of block increment products over partition
-    blocks [pi_j, pi_{j+1}] with floor(t) <= pi_j < floor(t2)."""
+    blocks [pi_j, pi_{j+1}] with floor(t) <= pi_j < floor(t2).
+
+    A block closes at its grid index pi_{j+1}, where the discretized paths
+    step by f_{pi_{j+1}} - f_{pi_j}; they are flat elsewhere.  So this sums
+    the increment products of f^(pi) and g^(pi) over the grid indices v in
+    (floor(t), floor(t2)], one cumsum along time, in time order.
+    """
     floors = partition.floor_indices()
-    cols_lo = floors[t]
-    cols_hi = floors[t2]
-    n1, p = f.values.shape
-    acc = np.zeros(p)
-    for v in range(1, n1):
-        closing = partition.mask[v]
-        if not closing.any():
-            continue
-        prev = floors[v - 1]
-        sel = closing & (prev >= cols_lo) & (prev < cols_hi) & (v <= cols_hi)
-        if not sel.any():
-            continue
-        cols = np.nonzero(sel)[0]
-        pj = prev[cols]
-        acc[cols] += (f.values[v, cols] - f.values[pj, cols]) * (g.values[v, cols] - g.values[pj, cols])
-    return acc
+    fd, gd = (np.take_along_axis(h.values, floors, axis=0) for h in (f, g))
+    v = np.arange(1, floors.shape[0])[:, None]
+    terms = np.zeros(fd.shape)  # the sum starts from terms[0] = 0
+    np.multiply(np.diff(fd, axis=0), np.diff(gd, axis=0), out=terms[1:], where=(floors[t] < v) & (v <= floors[t2]))
+    return np.cumsum(terms, axis=0)[-1]
 
 
 def integration_by_parts_residual(f, g, partition, t: int, t2: int) -> float:
@@ -230,33 +205,15 @@ def chen_residual(f, g, partition, max_points: int = 24) -> float:
     """Max |delta Pi_{t,t',t''} - delta f^(pi)_{t,t'} delta g_{t',t''}| over grid triples."""
     n1 = f.values.shape[0]
     pts = np.unique(np.linspace(0, n1 - 1, min(max_points, n1)).astype(int))
-    pairs = ito_pairs(f, g, partition)
-    floors = partition.floor_indices()
-    cols = np.arange(f.values.shape[1])
+    fd = discretize(f, partition).values
+    pairs = fn.paraproduct_deltaf_pairs(fd, g.values)
     worst = 0.0
     for t in pts:
         for t1 in pts[pts >= t]:
             for t2 in pts[pts >= t1]:
-                dfp = f.values[floors[t1], cols] - f.values[floors[t], cols]
-                resid = pairs[t, t2] - pairs[t, t1] - pairs[t1, t2] - dfp * (g.values[t2] - g.values[t1])
+                resid = pairs[t, t2] - pairs[t, t1] - pairs[t1, t2] - (fd[t1] - fd[t]) * (g.values[t2] - g.values[t1])
                 worst = max(worst, float(np.abs(resid).max()))
     return worst
-
-
-def conditional_covariation_residual(f: GridCadlagPath, partition, t: int, t2: int) -> float:
-    """|E_t [f,f]^pi_{t,t2} - E_t |delta f_{t,t2}|^2| for tree-backed bundles
-    whose partition contains t and t2 on every path."""
-    if f.tree is None:
-        raise ValueError("conditional identity needs an exact tree bundle")
-    if not (partition.mask[t].all() and partition.mask[t2].all()):
-        raise ValueError("partition must contain both endpoints")
-    tree = f.tree
-    level = min(t, tree.depth)
-    cov = covariation_sum(f, f, partition, t, t2)
-    df2 = (f.values[t2] - f.values[t]) ** 2
-    lhs = tree.atom_average_leaves(level, cov)
-    rhs = tree.atom_average_leaves(level, df2)
-    return float(np.abs(lhs - rhs).max())
 
 
 # -- refinement convergence -------------------------------------------------------

@@ -143,14 +143,6 @@ class Control:
             self._memo[key] = float(self._fun(*key))
         return self._memo[key]
 
-    def check_superadditivity(self, T: float, seed: int = 0, triples: int = 64, tol: float = 1e-10) -> bool:
-        rng = np.random.default_rng(seed)
-        for _ in range(triples):
-            s, t, u = np.sort(rng.uniform(0.0, T, size=3))
-            if self(s, t) + self(t, u) > self(s, u) + tol * max(1.0, self(s, u)):
-                return False
-        return True
-
     def __add__(self, other: "Control") -> "Control":
         return Control(lambda s, t: self(s, t) + other(s, t))
 
@@ -794,19 +786,6 @@ def control_partition(omega: Control, times: np.ndarray, eps: float) -> list[flo
                 k += 1
             pts.append(k)
     return [float(times[i]) for i in pts]
-
-
-def control_partition_gaps(omega: Control, times: np.ndarray, partition: list[float]) -> list[float]:
-    """min(omega(prev+, cur), omega(prev, cur-)) for each partition cell."""
-    times = np.asarray(times, dtype=np.float64)
-    out = []
-    for u, v in zip(partition, partition[1:]):
-        iu = int(np.searchsorted(times, u))
-        iv = int(np.searchsorted(times, v))
-        up = times[min(iu + 1, times.size - 1)]
-        vm = times[max(iv - 1, 0)]
-        out.append(min(omega(float(up), float(v)), omega(float(u), float(vm))))
-    return out
 
 
 # -- CSV interfaces ----------------------------------------------------------------

@@ -437,9 +437,6 @@ class StoppingRule:
     def minimum(self, other: "StoppingRule") -> "StoppingRule":
         return StoppingRule.from_times(self.tree, np.minimum(self.times, other.times))
 
-    def maximum(self, other: "StoppingRule") -> "StoppingRule":
-        return StoppingRule.from_times(self.tree, np.maximum(self.times, other.times))
-
 
 def hitting_time(f: TreeProcess, predicate: Callable[[np.ndarray], np.ndarray]) -> StoppingRule:
     """First time the process value satisfies the predicate.

