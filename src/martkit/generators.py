@@ -24,6 +24,10 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# the sample families of ``draw``
+DISTS = ("normal", "uniform", "exponential", "sign")
+
+
 def draw(dist: str, rng: np.random.Generator, size) -> np.ndarray:
     """Centered sample families used by the corpus generators."""
     if dist == "normal":
@@ -73,6 +77,8 @@ def gen_increment(
     # its child counts are drawn (dyadic generators rely on uniform's guard)
     if not 0 <= depth <= MAX_DEPTH:
         raise TreeError(f"depth {depth} exceeds guard {MAX_DEPTH}")
+    if dist not in DISTS:  # checked before any draw: a depth-0 shape makes none
+        raise ValueError(f"unknown distribution {dist!r}")
     rng = rng_for(seed)
     choices = np.asarray(branching)
     parents = [np.empty(0, dtype=np.int64)]

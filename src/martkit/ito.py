@@ -182,6 +182,11 @@ def covariation_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
     """
     floors = partition.floor_indices()
     fd, gd = (np.take_along_axis(h.values, floors, axis=0) for h in (f, g))
+    return _covariation(fd, gd, floors, t, t2)
+
+
+def _covariation(fd: np.ndarray, gd: np.ndarray, floors: np.ndarray, t: int, t2: int) -> np.ndarray:
+    """``covariation_sum`` from the discretized values and their floors."""
     v = np.arange(1, floors.shape[0])[:, None]
     terms = np.zeros(fd.shape)  # the sum starts from terms[0] = 0
     np.multiply(np.diff(fd, axis=0), np.diff(gd, axis=0), out=terms[1:], where=(floors[t] < v) & (v <= floors[t2]))
@@ -189,15 +194,19 @@ def covariation_sum(f, g, partition, t: int, t2: int) -> np.ndarray:
 
 
 def integration_by_parts_residual(f, g, partition, t: int, t2: int) -> float:
-    """|delta f^(pi) delta g^(pi) - Pi(f,g)_{t,floor(t2)} - Pi(g,f)_{t,floor(t2)} - [f,g]|, max over paths."""
+    """|delta f^(pi) delta g^(pi) - Pi(f,g)_{t,floor(t2)} - Pi(g,f)_{t,floor(t2)} - [f,g]|, max over paths.
+
+    The floors are formed once: both Ito sums (rows of ``ito_sum_from``) and
+    the covariation read one discretization of each path."""
     floors = partition.floor_indices()
+    fd, gd = (np.take_along_axis(h.values, floors, axis=0) for h in (f, g))
     cols = np.arange(f.values.shape[1])
     lo, hi = floors[t], floors[t2]
     df = f.values[hi, cols] - f.values[lo, cols]
     dg = g.values[hi, cols] - g.values[lo, cols]
-    pi_fg = ito_sum_from(f, g, partition, t)[hi, cols]
-    pi_gf = ito_sum_from(g, f, partition, t)[hi, cols]
-    cov = covariation_sum(f, g, partition, t, t2)
+    pi_fg = fn.paraproduct_deltaf_row(fd, np.diff(g.values, axis=0), t)[hi, cols]
+    pi_gf = fn.paraproduct_deltaf_row(gd, np.diff(f.values, axis=0), t)[hi, cols]
+    cov = _covariation(fd, gd, floors, t, t2)
     return float(np.abs(df * dg - pi_fg - pi_gf - cov).max())
 
 

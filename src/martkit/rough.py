@@ -6,8 +6,8 @@ evaluated between samples, so Riemann-type sums refine indefinitely; a
 piecewise-constant cadlag path saturates at its own grid, which is then the
 finest resolvable partition scale.  Controlled paths have scalar state and
 a d-dimensional driver; second-level arrays are stored densely on grid
-pairs (n <= 512 guard).  Distances between path values are made one
-column at a time, so a control or a variation never holds an (n, n)
+pairs (n <= 512 guard).  Distances between path values are made a block
+of columns at a time, so a control or a variation never holds an (n, n)
 distance matrix, and the RDE solver picks each split point from one
 chain-DP table over the interval it splits.
 """

@@ -1,0 +1,78 @@
+"""The column-loop chain DP that the package ran before its cost blocks, kept
+as an exact oracle.
+
+Each column j of ``pairs`` is read as ``pairs[:j, j]``, its absolute value
+raised to the power r in a fresh array, and added to the best totals before
+them.  ``DistColumns`` and ``PathGaps`` make those columns exactly as the
+package's sources once did; dense arrays are sliced.  Tests compare the
+package's blocked kernel with these with ``np.array_equal``, so a power or a
+distance that rounds differently in a block shows.
+"""
+
+import numpy as np
+
+
+class DistColumns:
+    """pairs[i, j] = |f_i - f_j|, Euclidean across the trailing axis."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.shape = (values.shape[0],) * 2
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, j = key
+        diff = self.values[rows] - self.values[j]
+        if diff.ndim == 1:
+            return np.abs(diff, out=diff)
+        diff *= diff
+        dist = np.add.reduce(diff, axis=-1)
+        return np.sqrt(dist, out=dist)
+
+
+class PathGaps:
+    """pairs[i, j] = pm[j] - pm[i] of a (N+1, L) path matrix."""
+
+    def __init__(self, pm: np.ndarray):
+        self.pm = pm
+        self.shape = pm.shape[:1] + pm.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, j = key
+        return self.pm[j] - self.pm[rows]
+
+
+def step_costs(pairs, j: int, r: float) -> np.ndarray:
+    cost = np.abs(pairs[:j, j])
+    cost **= r
+    return cost
+
+
+def chain_dp(pairs, r: float) -> np.ndarray:
+    n = pairs.shape[0]
+    best = np.zeros((n,) + pairs.shape[2:])
+    for j in range(1, n):
+        cand = step_costs(pairs, j, r)
+        cand += best[:j]
+        best[j] = np.maximum.reduce(cand)
+    return best
+
+
+def chain_dp_table(pairs, r: float) -> np.ndarray:
+    n = pairs.shape[0]
+    table = np.zeros((n, n))
+    inside = np.triu(np.ones((n, n), dtype=bool))
+    for j in range(1, n):
+        cand = table[:j, :j] + step_costs(pairs, j, r)
+        np.maximum.reduce(cand, axis=1, where=inside[:j, :j], initial=-np.inf, out=table[:j, j])
+    return table
+
+
+def variation_witness(values: np.ndarray, r: float) -> list[int]:
+    """The backtracked witness chain of a finite r."""
+    dist = DistColumns(values)
+    best = chain_dp(dist, r)
+    chain = [int(np.argmax(best))]
+    while best[chain[-1]] > 0.0:
+        j = chain[-1]
+        chain.append(int(np.argmax(best[:j] + step_costs(dist, j, r))))
+    return chain[::-1]

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from martkit import bellman, checks
@@ -153,6 +154,41 @@ def test_ito_pairs_forms_the_floors_once(monkeypatch):
     walk = ito.GridCadlagPath.sampled_walk(64, 8, seed=1)
     ito.ito_pairs(walk, walk, ito.AdaptedGridPartition.from_oscillation(walk, 0.5))
     assert calls == {"floor_indices": 1}
+
+
+def test_integration_by_parts_residual_forms_the_floors_once(monkeypatch):
+    # the two Ito sums and the covariation read one discretization
+    calls = Counter()
+    count_calls(monkeypatch, calls, ito.AdaptedGridPartition, ("floor_indices",))
+    walk = ito.GridCadlagPath.sampled_walk(64, 8, seed=1)
+    ito.integration_by_parts_residual(walk, walk, ito.AdaptedGridPartition.from_oscillation(walk, 0.5), 0, 64)
+    assert calls == {"floor_indices": 1}
+
+
+def test_short_variation_reads_its_costs_in_blocks(monkeypatch):
+    # a Picard step's short variations pay a few numpy calls per block, not
+    # per column, and backtrack a witness only when it is read
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn.DistColumns, ("magnitudes",))
+    res = fn.variation(np.random.default_rng(5).normal(size=(65, 1)), 2.5)
+    width = fn.CHAIN_BLOCK_ELEMENTS // 65
+    assert width >= 2 and calls["magnitudes"] <= -(-64 // width)
+    blocks = calls["magnitudes"]
+    assert len(res.witness) >= 2 and calls["magnitudes"] > blocks
+
+
+def test_chain_dp_table_holds_one_table():
+    # besides the table: one block of costs, the candidates of a few start
+    # rows and numpy's iteration buffers; the column loop added each column's
+    # candidates for every start at once and peaked at 3.4 tables
+    dist = fn.DistColumns(np.random.default_rng(6).normal(size=257))
+    tracemalloc.start()
+    try:
+        table = fn.chain_dp_table(dist, 2.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table.nbytes
 
 
 def test_variation_control_holds_no_distance_matrix():

@@ -1,0 +1,129 @@
+"""The blocked chain DP against the column loop it replaced, float for float.
+
+``chain_dp`` reads its costs a block of columns at a time, with a block width
+set by ``functionals.CHAIN_BLOCK_ELEMENTS``.  The tests shrink that budget
+so that small inputs cross every case: one block, several blocks that divide
+the n - 1 columns exactly or not, and one column at a time.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chain_dp_oracles as oracle
+from martkit import functionals as fn
+
+EXPONENTS = (1, 1.0, 1.5, 2.5, 3, 4)
+DEFAULT = fn.CHAIN_BLOCK_ELEMENTS
+BUDGETS = (DEFAULT, 96, 24)
+
+
+def sources(n: int, rng):
+    """(kind, package pairs, oracle pairs) on n points."""
+    vals = rng.normal(size=n)
+    yield "scalar", fn.DistColumns(vals), oracle.DistColumns(vals)
+    rounded = np.round(vals)  # ties among distances
+    yield "scalar ties", fn.DistColumns(rounded), oracle.DistColumns(rounded)
+    for dim in (1, 3, 9):
+        vec = rng.normal(size=(n, dim))
+        yield f"vector d={dim}", fn.DistColumns(vec), oracle.DistColumns(vec)
+    pm = rng.normal(size=(n, 3))
+    yield "path gaps", fn._PathGaps(pm), oracle.PathGaps(pm)
+    dense = rng.normal(size=(n, n, 2))
+    yield "dense", dense, dense
+
+
+def covered(budget: int, size: int, ns) -> set[str]:
+    """The ways ``chain_dp`` splits the columns of the sizes ``ns``."""
+    cases = set()
+    for n in ns:
+        width = budget // (n * size)
+        if width < 2:
+            cases.add("columns")
+        elif width >= n - 1:
+            cases.add("one block")
+        elif (n - 1) % width == 0:
+            cases.add("exact blocks")
+        else:
+            cases.add("ragged blocks")
+    return cases
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_chain_dp_equals_the_column_loop(monkeypatch, budget):
+    monkeypatch.setattr(fn, "CHAIN_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(40)
+    ns = range(2, 71) if budget < DEFAULT else (2, 7, 64, 65, 257)
+    if budget < DEFAULT:
+        assert covered(budget, 1, ns) == {"columns", "one block", "exact blocks", "ragged blocks"}
+    for n in ns:
+        for kind, pairs, ref in sources(n, rng):
+            for r in EXPONENTS:
+                assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, n, r)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_chain_dp_table_equals_the_column_loop(monkeypatch, budget):
+    monkeypatch.setattr(fn, "CHAIN_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(41)
+    ns = (2, 3, 8, 23, 40) if budget < DEFAULT else (7, 65, 130)
+    for n in ns:
+        for vals in (rng.normal(size=n), rng.normal(size=(n, 3)), np.round(rng.normal(size=n))):
+            for r in EXPONENTS:
+                table = fn.chain_dp_table(fn.DistColumns(vals), r)
+                assert np.array_equal(table, oracle.chain_dp_table(oracle.DistColumns(vals), r)), (n, r)
+
+
+def test_variation_keeps_its_value_and_witness():
+    rng = np.random.default_rng(43)
+    for n in (2, 9, 65):
+        for vals in (rng.normal(size=n), rng.normal(size=(n, 1)), rng.normal(size=(n, 3))):
+            for r in (1.0, 2.5, 4):
+                res = fn.variation(vals, r)
+                best = oracle.chain_dp(oracle.DistColumns(vals), r)
+                assert res.value == float(best.max()) ** (1.0 / r)
+                assert res.witness == oracle.variation_witness(vals, r)
+
+
+SIMD_PROBE = """
+import json, sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+import chain_dp_oracles as oracle
+from martkit import functionals as fn
+
+rng = np.random.default_rng(44)
+equal = []
+for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
+    fn.CHAIN_BLOCK_ELEMENTS = budget
+    for n in (9, 33, 65):
+        vals, vec, pm = rng.normal(size=n), rng.normal(size=(n, 9)), rng.normal(size=(n, 5))
+        dense = rng.normal(size=(n, n, 2))
+        pairs = [(fn.DistColumns(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
+                 (fn._PathGaps(pm), oracle.PathGaps(pm)), (dense, dense)]
+        for r in (1, 1.5, 2.5, 3, 4):
+            for new, ref in pairs:
+                equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
+            table = fn.chain_dp_table(fn.DistColumns(vals), r)
+            equal.append(bool(np.array_equal(table, oracle.chain_dp_table(oracle.DistColumns(vals), r))))
+print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
+"""
+
+
+def test_blocks_equal_columns_at_every_simd_level():
+    # numpy's power may take another code path at another SIMD level; a 2-D
+    # block and a 1-D column must still raise each cost alike
+    root = Path(__file__).resolve().parents[1]
+    probe = SIMD_PROBE.format(tests=str(root / "tests"))
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["equal"] == out["cases"] > 0, (disabled, out)

@@ -65,8 +65,9 @@ def test_gen_rejects_a_distribution_it_does_not_take(tmp_path, capsys, gen):
 def test_gen_unknown_distribution_is_a_usage_error(tmp_path):
     for gen in ("backprop", "increment"):
         out = tmp_path / f"{gen}.json"
-        assert main(["gen", "--gen", gen, "--depth", "3", "--seed", "1", "--dist", "bogus", "--out", str(out)]) == 2
-        assert not out.exists()
+        for depth in ("3", "0"):  # a depth-0 increment shape draws nothing
+            assert main(["gen", "--gen", gen, "--depth", depth, "--seed", "1", "--dist", "bogus", "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_check_exit_codes(tmp_path):

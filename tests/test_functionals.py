@@ -281,17 +281,23 @@ def test_variation_paths_infinity_is_oscillation():
     assert np.array_equal(fn.variation_paths(pm, np.inf), gaps)
 
 
-def test_chain_dp_reads_only_the_strict_upper_triangle():
+def test_chain_dp_reads_only_the_strict_upper_triangle(monkeypatch):
+    # a cost block also makes |pairs[i, j]|^r for i >= j; NaN there must not
+    # reach a total, whether the columns come in one block, in several or
+    # one at a time
     rng = np.random.default_rng(13)
     n = 7
     pairs = rng.normal(size=(n, n, 3))
     poisoned, zeroed = pairs.copy(), pairs.copy()
     poisoned[np.tril_indices(n)] = np.nan  # diagonal and below
     zeroed[np.tril_indices(n)] = 0.0
-    for r in (1.0, 2.0, 3.5):
-        best = fn.chain_dp(poisoned, r)
-        assert np.array_equal(best, fn.chain_dp(zeroed, r))
-        assert best.shape == (n, 3) and best[0].tolist() == [0.0, 0.0, 0.0]
+    for budget in (fn.CHAIN_BLOCK_ELEMENTS, 48, 24):
+        monkeypatch.setattr(fn, "CHAIN_BLOCK_ELEMENTS", budget)
+        for r in (1.0, 2.0, 3.5):
+            best = fn.chain_dp(poisoned, r)
+            assert np.array_equal(best, fn.chain_dp(zeroed, r))
+            assert best.shape == (n, 3) and best[0].tolist() == [0.0, 0.0, 0.0]
+            assert np.array_equal(fn.chain_dp_table(poisoned[:, :, 0], r), fn.chain_dp_table(zeroed[:, :, 0], r))
 
 
 def dense_dist(values):
@@ -314,9 +320,13 @@ def dist_inputs():
 def test_dist_columns_equal_the_dense_matrix():
     for vals in dist_inputs():
         dense, cols = dense_dist(vals), fn.DistColumns(vals)
+        n = vals.shape[0]
         assert cols.shape == dense.shape
-        for j in range(1, vals.shape[0]):
-            assert np.array_equal(cols[:j, j], dense[:j, j])
+        for j in range(1, n):
+            assert np.array_equal(cols.magnitudes(j, np.empty(j)), dense[:j, j])
+        for j0, j1 in ((1, n), (1, 2), (5, 9), (n - 1, n)):
+            block = cols.magnitudes(slice(j0, j1), np.empty((j1 - j0, j1 - 1)))
+            assert np.array_equal(block, dense[: j1 - 1, j0:j1].T)
 
 
 def test_variation_at_infinity_takes_the_first_widest_pair():
