@@ -23,6 +23,10 @@ along an adapted partition pi is the same sum on the discretized path,
 Pi^pi(f, g) = Pi(delta f^(pi), g) with f^(pi)_u = f_{a(u)} frozen at the last
 partition point a(u) <= u: a step with a(u) <= t has a(u) = floor(t), so its
 term is (f_{floor(t)} - f_{floor(t)}) dg_u = 0 (see ``ito``).
+``ParaproductGaps`` adds the same terms in the same order, one column at a
+time for every start row, and hands chain_dp the gaps between the sums of
+successive paths, so the r-variation distance between two pair-sum tensors
+is taken without holding either.
 
 ``chain_dp`` is the one r-variation kernel.  It reads |pairs[i, j]|^r for a
 block of w consecutive columns in one contiguous array, w =
@@ -301,7 +305,7 @@ def _cost_columns(pairs, r: float):
     (n * trailing size), or one at a time when w < 2."""
     n, trail = pairs.shape[0], pairs.shape[2:]
     size = math.prod(trail)
-    width = CHAIN_BLOCK_ELEMENTS // (n * size)
+    width = CHAIN_BLOCK_ELEMENTS // max(n * size, 1)
     m = max(n - 1, 0)
     if width < 2:
         buf = np.empty((m,) + trail)
@@ -316,12 +320,22 @@ def _cost_columns(pairs, r: float):
             yield j0 + k, block[k, : j0 + k]
 
 
+def step_cost(values: np.ndarray, r: float) -> float:
+    """|values[-1] - values[0]|**r, Euclidean across a trailing axis: the cost
+    of the one-step chain, made by chain_dp's own ops on ``DistColumns``.  The
+    DP over any sequence with these end points holds this candidate in its
+    last column, so its float maximum is at least this float."""
+    ends = DistColumns(np.asarray(values, dtype=np.float64)[[0, -1]])
+    return float(_costs(ends, 1, r, np.empty(1))[0])
+
+
 def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     """Best totals of sum |pairs[u_{k-1}, u_k]|^r over increasing chains.
 
-    ``pairs`` has shape (n, n, ...), as an array, a ``DistColumns`` or a
-    ``_PathGaps``; only its strict upper triangle is read, a block of columns
-    at a time (``_cost_columns``), and trailing axes are independent problems.
+    ``pairs`` has shape (n, n, ...), as an array, a ``DistColumns``, a
+    ``_PathGaps`` or a ``ParaproductGaps``; only its strict upper triangle is
+    read, a block of columns at a time and in column order
+    (``_cost_columns``), and trailing axes are independent problems.
     Returns ``best`` of shape (n, ...) with best[j] the largest total over
     chains ending at j (0 for the one-point chain), so the r-variation is
     best.max(axis=0) ** (1 / r).  Every candidate is |pairs[i, j]|^r +
@@ -532,6 +546,54 @@ def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
     for s in range(g_pm.shape[0] - 1):
         paraproduct_deltaf_row(f_pm, dg, s, out[s])
     return out
+
+
+class ParaproductGaps:
+    """pairs[i, j, k] = Pi(delta f^(k), g)_{i,j} - Pi(delta f^(k+1), g)_{i,j}
+    for K stacked paths ``f_stack`` of shape (n, K, ...) against one g with
+    increments ``dg`` (n - 1, ...), so pairs has shape (n, n, K - 1, ...): the
+    gaps between successive pair sums, made a column or a block of columns at
+    a time, so chain_dp never holds an (n, n, ...) pair-sum tensor.
+
+    The source keeps one running sum per start row i, path k and trailing
+    index, and steps column j - 1 to column j by adding (f_{j-1} - f_i)
+    dg_{j-1} for i < j: the terms of ``paraproduct_deltaf_row``'s cumsum, in
+    its order.  So each sum is the cumsum's float, except that a leading -0.0
+    term gives 0.0 + -0.0 = 0.0 where the cumsum keeps -0.0, and |.| erases
+    that.  Hence the columns must be read in order; reading column 1 starts a
+    new pass.
+    """
+
+    def __init__(self, f_stack: np.ndarray, dg: np.ndarray):
+        self.f = f_stack
+        self.dg = dg
+        n = f_stack.shape[0]
+        self.shape = (n, n, f_stack.shape[1] - 1) + f_stack.shape[2:]
+        self._sums = np.zeros(f_stack.shape)
+        self._terms = np.empty(f_stack.shape)
+        self._next = 1
+
+    def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
+        """|pairs[i, j]| into ``out`` in the layout of ``_split``; the
+        entries of a block with i >= j are set to 0."""
+        block = isinstance(cols, slice)
+        j0, j1 = (cols.start, cols.stop) if block else (cols, cols + 1)
+        if j0 == 1:
+            self._sums.fill(0.0)
+        elif j0 != self._next:
+            raise ValueError(f"ParaproductGaps reads its columns in order: asked for {j0}, next is {self._next}")
+        for j in range(j0, j1):
+            terms = np.subtract(self.f[j - 1], self.f[:j], out=self._terms[:j])
+            terms *= self.dg[j - 1]
+            sums = self._sums[:j]
+            sums += terms
+            col = out[j - j0, :j] if block else out
+            np.subtract(sums[:, :-1], sums[:, 1:], out=col)
+            np.abs(col, out=col)
+            if block:
+                out[j - j0, j:] = 0.0
+        self._next = j1
+        return out
 
 
 # -- weighted maximal data ---------------------------------------------------

@@ -12,10 +12,14 @@ f_{a(u)} is f frozen at the last partition point a(u) <= u.  Over the grid
 steps (u, u+1) with u >= t, Pi^pi(f, g)_{t, .} sums (f_{a(u)} - f_{floor(t)})
 dg_u over the steps whose a(u) lies beyond t; a step with a(u) <= t has
 a(u) = floor(t), so its term (f_{floor(t)} - f_{floor(t)}) dg_u is 0 and
-the two sums agree.  So every Ito sum here is
-``functionals.paraproduct_deltaf_pairs`` (or one of its rows) on
-``discretize(f, pi)``, summed along time in time order, and the
-covariation [f, g]^pi sums the increment products of f^(pi) and g^(pi).
+the two sums agree.  So every Ito sum here is the sum of
+``functionals.paraproduct_deltaf_pairs`` on ``discretize(f, pi)``, added
+along time in time order: ``ito_pairs`` is that tensor, ``ito_sum_from``,
+``integration_by_parts_residual`` and ``chen_residual`` read its rows
+(``paraproduct_deltaf_row``), and ``refine_converge`` streams the same terms
+in the same order through ``functionals.ParaproductGaps``, so no diagnostic
+builds an (N+1, N+1, P) tensor.  The covariation [f, g]^pi sums the
+increment products of f^(pi) and g^(pi).
 """
 
 from __future__ import annotations
@@ -211,16 +215,20 @@ def integration_by_parts_residual(f, g, partition, t: int, t2: int) -> float:
 
 
 def chen_residual(f, g, partition, max_points: int = 24) -> float:
-    """Max |delta Pi_{t,t',t''} - delta f^(pi)_{t,t'} delta g_{t',t''}| over grid triples."""
+    """Max |delta Pi_{t,t',t''} - delta f^(pi)_{t,t'} delta g_{t',t''}| over grid triples.
+
+    The triples run over at most ``max_points`` evenly spaced grid indices, so
+    only the rows of ``ito_pairs`` at those indices are summed."""
     n1 = f.values.shape[0]
-    pts = np.unique(np.linspace(0, n1 - 1, min(max_points, n1)).astype(int))
+    pts = np.unique(np.linspace(0, n1 - 1, min(max_points, n1)).astype(int)).tolist()
     fd = discretize(f, partition).values
-    pairs = fn.paraproduct_deltaf_pairs(fd, g.values)
+    dg = np.diff(g.values, axis=0)
+    rows = {t: fn.paraproduct_deltaf_row(fd, dg, t) for t in pts}
     worst = 0.0
-    for t in pts:
-        for t1 in pts[pts >= t]:
-            for t2 in pts[pts >= t1]:
-                resid = pairs[t, t2] - pairs[t, t1] - pairs[t1, t2] - (fd[t1] - fd[t]) * (g.values[t2] - g.values[t1])
+    for a, t in enumerate(pts):
+        for b, t1 in enumerate(pts[a:], a):
+            for t2 in pts[b:]:
+                resid = rows[t][t2] - rows[t][t1] - rows[t1][t2] - (fd[t1] - fd[t]) * (g.values[t2] - g.values[t1])
                 worst = max(worst, float(np.abs(resid).max()))
     return worst
 
@@ -257,27 +265,24 @@ def refine_converge(
     processes and the discretization errors V^{p_tilde}(f - f^(pi)).  The
     default stride schedule ends at the full grid, where the discretization
     error vanishes identically.
+
+    All levels share one chain DP for the distances, over the gaps
+    |Pi^{pi_l} - Pi^{pi_{l+1}}| that ``functionals.ParaproductGaps`` makes a
+    column at a time from the stacked discretizations, and one for the
+    discretization errors; levels and paths are independent trailing axes,
+    so no (N+1, N+1, P) tensor is built and every float is that of one
+    level at a time.
     """
+    if not r > 0:
+        raise ValueError("variation exponent must be positive")
     n = f.n_steps
     if start_power is None:
         start_power = max(0, int(round(np.log2(n))) - levels)
-    parts = []
-    for level in range(levels + 1):
-        stride = max(1, n >> (start_power + level))
-        parts.append(base.union_grid(stride))
-    distances = []
-    prev = ito_pairs(f, g, parts[0])
-    for p in parts[1:]:
-        cur = ito_pairs(f, g, p)
-        prev -= cur  # only |cur - prev| is read, and |a - b| = |b - a| exactly
-        per_path = fn.two_param_variation_paths(prev, r)
-        distances.append(f.expectation(per_path))
-        prev = cur
-    disc = []
-    for p in parts:
-        diff = f.values - discretize(f, p).values
-        per_path = fn.variation_paths(diff, p_tilde)
-        disc.append(f.expectation(per_path))
+    parts = [base.union_grid(max(1, n >> (start_power + level))) for level in range(levels + 1)]
+    fds = np.stack([discretize(f, p).values for p in parts], axis=1)  # (N+1, levels+1, P)
+    gaps = fn.ParaproductGaps(fds, np.diff(g.values, axis=0))
+    distances = [f.expectation(d) for d in fn.chain_dp(gaps, r).max(axis=0) ** (1.0 / r)]
+    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds, p_tilde)]
     return RefinementDiagnostics(distances, disc, [start_power + k for k in range(levels + 1)], f.sampled)
 
 

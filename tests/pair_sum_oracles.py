@@ -90,3 +90,42 @@ def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
             acc = acc + (f_pm[t - 1] - f_pm[s]) * dg[t - 1]
             out[s, t] = acc
     return out
+
+
+def refine_converge(f, g, base, levels: int = 4, r: float = 2.5, p_tilde: float = 3.0):
+    """(pi_distances, discretization_errors) of ``ito.refine_converge`` from
+    whole (N+1, N+1, P) ``ito_pairs`` tensors, one level at a time: the
+    difference of successive tensors goes to ``two_param_variation_paths``
+    and each error path to ``variation_paths``."""
+    from martkit import functionals as fn
+    from martkit import ito
+
+    n = f.n_steps
+    start_power = max(0, int(round(np.log2(n))) - levels)
+    parts = [base.union_grid(max(1, n >> (start_power + level))) for level in range(levels + 1)]
+    distances = []
+    prev = ito.ito_pairs(f, g, parts[0])
+    for p in parts[1:]:
+        cur = ito.ito_pairs(f, g, p)
+        prev -= cur
+        distances.append(f.expectation(fn.two_param_variation_paths(prev, r)))
+        prev = cur
+    disc = [f.expectation(fn.variation_paths(f.values - ito.discretize(f, p).values, p_tilde)) for p in parts]
+    return distances, disc
+
+
+def chen_residual(f, g, partition, max_points: int = 24) -> float:
+    """``ito.chen_residual`` read from the whole ``ito_pairs`` tensor."""
+    from martkit import ito
+
+    n1 = f.values.shape[0]
+    pts = np.unique(np.linspace(0, n1 - 1, min(max_points, n1)).astype(int))
+    fd = ito.discretize(f, partition).values
+    pairs = ito.ito_pairs(f, g, partition)
+    worst = 0.0
+    for t in pts:
+        for t1 in pts[pts >= t]:
+            for t2 in pts[pts >= t1]:
+                resid = pairs[t, t2] - pairs[t, t1] - pairs[t1, t2] - (fd[t1] - fd[t]) * (g.values[t2] - g.values[t1])
+                worst = max(worst, float(np.abs(resid).max()))
+    return worst

@@ -203,6 +203,44 @@ def test_variation_control_holds_no_distance_matrix():
     assert peak < 2 * 2**20
 
 
+def test_refinement_diagnostics_hold_no_pair_tensor():
+    # one (257, 257, 64) pair tensor takes 34 MB; the tensors of two levels
+    # and their difference took 65 MB
+    g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)
+    base = ito.AdaptedGridPartition.from_oscillation(g, 0.5)
+    tracemalloc.start()
+    try:
+        ito.refine_converge(g, g, base, levels=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_refinement_and_chen_residual_build_no_pair_tensor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an (N+1, N+1, P) pair tensor was built")
+
+    monkeypatch.setattr(fn, "paraproduct_deltaf_pairs", refuse)
+    monkeypatch.setattr(ito, "ito_pairs", refuse)
+    g = ito.GridCadlagPath.sampled_walk(64, 8, seed=2)
+    base = ito.AdaptedGridPartition.from_oscillation(g, 0.5)
+    assert len(ito.refine_converge(g, g, base, levels=3).pi_distances) == 3
+    assert ito.chen_residual(g, g, base, max_points=12) <= 1e-12
+
+
+def test_sew_young_runs_only_the_bound_dps(monkeypatch):
+    # the lower bounds pass all 16 spot checks, so only the two summands of
+    # omega(0, T) run a chain DP; each spot check ran two more
+    calls = Counter()
+    count_calls(monkeypatch, calls, R, ("chain_dp",))
+    a = R.SampledPath.line(1.0, 4096)
+    omega = R.variation_control(a, 1.0) + R.variation_control(a, 1.0)
+    res = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6)
+    assert res.hypothesis_ok
+    assert calls == {"chain_dp": 2}
+
+
 def test_time_scans_hold_one_path_matrix():
     # both kernels scan in their output array: the strided numpy scans held
     # 2.00 (maximal) and 3.82 (square function) times the path matrix

@@ -221,6 +221,14 @@ def test_refine_converge_walk_demo():
     assert diag.discretization_errors[-1] == 0.0  # final level is the full grid
 
 
+def test_refine_converge_rejects_a_nonpositive_exponent():
+    g = I.GridCadlagPath.sampled_walk(16, 2, seed=1)
+    base = I.AdaptedGridPartition.zero_only(g)
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            I.refine_converge(g, g, base, levels=2, r=r)
+
+
 def test_ito_bound_data(small_bundle):
     f, g, part = small_bundle
     out = I.ito_bound_data(f, g, part)

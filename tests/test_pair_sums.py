@@ -1,14 +1,20 @@
 """The one pair-sum kernel against the earlier bodies of every pair sum.
 
 The Ito sums, the covariation and the paraproducts all run through
-``functionals.paraproduct_deltaf_pairs`` and its row function.  Here each is
-compared float for float with its earlier body (``pair_sum_oracles``) on
-bundles whose values are not dyadic, so that every sum rounds and a change
-of summation order shows: a one-path bundle is contiguous in time, where
-``np.sum`` would add pairwise.
+``functionals.paraproduct_deltaf_pairs`` and its row function, and the
+refinement diagnostics stream the same sums through
+``functionals.ParaproductGaps``.  Here each is compared float for float with
+its earlier body (``pair_sum_oracles``) on bundles whose values are not
+dyadic, so that every sum rounds and a change of summation order shows: a
+one-path bundle is contiguous in time, where ``np.sum`` would add pairwise.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,3 +121,117 @@ def test_ito_sums_and_the_paraproduct_check_reach_only_the_one_kernel(monkeypatc
     # per trial: one window estimate per family and the delta-f form
     assert calls["paraproduct_deltaf_pairs"] == 5 * spec.trials
     assert calls["paraproduct_pairs"] == 0
+
+
+def tree_bundle(depth: int, seed: int) -> I.GridCadlagPath:
+    return I.GridCadlagPath.from_tree_process(G.gen_leaf_backprop("normal", depth, seed=seed))
+
+
+# (n_steps, n_paths): the small ones take chain_dp's cost blocks, 256 x 64
+# its column path
+REFINE_SHAPES = ((16, 3), (33, 2), (40, 3), (64, 1), (256, 64))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [2.5, 3])
+def test_refine_converge_equals_the_pair_tensor_oracle(levels, r):
+    cases = [(bundle(n, p, n + levels, cauchy=bool(n % 2)), bundle(n, p, n + 50, cauchy=False)) for n, p in REFINE_SHAPES]
+    tree = tree_bundle(7, seed=levels)
+    cases += [(tree, tree), (tree, tree_bundle(7, seed=levels + 10))]
+    taken = set()
+    for f, g in cases:
+        width = fn.CHAIN_BLOCK_ELEMENTS // ((f.n_steps + 1) * levels * f.n_paths)
+        taken.add("blocks" if width >= 2 else "columns")
+        for base in (I.AdaptedGridPartition.from_oscillation(f, 0.4), I.AdaptedGridPartition.zero_only(f)):
+            diag = I.refine_converge(f, g, base, levels=levels, r=r)
+            distances, disc = oracle.refine_converge(f, g, base, levels=levels, r=r)
+            assert diag.pi_distances == distances, (f.values.shape, levels, r)
+            assert diag.discretization_errors == disc, (f.values.shape, levels, r)
+    assert taken == {"blocks", "columns"}
+
+
+def test_refine_converge_without_refinement_reports_only_the_error():
+    f = bundle(16, 3, 7, cauchy=False)
+    diag = I.refine_converge(f, f, I.AdaptedGridPartition.from_oscillation(f, 0.4), levels=0)
+    assert diag.pi_distances == []
+    assert diag.discretization_errors == oracle.refine_converge(f, f, I.AdaptedGridPartition.from_oscillation(f, 0.4), levels=0)[1]
+
+
+def test_chen_residual_equals_the_pair_tensor_oracle():
+    tree = tree_bundle(6, seed=3)
+    cases = [(bundle(n, p, n, cauchy=True), bundle(n, p, n + 1, cauchy=False)) for n, p in ((2, 1), (29, 3), (137, 8))]
+    for f, g in cases + [(tree, tree)]:
+        for kind in PARTITIONS:
+            pi = partition(kind, f)
+            for max_points in (2, 5, 12, 24):
+                assert I.chen_residual(f, g, pi, max_points) == oracle.chen_residual(f, g, pi, max_points)
+
+
+def gap_source(n: int = 9, k: int = 3, paths: int = 2) -> fn.ParaproductGaps:
+    rng = np.random.default_rng(n)
+    return fn.ParaproductGaps(rng.normal(size=(n, k, paths)), rng.normal(size=(n - 1, paths)))
+
+
+def test_paraproduct_gaps_reject_columns_out_of_order():
+    gaps = gap_source()
+    gaps.magnitudes(1, np.empty((1, 2, 2)))
+    with pytest.raises(ValueError, match="in order"):
+        gaps.magnitudes(3, np.empty((3, 2, 2)))
+    gaps.magnitudes(2, np.empty((2, 2, 2)))
+    with pytest.raises(ValueError, match="in order"):
+        gaps.magnitudes(slice(2, 5), np.empty((3, 4, 2, 2)))
+    # column 1 starts a new pass, with the same floats
+    first = gaps.magnitudes(slice(1, 4), np.empty((3, 3, 2, 2))).copy()
+    assert np.array_equal(gaps.magnitudes(slice(1, 4), np.empty((3, 3, 2, 2))), first)
+
+
+def test_paraproduct_gaps_blocks_zero_their_unread_entries():
+    # a reused buffer may hold anything; **= r must not warn on what is not read
+    gaps = gap_source()
+    out = np.full((4, 5, 2, 2), -np.inf)
+    gaps.magnitudes(1, np.empty((1, 2, 2)))
+    gaps.magnitudes(slice(2, 6), out)
+    for k in range(4):
+        assert np.all(out[k, k + 2 :] == 0.0)
+        assert np.all(out[k, : k + 2] >= 0.0)
+    out **= 2.5  # warnings are errors under pytest
+    tensor = [fn.paraproduct_deltaf_pairs(gaps.f[:, k], np.concatenate([[np.zeros(2)], np.cumsum(gaps.dg, axis=0)])) for k in range(3)]
+    for k in range(4):
+        j = k + 2
+        expect = np.abs(np.stack([tensor[0][:j, j] - tensor[1][:j, j], tensor[1][:j, j] - tensor[2][:j, j]], axis=1))
+        assert np.array_equal(out[k, :j], expect**2.5)
+
+
+REFINE_PROBE = """
+import json, sys
+import numpy as np
+sys.path.insert(0, {tests!r})
+import pair_sum_oracles as oracle
+from martkit import ito as I
+
+rng = np.random.default_rng(45)
+equal = []
+for n, p in ((16, 3), (40, 2), (256, 64)):
+    f, g = (np.vstack([np.zeros(p), np.cumsum(rng.normal(size=(n, p)) / 3, axis=0)]) for _ in range(2))
+    f, g = (I.GridCadlagPath(v, np.full(p, 1.0 / p), 1.0, None, True) for v in (f, g))
+    base = I.AdaptedGridPartition.from_oscillation(f, 0.4)
+    for levels, r in ((2, 2.5), (4, 3)):
+        diag = I.refine_converge(f, g, base, levels=levels, r=r)
+        equal.append((diag.pi_distances, diag.discretization_errors) == oracle.refine_converge(f, g, base, levels, r))
+    equal.append(I.chen_residual(f, g, base, 12) == oracle.chen_residual(f, g, base, 12))
+print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
+"""
+
+
+def test_refinement_equals_the_oracle_at_every_simd_level():
+    # the gaps are raised to r on their own (j, levels, paths) layout; numpy's
+    # power must still give each cost the float of the per-level tensor column
+    root = Path(__file__).resolve().parents[1]
+    probe = REFINE_PROBE.format(tests=str(root / "tests"))
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["equal"] == out["cases"] > 0, (disabled, out)

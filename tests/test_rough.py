@@ -59,6 +59,46 @@ def test_variation_control_superadditive():
     assert ctrl(0.3, 0.3) == 0.0
 
 
+def test_control_lower_is_at_most_omega():
+    rng = np.random.default_rng(12)
+    walk = dyadic_walk_path(64, seed=7)
+    rough_vals = R.SampledPath(np.linspace(0.0, 1.0, 41), rng.normal(size=(41, 3)), "linear")
+    scalar = R.SampledPath(np.linspace(0.0, 1.0, 41), rng.normal(size=41) / 7, "linear")
+    for path in (walk, rough_vals, scalar):
+        for r in (1, 1.0, 1.5, 2, 2.5, 3):
+            one = R.variation_control(path, r)
+            controls = (one, one + R.variation_control(path, r), one + R.Control(lambda s, t: t - s))
+            times = np.concatenate([path.times[::5], rng.uniform(0.0, 1.0, size=8)])
+            for s, t in itertools.combinations(np.sort(times), 2):
+                for omega in controls:
+                    low = omega.lower(s, t)
+                    assert 0.0 <= low <= omega(s, t), (r, s, t)
+                    assert omega.lower(s, t) == omega(s, t)  # memoized now
+    plain = R.Control(lambda s, t: t - s)
+    assert plain.lower(0.2, 0.5) == 0.0 and plain.lower(0.5, 0.2) == 0.0
+    plain(0.2, 0.5)
+    assert plain.lower(0.2, 0.5) == plain(0.2, 0.5)
+
+
+def test_sew_hypothesis_failures_warn_and_raise():
+    # |delta Xi_{s,u,t}| = (u - s)(t - u) against (c (t - s))^2 fails the spot
+    # checks whose middle point u lies well inside [s, t]
+    a = R.SampledPath.line(1.0, 256)
+    germ = R.young_germ(a, a)
+    for control in (R.variation_control(R.SampledPath.line(0.3, 256), 1.0), R.Control(lambda s, t: 0.3 * (t - s))):
+        with pytest.warns(UserWarning, match="failed a spot check") as caught:
+            res = R.sew(germ, control, theta=2.0, T=1.0, tol=1e-6)
+        assert len(caught) == 1
+        assert not res.hypothesis_ok and res.converged
+        assert res.error_bound == R.zeta_sum(2.0) * control(0.0, 1.0) ** 2
+    # a tighter control also breaks the a-priori bound on the sewn value
+    with pytest.warns(UserWarning, match="failed a spot check"):
+        with pytest.raises(R.SewingError, match="a-priori bound"):
+            R.sew(germ, R.variation_control(R.SampledPath.line(0.2, 256), 1.0), theta=2.0, T=1.0, tol=1e-6)
+    # a control with no lower bound decides every spot check exactly
+    assert R.sew(germ, R.Control(lambda s, t: 0.6 * (t - s)), theta=2.0, T=1.0, tol=1e-6).hypothesis_ok
+
+
 def test_sew_additive_germ_telescopes():
     # delta Xi = 0: every partition returns the germ value exactly
     xi = lambda s, t: t**2 - s**2  # noqa: E731
