@@ -170,6 +170,11 @@ def _parse_phi(text: str) -> tuple[rough.SmoothFunction, str, float]:
 
 def cmd_rde(args) -> int:
     phi, phi_name, coeff = _parse_phi(args.phi)
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    for name in ("y0", "amplitude", "T"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
     if args.driver == "line":
         driver = rough.rough_line(args.T, args.n, r=args.r)
     elif args.driver == "walk":

@@ -349,34 +349,6 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     return best
 
 
-def chain_dp_table(pairs: np.ndarray, r: float) -> np.ndarray:
-    """chain_dp from every start point at once.
-
-    ``pairs`` is read as by chain_dp, with no trailing axes.  Returns
-    ``table`` of shape (n, n) with table[s, j] the largest total over
-    chains inside [s, j] that end at j; row s restricted to [s, n) is
-    chain_dp of ``pairs`` restricted to [s, n), float for float, because
-    column j adds the same |pairs[i, j]|^r + best candidates for every start
-    s <= i.  Entries below the diagonal are unused.  Column j's candidates
-    are made for a chunk of start rows at a time, at most
-    CHAIN_BLOCK_ELEMENTS of them, so no (n, n) array but the table is held.
-    """
-    n = pairs.shape[0]
-    table = np.zeros((n, n))
-    # inside[a, b]: start s0 + a <= predecessor s0 + b; a chunk of starts
-    # s0 <= s < s1 reads predecessors s0 <= i < j, so it has at most
-    # min(j - s0, CHAIN_BLOCK_ELEMENTS // (j - s0)) <= isqrt(CHAIN_BLOCK_ELEMENTS) rows
-    inside = np.arange(min(n, math.isqrt(CHAIN_BLOCK_ELEMENTS)))[:, None] <= np.arange(n)
-    for j, cost in _cost_columns(pairs, r):
-        s0 = 0
-        while s0 < j:
-            s1 = min(s0 + max(1, CHAIN_BLOCK_ELEMENTS // (j - s0)), j)
-            cand = table[s0:s1, s0:j] + cost[s0:]
-            np.maximum.reduce(cand, axis=1, where=inside[: s1 - s0, : j - s0], initial=-np.inf, out=table[s0:s1, j])
-            s0 = s1
-    return table
-
-
 def variation(values: np.ndarray, r: float) -> VariationResult:
     """Exact r-variation of a finite sequence via dynamic programming.
 

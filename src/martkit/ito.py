@@ -53,10 +53,14 @@ class GridCadlagPath:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
+        if self.values.shape[0] < 2 or self.values.shape[1] < 1:
+            raise ValueError(f"need at least one grid step and one path, got values of shape {self.values.shape}")
         if self.values.shape[0] - 1 > GRID_GUARD:
             raise ValueError(f"grid exceeds guard {GRID_GUARD}")
         if self.weights.shape != (self.values.shape[1],):
             raise ValueError("one weight per path required")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
 
     @property
     def n_steps(self) -> int:
@@ -85,7 +89,7 @@ class GridCadlagPath:
         rng = rng_for(seed)
         steps = rng.choice([-1.0, 1.0], size=(n_steps, n_paths)) / np.sqrt(n_steps)
         vals = np.vstack([np.zeros(n_paths), np.cumsum(steps, axis=0)])
-        return cls(vals, np.full(n_paths, 1.0 / n_paths), T, None, True)
+        return cls(vals, np.ones(n_paths) / n_paths, T, None, True)
 
 
 @dataclass
@@ -136,6 +140,8 @@ class AdaptedGridPartition:
     @classmethod
     def from_oscillation(cls, path: GridCadlagPath, eps: float) -> "AdaptedGridPartition":
         """First-exit partition: stop when |f_t - f_{pi_j}| >= eps."""
+        if not eps >= 0:
+            raise ValueError(f"oscillation threshold eps must be >= 0, got {eps}")
         vals = path.values
         mask = np.zeros_like(vals, dtype=bool)
         mask[0] = True

@@ -678,8 +678,8 @@ def rde_solve(
 
     Intervals whose driver norms exceed the smallness threshold are split at
     the grid time halving the r-variation of X and solved left to right with
-    matched initial data; every prefix and suffix control of the interval is
-    read from one chain-DP table (``functionals.chain_dp_table``).  A single
+    matched initial data; the prefix and suffix controls of the interval come
+    from a forward and a reversed chain DP (``_halving_index``).  A single
     grid step already above the threshold is a jump the local theory cannot
     absorb and raises.  Each Picard step only sews on the grid: it computes
     no remainder diagnostics.  The contraction metric must decrease strictly
@@ -748,14 +748,22 @@ def rde_solve(
 
 def _halving_index(X: RoughPath) -> int:
     """First grid index k minimizing |omega(0, t_k) - omega(t_k, T)| for the
-    r-variation control omega of X, read from one chain-DP table."""
-    vals = X.path.values
-    table = fn.chain_dp_table(fn.DistColumns(vals[:, 0] if X.dim == 1 else vals), X.r)
-    prefix = np.maximum.accumulate(table[0])
+    r-variation control omega of X, from two chain DPs.
+
+    The prefix omega(0, t_k) is the running maximum of chain_dp over the
+    values; the suffix omega(t_k, T) is the running maximum of chain_dp over
+    the reversed values, read back in reverse.  Both read the same
+    |f_i - f_j|^r costs, but the reversed DP adds each chain's costs in the
+    opposite order, so on a near tie a suffix may differ from omega(t_k, T)
+    by an ulp.
+    """
+    vals = X.path.values[:, 0] if X.dim == 1 else X.path.values
+    prefix = np.maximum.accumulate(chain_dp(fn.DistColumns(vals), X.r))
+    suffix = np.maximum.accumulate(chain_dp(fn.DistColumns(vals[::-1]), X.r))[::-1]
     n = vals.shape[0] - 1
     best, arg = math.inf, n // 2
     for k in range(1, n):
-        gap = abs(float(prefix[k]) - float(table[k, k:].max()))
+        gap = abs(float(prefix[k]) - float(suffix[k]))
         if gap < best:
             best, arg = gap, k
     return arg

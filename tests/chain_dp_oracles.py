@@ -7,7 +7,12 @@ them.  ``DistColumns`` and ``PathGaps`` make those columns exactly as the
 package's sources once did; dense arrays are sliced.  Tests compare the
 package's blocked kernel with these with ``np.array_equal``, so a power or a
 distance that rounds differently in a block shows.
+
+``halving_one_interval_at_a_time`` is the RDE split index by its definition,
+one control DP per interval.
 """
+
+import math
 
 import numpy as np
 
@@ -57,14 +62,21 @@ def chain_dp(pairs, r: float) -> np.ndarray:
     return best
 
 
-def chain_dp_table(pairs, r: float) -> np.ndarray:
-    n = pairs.shape[0]
-    table = np.zeros((n, n))
-    inside = np.triu(np.ones((n, n), dtype=bool))
-    for j in range(1, n):
-        cand = table[:j, :j] + step_costs(pairs, j, r)
-        np.maximum.reduce(cand, axis=1, where=inside[:j, :j], initial=-np.inf, out=table[:j, j])
-    return table
+def halving_one_interval_at_a_time(X):
+    """The split index of ``rough._halving_index`` by its definition: the
+    prefix and suffix controls at every inner grid time, each from its own
+    ``variation_control`` DP, and the first index minimizing their gap."""
+    from martkit import rough
+
+    ctrl = rough.variation_control(X.path, X.r)
+    times = X.times
+    n = times.size - 1
+    best, arg = math.inf, n // 2
+    for k in range(1, n):
+        gap = abs(ctrl(0.0, float(times[k])) - ctrl(float(times[k]), float(times[-1])))
+        if gap < best:
+            best, arg = gap, k
+    return arg
 
 
 def variation_witness(values: np.ndarray, r: float) -> list[int]:

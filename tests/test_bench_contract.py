@@ -177,18 +177,18 @@ def test_short_variation_reads_its_costs_in_blocks(monkeypatch):
     assert len(res.witness) >= 2 and calls["magnitudes"] > blocks
 
 
-def test_chain_dp_table_holds_one_table():
-    # besides the table: one block of costs, the candidates of a few start
-    # rows and numpy's iteration buffers; the column loop added each column's
-    # candidates for every start at once and peaked at 3.4 tables
-    dist = fn.DistColumns(np.random.default_rng(6).normal(size=257))
+def test_halving_index_holds_no_table():
+    # two chain DPs hold a few (n,) arrays and one block of costs; the
+    # (513, 513) float64 table they replaced took 2.1 MB
+    X = R.rough_line(0.3, 512, r=2.5)
+    table_bytes = 513 * 513 * 8
     tracemalloc.start()
     try:
-        table = fn.chain_dp_table(dist, 2.5)
+        R._halving_index(X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * table.nbytes
+    assert peak <= table_bytes / 8
 
 
 def test_variation_control_holds_no_distance_matrix():

@@ -67,18 +67,6 @@ def test_chain_dp_equals_the_column_loop(monkeypatch, budget):
                 assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, n, r)
 
 
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_chain_dp_table_equals_the_column_loop(monkeypatch, budget):
-    monkeypatch.setattr(fn, "CHAIN_BLOCK_ELEMENTS", budget)
-    rng = np.random.default_rng(41)
-    ns = (2, 3, 8, 23, 40) if budget < DEFAULT else (7, 65, 130)
-    for n in ns:
-        for vals in (rng.normal(size=n), rng.normal(size=(n, 3)), np.round(rng.normal(size=n))):
-            for r in EXPONENTS:
-                table = fn.chain_dp_table(fn.DistColumns(vals), r)
-                assert np.array_equal(table, oracle.chain_dp_table(oracle.DistColumns(vals), r)), (n, r)
-
-
 def test_variation_keeps_its_value_and_witness():
     rng = np.random.default_rng(43)
     for n in (2, 9, 65):
@@ -96,6 +84,7 @@ import numpy as np
 sys.path.insert(0, {tests!r})
 import chain_dp_oracles as oracle
 from martkit import functionals as fn
+from martkit import rough
 
 rng = np.random.default_rng(44)
 equal = []
@@ -109,15 +98,19 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
         for r in (1, 1.5, 2.5, 3, 4):
             for new, ref in pairs:
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
-            table = fn.chain_dp_table(fn.DistColumns(vals), r)
-            equal.append(bool(np.array_equal(table, oracle.chain_dp_table(oracle.DistColumns(vals), r))))
+        times = np.linspace(0.0, 0.3, n)
+        walk = np.cumsum(rng.choice([-0.05, 0.05], size=n))
+        for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
+            X = rough.lift(path, r=2.5)
+            equal.append(rough._halving_index(X) == oracle.halving_one_interval_at_a_time(X))
 print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
 """
 
 
 def test_blocks_equal_columns_at_every_simd_level():
     # numpy's power may take another code path at another SIMD level; a 2-D
-    # block and a 1-D column must still raise each cost alike
+    # block and a 1-D column must still raise each cost alike, and the RDE
+    # split from a forward and a reversed DP must stay the defined one
     root = Path(__file__).resolve().parents[1]
     probe = SIMD_PROBE.format(tests=str(root / "tests"))
     for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):

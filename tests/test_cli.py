@@ -182,6 +182,39 @@ def test_rde_walk_driver_requires_seed(tmp_path):
     assert main(["rde", "--driver", "walk", "--n", "64", "--seed", "3", "--out", str(tmp_path / "w.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--driver", "walk", "--seed", "1", "--n", "0"], "--n must be at least 1", id="n=0"),
+        pytest.param(["--y0", "nan"], "--y0 must be finite", id="y0=nan"),
+        pytest.param(["--y0", "inf"], "--y0 must be finite", id="y0=inf"),
+        pytest.param(["--driver", "walk", "--seed", "1", "--amplitude", "nan"], "--amplitude must be finite", id="amplitude=nan"),
+        pytest.param(["--driver", "walk", "--seed", "1", "--amplitude", "inf"], "--amplitude must be finite", id="amplitude=inf"),
+        pytest.param(["--T", "nan"], "--T must be finite", id="T=nan"),
+    ],
+)
+def test_rde_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    assert main(["rde", *argv, "--out", str(tmp_path / "r.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--steps", "0"], "at least one grid step and one path", id="steps=0"),
+        pytest.param(["--paths", "0"], "at least one grid step and one path", id="paths=0"),
+        pytest.param(["--T", "nan"], "T must be finite and positive", id="T=nan"),
+        pytest.param(["--T", "0"], "T must be finite and positive", id="T=0"),
+        pytest.param(["--eps", "nan"], "eps must be >= 0", id="eps=nan"),
+    ],
+)
+def test_ito_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    assert main(["ito", "--seed", "3", *argv, "--out", str(tmp_path / "i.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_ito_command(tmp_path):
     out = tmp_path / "ito.json"
     code = main(["ito", "--steps", "256", "--paths", "32", "--seed", "3", "--out", str(out)])

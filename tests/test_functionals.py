@@ -297,7 +297,6 @@ def test_chain_dp_reads_only_the_strict_upper_triangle(monkeypatch):
             best = fn.chain_dp(poisoned, r)
             assert np.array_equal(best, fn.chain_dp(zeroed, r))
             assert best.shape == (n, 3) and best[0].tolist() == [0.0, 0.0, 0.0]
-            assert np.array_equal(fn.chain_dp_table(poisoned[:, :, 0], r), fn.chain_dp_table(zeroed[:, :, 0], r))
 
 
 def dense_dist(values):
@@ -337,15 +336,6 @@ def test_variation_at_infinity_takes_the_first_widest_pair():
         res = fn.variation(vals, np.inf)
         assert res.witness == [int(iu[0][k]), int(iu[1][k])]
         assert res.value == dense[iu][k]
-
-
-def test_chain_dp_table_rows_equal_chain_dp_from_each_start():
-    for vals in dist_inputs():
-        dense = dense_dist(vals)
-        for r in (1.0, 2.5):
-            table = fn.chain_dp_table(fn.DistColumns(vals), r)
-            for s in range(vals.shape[0]):
-                assert np.array_equal(table[s, s:], fn.chain_dp(dense[s:, s:], r))
 
 
 def test_two_param_variation_paths_batch_equals_slices():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from martkit import functionals as fn
+import chain_dp_oracles as oracle
 from martkit import rough as R
 
 
@@ -289,24 +289,15 @@ def test_rde_piecewise_linear_lift_driver():
     assert np.abs(sol.path.values - np.exp(X.times)).max() <= 1e-3
 
 
-def halving_one_interval_at_a_time(X):
-    """Prefix and suffix controls at every inner grid time, each from its own
-    variation_control DP, and the first index minimizing their gap."""
-    ctrl = R.variation_control(X.path, X.r)
-    times = X.times
-    n = times.size - 1
-    prefix = np.array([ctrl(0.0, float(times[k])) for k in range(1, n)])
-    suffix = np.array([ctrl(float(times[k]), float(times[-1])) for k in range(1, n)])
-    best, arg = math.inf, n // 2
-    for k in range(1, n):
-        gap = abs(prefix[k - 1] - suffix[k - 1])
-        if gap < best:
-            best, arg = gap, k
-    return prefix, suffix, arg
-
-
 def halving_drivers():
     yield R.rough_line(0.3, 128, r=2.5)
+    yield R.rough_line(0.3, 512, r=2.5)
+    for seed in range(4):
+        # the demo walk driver: +-step increments, many tied gaps
+        rng = np.random.default_rng(seed)
+        step = 0.2 / math.sqrt(256)
+        vals = np.concatenate([[0.0], np.cumsum(rng.choice([-step, step], size=256))])
+        yield R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"), r=2.5)
     for dim in (1, 2, 3):
         rng = np.random.default_rng(20 + dim)
         vals = np.cumsum(rng.choice([-0.05, 0.05], size=(97, dim)), axis=0)
@@ -314,15 +305,11 @@ def halving_drivers():
             yield R.lift(R.SampledPath(np.linspace(0.0, 0.3, 97), vals, interpretation), r=2.5)
 
 
-def test_halving_table_equals_one_interval_at_a_time():
+def test_halving_index_equals_one_interval_at_a_time():
+    # the reversed DP adds a suffix's costs in the opposite order; an ulp
+    # there must not move the split
     for X in halving_drivers():
-        prefix, suffix, arg = halving_one_interval_at_a_time(X)
-        vals = X.path.values
-        table = fn.chain_dp_table(fn.DistColumns(vals[:, 0] if X.dim == 1 else vals), X.r)
-        n = vals.shape[0] - 1
-        assert np.array_equal(np.maximum.accumulate(table[0])[1:n], prefix)
-        assert np.array_equal(np.array([table[k, k:].max() for k in range(1, n)]), suffix)
-        assert R._halving_index(X) == arg
+        assert R._halving_index(X) == oracle.halving_one_interval_at_a_time(X)
 
 
 def test_rde_jump_too_large_raises():
