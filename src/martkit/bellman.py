@@ -15,13 +15,12 @@ parent maps are the identity.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import functionals as fn
-from .report import CheckReport, CorpusSpec, RatioTracker, finish_report
+from .report import CheckReport, CorpusSpec, RatioTracker, run_trials
 from .tree import FiltrationTree, Martingale, NodeLayout
 
 SQRT3 = math.sqrt(3.0)
@@ -176,18 +175,16 @@ def sharp_davis_clause(tracker: RatioTracker, sf: np.ndarray, fstar: np.ndarray,
 def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
     """E Sf <= sqrt(3) E f* asserted per trial, together with the expectation
     form E(3|f_0| + sum |df_n|^2 / f*_n) <= E(2 f*_N + |f_N|^2 / f*_N)."""
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    worst_ratio_s = 0.0
-    for mart in spec.martingales():
+
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         lhs, rhs, sf, fstar = pathwise_sharp_sides(mart.flat, mart.tree.layout)
         e_s, e_star = sharp_davis_clause(tracker, sf, fstar, w)
         if e_star > 0:
-            worst_ratio_s = max(worst_ratio_s, e_s / e_star)
+            tracker.measure("max_ES_over_Estar", e_s / e_star)
         tracker.add(float(w @ lhs), float(w @ rhs))
-        tracker.commit_trial()
-    return finish_report("sharp_davis", {}, spec, tracker, t0, SQRT3, measured={"max_ES_over_Estar": worst_ratio_s})
+
+    return run_trials("sharp_davis", {}, spec, SQRT3, trial, {"max_ES_over_Estar": 0.0})
 
 
 # -- extremal construction ----------------------------------------------------

@@ -1,26 +1,29 @@
 """Named verification procedures, one per inequality.
 
-Every check runs over a deterministic seeded corpus and returns a
-:class:`~martkit.report.CheckReport`.  Inequalities with an explicit
-constant are asserted (a trial whose ratio exceeds 1 + 1e-9 counts as a
-violation); inequalities stated only up to an unspecified constant are
-measured and their worst ratios reported under ``measured``.  Checks with a
-hypothesis (Garsia-Neveu, truncation, good-lambda) verify it at every
-scan point first and count non-qualifying trials separately.
+Every check validates its parameters, then hands one per-trial function
+``trial(tracker, i, mart)`` to :func:`~martkit.report.run_trials`, which runs
+it on each trial of a deterministic seeded corpus, commits the trial and
+returns the :class:`~martkit.report.CheckReport`.  Inequalities with an
+explicit constant are asserted through the tracker (a trial whose ratio
+exceeds 1 + 1e-9 counts as a violation); inequalities stated only up to an
+unspecified constant are measured with ``tracker.measure``, which keeps each
+quantity's worst value for the report's ``measured``.  Checks with a
+hypothesis (Garsia-Neveu, truncation, good-lambda) verify it at every scan
+point first and count non-qualifying trials in
+``tracker.hypothesis_failures``.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-import time
 from typing import Callable
 
 import numpy as np
 
 from . import bellman
 from . import functionals as fn
-from .report import CheckReport, CorpusSpec, RatioTracker, closed_sublevel_block_scan, closed_tail_scan, finish_report, good_lambda_sup, lambda_candidates, lq_norm, ratio, truncation_ratio_sup
+from .report import CheckReport, CorpusSpec, closed_sublevel_block_scan, closed_tail_scan, good_lambda_sup, lambda_candidates, lq_norm, ratio, run_trials, truncation_ratio_sup
 from .tree import Martingale, StoppingRule
 
 
@@ -30,19 +33,24 @@ def _conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _exponents(p, ok: Callable[[float], bool], what: str) -> tuple:
+    """One exponent or a sequence of them, as a tuple whose every entry
+    satisfies ``ok``; ``what`` names the condition in the error."""
+    ps = (p,) if np.isscalar(p) else tuple(p)
+    if not all(ok(x) for x in ps):
+        raise ValueError(f"{what}, got {list(ps)}")
+    return ps
+
+
 # -- Doob ---------------------------------------------------------------
 
 
 def check_doob(spec: CorpusSpec, p: float | tuple = (1.5, 2.0, 4.0)) -> CheckReport:
     """Maximal inequality ||Mf||_p <= p' ||f||_p for nonnegative submartingales
     (here |martingale|), plus the weak form with constant 1 at every level."""
-    ps = (p,) if np.isscalar(p) else tuple(p)
-    for pp in ps:
-        if not pp > 1:
-            raise ValueError("strong maximal inequality needs p > 1")
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    for mart in spec.martingales():
+    ps = _exponents(p, lambda x: x > 1, "strong maximal inequality needs p > 1")
+
+    def trial(tracker, i, mart):
         layout = mart.tree.layout
         w = mart.tree.leaf_prob
         mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
@@ -51,8 +59,8 @@ def check_doob(spec: CorpusSpec, p: float | tuple = (1.5, 2.0, 4.0)) -> CheckRep
             tracker.add(lq_norm(mf, pp, w), _conjugate(pp) * lq_norm(f_n, pp, w))
         levels, tail_mu, tail_f = closed_tail_scan(mf, w, w * f_n)
         tracker.add_many(levels * tail_mu, tail_f)
-        tracker.commit_trial()
-    return finish_report("doob", {"p": list(ps)}, spec, tracker, t0, constant=max(_conjugate(pp) for pp in ps))
+
+    return run_trials("doob", {"p": list(ps)}, spec, max(_conjugate(pp) for pp in ps), trial)
 
 
 # -- weak square function -------------------------------------------------
@@ -62,9 +70,8 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
     """|{Sf > lam}| <= 3 ||f||_1 / lam at every breakpoint, plus the
     look-ahead bound sum_k E(|df_k|^2 1_{tau > k}) <= 2 lam ||f||_1 with
     tau the first entry of |f| above lam."""
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    for mart in spec.martingales():
+
+    def trial(tracker, i, mart):
         tree = mart.tree
         layout = tree.layout
         w = tree.leaf_prob
@@ -81,8 +88,8 @@ def check_square_weak(spec: CorpusSpec) -> CheckReport:
         start, count = np.concatenate(tree.leaf_start)[first:], np.concatenate(tree.leaf_count)[first:]
         lams, head = closed_sublevel_block_scan(run, df2, start, count, w)
         tracker.add_many(head, 2.0 * lams * f1)
-        tracker.commit_trial()
-    return finish_report("square_weak", {}, spec, tracker, t0, constant=3.0)
+
+    return run_trials("square_weak", {}, spec, 3.0, trial)
 
 
 # -- Davis decomposition ----------------------------------------------------
@@ -95,17 +102,15 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
     Every quantity is F_n-measurable, so the pathwise bounds are asserted
     once per node: a ratio and its violation flag do not depend on how many
     leaves repeat it."""
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    worst_split = 0.0
-    for mart in spec.martingales():
+
+    def trial(tracker, i, mart):
         layout = mart.tree.layout
         w = mart.tree.leaf_prob
         f = mart.flat
         pred, bv = fn.davis_decompose(mart)
         scale = max(1.0, float(np.abs(f).max()))
         split = float(np.abs(f - pred.flat - bv.flat).max()) / scale
-        worst_split = max(worst_split, split)
+        tracker.measure("worst_split_residual", split)
         if split > 1e-12:
             tracker.flag()
         mdf = layout.accumulate(np.maximum, np.abs(fn.increments(f, layout)))  # M df_n, from M df_0 = 0
@@ -114,10 +119,8 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
         tracker.add_many(np.abs(dpred), 2.0 * mdf[layout.up[first:]])
         tv = layout.accumulate(np.add, np.abs(fn.increments(bv.flat, layout)), start=2)
         tracker.add(float(w @ layout.leaves(tv)), 2.0 * float(w @ layout.leaves(mdf)))
-        tracker.commit_trial()
-    return finish_report(
-        "davis_decomposition", {}, spec, tracker, t0, constant=2.0, measured={"worst_split_residual": worst_split}
-    )
+
+    return run_trials("davis_decomposition", {}, spec, 2.0, trial, {"worst_split_residual": 0.0})
 
 
 # -- Davis / BDG --------------------------------------------------------------
@@ -126,34 +129,19 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
 def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
     """E Sf <= sqrt(3) E f* asserted; the remaining BDG directions carry no
     explicit constant and are only measured (in L^1 and L^p)."""
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    m_over_s = 0.0
-    lp_s_over_m = 0.0
-    lp_m_over_s = 0.0
-    for mart in spec.martingales():
+
+    def trial(tracker, i, mart):
         layout = mart.tree.layout
         w = mart.tree.leaf_prob
         sf = layout.leaves(fn.square_function_paths(mart.flat, layout))
         mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
         e_s, e_m = bellman.sharp_davis_clause(tracker, sf, mf, w)
-        m_over_s = max(m_over_s, ratio(e_m, e_s))
-        lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
-        lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
-        tracker.commit_trial()
-    return finish_report(
-        "davis_bdg",
-        {"p": p},
-        spec,
-        tracker,
-        t0,
-        constant=bellman.SQRT3,
-        measured={
-            "max_EM_over_ES": m_over_s,
-            "max_Lp_S_over_M": lp_s_over_m,
-            "max_Lp_M_over_S": lp_m_over_s,
-        },
-    )
+        tracker.measure("max_EM_over_ES", ratio(e_m, e_s))
+        tracker.measure("max_Lp_S_over_M", ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
+        tracker.measure("max_Lp_M_over_S", ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
+
+    measured = {"max_EM_over_ES": 0.0, "max_Lp_S_over_M": 0.0, "max_Lp_M_over_S": 0.0}
+    return run_trials("davis_bdg", {"p": p}, spec, bellman.SQRT3, trial, measured)
 
 
 # -- Garsia-Neveu -------------------------------------------------------------
@@ -175,12 +163,9 @@ def _predictable_pair(spec: CorpusSpec, index: int, mart: Martingale):
 def check_garsia_neveu(spec: CorpusSpec, p: float | tuple = (1.0, 2.0, 3.0)) -> CheckReport:
     """||W||_p <= p ||Z||_p for pairs satisfying E((W - lam)+) <= E(Z 1_{W > lam});
     the hypothesis is verified at every breakpoint and failures are skipped."""
-    ps = (p,) if np.isscalar(p) else tuple(p)
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    hyp_failures = 0
-    qualifying = 0
-    for i, mart in enumerate(spec.martingales()):
+    ps = _exponents(p, lambda x: x >= 1, "the Garsia-Neveu bound needs p >= 1")
+
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         big_w, xi = _predictable_pair(spec, i, mart)
         levels, tail_w, tail_mu, tail_xi = closed_tail_scan(big_w, w * big_w, w, w * xi)
@@ -188,22 +173,13 @@ def check_garsia_neveu(spec: CorpusSpec, p: float | tuple = (1.0, 2.0, 3.0)) -> 
         lhs = tail_w - levels * tail_mu
         scale = max(1.0, float(np.abs(big_w).max(initial=0.0)))
         if np.any(lhs > tail_xi + 1e-12 * scale):
-            hyp_failures += 1
-            continue
-        qualifying += 1
+            tracker.hypothesis_failures += 1
+            return
+        tracker.measured["qualifying_trials"] += 1
         for pp in ps:
             tracker.add(lq_norm(big_w, pp, w), pp * lq_norm(xi, pp, w))
-        tracker.commit_trial()
-    return finish_report(
-        "garsia_neveu",
-        {"p": list(ps)},
-        spec,
-        tracker,
-        t0,
-        constant=max(ps),
-        hypothesis_failures=hyp_failures,
-        measured={"qualifying_trials": qualifying},
-    )
+
+    return run_trials("garsia_neveu", {"p": list(ps)}, spec, max(ps), trial, {"qualifying_trials": 0})
 
 
 # -- auxiliary lemmas ----------------------------------------------------------
@@ -225,12 +201,19 @@ def check_aux_lemmas(
     - predictable square bound ||sf||_p <= (p/2)^{1/2} ||Sf||_p, p >= 2;
     - maximal-vs-predictable ||Mf||_p <= 5^{1/p} ||sf||_p, p <= 2.
     """
+    sum_ek_p = _exponents(sum_ek_p, lambda x: x >= 1, "the conditional-sum bound needs p >= 1")
+    concave_p = _exponents(concave_p, lambda x: 0 < x <= 1, "the truncated-moment comparison needs 0 < p <= 1")
+    s_vs_S_p = _exponents(s_vs_S_p, lambda x: x >= 2, "the predictable square bound needs p >= 2")
+    # 5^(1/p) overflows a double below p = 1/441
+    m_vs_s_p = _exponents(m_vs_s_p, lambda x: 1 / 441 <= x <= 2, "the maximal-vs-predictable bound needs 1/441 <= p <= 2")
+    if np.isscalar(good_lambda) or len(good_lambda) != 3:
+        raise ValueError(f"good_lambda must be (beta, delta, p), got {good_lambda}")
     beta, delta, gl_p = good_lambda
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    hyp_failures = 0
-    measured = {"best_truncation_C": 0.0, "worst_good_lambda_eps": 0.0}
-    for i, mart in enumerate(spec.martingales()):
+    # the box keeps beta^p, delta^-p and the scan grid's sf / delta finite
+    if not (1 < beta <= 1e3 and 1e-3 <= delta <= 1e3 and 0 < gl_p <= 32):
+        raise ValueError(f"good_lambda needs (beta, delta, p) in (1, 1e3] x [1e-3, 1e3] x (0, 32], got {good_lambda}")
+
+    def trial(tracker, i, mart):
         tree = mart.tree
         w = tree.leaf_prob
         pm = mart.paths()
@@ -249,7 +232,7 @@ def check_aux_lemmas(
         zz = np.abs(pm[-1]) + rng.uniform(0, 0.5, size=tree.n_leaves)
         ww = np.abs(rng.normal(size=tree.n_leaves)) + 0.1
         c_star = truncation_ratio_sup(zz, ww, w, lambda_candidates(zz, ww))
-        measured["best_truncation_C"] = max(measured["best_truncation_C"], c_star)
+        tracker.measure("best_truncation_C", c_star)
         for pp in concave_p:
             tracker.add(float(w @ zz**pp), c_star * float(w @ ww**pp))
 
@@ -257,9 +240,9 @@ def check_aux_lemmas(
         mf = fn.maximal_paths(pm)[-1]
         sf = fn.square_function_paths(pm)[-1]
         eps_star = good_lambda_sup(mf, sf, w, lambda_candidates(mf / beta, mf, sf / delta), beta, delta)
-        measured["worst_good_lambda_eps"] = max(measured["worst_good_lambda_eps"], eps_star)
+        tracker.measure("worst_good_lambda_eps", eps_star)
         if beta**gl_p * eps_star >= 1.0:
-            hyp_failures += 1
+            tracker.hypothesis_failures += 1
         else:
             const = delta**-gl_p / (beta**-gl_p - eps_star)
             tracker.add(float(w @ mf**gl_p), const * float(w @ sf**gl_p))
@@ -270,23 +253,16 @@ def check_aux_lemmas(
             tracker.add(lq_norm(sf_pred, pp, w), math.sqrt(pp / 2.0) * lq_norm(sf, pp, w))
         for pp in m_vs_s_p:
             tracker.add(lq_norm(mf, pp, w), 5.0 ** (1.0 / pp) * lq_norm(sf_pred, pp, w))
-        tracker.commit_trial()
-    return finish_report(
-        "aux_lemmas",
-        {
-            "sum_ek_p": list(sum_ek_p),
-            "concave_p": list(concave_p),
-            "good_lambda": list(good_lambda),
-            "s_vs_S_p": list(s_vs_S_p),
-            "m_vs_s_p": list(m_vs_s_p),
-        },
-        spec,
-        tracker,
-        t0,
-        constant=float("nan"),
-        hypothesis_failures=hyp_failures,
-        measured=measured,
-    )
+
+    params = {
+        "sum_ek_p": list(sum_ek_p),
+        "concave_p": list(concave_p),
+        "good_lambda": list(good_lambda),
+        "s_vs_S_p": list(s_vs_S_p),
+        "m_vs_s_p": list(m_vs_s_p),
+    }
+    measured = {"best_truncation_C": 0.0, "worst_good_lambda_eps": 0.0}
+    return run_trials("aux_lemmas", params, spec, float("nan"), trial, measured)
 
 
 # -- Lepingle -------------------------------------------------------------------
@@ -295,26 +271,18 @@ def check_aux_lemmas(
 def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: float = 1.0) -> CheckReport:
     """Pathwise square-scale domination with constant 8 (rho = 2) asserted on
     every path; the moment inequality against (r/(r-2)) ||Mf||_p is measured."""
-    rs = (r,) if np.isscalar(r) else tuple(r)
-    for rr in rs:
-        if not rr > 2:
-            raise ValueError("variation exponent must exceed 2")
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    moment = {f"moment_ratio_r={rr}": 0.0 for rr in rs}
-    for mart in spec.martingales():
+    rs = _exponents(r, lambda x: x > 2, "variation exponent must exceed 2")
+
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         mf = fn.maximal_paths(pm)[-1]
         for rr, (vr, rhs) in zip(rs, fn.lepingle_pathwise_bound(pm, rs)):
             tracker.add_many(vr**2, rhs)
-            key = f"moment_ratio_r={rr}"
-            moment[key] = max(
-                moment[key],
-                ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)),
-            )
-        tracker.commit_trial()
-    return finish_report("lepingle", {"r": list(rs), "p": p}, spec, tracker, t0, constant=8.0, measured=moment)
+            tracker.measure(f"moment_ratio_r={rr}", ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)))
+
+    moment = {f"moment_ratio_r={rr}": 0.0 for rr in rs}
+    return run_trials("lepingle", {"r": list(rs), "p": p}, spec, 8.0, trial, moment)
 
 
 # -- vector-valued inequalities ---------------------------------------------------
@@ -331,10 +299,10 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
     """
     if spec.width < 1:
         raise ValueError("vector-valued checks need a family corpus (width >= 1)")
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    measured = {"bdg_lq_lr": 0.0, "maximal_lp_lr": 0.0, "weighted_strong_p": 0.0}
-    for i, mart in enumerate(spec.martingales()):
+    if not (q > 1 and p > 1 and r >= 1):
+        raise ValueError(f"vector-valued checks need q > 1, p > 1 and r >= 1, got q={q}, p={p}, r={r}")
+
+    def trial(tracker, i, mart):
         tree = mart.tree
         w = tree.leaf_prob
         pm = np.abs(mart.paths())  # componentwise |martingale|: submartingales
@@ -342,13 +310,11 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
         s_comp = fn.square_function_paths(mart.paths())[-1]
         f_comp = pm[-1]
 
-        measured["bdg_lq_lr"] = max(
-            measured["bdg_lq_lr"],
-            ratio(lq_norm(fn.component_norm(m_comp, r), q, w), lq_norm(fn.component_norm(s_comp, r), q, w)),
+        tracker.measure(
+            "bdg_lq_lr", ratio(lq_norm(fn.component_norm(m_comp, r), q, w), lq_norm(fn.component_norm(s_comp, r), q, w))
         )
-        measured["maximal_lp_lr"] = max(
-            measured["maximal_lp_lr"],
-            ratio(lq_norm(fn.component_norm(m_comp, r), p, w), lq_norm(fn.component_norm(f_comp, r), p, w)),
+        tracker.measure(
+            "maximal_lp_lr", ratio(lq_norm(fn.component_norm(m_comp, r), p, w), lq_norm(fn.component_norm(f_comp, r), p, w))
         )
         # exact special cases
         tracker.add(
@@ -367,23 +333,13 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
         tracker.add_many(lhs, rhs)
         w_mart = Martingale.from_leaf_values(tree, weight)
         w_star = fn.maximal_paths(w_mart.paths())[-1]
-        measured["weighted_strong_p"] = max(
-            measured["weighted_strong_p"],
-            ratio(
-                lq_norm(fn.maximal_paths(f0)[-1], p, w * weight),
-                lq_norm(f0[-1], p, w * w_star),
-            ),
+        tracker.measure(
+            "weighted_strong_p", ratio(lq_norm(fn.maximal_paths(f0)[-1], p, w * weight), lq_norm(f0[-1], p, w * w_star))
         )
-        tracker.commit_trial()
-    return finish_report(
-        "vector_valued",
-        {"q": q, "r": r, "p": p, "K": spec.width},
-        spec,
-        tracker,
-        t0,
-        constant=max(_conjugate(q), _conjugate(p), 1.0),
-        measured=measured,
-    )
+
+    measured = {"bdg_lq_lr": 0.0, "maximal_lp_lr": 0.0, "weighted_strong_p": 0.0}
+    constant = max(_conjugate(q), _conjugate(p), 1.0)
+    return run_trials("vector_valued", {"q": q, "r": r, "p": p, "K": spec.width}, spec, constant, trial, measured)
 
 
 # -- paraproducts -----------------------------------------------------------------
@@ -406,15 +362,16 @@ def check_paraproduct(
     form carry unspecified constants and are measured.  The L^q Davis
     decomposition bounds (constants q+1 and q+2) are asserted.
     """
-    if q0 < 1 or r0 < 1:
-        raise ValueError("q0 and r0 must be at least 1")
+    if not all(x >= 1 for x in (q0, q1, r0, r1)):
+        raise ValueError("q0, q1, r0 and r1 must be at least 1")
+    if not (families >= 1 and float(families).is_integer()):
+        raise ValueError(f"families must be a positive integer, got {families}")
+    families = int(families)
     q = 1.0 / (1.0 / q0 + 1.0 / q1)
     r = 1.0 / (1.0 / r0 + 1.0 / r1)
     r_var = 1.25 / (0.5 + 1.0 / r1)
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    measured = {"window_bound": 0.0, "delta_f_bound": 0.0, "variation_bound": 0.0}
-    for i, mart in enumerate(spec.martingales()):
+
+    def trial(tracker, i, mart):
         tree = mart.tree
         w = tree.leaf_prob
         depth = tree.depth
@@ -448,7 +405,7 @@ def check_paraproduct(
             g_pow += s_win**r0
         lhs = lq_norm(lhs_pow ** (1.0 / r), q, w)
         rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(g_pow ** (1.0 / r0), q0, w)
-        measured["window_bound"] = max(measured["window_bound"], ratio(lhs, rhs))
+        tracker.measure("window_bound", ratio(lhs, rhs))
 
         # -- delta-f form over an adapted partition (r0 = 2 structure)
         f_m = Martingale.from_leaf_values(tree, spec.rng(i * 1000 + 777).normal(size=tree.n_leaves))
@@ -468,14 +425,14 @@ def check_paraproduct(
         sg = fn.square_function_paths(g_pm)[-1]
         lhs = lq_norm(lhs_pow ** (1.0 / r_df), q, w)
         rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(sg, q0, w)
-        measured["delta_f_bound"] = max(measured["delta_f_bound"], ratio(lhs, rhs))
+        tracker.measure("delta_f_bound", ratio(lhs, rhs))
 
         # -- r-variation form
         vr_pi = fn.two_param_variation_paths(pi, r_var)
         vr_f = fn.variation_paths(f_pm, r1)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
-        measured["variation_bound"] = max(measured["variation_bound"], ratio(lhs, rhs))
+        tracker.measure("variation_bound", ratio(lhs, rhs))
 
         # -- L^q Davis decomposition bounds with explicit constants
         fam = Martingale.from_leaf_values(
@@ -489,16 +446,10 @@ def check_paraproduct(
         s_pred = fn.component_norm(fn.square_function_paths(pred.paths())[-1], r0)
         s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)
         tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
-        tracker.commit_trial()
-    return finish_report(
-        "paraproduct",
-        {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var},
-        spec,
-        tracker,
-        t0,
-        constant=q0 + 2.0,
-        measured=measured,
-    )
+
+    params = {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var}
+    measured = {"window_bound": 0.0, "delta_f_bound": 0.0, "variation_bound": 0.0}
+    return run_trials("paraproduct", params, spec, q0 + 2.0, trial, measured)
 
 
 REGISTRY: dict[str, Callable[..., CheckReport]] = {
@@ -515,19 +466,34 @@ REGISTRY: dict[str, Callable[..., CheckReport]] = {
 }
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def run_check(name: str, spec: CorpusSpec, **params) -> CheckReport:
+    """Run a registry check.  Every parameter must be a finite real number,
+    or a non-empty list of them where the check's default is a tuple."""
     if name not in REGISTRY:
         raise KeyError(f"unknown check {name!r}; known: {sorted(REGISTRY)}")
     check = REGISTRY[name]
+    signature = inspect.signature(check)
     try:
-        inspect.signature(check).bind(spec, **params)
+        signature.bind(spec, **params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for check {name!r}: {exc}") from None
+    for key, value in params.items():
+        listed = isinstance(signature.parameters[key].default, tuple)
+        values = value if listed and isinstance(value, (list, tuple)) else [value]
+        if not (values and all(map(_is_real, values))):
+            what = "a real number or a non-empty list of them" if listed else "a real number"
+            raise ValueError(f"check {name!r} parameter {key!r} must be {what}, got {value!r}")
     return check(spec, **params)
 
 
 def default_suite(seed: int = 20240, trials_scale: float = 1.0) -> list[dict]:
     """The acceptance-scale suite configuration."""
+    if not (math.isfinite(trials_scale) and trials_scale > 0):
+        raise ValueError(f"trial-count scale must be finite and positive, got {trials_scale}")
 
     def n(k):
         return max(1, int(round(k * trials_scale)))

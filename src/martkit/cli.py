@@ -104,6 +104,8 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError(f"--params must be a JSON object, got {args.params}")
     corpus = _corpus_from_args(args)
     report = checks.run_check(args.name, corpus, **params)
     payload = report.to_dict()
@@ -155,6 +157,8 @@ def cmd_suite(args) -> int:
 def _parse_phi(text: str) -> tuple[rough.SmoothFunction, str, float]:
     name, _, arg = text.partition(":")
     a = float(arg) if arg else 1.0
+    if not math.isfinite(a):
+        raise ValueError(f"coefficient {text!r} must be finite")
     if name == "linear":
         return rough.linear_coefficient(a, box=8.0), "linear", a
     if name in ("const", "constant"):

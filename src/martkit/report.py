@@ -76,21 +76,27 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def finish_report(name, params, spec, tracker, t0, constant, hypothesis_failures=0, measured=None, trials=None):
-    """Close the tracker's last trial and build the check's report; ``t0`` is
-    the check's ``time.perf_counter()`` start."""
-    tracker.commit_trial()
+def run_trials(name, params, spec, constant, trial, measured=None) -> CheckReport:
+    """Run ``trial(tracker, i, mart)`` on every trial of ``spec``, commit each
+    trial and build the check's report.  ``measured`` seeds the tracker's
+    measured quantities, each at its initial value, and the report holds
+    them as the trials left them."""
+    t0 = time.perf_counter()
+    tracker = RatioTracker(measured)
+    for i, mart in enumerate(spec.martingales()):
+        trial(tracker, i, mart)
+        tracker.commit_trial()
     return CheckReport(
         check=name,
         params=params,
-        trials=spec.trials if trials is None else trials,
+        trials=spec.trials,
         violations=tracker.violations,
         worst_ratio=tracker.worst,
         constant_used=constant,
         seed=spec.seed,
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        hypothesis_failures=hypothesis_failures,
-        measured=measured or {},
+        hypothesis_failures=tracker.hypothesis_failures,
+        measured=tracker.measured,
     )
 
 
@@ -112,6 +118,8 @@ class CorpusSpec:
     width: int = 0
 
     def __post_init__(self):
+        if self.trials < 0:
+            raise ValueError(f"trials must be at least 0, got {self.trials}")
         if self.trials >= 1 << TRIAL_BITS:
             raise ValueError(f"trials must be below 2**{TRIAL_BITS}, or per-trial seeds overlap the next seed's")
 
@@ -141,7 +149,9 @@ class CorpusSpec:
 
 
 class RatioTracker:
-    """Accumulates LHS/(C*RHS) ratios with the 0/0 -> 0 convention.
+    """Accumulates LHS/(C*RHS) ratios with the 0/0 -> 0 convention of
+    :func:`ratio`, the measured quantities of a check and its count of
+    trials that fail a hypothesis.
 
     ``violations`` counts trials, not individual ratios: every assertion of
     one trial raises a flag that ``commit_trial`` folds into the count, so
@@ -149,21 +159,20 @@ class RatioTracker:
     holds with trial-level semantics.
     """
 
-    def __init__(self):
+    def __init__(self, measured: dict | None = None):
         self.worst = 0.0
         self.violations = 0
+        self.hypothesis_failures = 0
+        self.measured = dict(measured or {})
         self._trial_bad = False
 
     def add(self, lhs: float, rhs: float) -> float:
-        if rhs == 0.0:
-            ratio = 0.0 if lhs <= 0.0 else np.inf
-        else:
-            ratio = lhs / rhs
-        if ratio > self.worst:
-            self.worst = float(ratio)
-        if ratio > 1.0 + RATIO_TOL:
+        r = ratio(lhs, rhs)
+        if r > self.worst:
+            self.worst = float(r)
+        if r > 1.0 + RATIO_TOL:
             self._trial_bad = True
-        return ratio
+        return r
 
     def add_many(self, lhs: np.ndarray, rhs: np.ndarray) -> None:
         lhs = np.asarray(lhs, dtype=np.float64)
@@ -174,6 +183,10 @@ class RatioTracker:
             self.worst = max(self.worst, float(ratio.max()))
             if (ratio > 1.0 + RATIO_TOL).any():
                 self._trial_bad = True
+
+    def measure(self, key: str, value: float) -> None:
+        """Keep the largest value of the measured quantity ``key``."""
+        self.measured[key] = max(self.measured[key], value)
 
     def flag(self) -> None:
         self._trial_bad = True

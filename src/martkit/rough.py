@@ -8,8 +8,8 @@ finest resolvable partition scale.  Controlled paths have scalar state and
 a d-dimensional driver; second-level arrays are stored densely on grid
 pairs (n <= 512 guard).  Distances between path values are made a block
 of columns at a time, so a control or a variation never holds an (n, n)
-distance matrix, and the RDE solver picks each split point from one
-chain-DP table over the interval it splits.
+distance matrix, and the RDE solver picks each split point from two
+chain DPs over the interval it splits, a forward and a reversed one.
 """
 
 from __future__ import annotations

@@ -6,13 +6,11 @@ scans sort with numpy's stable argsort.  The node-array checks must
 reproduce their reports float for float (``runtime_ms`` aside).
 """
 
-import time
-
 import numpy as np
 
 from martkit import bellman
 from martkit import functionals as fn
-from martkit.report import RatioTracker, finish_report, lq_norm, ratio
+from martkit.report import lq_norm, ratio, run_trials
 
 
 def closed_tail_scan(stat, *mass_arrays):
@@ -86,9 +84,8 @@ def _conjugate(p):
 
 def check_doob(spec, p=(1.5, 2.0, 4.0)):
     ps = (p,) if np.isscalar(p) else tuple(p)
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    for mart in spec.martingales():
+
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         f = np.abs(mart.paths())
         mf = fn.maximal_paths(f)[-1]
@@ -97,14 +94,12 @@ def check_doob(spec, p=(1.5, 2.0, 4.0)):
             tracker.add(lq_norm(mf, pp, w), _conjugate(pp) * lq_norm(f_n, pp, w))
         levels, tail_mu, tail_f = closed_tail_scan(mf, w, w * f_n)
         tracker.add_many(levels * tail_mu, tail_f)
-        tracker.commit_trial()
-    return finish_report("doob", {"p": list(ps)}, spec, tracker, t0, constant=max(_conjugate(pp) for pp in ps))
+
+    return run_trials("doob", {"p": list(ps)}, spec, max(_conjugate(pp) for pp in ps), trial)
 
 
 def check_square_weak(spec):
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    for mart in spec.martingales():
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         f1 = float(w @ np.abs(pm[-1]))
@@ -115,21 +110,18 @@ def check_square_weak(spec):
         df2 = fn.increments(pm) ** 2
         lams, head = closed_sublevel_scan(run.ravel(), (df2 * w[None, :]).ravel())
         tracker.add_many(head, 2.0 * lams * f1)
-        tracker.commit_trial()
-    return finish_report("square_weak", {}, spec, tracker, t0, constant=3.0)
+
+    return run_trials("square_weak", {}, spec, 3.0, trial)
 
 
 def check_davis_decomposition(spec):
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    worst_split = 0.0
-    for mart in spec.martingales():
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         pred, bv = davis_decompose(mart)
         scale = max(1.0, float(np.abs(pm).max()))
         split = float(np.abs(pm - pred - bv).max()) / scale
-        worst_split = max(worst_split, split)
+        tracker.measure("worst_split_residual", split)
         if split > 1e-12:
             tracker.flag()
         size = np.abs(fn.increments(pm))
@@ -139,44 +131,36 @@ def check_davis_decomposition(spec):
         tracker.add_many(np.abs(dpred).ravel(), 2.0 * mdf_prev.ravel())
         tv = np.abs(fn.increments(bv)).sum(axis=0)
         tracker.add(float(w @ tv), 2.0 * float(w @ size.max(axis=0)))
-        tracker.commit_trial()
-    return finish_report(
-        "davis_decomposition", {}, spec, tracker, t0, constant=2.0, measured={"worst_split_residual": worst_split}
-    )
+
+    return run_trials("davis_decomposition", {}, spec, 2.0, trial, {"worst_split_residual": 0.0})
 
 
 def check_davis_bdg(spec, p=2.0):
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    m_over_s = lp_s_over_m = lp_m_over_s = 0.0
-    for mart in spec.martingales():
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         sf, mf, e_s, e_m = sharp_davis_clause(tracker, fn.maximal_paths(pm), fn.increments(pm), w)
-        m_over_s = max(m_over_s, ratio(e_m, e_s))
-        lp_s_over_m = max(lp_s_over_m, ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
-        lp_m_over_s = max(lp_m_over_s, ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
-        tracker.commit_trial()
-    measured = {"max_EM_over_ES": m_over_s, "max_Lp_S_over_M": lp_s_over_m, "max_Lp_M_over_S": lp_m_over_s}
-    return finish_report("davis_bdg", {"p": p}, spec, tracker, t0, constant=bellman.SQRT3, measured=measured)
+        tracker.measure("max_EM_over_ES", ratio(e_m, e_s))
+        tracker.measure("max_Lp_S_over_M", ratio(lq_norm(sf, p, w), lq_norm(mf, p, w)))
+        tracker.measure("max_Lp_M_over_S", ratio(lq_norm(mf, p, w), lq_norm(sf, p, w)))
+
+    measured = {"max_EM_over_ES": 0.0, "max_Lp_S_over_M": 0.0, "max_Lp_M_over_S": 0.0}
+    return run_trials("davis_bdg", {"p": p}, spec, bellman.SQRT3, trial, measured)
 
 
 def sharp_davis_check(spec):
-    t0 = time.perf_counter()
-    tracker = RatioTracker()
-    worst_ratio_s = 0.0
-    for mart in spec.martingales():
+    def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         fstar = fn.maximal_paths(pm)
         df = fn.increments(pm)
         _, _, e_s, e_star = sharp_davis_clause(tracker, fstar, df, w)
         if e_star > 0:
-            worst_ratio_s = max(worst_ratio_s, e_s / e_star)
+            tracker.measure("max_ES_over_Estar", e_s / e_star)
         lhs, rhs = pathwise_sharp_sides(pm, fstar, df)
         tracker.add(float(w @ lhs), float(w @ rhs))
-        tracker.commit_trial()
-    return finish_report("sharp_davis", {}, spec, tracker, t0, bellman.SQRT3, measured={"max_ES_over_Estar": worst_ratio_s})
+
+    return run_trials("sharp_davis", {}, spec, bellman.SQRT3, trial, {"max_ES_over_Estar": 0.0})
 
 
 ORACLES = {

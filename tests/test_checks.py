@@ -560,6 +560,34 @@ def test_paraproduct_scans_equal_the_numpy_accumulates(monkeypatch):
         assert rhs == 3.0 * R.lq_norm(m_x_df, 2.0, fam.tree.leaf_prob)
 
 
+def tiny(name, trials):
+    """A small corpus the named check accepts."""
+    if name == "vector_valued":
+        return small("family", depth=3, trials=trials, width=2)
+    return small(depth=3, trials=trials)
+
+
+@pytest.mark.parametrize("name", sorted(C.REGISTRY))
+def test_every_trial_is_committed_once(monkeypatch, name):
+    commits = recorded(monkeypatch, RatioTracker, "commit_trial")
+    rep = C.run_check(name, tiny(name, 3))
+    assert rep.trials == len(commits) == 3
+
+
+@pytest.mark.parametrize("name", sorted(C.REGISTRY))
+def test_measured_quantities_start_at_zero(name):
+    # the seed dict run_trials gets names every measured key at its initial value
+    empty = C.run_check(name, tiny(name, 0))
+    assert (empty.trials, empty.violations, empty.hypothesis_failures, empty.worst_ratio) == (0, 0, 0, 0.0)
+    assert empty.measured == dict.fromkeys(C.run_check(name, tiny(name, 2)).measured, 0)
+
+
+def test_only_run_trials_builds_reports():
+    src = Path(C.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "CheckReport(" in p.read_text()] == ["report.py"]
+    assert (src / "report.py").read_text().count("CheckReport(") == 1
+
+
 def test_sharp_davis_registry_entry():
     rep = C.run_check("sharp_davis", small(trials=200))
     assert rep.violations == 0

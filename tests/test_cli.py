@@ -1,8 +1,12 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from martkit import checks
 from martkit import generators as G
 from martkit.cli import main
 from martkit.tree import load_tree, save_tree, tree_from_dict
@@ -85,6 +89,51 @@ def test_check_usage_error():
     assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"p": 0.5}']) == 2
     assert main(["check", "doesnotexist", "--seed", "1", "--trials", "5"]) == 2
     assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"q": 2}']) == 2
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        pytest.param("doob", "[1]", "--params must be a JSON object", id="list"),
+        pytest.param("doob", '"abc"', "--params must be a JSON object", id="string"),
+        pytest.param("doob", '{"p": "x"}', "parameter 'p' must be a real number", id="p=x"),
+        pytest.param("doob", '{"p": [1.5, null]}', "parameter 'p' must be a real number", id="p=null"),
+        pytest.param("doob", '{"p": true}', "parameter 'p' must be a real number", id="p=true"),
+        pytest.param("doob", '{"p": NaN}', "parameter 'p' must be a real number", id="p=nan"),
+        pytest.param("davis_bdg", '{"p": [2.0]}', "parameter 'p' must be a real number", id="bdg-p=list"),
+        pytest.param("lepingle", '{"r": []}', "parameter 'r' must be a real number", id="r=empty"),
+        pytest.param("paraproduct", '{"r1": -2.0}', "q0, q1, r0 and r1 must be at least 1", id="r1<1"),
+        pytest.param("paraproduct", '{"q1": 0}', "q0, q1, r0 and r1 must be at least 1", id="q1=0"),
+        pytest.param("paraproduct", '{"families": 2.5}', "families must be a positive integer", id="families"),
+        pytest.param("vector_valued", '{"q": 1.0}', "need q > 1, p > 1 and r >= 1", id="q=1"),
+        pytest.param("vector_valued", '{"r": 0.001}', "need q > 1, p > 1 and r >= 1", id="r<1"),
+        pytest.param("aux_lemmas", '{"good_lambda": [2.0, 1.0]}', "good_lambda must be (beta, delta, p)", id="good_lambda"),
+        pytest.param("aux_lemmas", '{"good_lambda": [2.0, 1e-300, 2.0]}', "good_lambda needs (beta, delta, p) in", id="delta"),
+        pytest.param("aux_lemmas", '{"m_vs_s_p": 0.001}', "needs 1/441 <= p <= 2", id="m_vs_s_p"),
+        pytest.param("garsia_neveu", '{"p": 0.5}', "needs p >= 1", id="gn-p<1"),
+    ],
+)
+def test_bad_check_parameters_are_usage_errors(tmp_path, capsys, name, params, message):
+    out = tmp_path / "rep.json"
+    argv = ["check", name, "--seed", "1", "--trials", "2", "--depth", "3", "--params", params, "--out", str(out)]
+    assert main(argv + (["--kind", "family", "--width", "2"] if name == "vector_valued" else [])) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+REAL = st.integers(-2, 8) | st.floats(-3.0, 8.0) | st.sampled_from([0.5, 1, 1.5, 2, 2.5, 3, 4])
+JUNK = st.sampled_from([None, True, "x", [], [[2.0]], float("nan"), float("inf")])
+VALUE = st.one_of(REAL, REAL, st.lists(REAL, min_size=1, max_size=3), JUNK)
+
+
+@pytest.mark.parametrize("name", sorted(checks.REGISTRY))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_check_parameters_always_meet_the_exit_contract(name, data):
+    keys = [k for k in inspect.signature(checks.REGISTRY[name]).parameters if k != "spec"]
+    params = data.draw(st.fixed_dictionaries({}, optional={k: VALUE for k in keys + ["bogus"]}))
+    argv = ["check", name, "--seed", "1", "--trials", "1", "--depth", "3", "--params", json.dumps(params)]
+    assert main(argv + (["--kind", "family", "--width", "2"] if name == "vector_valued" else [])) in (0, 1, 2)
 
 
 def test_check_requires_seed():
@@ -191,12 +240,31 @@ def test_rde_walk_driver_requires_seed(tmp_path):
         pytest.param(["--driver", "walk", "--seed", "1", "--amplitude", "nan"], "--amplitude must be finite", id="amplitude=nan"),
         pytest.param(["--driver", "walk", "--seed", "1", "--amplitude", "inf"], "--amplitude must be finite", id="amplitude=inf"),
         pytest.param(["--T", "nan"], "--T must be finite", id="T=nan"),
+        pytest.param(["--phi", "linear:nan"], "must be finite", id="phi=linear:nan"),
+        pytest.param(["--phi", "linear:inf"], "must be finite", id="phi=linear:inf"),
+        pytest.param(["--phi", "const:inf"], "must be finite", id="phi=const:inf"),
     ],
 )
 def test_rde_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert main(["rde", *argv, "--out", str(tmp_path / "r.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["check", "doob", "--seed", "1", "--trials", "-3"], "trials must be at least 0", id="trials=-3"),
+        pytest.param(["suite", "--default", "--seed", "1", "--scale", "inf"], "scale must be finite and positive", id="scale=inf"),
+        pytest.param(["suite", "--default", "--seed", "1", "--scale", "nan"], "scale must be finite and positive", id="scale=nan"),
+        pytest.param(["suite", "--default", "--seed", "1", "--scale", "-1"], "scale must be finite and positive", id="scale=-1"),
+        pytest.param(["suite", "--default", "--seed", "1", "--scale", "0"], "scale must be finite and positive", id="scale=0"),
+    ],
+)
+def test_bad_trial_counts_are_usage_errors(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path / "s.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 @pytest.mark.parametrize(
