@@ -15,8 +15,6 @@ parent maps are the identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import functionals as fn
@@ -26,21 +24,10 @@ from .tree import FiltrationTree, Martingale, NodeLayout
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class BellmanPoint:
-    x: float
-    y: float
-    m: float
-
-    def __post_init__(self):
-        if self.y < 0 or self.m < 0 or abs(self.x) > self.m:
-            raise ValueError("need y >= 0, m >= 0 and |x| <= m")
-
-
-def bellman_U(p: BellmanPoint | tuple, gamma: float = 3.0) -> float:
+def bellman_U(p: tuple, gamma: float = 3.0) -> float:
     """U(x, y, m) = y - (|x|^2 + (gamma-1) m^2) / m, with U(0, y, 0) = y by
     continuity (m = 0 forces x = 0)."""
-    x, y, m = (p.x, p.y, p.m) if isinstance(p, BellmanPoint) else p
+    x, y, m = p
     if abs(x) > m:
         raise ValueError("outside the domain |x| <= m")
     if m == 0.0:

@@ -329,10 +329,8 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
         rng = spec.rng(i)
         weight = np.abs(rng.normal(size=tree.n_leaves)) + 0.05
         f0 = pm[:, :, 0]
-        lams, lhs, rhs = fn.weighted_maximal_data(f0, weight, tree)
+        _, lhs, rhs, w_star = fn.weighted_maximal_data(f0, weight, tree)
         tracker.add_many(lhs, rhs)
-        w_mart = Martingale.from_leaf_values(tree, weight)
-        w_star = fn.maximal_paths(w_mart.paths())[-1]
         tracker.measure(
             "weighted_strong_p", ratio(lq_norm(fn.maximal_paths(f0)[-1], p, w * weight), lq_norm(f0[-1], p, w * w_star))
         )

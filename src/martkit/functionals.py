@@ -33,15 +33,13 @@ block of w consecutive columns in one contiguous array, w =
 CHAIN_BLOCK_ELEMENTS // (n * trailing size), so a short sequence costs a few
 numpy calls per block and two per column; when w < 2 (long or wide inputs)
 it reads one column at a time into the same reused buffer.  |.| is taken
-once, and r = 1 skips the power (x**1 == x).  ``variation`` returns
-best.max() ** (1/r) and backtracks its witness chain only when ``witness`` is
-read.
+once, and r = 1 skips the power (x**1 == x).  ``variation`` returns the
+float best.max() ** (1/r).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -201,39 +199,6 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProc
 CHAIN_BLOCK_ELEMENTS = 4096
 
 
-class VariationResult:
-    """An r-variation ``value`` and a ``witness`` chain of indices attaining
-    it.  For finite r the chain is backtracked through the DP the first time
-    ``witness`` is read; no caller that reads only the value pays for it."""
-
-    def __init__(self, value: float, r: float, witness: list[int] | Callable[[], list[int]]):
-        self.value = value
-        self.r = r
-        self._witness = witness
-
-    @property
-    def witness(self) -> list[int]:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
-
-    def recompute(self, values: np.ndarray) -> float:
-        """Re-evaluate the witness chain; reproduces value**r for finite r."""
-        values = np.asarray(values, dtype=np.float64)
-        w = self.witness
-        if len(w) < 2:
-            return 0.0
-        d = [_dist(values[w[i]], values[w[i + 1]]) for i in range(len(w) - 1)]
-        if np.isinf(self.r):
-            return float(max(d))
-        return float(sum(x**self.r for x in d))
-
-
-def _dist(a, b) -> float:
-    d = np.atleast_1d(np.asarray(a) - np.asarray(b))
-    return float(np.sqrt((d * d).sum()))
-
-
 def _split(arr: np.ndarray, cols: int | slice) -> tuple[np.ndarray, np.ndarray]:
     """(rows, at) for one column j, (arr[:j], arr[j]), or for a slice j0:j1
     of columns, (arr[:j1 - 1], arr[j0:j1, None]): ``at`` broadcasts against
@@ -349,38 +314,21 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     return best
 
 
-def variation(values: np.ndarray, r: float) -> VariationResult:
+def variation(values: np.ndarray, r: float) -> float:
     """Exact r-variation of a finite sequence via dynamic programming.
 
-    ``r = inf`` returns the maximal oscillation with its witness pair.
+    ``r = inf`` returns the maximal oscillation, the largest cost-column
+    maximum.
     """
     if not r > 0:
         raise ValueError("variation exponent must be positive")
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if n <= 1:
-        return VariationResult(0.0, r, list(range(n)))
+    if values.shape[0] <= 1:
+        return 0.0
     dist = DistColumns(values)
     if np.isinf(r):
-        # the widest pair first in row-major order, smallest i then smallest j
-        top, pair = -1.0, [0, 1]
-        for j, col in _cost_columns(dist, 1):
-            i = int(np.argmax(col))
-            if col[i] > top or (col[i] == top and i < pair[0]):
-                top, pair = float(col[i]), [i, j]
-        return VariationResult(top, r, pair)
-    best = chain_dp(dist, r)
-    return VariationResult(float(best.max()) ** (1.0 / r), r, lambda: _backtrack(dist, best, r))
-
-
-def _backtrack(dist: DistColumns, best: np.ndarray, r: float) -> list[int]:
-    """A chain attaining best.max(): the first maximizing predecessor of each
-    point, as the forward pass found it."""
-    chain = [int(np.argmax(best))]
-    while best[chain[-1]] > 0.0:
-        j = chain[-1]
-        chain.append(int(np.argmax(best[:j] + _costs(dist, j, r, np.empty(j)))))
-    return chain[::-1]
+        return max(float(col.max()) for _, col in _cost_columns(dist, 1))
+    return float(chain_dp(dist, r).max()) ** (1.0 / r)
 
 
 def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
@@ -573,13 +521,13 @@ class ParaproductGaps:
 
 def weighted_maximal_data(
     f_sub: np.ndarray, w_leaf: np.ndarray, tree: FiltrationTree
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Weighted weak-type data for a nonnegative submartingale path matrix.
 
-    Returns (lambdas, lhs, rhs) where at each breakpoint v of Mf_N (scanned
-    via the closed sets {Mf_N >= v}) lhs = v * w{Mf_N >= v} and
+    Returns (lambdas, lhs, rhs, Mw_N) where at each breakpoint v of Mf_N
+    (scanned via the closed sets {Mf_N >= v}) lhs = v * w{Mf_N >= v} and
     rhs = int_{Mf_N >= v} f_N Mw_N dmu, with w_k = E_k w and Mw its running
-    maximum.
+    maximum; Mw_N is one value per leaf.
     """
     w_leaf = np.asarray(w_leaf, dtype=np.float64)
     if np.any(w_leaf <= 0):
@@ -588,4 +536,4 @@ def weighted_maximal_data(
     mw = maximal_paths(w_mart.paths())[-1]
     mf = maximal_paths(f_sub)[-1]
     lams, w_mass, mix_mass = report.closed_tail_scan(mf, tree.leaf_prob * w_leaf, tree.leaf_prob * f_sub[-1] * mw)
-    return lams, lams * w_mass, mix_mass
+    return lams, lams * w_mass, mix_mass, mw

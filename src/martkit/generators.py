@@ -8,7 +8,6 @@ per-trial streams are independent splits of the root seed.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -41,17 +40,11 @@ def draw(dist: str, rng: np.random.Generator, size) -> np.ndarray:
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def gen_leaf_backprop(
-    dist: str,
-    depth: int,
-    seed: int,
-    center: bool = True,
-    width: int = 0,
-) -> Martingale:
+def gen_leaf_backprop(dist: str, depth: int, seed: int, width: int = 0) -> Martingale:
     """Draw i.i.d. leaf values and back-propagate averages.
 
-    The result is a closed martingale by construction.  ``center=True``
-    subtracts the root value so that f_0 = 0.  ``width`` > 0 makes a
+    The result is a closed martingale by construction, centered by
+    subtracting the root value so that f_0 = 0.  ``width`` > 0 makes a
     vector-valued process of that many independent components.
     """
     tree = FiltrationTree.dyadic(depth)
@@ -59,19 +52,13 @@ def gen_leaf_backprop(
     shape = (tree.n_leaves,) if width == 0 else (tree.n_leaves, width)
     leaves = draw(dist, rng, shape)
     mart = Martingale.from_leaf_values(tree, leaves)
-    if center:
-        root = mart.values[0][0]
-        mart = Martingale(tree, [v - root for v in mart.values], validate=False)
-    return mart
+    root = mart.values[0][0]
+    return Martingale(tree, [v - root for v in mart.values], validate=False)
 
 
-def gen_increment(
-    depth: int,
-    seed: int,
-    dist: str = "normal",
-    branching: tuple[int, ...] = (2, 3),
-) -> Martingale:
-    """Random tree shape with child offsets re-centered to conditional mean zero."""
+def gen_increment(depth: int, seed: int, dist: str = "normal") -> Martingale:
+    """Random tree shape, 2 or 3 children per node, with child offsets
+    re-centered to conditional mean zero."""
     # guarded while drawing: a random shape outgrows memory before the tree
     # constructor could reject it, so each level's node count is checked once
     # its child counts are drawn (dyadic generators rely on uniform's guard)
@@ -80,13 +67,13 @@ def gen_increment(
     if dist not in DISTS:  # checked before any draw: a depth-0 shape makes none
         raise ValueError(f"unknown distribution {dist!r}")
     rng = rng_for(seed)
-    choices = np.asarray(branching)
+    choices = np.array((2, 3))
     parents = [np.empty(0, dtype=np.int64)]
     values = [np.zeros(1)]
     cond_prob = []  # per level: conditional probability of each child
     sizes = [1]
     for n in range(1, depth + 1):
-        # the draws of rng.choice(branching, size=...), without its checks
+        # the draws of rng.choice((2, 3), size=...), without its checks
         kids = choices[rng.integers(0, choices.size, size=sizes[-1])]
         guard_nodes(sum(sizes) + int(kids.sum()))
         par = np.repeat(np.arange(sizes[-1]), kids)
@@ -103,19 +90,6 @@ def gen_increment(
         cond_prob.append(cp)
         sizes.append(size)
     return Martingale(FiltrationTree.from_conditional(parents, cond_prob), values)
-
-
-def gen_dyadic_of_function(func: Callable[[np.ndarray], np.ndarray], depth: int, sub: int = 64) -> Martingale:
-    """Dyadic martingale of an integrable function on [0, 1].
-
-    Leaf values are midpoint-rule averages over each dyadic interval
-    (exact for affine functions), then back-propagated.
-    """
-    tree = FiltrationTree.dyadic(depth)
-    n_leaves = tree.n_leaves
-    pts = (np.arange(n_leaves * sub) + 0.5) / (n_leaves * sub)
-    vals = np.asarray(func(pts), dtype=np.float64).reshape(n_leaves, sub)
-    return Martingale.from_leaf_values(tree, vals.mean(axis=1))
 
 
 def gen_scaled_walk(depth: int) -> Martingale:
@@ -172,6 +146,9 @@ def gen_walk_increments(depth: int, seed: int) -> Martingale:
 
 
 _MIX_DISTS = ("normal", "uniform", "exponential")
+
+# the corpus kinds of ``corpus_martingale``
+KINDS = ("mixed", "backprop", "increment", "walk", "family", "doubling", "log_weight", "scaled_walk")
 
 
 def corpus_martingale(kind: str, depth: int, seed: int, index: int, dist: str = "normal", width: int = 0) -> Martingale:

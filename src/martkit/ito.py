@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals as fn
-from . import report
-from .tree import FiltrationTree, TreeProcess
+from .tree import FiltrationTree
 
 GRID_GUARD = 4096
 ENUMERATION_BUDGET = 2**20
@@ -70,15 +69,8 @@ class GridCadlagPath:
     def n_paths(self) -> int:
         return self.values.shape[1]
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
-
     def expectation(self, per_path: np.ndarray) -> float:
         return float(self.weights @ np.asarray(per_path, dtype=np.float64))
-
-    @classmethod
-    def from_tree_process(cls, proc: TreeProcess, T: float = 1.0) -> "GridCadlagPath":
-        return cls(proc.paths().copy(), proc.tree.leaf_prob.copy(), T, proc.tree, False)
 
     @classmethod
     def sampled_walk(cls, n_steps: int, n_paths: int, seed: int, T: float = 1.0) -> "GridCadlagPath":
@@ -130,12 +122,6 @@ class AdaptedGridPartition:
     @classmethod
     def full(cls, path: GridCadlagPath) -> "AdaptedGridPartition":
         return cls(np.ones_like(path.values, dtype=bool), path.tree)
-
-    @classmethod
-    def zero_only(cls, path: GridCadlagPath) -> "AdaptedGridPartition":
-        mask = np.zeros_like(path.values, dtype=bool)
-        mask[0] = True
-        return cls(mask, path.tree)
 
     @classmethod
     def from_oscillation(cls, path: GridCadlagPath, eps: float) -> "AdaptedGridPartition":
@@ -262,15 +248,13 @@ def refine_converge(
     base: AdaptedGridPartition,
     levels: int = 4,
     r: float = 2.5,
-    p_tilde: float = 3.0,
-    start_power: int | None = None,
 ) -> RefinementDiagnostics:
     """Cauchy diagnostics along pi^(l) = base + uniform grid at dyadic strides.
 
     Reports the expected r-variation distance between successive Ito-sum
-    processes and the discretization errors V^{p_tilde}(f - f^(pi)).  The
-    default stride schedule ends at the full grid, where the discretization
-    error vanishes identically.
+    processes and the discretization errors V^3(f - f^(pi)).  The stride
+    schedule ends at the full grid, where the discretization error vanishes
+    identically.
 
     All levels share one chain DP for the distances, over the gaps
     |Pi^{pi_l} - Pi^{pi_{l+1}}| that ``functionals.ParaproductGaps`` makes a
@@ -282,58 +266,10 @@ def refine_converge(
     if not r > 0:
         raise ValueError("variation exponent must be positive")
     n = f.n_steps
-    if start_power is None:
-        start_power = max(0, int(round(np.log2(n))) - levels)
+    start_power = max(0, int(round(np.log2(n))) - levels)
     parts = [base.union_grid(max(1, n >> (start_power + level))) for level in range(levels + 1)]
     fds = np.stack([discretize(f, p).values for p in parts], axis=1)  # (N+1, levels+1, P)
     gaps = fn.ParaproductGaps(fds, np.diff(g.values, axis=0))
     distances = [f.expectation(d) for d in fn.chain_dp(gaps, r).max(axis=0) ** (1.0 / r)]
-    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds, p_tilde)]
+    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds, 3.0)]
     return RefinementDiagnostics(distances, disc, [start_power + k for k in range(levels + 1)], f.sampled)
-
-
-def ito_bound_data(
-    f: GridCadlagPath,
-    g: GridCadlagPath,
-    partition: AdaptedGridPartition,
-    r: float = 2.5,
-    p1: float = 3.0,
-    q0: float = 2.0,
-    q1: float = 2.0,
-) -> dict:
-    """Both sides of the variation bound for Ito sums (constant unspecified):
-    ||V^r Pi^pi(f,g)||_q vs ||V^{p1} f^(pi)||_{q1} ||V^inf g||_{q0}."""
-    if not 1.0 / r < 1.0 / p1 + 0.5:
-        raise ValueError("exponents must satisfy 1/r < 1/p1 + 1/2")
-    q = 1.0 / (1.0 / q0 + 1.0 / q1)
-    pairs = ito_pairs(f, g, partition)
-    lhs = report.lq_norm(fn.two_param_variation_paths(pairs, r), q, f.weights)
-    fd = discretize(f, partition)
-    rhs = report.lq_norm(fn.variation_paths(fd.values, p1), q1, f.weights) * report.lq_norm(
-        fn.variation_paths(g.values, np.inf), q0, f.weights
-    )
-    return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}
-
-
-# -- CSV interfaces ----------------------------------------------------------------
-
-
-def write_path_csv(path: str, bundle: GridCadlagPath, path_id: int = 0) -> None:
-    """Single-path export as `t, value` rows."""
-    data = np.column_stack([bundle.times(), bundle.values[:, path_id]])
-    np.savetxt(path, data, delimiter=",", header="t,value", comments="")
-
-
-def read_path_csv(path: str, T: float | None = None) -> GridCadlagPath:
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    return GridCadlagPath(data[:, 1:2], np.ones(1), T if T is not None else float(data[-1, 0]), None, False)
-
-
-def write_partition_csv(path: str, partition: AdaptedGridPartition) -> None:
-    """Partition trace as `path_id, j, tau_j` rows (grid indices)."""
-    rows = []
-    for p in range(partition.mask.shape[1]):
-        pts = np.nonzero(partition.mask[:, p])[0]
-        for j, tau in enumerate(pts):
-            rows.append((p, j, int(tau)))
-    np.savetxt(path, np.asarray(rows, dtype=np.int64), fmt="%d", delimiter=",", header="path_id,j,tau_j", comments="")

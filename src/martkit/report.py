@@ -23,8 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .generators import TRIAL_BITS, corpus_martingale, corpus_rng
-from .tree import Martingale
+from .generators import DISTS, KINDS, TRIAL_BITS, corpus_martingale, corpus_rng
+from .tree import MAX_DEPTH, Martingale
 
 # Below this many entries stable_argsort calls numpy's stable sort itself.
 # Measured on the scans' own statistics (2-core x86-64 host with AVX-512,
@@ -118,6 +118,12 @@ class CorpusSpec:
     width: int = 0
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown corpus kind {self.kind!r}; known: {list(KINDS)}")
+        if self.dist not in DISTS:
+            raise ValueError(f"unknown distribution {self.dist!r}; known: {list(DISTS)}")
+        if self.kind == "mixed" and not 2 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"a mixed corpus needs depth 2..{MAX_DEPTH}, got {self.depth}")
         if self.trials < 0:
             raise ValueError(f"trials must be at least 0, got {self.trials}")
         if self.trials >= 1 << TRIAL_BITS:
@@ -156,7 +162,8 @@ class RatioTracker:
     ``violations`` counts trials, not individual ratios: every assertion of
     one trial raises a flag that ``commit_trial`` folds into the count, so
     the report invariant "worst_ratio <= 1 + RATIO_TOL iff violations = 0"
-    holds with trial-level semantics.
+    holds with trial-level semantics.  A NaN ratio, from a side that
+    overflowed, is a violation but never the worst ratio.
     """
 
     def __init__(self, measured: dict | None = None):
@@ -170,7 +177,7 @@ class RatioTracker:
         r = ratio(lhs, rhs)
         if r > self.worst:
             self.worst = float(r)
-        if r > 1.0 + RATIO_TOL:
+        if not r <= 1.0 + RATIO_TOL:
             self._trial_bad = True
         return r
 
@@ -178,10 +185,11 @@ class RatioTracker:
         lhs = np.asarray(lhs, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), np.where(lhs > 0, np.inf, 0.0))
+            # a NaN side fails both tests <= 0, so it gives NaN or inf, as in ratio()
+            ratio = np.where(rhs <= 0, np.where(lhs <= 0, 0.0, np.inf), lhs / rhs)
         if ratio.size:
-            self.worst = max(self.worst, float(ratio.max()))
-            if (ratio > 1.0 + RATIO_TOL).any():
+            self.worst = max(self.worst, float(np.fmax.reduce(ratio)))
+            if not (ratio <= 1.0 + RATIO_TOL).all():
                 self._trial_bad = True
 
     def measure(self, key: str, value: float) -> None:

@@ -94,35 +94,10 @@ class SampledPath:
             out[:, k] = np.interp(t, self.times, self.values[:, k])
         return out
 
-    def scalar(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError("not a scalar path")
-        return self.values[:, 0]
-
-    def split_point(self, u: float, v: float) -> float | None:
-        """Refinement point inside (u, v), or None when the cell is resolved."""
-        if self.interpretation == "linear":
-            return 0.5 * (u + v)
-        lo = np.searchsorted(self.times, u, side="right")
-        hi = np.searchsorted(self.times, v, side="left")
-        if lo >= hi:
-            return None
-        mid = self.times[lo:hi]
-        return float(mid[np.argmin(np.abs(mid - 0.5 * (u + v)))])
-
     @classmethod
     def line(cls, T: float, n: int) -> "SampledPath":
         t = np.linspace(0.0, T, n + 1)
         return cls(t, t.copy(), "linear")
-
-
-def merge_split(*paths: SampledPath) -> Callable[[float, float], float | None]:
-    def split(u: float, v: float) -> float | None:
-        pts = [p.split_point(u, v) for p in paths]
-        pts = [p for p in pts if p is not None]
-        return None if not pts else pts[0]
-
-    return split
 
 
 # -- controls ---------------------------------------------------------------
@@ -204,7 +179,6 @@ def sew(
     tol: float = 1e-9,
     max_level: int = 26,
     split: Callable[[float, float], float | None] | None = None,
-    hypothesis_triples: int = 16,
     seed: int = 0,
 ) -> SewResult:
     """Limit of Riemann sums of a germ whose defect is controlled by omega^theta.
@@ -213,8 +187,8 @@ def sew(
     midpoints by default; a path-aware splitter saturates step paths at their
     grid) until successive sums differ by less than tol.  The a-priori bound
     sum_k (2/k)^theta omega(0, T)^theta against the single-cell germ is
-    verified on the result.  Each spot check of the hypothesis |delta Xi| <=
-    omega^theta evaluates omega(s, t) only when the defect exceeds
+    verified on the result.  Each of the 16 spot checks of the hypothesis
+    |delta Xi| <= omega^theta evaluates omega(s, t) only when the defect exceeds
     ``omega.lower(s, t) ** theta``; omega(0, T) is always evaluated.
     """
     if not theta > 1:
@@ -246,7 +220,7 @@ def sew(
 
     hypothesis_ok = True
     rng = np.random.default_rng(seed)
-    for _ in range(hypothesis_triples):
+    for _ in range(16):
         if parts.size < 3:
             break
         i, j, k = np.sort(rng.choice(parts.size, size=3, replace=False))  # i < j < k
@@ -272,13 +246,12 @@ def young_germ(a: SampledPath, g: SampledPath) -> Callable[[np.ndarray, np.ndarr
     return xi
 
 
-def young_integral(
-    a: SampledPath, g: SampledPath, r: float, tol: float = 1e-9, max_level: int = 24
-) -> tuple[SampledPath, dict]:
+def young_integral(a: SampledPath, g: SampledPath, r: float, tol: float = 1e-9) -> tuple[SampledPath, dict]:
     """Running Young integral t -> int_0^t a dg via left-point sums.
 
     Each grid cell is refined dyadically (linear paths) or saturated at the
-    grid (step paths) until the prefix sums are Cauchy within tol.  Needs
+    grid (step paths), at most 24 times, until the prefix sums are Cauchy
+    within tol.  Needs
     r < 2 so that the germ defect omega^(2/r) is summable.
     """
     if not 0 < r < 2:
@@ -294,7 +267,7 @@ def young_integral(
     diffs = []
     refinable = a.interpretation == "linear" or g.interpretation == "linear"
     levels_used = 0
-    for level in range(1, max_level + 1):
+    for level in range(1, 25):
         if not refinable:
             break
         m = 1 << level
@@ -435,19 +408,12 @@ class ControlledPath:
     def norms(self) -> dict:
         r = self.rough.r
         out = {
-            "Y_r": fn.variation(self.values[:, None], r).value,
-            "Yp_r": fn.variation(self.deriv, r).value,
+            "Y_r": fn.variation(self.values[:, None], r),
+            "Yp_r": fn.variation(self.deriv, r),
             "Yp_sup": float(np.sqrt((self.deriv**2).sum(axis=1)).max()),
             "R_r2": two_param_variation(self.remainder(), r / 2.0),
         }
         return out
-
-    def implicit_bound_sides(self) -> tuple[float, float]:
-        """(|Y|_r, |Y'|_sup |X|_r + |R|_{r/2}); left never exceeds right."""
-        n = self.norms()
-        vx, _ = self.rough.variation_norms()
-        return n["Y_r"], n["Yp_sup"] * vx + n["R_r2"]
-
 
 @dataclass
 class ControlledCovector:
@@ -465,8 +431,8 @@ class ControlledCovector:
     def norms(self) -> dict:
         r = self.rough.r
         return {
-            "P_r": fn.variation(self.values, r).value,
-            "Pp_r": fn.variation(self.deriv.reshape(self.deriv.shape[0], -1), r).value,
+            "P_r": fn.variation(self.values, r),
+            "Pp_r": fn.variation(self.deriv.reshape(self.deriv.shape[0], -1), r),
             "Pp_sup": float(np.sqrt((self.deriv.reshape(self.deriv.shape[0], -1) ** 2).sum(axis=1)).max()),
             "P_sup": float(np.sqrt((self.values**2).sum(axis=1)).max()),
             "R_r2": two_param_variation(self.remainder(), r / 2.0),
@@ -530,12 +496,12 @@ def linear_coefficient(a: float = 1.0, box: float = 8.0) -> SmoothFunction:
     )
 
 
-def constant_coefficient(c: float, dim: int = 1) -> SmoothFunction:
+def constant_coefficient(c: float) -> SmoothFunction:
     return SmoothFunction(
-        phi=lambda y: np.broadcast_to(c, np.shape(y) + (dim,)).copy(),
-        dphi=lambda y: np.zeros(np.shape(y) + (dim,)),
-        d2phi=lambda y: np.zeros(np.shape(y) + (dim,)),
-        dim=dim,
+        phi=lambda y: np.broadcast_to(c, np.shape(y) + (1,)).copy(),
+        dphi=lambda y: np.zeros(np.shape(y) + (1,)),
+        d2phi=lambda y: np.zeros(np.shape(y) + (1,)),
+        dim=1,
         phi_sup=abs(c),
         dphi_sup=0.0,
         dphi_lip=0.0,
@@ -545,19 +511,20 @@ def constant_coefficient(c: float, dim: int = 1) -> SmoothFunction:
     )
 
 
-def scalar_coefficient(f, df, d2f, box: float, dim: int = 1, lip_d2: float = 0.0) -> SmoothFunction:
-    """Wrap scalar callables with norms measured on [-box, box] (declared)."""
+def scalar_coefficient(f, df, d2f, box: float) -> SmoothFunction:
+    """Wrap scalar callables with norms measured on [-box, box] (declared);
+    the Lipschitz constant of d2f is declared 0."""
     grid = np.linspace(-box, box, 4001)
     return SmoothFunction(
         phi=lambda y: np.asarray(f(np.asarray(y)))[..., None],
         dphi=lambda y: np.asarray(df(np.asarray(y)))[..., None],
         d2phi=lambda y: np.asarray(d2f(np.asarray(y)))[..., None],
-        dim=dim,
+        dim=1,
         phi_sup=float(np.abs(f(grid)).max()),
         dphi_sup=float(np.abs(df(grid)).max()),
         dphi_lip=float(np.abs(d2f(grid)).max()),
         d2phi_sup=float(np.abs(d2f(grid)).max()),
-        d2phi_lip=lip_d2,
+        d2phi_lip=0.0,
         phi_lip=float(np.abs(df(grid)).max()),
     )
 
@@ -605,32 +572,6 @@ def _sew_on_grid(P: ControlledCovector, X: RoughPath) -> ControlledPath:
     return ControlledPath(X, np.concatenate([[0.0], np.cumsum(germs)]), P.values.copy())
 
 
-def rough_integral(P: ControlledCovector, X: RoughPath) -> tuple[ControlledPath, dict]:
-    """Z_t = int_0^t P dX sewn on the grid, with its remainder diagnostics.
-
-    The remainder estimate |R^Z|_{r/2} <= K (|R^P|_{r/2} |X|_r + |P'|_r |XX|_{r/2}
-    + |P'|_sup |XX|_{r/2}) is asserted with the derived constant
-    K = 2 (1 + sum_k (2/k)^{3/r}); the single-cell local error bound is
-    reported in the diagnostics.
-    """
-    Z = _sew_on_grid(P, X)
-    r = X.r
-    const = 2.0 * (1.0 + zeta_sum(3.0 / r))
-    np_norms = P.norms()
-    vx, vxx = X.variation_norms()
-    rhs = np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx + np_norms["Pp_sup"] * vxx
-    lhs = Z.norms()["R_r2"]
-    diag = {
-        "remainder_r2": lhs,
-        "remainder_bound": const * rhs,
-        "sewing_constant": const,
-        "local_error_bound": zeta_sum(3.0 / r) * (np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx),
-    }
-    if lhs > const * rhs * (1 + 1e-9) + 1e-12:
-        raise RdeError(f"rough-integral remainder {lhs:.4g} exceeds bound {const * rhs:.4g}")
-    return Z, diag
-
-
 # -- rough differential equations ----------------------------------------------------
 
 
@@ -656,8 +597,8 @@ def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath)
     dder = Y.deriv - Z.deriv
     drem = Y.remainder() - Z.remainder()
     m1 = two_param_variation(drem, r / 2.0)
-    m2 = fn.variation(dder, r).value
-    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation(dvals[:, None], r).value
+    m2 = fn.variation(dder, r)
+    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation(dvals[:, None], r)
     return max(m1, m2, m3)
 
 
@@ -778,11 +719,11 @@ def rde_stability(
     r = X.r
     num = max(
         two_param_variation(s1.path.remainder() - s2.path.remainder(), r / 2.0),
-        fn.variation(s1.path.deriv - s2.path.deriv, r).value,
-        fn.variation((s1.path.values - s2.path.values)[:, None], r).value,
+        fn.variation(s1.path.deriv - s2.path.deriv, r),
+        fn.variation((s1.path.values - s2.path.values)[:, None], r),
     )
     den = max(
-        fn.variation(X.path.values - X2.path.values, r).value,
+        fn.variation(X.path.values - X2.path.values, r),
         two_param_variation(X.xx - X2.xx, r / 2.0),
         abs(y0 - y02),
     )
@@ -791,77 +732,16 @@ def rde_stability(
     return out
 
 
-# -- control partitions ----------------------------------------------------------
-
-
-def control_partition(omega: Control, times: np.ndarray, eps: float) -> list[float]:
-    """Greedy partition with min(omega(prev+, cur), omega(prev, cur-)) <= eps
-    on a finite grid, where +/- step to the neighboring grid point."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    times = np.asarray(times, dtype=np.float64)
-    n = times.size - 1
-    pts = [0]
-    guard = 0
-    while pts[-1] < n:
-        i = pts[-1]
-        guard += 1
-        if guard > n + 2:
-            raise RuntimeError("control partition failed to terminate")
-        if omega(times[i], times[i + 1]) < eps:
-            k = i + 1
-            while k < n and omega(times[i], times[k + 1]) < eps:
-                k += 1
-            pts.append(min(k + 1, n))
-        else:
-            k = i + 1
-            while k < n and omega(times[i + 1], times[k + 1]) <= eps:
-                k += 1
-            pts.append(k)
-    return [float(times[i]) for i in pts]
-
-
 # -- CSV interfaces ----------------------------------------------------------------
 
 
-def write_driver_csv(path: str, sp: SampledPath) -> None:
-    header = f"# interpretation: {sp.interpretation}\n" + "t," + ",".join(f"x_{k+1}" for k in range(sp.dim))
-    data = np.column_stack([sp.times, sp.values])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
 def read_driver_csv(path: str) -> SampledPath:
-    interpretation = "step"
+    """Driver from a `t, x_1..x_d` CSV with one header row, after an optional
+    `# interpretation: step|linear` line (step when it is absent)."""
+    interpretation, skip = "step", 1
     with open(path) as fh:
         first = fh.readline()
         if first.startswith("#") and "interpretation" in first:
-            interpretation = first.split(":", 1)[1].strip()
-    data = np.loadtxt(path, delimiter=",", skiprows=2 if interpretation else 1)
-    data = np.atleast_2d(data)
+            interpretation, skip = first.split(":", 1)[1].strip(), 2
+    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=skip))
     return SampledPath(data[:, 0], data[:, 1:], interpretation)
-
-
-def write_lift_csv(path: str, rp: RoughPath) -> None:
-    d = rp.dim
-    names = ",".join(f"m_{i+1}{j+1}" for i in range(d) for j in range(d))
-    rows = []
-    t = rp.times
-    for s in range(t.size):
-        for u in range(s + 1, t.size):
-            rows.append(np.concatenate([[t[s], t[u]], rp.xx[s, u].ravel()]))
-    np.savetxt(path, np.asarray(rows), delimiter=",", header="s,t," + names, comments="")
-
-
-def read_lift_csv(path: str, driver: SampledPath, r: float = 2.5) -> RoughPath:
-    """Rough path from a driver and an externally supplied second level."""
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
-    d = driver.dim
-    if data.shape[1] != 2 + d * d:
-        raise ValueError("second-level CSV has the wrong number of columns")
-    n1 = driver.times.size
-    xx = np.zeros((n1, n1, d, d))
-    pos = {float(t): i for i, t in enumerate(driver.times)}
-    for row in data:
-        s, t = pos[float(row[0])], pos[float(row[1])]
-        xx[s, t] = row[2:].reshape(d, d)
-    return RoughPath(driver, xx, r)

@@ -356,13 +356,13 @@ class Martingale(TreeProcess):
         if validate:
             self.validate_martingale()
 
-    def validate_martingale(self, rtol: float = MARTINGALE_RTOL) -> None:
+    def validate_martingale(self) -> None:
         tree = self.tree
         for n in range(1, tree.depth + 1):
             child_mass = _group_sum(tree.parents[n], tree.node_prob[n], self.values[n], tree.level_sizes[n - 1])
             parent_mass = (self.values[n - 1].T * tree.node_prob[n - 1]).T
             scale = max(1.0, float(np.abs(child_mass).max(initial=0.0)))
-            if np.abs(child_mass - parent_mass).max() > rtol * scale:
+            if np.abs(child_mass - parent_mass).max() > MARTINGALE_RTOL * scale:
                 raise TreeError(f"martingale averaging violated at level {n}")
 
     @classmethod

@@ -77,14 +77,3 @@ def halving_one_interval_at_a_time(X):
         if gap < best:
             best, arg = gap, k
     return arg
-
-
-def variation_witness(values: np.ndarray, r: float) -> list[int]:
-    """The backtracked witness chain of a finite r."""
-    dist = DistColumns(values)
-    best = chain_dp(dist, r)
-    chain = [int(np.argmax(best))]
-    while best[chain[-1]] > 0.0:
-        j = chain[-1]
-        chain.append(int(np.argmax(best[:j] + step_costs(dist, j, r))))
-    return chain[::-1]

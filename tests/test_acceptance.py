@@ -12,6 +12,7 @@ import pytest
 from martkit import bellman, checks, ito, rough
 from martkit.cli import main as cli_main
 from martkit.report import CorpusSpec
+from notes_statements import merge_split, rough_integral
 
 SEED = 20240
 CORPUS = CorpusSpec(kind="mixed", depth=8, trials=10_000, seed=SEED)
@@ -108,7 +109,7 @@ def test_criterion_06_sewing_young():
         try:
             rough.sew(
                 rough.young_germ(pa, pg), om, theta=2.0 / 1.5, T=1.0, tol=1e-11,
-                split=rough.merge_split(pa, pg), seed=trial,
+                split=merge_split(pa, pg), seed=trial,
             )
         except rough.SewingError:
             exceeded += 1
@@ -135,7 +136,7 @@ def test_criterion_07_rough_layer():
 
     # exact second-level reproduction
     P = rough.ControlledCovector(rp, rp.path.values - rp.path.values[0], np.ones((257, 1, 1)))
-    Z, _ = rough.rough_integral(P, rp)
+    Z, _ = rough_integral(P, rp)
     resid = abs(Z.values[-1] - rp.xx[0, -1, 0, 0])
     assert resid == 0.0
 

@@ -167,14 +167,12 @@ def test_integration_by_parts_residual_forms_the_floors_once(monkeypatch):
 
 def test_short_variation_reads_its_costs_in_blocks(monkeypatch):
     # a Picard step's short variations pay a few numpy calls per block, not
-    # per column, and backtrack a witness only when it is read
+    # per column
     calls = Counter()
     count_calls(monkeypatch, calls, fn.DistColumns, ("magnitudes",))
-    res = fn.variation(np.random.default_rng(5).normal(size=(65, 1)), 2.5)
+    fn.variation(np.random.default_rng(5).normal(size=(65, 1)), 2.5)
     width = fn.CHAIN_BLOCK_ELEMENTS // 65
     assert width >= 2 and calls["magnitudes"] <= -(-64 // width)
-    blocks = calls["magnitudes"]
-    assert len(res.witness) >= 2 and calls["magnitudes"] > blocks
 
 
 def test_halving_index_holds_no_table():

@@ -67,15 +67,13 @@ def test_chain_dp_equals_the_column_loop(monkeypatch, budget):
                 assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, n, r)
 
 
-def test_variation_keeps_its_value_and_witness():
+def test_variation_keeps_its_value():
     rng = np.random.default_rng(43)
     for n in (2, 9, 65):
         for vals in (rng.normal(size=n), rng.normal(size=(n, 1)), rng.normal(size=(n, 3))):
             for r in (1.0, 2.5, 4):
-                res = fn.variation(vals, r)
                 best = oracle.chain_dp(oracle.DistColumns(vals), r)
-                assert res.value == float(best.max()) ** (1.0 / r)
-                assert res.witness == oracle.variation_witness(vals, r)
+                assert fn.variation(vals, r) == float(best.max()) ** (1.0 / r)
 
 
 SIMD_PROBE = """

@@ -49,6 +49,19 @@ def test_ratio_tracker_conventions():
     assert (t.worst <= 1 + RATIO_TOL) == (t.violations == 0)
 
 
+def test_a_nan_ratio_is_a_violation():
+    # sides that overflowed to inf or NaN decide nothing, so they fail the trial
+    for lhs, rhs in [(math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0)]:
+        t = RatioTracker()
+        t.add(lhs, rhs)
+        t.commit_trial()
+        many = RatioTracker()
+        many.add_many(np.array([0.5, lhs]), np.array([1.0, rhs]))
+        many.commit_trial()
+        assert (t.violations, many.violations) == (1, 1), (lhs, rhs)
+        assert many.worst >= 0.5  # never NaN
+
+
 def test_closed_tail_scan():
     stat = np.array([3.0, 1.0, 3.0, 2.0])
     mass = np.array([0.25, 0.25, 0.25, 0.25])

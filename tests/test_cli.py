@@ -83,12 +83,20 @@ def test_check_exit_codes(tmp_path):
     assert code == 0
     data = read(rep)
     assert data["violations"] == 0 and data["check"] == "doob"
+    # at p = 1e5 both sides of the strong bound overflow: a NaN ratio decides nothing
+    argv = ["check", "doob", "--seed", "1", "--trials", "3", "--depth", "6", "--params", '{"p": 1e5}', "--out", str(rep)]
+    with np.errstate(over="ignore"):
+        assert main(argv) == 1
+    assert read(rep)["violations"] >= 1
 
 
 def test_check_usage_error():
     assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"p": 0.5}']) == 2
     assert main(["check", "doesnotexist", "--seed", "1", "--trials", "5"]) == 2
     assert main(["check", "doob", "--seed", "1", "--trials", "5", "--params", '{"q": 2}']) == 2
+    # a corpus the generators would ignore or cut short
+    for extra in (["--depth", "-1"], ["--depth", "1"], ["--depth", "40"], ["--dist", "bogus"], ["--kind", "bogus"]):
+        assert main(["check", "doob", "--seed", "1", "--trials", "2", *extra]) == 2, extra
 
 
 @pytest.mark.parametrize(
@@ -224,6 +232,16 @@ def test_rde_command(tmp_path):
     assert diag["sup_error_vs_oracle"] <= 1e-4
     assert diag["metric_strictly_decreasing"]
     assert set(diag) >= {"iterations", "final_metric", "subdivisions", "error_bound"}
+
+
+@pytest.mark.parametrize("header", ["# interpretation: step\nt,x_1", "t,x_1"])
+def test_rde_csv_driver(tmp_path, header):
+    # the interpretation line is optional and defaults to step
+    driver = tmp_path / "driver.csv"
+    np.savetxt(driver, [[0.0, 0.0], [0.5, 0.1], [1.0, -0.05]], delimiter=",", header=header, comments="")
+    out = tmp_path / "rde.json"
+    assert main(["rde", "--phi", "const:2", "--driver", f"csv:{driver}", "--out", str(out)]) == 0
+    assert read(out)["sup_error_vs_oracle"] <= 1e-12
 
 
 def test_rde_walk_driver_requires_seed(tmp_path):

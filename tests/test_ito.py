@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from martkit import generators as G
+from martkit import functionals as fn
 from martkit import ito as I
+from martkit.report import lq_norm
+from notes_statements import from_tree_process, zero_only
 
 
 @pytest.fixture
@@ -45,7 +48,7 @@ def test_floor_time(small_bundle):
 
 def test_zero_only_partition(small_bundle):
     f, g, _ = small_bundle
-    part = I.AdaptedGridPartition.zero_only(f)
+    part = zero_only(f)
     assert np.all(part.floor_indices() == 0)
     assert np.all(I.ito_sum(f, g, part, 0, f.n_steps) == 0.0)
 
@@ -83,7 +86,7 @@ def test_discretize_identities(small_bundle):
     f, g, part = small_bundle
     full = I.AdaptedGridPartition.full(f)
     assert np.all(I.discretize(f, full).values == f.values)
-    zero = I.AdaptedGridPartition.zero_only(f)
+    zero = zero_only(f)
     assert np.all(I.discretize(f, zero).values == f.values[0])
 
 
@@ -148,7 +151,7 @@ def test_chen_prelimit_exact(small_bundle):
 
 def test_ito_sum_martingale_in_second_index():
     mart = G.gen_leaf_backprop("normal", 8, seed=13)
-    f = I.GridCadlagPath.from_tree_process(mart)
+    f = from_tree_process(mart)
     part = I.AdaptedGridPartition.from_oscillation(f, 0.4)
     tree = mart.tree
     s = 1
@@ -177,19 +180,19 @@ def conditional_covariation_residual(f: I.GridCadlagPath, partition, t: int, t2:
 
 def test_conditional_covariation_identity():
     mart = G.gen_leaf_backprop("normal", 8, seed=3)
-    f = I.GridCadlagPath.from_tree_process(mart)
+    f = from_tree_process(mart)
     mask = I.AdaptedGridPartition.from_oscillation(f, 0.3).mask.copy()
     mask[4] = True
     mask[8] = True
     part = I.AdaptedGridPartition(mask, f.tree)
     assert conditional_covariation_residual(f, part, 4, 8) <= 1e-10
     with pytest.raises(ValueError):
-        conditional_covariation_residual(f, I.AdaptedGridPartition.zero_only(f), 4, 8)
+        conditional_covariation_residual(f, zero_only(f), 4, 8)
 
 
 def test_adaptedness_validation_rejected():
     mart = G.gen_leaf_backprop("normal", 4, seed=2)
-    f = I.GridCadlagPath.from_tree_process(mart)
+    f = from_tree_process(mart)
     mask = np.zeros_like(f.values, dtype=bool)
     mask[0] = True
     mask[2, 0] = True  # single leaf stops: not a union of level-2 atoms
@@ -199,14 +202,14 @@ def test_adaptedness_validation_rejected():
 
 def test_oscillation_partition_adapted_on_tree():
     mart = G.gen_leaf_backprop("normal", 7, seed=4)
-    f = I.GridCadlagPath.from_tree_process(mart)
+    f = from_tree_process(mart)
     part = I.AdaptedGridPartition.from_oscillation(f, 0.5)
     I.AdaptedGridPartition(part.mask, f.tree)  # revalidates adaptedness
 
 
 def test_refine_converge_constant_paths():
     c = I.GridCadlagPath(np.full((65, 4), 3.0), np.full(4, 0.25), 1.0, None, True)
-    base = I.AdaptedGridPartition.zero_only(c)
+    base = zero_only(c)
     diag = I.refine_converge(c, c, base, levels=3)
     assert all(d == 0.0 for d in diag.pi_distances)
     assert all(d == 0.0 for d in diag.discretization_errors)
@@ -223,34 +226,42 @@ def test_refine_converge_walk_demo():
 
 def test_refine_converge_rejects_a_nonpositive_exponent():
     g = I.GridCadlagPath.sampled_walk(16, 2, seed=1)
-    base = I.AdaptedGridPartition.zero_only(g)
+    base = zero_only(g)
     for r in (0.0, -1.0):
         with pytest.raises(ValueError, match="positive"):
             I.refine_converge(g, g, base, levels=2, r=r)
 
 
+def ito_bound_data(
+    f: I.GridCadlagPath,
+    g: I.GridCadlagPath,
+    partition: I.AdaptedGridPartition,
+    r: float = 2.5,
+    p1: float = 3.0,
+    q0: float = 2.0,
+    q1: float = 2.0,
+) -> dict:
+    """Both sides of the variation bound for Ito sums (constant unspecified):
+    ||V^r Pi^pi(f,g)||_q vs ||V^{p1} f^(pi)||_{q1} ||V^inf g||_{q0}."""
+    if not 1.0 / r < 1.0 / p1 + 0.5:
+        raise ValueError("exponents must satisfy 1/r < 1/p1 + 1/2")
+    q = 1.0 / (1.0 / q0 + 1.0 / q1)
+    pairs = I.ito_pairs(f, g, partition)
+    lhs = lq_norm(fn.two_param_variation_paths(pairs, r), q, f.weights)
+    fd = I.discretize(f, partition)
+    rhs = lq_norm(fn.variation_paths(fd.values, p1), q1, f.weights) * lq_norm(
+        fn.variation_paths(g.values, np.inf), q0, f.weights
+    )
+    return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}
+
+
 def test_ito_bound_data(small_bundle):
     f, g, part = small_bundle
-    out = I.ito_bound_data(f, g, part)
+    out = ito_bound_data(f, g, part)
     assert np.isfinite(out["lhs"]) and np.isfinite(out["rhs"])
     const_f = I.GridCadlagPath(np.full_like(f.values, 1.0), f.weights, 1.0, None, True)
-    assert I.ito_bound_data(const_f, g, part)["lhs"] == 0.0
+    assert ito_bound_data(const_f, g, part)["lhs"] == 0.0
     const_g = I.GridCadlagPath(np.full_like(f.values, 1.0), f.weights, 1.0, None, True)
-    assert I.ito_bound_data(f, const_g, part)["lhs"] == 0.0
+    assert ito_bound_data(f, const_g, part)["lhs"] == 0.0
     with pytest.raises(ValueError):
-        I.ito_bound_data(f, g, part, r=1.0, p1=3.0)
-
-
-def test_path_and_partition_csv(tmp_path, small_bundle):
-    f, g, part = small_bundle
-    p1 = tmp_path / "path.csv"
-    I.write_path_csv(str(p1), g, path_id=2)
-    back = I.read_path_csv(str(p1))
-    assert np.allclose(back.values[:, 0], g.values[:, 2])
-    p2 = tmp_path / "trace.csv"
-    I.write_partition_csv(str(p2), part)
-    rows = np.loadtxt(p2, delimiter=",", skiprows=1, dtype=np.int64)
-    assert rows[0].tolist() == [0, 0, 0]  # every path starts its trace at tau_0 = 0
-    # trace rows reproduce the mask
-    for pid, j, tau in rows:
-        assert part.mask[tau, pid]
+        ito_bound_data(f, g, part, r=1.0, p1=3.0)

@@ -26,6 +26,7 @@ from martkit import generators as G
 from martkit import ito as I
 from martkit.report import CorpusSpec
 from martkit.tree import Martingale
+from notes_statements import from_tree_process, zero_only
 
 PARTITIONS = ("from_oscillation", "full", "zero_only", "union_grid")
 
@@ -42,7 +43,7 @@ def partition(kind: str, path: I.GridCadlagPath) -> I.AdaptedGridPartition:
         return I.AdaptedGridPartition.from_oscillation(path, 0.3)
     if kind == "union_grid":
         return I.AdaptedGridPartition.from_oscillation(path, 0.6).union_grid(7)
-    return getattr(I.AdaptedGridPartition, kind)(path)
+    return zero_only(path) if kind == "zero_only" else I.AdaptedGridPartition.full(path)
 
 
 def time_pairs(n_steps: int, seed: int) -> list[tuple[int, int]]:
@@ -124,7 +125,7 @@ def test_ito_sums_and_the_paraproduct_check_reach_only_the_one_kernel(monkeypatc
 
 
 def tree_bundle(depth: int, seed: int) -> I.GridCadlagPath:
-    return I.GridCadlagPath.from_tree_process(G.gen_leaf_backprop("normal", depth, seed=seed))
+    return from_tree_process(G.gen_leaf_backprop("normal", depth, seed=seed))
 
 
 # (n_steps, n_paths): the small ones take chain_dp's cost blocks, 256 x 64
@@ -142,7 +143,7 @@ def test_refine_converge_equals_the_pair_tensor_oracle(levels, r):
     for f, g in cases:
         width = fn.CHAIN_BLOCK_ELEMENTS // ((f.n_steps + 1) * levels * f.n_paths)
         taken.add("blocks" if width >= 2 else "columns")
-        for base in (I.AdaptedGridPartition.from_oscillation(f, 0.4), I.AdaptedGridPartition.zero_only(f)):
+        for base in (I.AdaptedGridPartition.from_oscillation(f, 0.4), zero_only(f)):
             diag = I.refine_converge(f, g, base, levels=levels, r=r)
             distances, disc = oracle.refine_converge(f, g, base, levels=levels, r=r)
             assert diag.pi_distances == distances, (f.values.shape, levels, r)

@@ -465,8 +465,21 @@ def test_scaled_walk_square_function():
     assert np.all(square_function_paths(mart.paths())[-1] == 1.0)
 
 
+def gen_dyadic_of_function(func, depth: int, sub: int = 64) -> Martingale:
+    """Dyadic martingale of an integrable function on [0, 1].
+
+    Leaf values are midpoint-rule averages over each dyadic interval
+    (exact for affine functions), then back-propagated.
+    """
+    tree = FiltrationTree.dyadic(depth)
+    n_leaves = tree.n_leaves
+    pts = (np.arange(n_leaves * sub) + 0.5) / (n_leaves * sub)
+    vals = np.asarray(func(pts), dtype=np.float64).reshape(n_leaves, sub)
+    return Martingale.from_leaf_values(tree, vals.mean(axis=1))
+
+
 def test_dyadic_of_function_midpoints():
-    mart = G.gen_dyadic_of_function(lambda x: x, 2)
+    mart = gen_dyadic_of_function(lambda x: x, 2)
     assert np.allclose(mart.leaf_values(), [1 / 8, 3 / 8, 5 / 8, 7 / 8])
 
 
