@@ -253,15 +253,18 @@ def refine_converge(
 
     Reports the expected r-variation distance between successive Ito-sum
     processes and the discretization errors V^3(f - f^(pi)).  The stride
-    schedule ends at the full grid, where the discretization error vanishes
-    identically.
+    schedule ends at the full grid: its stride max(1, n >> round(log2 n))
+    is 1, since round(log2 n) = k implies n < 2^(k+1) (and a larger shift
+    only makes n >> shift smaller).  There f^(pi) = f, so f - f^(pi) is
+    identically 0 and the last error is reported as 0.0, the float its DP
+    would give, with no DP run.
 
     All levels share one chain DP for the distances, over the gaps
     |Pi^{pi_l} - Pi^{pi_{l+1}}| that ``functionals.ParaproductGaps`` makes a
     column at a time from the stacked discretizations, and one for the
-    discretization errors; levels and paths are independent trailing axes,
-    so no (N+1, N+1, P) tensor is built and every float is that of one
-    level at a time.
+    other levels' discretization errors; levels and paths are independent
+    trailing axes, so no (N+1, N+1, P) tensor is built and every float is
+    that of one level at a time.
     """
     if not r > 0:
         raise ValueError("variation exponent must be positive")
@@ -271,5 +274,5 @@ def refine_converge(
     fds = np.stack([discretize(f, p).values for p in parts], axis=1)  # (N+1, levels+1, P)
     gaps = fn.ParaproductGaps(fds, np.diff(g.values, axis=0))
     distances = [f.expectation(d) for d in fn.chain_dp(gaps, r).max(axis=0) ** (1.0 / r)]
-    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds, 3.0)]
+    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds[:, :-1], 3.0)] + [0.0]
     return RefinementDiagnostics(distances, disc, [start_power + k for k in range(levels + 1)], f.sampled)

@@ -95,10 +95,15 @@ def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
 def refine_converge(f, g, base, levels: int = 4, r: float = 2.5, p_tilde: float = 3.0):
     """(pi_distances, discretization_errors) of ``ito.refine_converge`` from
     whole (N+1, N+1, P) ``ito_pairs`` tensors, one level at a time: the
-    difference of successive tensors goes to ``two_param_variation_paths``
-    and each error path to ``variation_paths``."""
-    from martkit import functionals as fn
+    difference of successive tensors and each error path's gaps go to the
+    column-loop chain DP of ``chain_dp_oracles``, which raises every cost,
+    zeros included, with plain ``**``.  The full-grid level's error is run
+    through the DP like the others."""
+    import chain_dp_oracles as dp
     from martkit import ito
+
+    def variation(pairs, exponent: float) -> np.ndarray:
+        return dp.chain_dp(pairs, exponent).max(axis=0) ** (1.0 / exponent)
 
     n = f.n_steps
     start_power = max(0, int(round(np.log2(n))) - levels)
@@ -108,9 +113,9 @@ def refine_converge(f, g, base, levels: int = 4, r: float = 2.5, p_tilde: float 
     for p in parts[1:]:
         cur = ito.ito_pairs(f, g, p)
         prev -= cur
-        distances.append(f.expectation(fn.two_param_variation_paths(prev, r)))
+        distances.append(f.expectation(variation(prev, r)))
         prev = cur
-    disc = [f.expectation(fn.variation_paths(f.values - ito.discretize(f, p).values, p_tilde)) for p in parts]
+    disc = [f.expectation(variation(dp.PathGaps(f.values - ito.discretize(f, p).values), p_tilde)) for p in parts]
     return distances, disc
 
 

@@ -215,6 +215,44 @@ def test_refinement_diagnostics_hold_no_pair_tensor():
     assert peak < 8 * 2**20
 
 
+def ito_walk_refinement():
+    # the shapes of the ito demo: 256 steps of 64 +-1/16 lattice paths
+    g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)
+    return ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
+
+
+def test_column_path_keeps_zeros_out_of_the_power(monkeypatch):
+    # numpy's power is several times slower on exact zeros, of which the
+    # refinement gaps and error paths hold many; every DP here reads columns
+    powered = []
+    real = fn._power
+
+    def spy(costs, r):
+        powered.append((r, int(np.count_nonzero(costs == 0.0)), costs.size))
+        return real(costs, r)
+
+    monkeypatch.setattr(fn, "_power", spy)
+    ito_walk_refinement()
+    assert {r for r, _, _ in powered} == {2.5, 3.0}
+    assert sum(size for _, _, size in powered) > 10**6
+    assert sum(zeros for _, zeros, _ in powered) == 0
+
+
+def test_refinement_runs_no_dp_on_the_full_grid_error(monkeypatch):
+    # the last level is the full grid, where f - f^(pi) is identically 0
+    shapes = []
+    real = fn.variation_paths
+
+    def spy(pathmat, r):
+        shapes.append((pathmat.shape, r))
+        return real(pathmat, r)
+
+    monkeypatch.setattr(fn, "variation_paths", spy)
+    diag = ito_walk_refinement()
+    assert shapes == [((257, 4, 64), 3.0)]
+    assert diag.discretization_errors[-1] == 0.0 and len(diag.discretization_errors) == 5
+
+
 def test_refinement_and_chen_residual_build_no_pair_tensor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an (N+1, N+1, P) pair tensor was built")

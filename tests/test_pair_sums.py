@@ -211,10 +211,16 @@ import pair_sum_oracles as oracle
 from martkit import ito as I
 
 rng = np.random.default_rng(45)
-equal = []
+cases = []
 for n, p in ((16, 3), (40, 2), (256, 64)):
     f, g = (np.vstack([np.zeros(p), np.cumsum(rng.normal(size=(n, p)) / 3, axis=0)]) for _ in range(2))
-    f, g = (I.GridCadlagPath(v, np.full(p, 1.0 / p), 1.0, None, True) for v in (f, g))
+    cases.append(tuple(I.GridCadlagPath(v, np.full(p, 1.0 / p), 1.0, None, True) for v in (f, g)))
+# the ito demo's input: a +-1/16 lattice walk against itself, whose gaps and
+# error paths hold many exact zeros
+walk = I.GridCadlagPath.sampled_walk(256, 64, seed=11)
+cases.append((walk, walk))
+equal = []
+for f, g in cases:
     base = I.AdaptedGridPartition.from_oscillation(f, 0.4)
     for levels, r in ((2, 2.5), (4, 3)):
         diag = I.refine_converge(f, g, base, levels=levels, r=r)
