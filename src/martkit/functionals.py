@@ -34,9 +34,9 @@ CHAIN_BLOCK_ELEMENTS // (n * trailing size), so a short sequence costs a few
 numpy calls per block and two per column; when w < 2 (long or wide inputs)
 it reads one column at a time into the same reused buffer.  |.| is taken
 once, and r = 1 skips the power (x**1 == x).  A column that holds an exact
-zero is raised with its zeros moved to 1 and back (``_column_costs``),
-because numpy's power is several times slower on zero inputs; every float
-stays that of the plain power.  ``variation`` returns the float
+zero is raised with its zeros moved to 1 and back (``_costs``), because
+numpy's power is several times slower on zero inputs; every float stays
+that of the plain power.  ``variation`` returns the float
 best.max() ** (1/r).
 """
 
@@ -198,10 +198,11 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProc
 # 2-core x86 host with AVX-512 (numpy 2.4), blocks of 4096 elements ran
 # scalar sequences of 17 to 2,048 points 1.4 to 3 times faster than columns
 # and no measured shape slower; at 8192, path gaps of 3 to 9 points by 400
-# to 1,024 paths ran 5 to 31% slower.  Blocks raise their zeros with the
-# plain power: a block is at most 4096 costs, where the zero test and the
-# shift to 1 and back (three more ufunc calls per block) cost more than the
-# slow power on the zeros saves.
+# to 1,024 paths ran 5 to 31% slower.  Blocks keep the plain power on their
+# exact zeros (the unread diagonal, ties): on the 400 sampled blocks of the
+# rde_line and rde_walk demos (882 costs, 16% zeros, on average), the zero
+# shift of the column path took 11.3 against 6.3 us a block, and with it
+# demos op_ms_p50 read 10% above the plain power in 6 of 8 benchmark runs.
 CHAIN_BLOCK_ELEMENTS = 4096
 
 
@@ -252,33 +253,12 @@ class _PathGaps:
         return np.abs(out, out=out)
 
 
-def _power(costs: np.ndarray, r: float) -> np.ndarray:
-    """costs **= r in place, the one power of the chain DP.  x**1 == x
-    exactly, so r = 1 skips it."""
-    if r != 1:
-        costs **= r
-    return costs
-
-
-def _magnitudes(pairs, cols: int | slice, out: np.ndarray) -> np.ndarray:
-    """|pairs[i, j]| into ``out``: out[i] for i < j of one column j, or
+def _costs(pairs, cols: int | slice, r: float, out: np.ndarray) -> np.ndarray:
+    """|pairs[i, j]|**r into ``out``: out[i] for i < j of one column j, or
     out[j - j0, i] for i < j1 - 1 of a slice j0:j1 of columns, so each
     column's costs are one contiguous row.  A block also makes the entries
-    with i >= j, which are never read."""
-    if not isinstance(pairs, np.ndarray):
-        return pairs.magnitudes(cols, out)
-    if isinstance(cols, int):
-        return np.abs(pairs[:cols, cols], out=out)
-    return np.abs(pairs[: cols.stop - 1, cols].swapaxes(0, 1), out=out)
-
-
-def _costs(pairs, cols: int | slice, r: float, out: np.ndarray) -> np.ndarray:
-    """|pairs[i, j]|**r into ``out`` in the layout of ``_magnitudes``."""
-    return _power(_magnitudes(pairs, cols, out), r)
-
-
-def _column_costs(pairs, j: int, r: float, out: np.ndarray) -> np.ndarray:
-    """``_costs`` of column j, with its exact zeros kept out of the power.
+    with i >= j, which are never read.  x**1 == x exactly, so r = 1 skips the
+    power.
 
     numpy's power (2.4, AVX-512) is about 4 times slower on zero inputs, and
     Ito refinement gaps hold up to 39% exact zeros.  So a column whose
@@ -286,13 +266,22 @@ def _column_costs(pairs, j: int, r: float, out: np.ndarray) -> np.ndarray:
     and the zeros are taken back out after.  For r > 0, 0**r == 0 and 1**r
     == 1 exactly (C99 Annex F: pow(+1, y) == 1), and x + 0.0 == x and y - 0.0
     == y, so every float is that of the plain power.  A NaN makes the
-    minimum NaN and takes the plain power."""
-    out = _magnitudes(pairs, j, out)
-    if r == 1 or out.min() != 0.0:
-        return _power(out, r)
+    minimum NaN and takes the plain power.  Blocks take the plain power (see
+    CHAIN_BLOCK_ELEMENTS)."""
+    if not isinstance(pairs, np.ndarray):
+        pairs.magnitudes(cols, out)
+    elif isinstance(cols, int):
+        np.abs(pairs[:cols, cols], out=out)
+    else:
+        np.abs(pairs[: cols.stop - 1, cols].swapaxes(0, 1), out=out)
+    if r == 1:
+        return out
+    if isinstance(cols, slice) or out.min() != 0.0:
+        out **= r
+        return out
     zero = out == 0.0
     out += zero
-    _power(out, r)
+    out **= r
     out -= zero
     return out
 
@@ -301,7 +290,7 @@ def _cost_columns(pairs, r: float):
     """Yield (j, costs) for j = 1..n-1 with costs[i] = |pairs[i, j]|**r,
     i < j, a contiguous view into one reused buffer that a later column
     overwrites.  The columns come in blocks of w = CHAIN_BLOCK_ELEMENTS //
-    (n * trailing size), or one at a time (``_column_costs``) when w < 2."""
+    (n * trailing size), or one at a time when w < 2."""
     n, trail = pairs.shape[0], pairs.shape[2:]
     size = math.prod(trail)
     width = CHAIN_BLOCK_ELEMENTS // max(n * size, 1)
@@ -309,7 +298,7 @@ def _cost_columns(pairs, r: float):
     if width < 2:
         buf = np.empty((m,) + trail)
         for j in range(1, n):
-            yield j, _column_costs(pairs, j, r, buf[:j])
+            yield j, _costs(pairs, j, r, buf[:j])
         return
     buf = np.empty(min(width, m) * m * size)
     for j0 in range(1, n, width):
@@ -339,8 +328,8 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     chains ending at j (0 for the one-point chain), so the r-variation is
     best.max(axis=0) ** (1 / r).  Every candidate is |pairs[i, j]|^r +
     best[i] and a max is exact in any order, so the block width does not
-    change a float.  ``r`` must be positive, as the zero shift of
-    ``_column_costs`` needs 0**r == 0.
+    change a float.  ``r`` must be positive, as the zero shift of ``_costs``
+    needs 0**r == 0.
     """
     best = np.zeros(pairs.shape[:1] + pairs.shape[2:])
     for j, cand in _cost_columns(pairs, r):

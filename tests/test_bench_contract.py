@@ -221,17 +221,29 @@ def ito_walk_refinement():
     return ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
 
 
+class PowerInput(np.ndarray):
+    """A view of chain-DP costs that records the exponent, the number of
+    exact zeros and the size of each in-place power it takes."""
+
+    seen: list = []
+
+    def __ipow__(self, r):
+        PowerInput.seen.append((r, int(np.count_nonzero(self.view(np.ndarray) == 0.0)), self.size))
+        return super().__ipow__(r)
+
+
 def test_column_path_keeps_zeros_out_of_the_power(monkeypatch):
     # numpy's power is several times slower on exact zeros, of which the
     # refinement gaps and error paths hold many; every DP here reads columns
-    powered = []
-    real = fn._power
+    real = fn._costs
 
-    def spy(costs, r):
-        powered.append((r, int(np.count_nonzero(costs == 0.0)), costs.size))
-        return real(costs, r)
+    def spy(pairs, cols, r, out):
+        real(pairs, cols, r, out.view(PowerInput))
+        return out
 
-    monkeypatch.setattr(fn, "_power", spy)
+    monkeypatch.setattr(fn, "_costs", spy)
+    monkeypatch.setattr(PowerInput, "seen", [])
+    powered = PowerInput.seen
     ito_walk_refinement()
     assert {r for r, _, _ in powered} == {2.5, 3.0}
     assert sum(size for _, _, size in powered) > 10**6
