@@ -22,6 +22,15 @@ from .report import CheckReport, CorpusSpec, RatioTracker, run_trials
 from .tree import FiltrationTree, Martingale, NodeLayout
 
 SQRT3 = math.sqrt(3.0)
+# the running maximum m of every concavity grid
+GRID_M = 1.0
+# the grid of the counterexample search: 641 values of h in [-16, 16], 41 of
+# x in [-m, m] and y = 1
+COUNTER_H_MAX = 16.0
+COUNTER_H_PTS = 641
+COUNTER_X_PTS = 41
+# relative slack of the pathwise inequality, against max(1, max |rhs|)
+PATHWISE_TOL = 1e-10
 
 
 def bellman_U(p: tuple, gamma: float = 3.0) -> float:
@@ -60,9 +69,10 @@ def concavity_grid_min(
     h_hi: float = 5.0,
     h_pts: int = 201,
     y_vals: tuple = (0.0, 1.0, 10.0),
-    m: float = 1.0,
 ) -> tuple[float, dict]:
-    """Minimum residual over a rectangular grid; returns (min, argmin)."""
+    """Minimum residual over a rectangular grid at m = GRID_M; returns
+    (min, argmin)."""
+    m = GRID_M
     worst = math.inf
     arg = {}
     for x in np.linspace(-m, m, x_pts):
@@ -75,14 +85,17 @@ def concavity_grid_min(
     return worst, arg
 
 
-def concavity_counterexample(gamma: float, h_max: float = 16.0, h_pts: int = 641, x_pts: int = 41) -> dict | None:
+def concavity_counterexample(gamma: float) -> dict | None:
     """Search for a strictly negative residual; exists for every gamma < 3.
 
     Violations live on the |x+h| > m branch near |h| = |x+h| - m, where the
     reduced form (t+1) - (t-1)^2/t = 3 - 1/t exceeds gamma once t > 1/(3-gamma),
-    so the h-grid must reach past m/(3-gamma).
+    so the h-grid must reach past m/(3-gamma); COUNTER_H_MAX = 16 reaches
+    past it for every gamma < 3 - 1/16.
     """
-    worst, arg = concavity_grid_min(gamma, x_pts=x_pts, h_lo=-h_max, h_hi=h_max, h_pts=h_pts, y_vals=(1.0,))
+    worst, arg = concavity_grid_min(
+        gamma, x_pts=COUNTER_X_PTS, h_lo=-COUNTER_H_MAX, h_hi=COUNTER_H_MAX, h_pts=COUNTER_H_PTS, y_vals=(1.0,)
+    )
     if worst < -1e-12:
         return arg
     return None
@@ -123,10 +136,10 @@ def pathwise_sharp_sides(values: np.ndarray, layout: NodeLayout | None = None) -
     return lhs, rhs, np.sqrt(sums[:, 0]), fstar
 
 
-def pathwise_sharp_check(pathmat: np.ndarray, tol: float = 1e-10) -> bool:
+def pathwise_sharp_check(pathmat: np.ndarray) -> bool:
     lhs, rhs, _, _ = pathwise_sharp_sides(np.asarray(pathmat, dtype=np.float64))
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    return bool((lhs <= rhs + tol * scale).all())
+    return bool((lhs <= rhs + PATHWISE_TOL * scale).all())
 
 
 def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:

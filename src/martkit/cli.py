@@ -52,7 +52,7 @@ class FileCorpus:
 
     martingale_list: list
     seed: int = 0
-    width: int = 0
+    width = 0  # tree JSON holds scalar processes only
 
     @property
     def trials(self) -> int:
@@ -62,7 +62,7 @@ class FileCorpus:
         yield from self.martingale_list
 
     def rng(self, index: int):
-        return generators.corpus_rng(self.seed, index)
+        return generators.rng_for(self.seed, index)
 
 
 def _corpus_from_args(args) -> CorpusSpec | FileCorpus:
@@ -80,23 +80,9 @@ def _corpus_from_args(args) -> CorpusSpec | FileCorpus:
 
 
 def cmd_gen(args) -> int:
-    gen, dist = args.gen, args.dist
-    if dist is not None and gen in ("walk", "doubling", "log_weight", "scaled_walk"):
-        raise ValueError(f"generator {gen!r} takes no --dist")
-    if gen == "backprop":
-        mart = generators.gen_leaf_backprop(dist or "normal", args.depth, args.seed)
-    elif gen == "increment":
-        mart = generators.gen_increment(args.depth, seed=args.seed, dist=dist or "normal")
-    elif gen == "walk":
-        mart = generators.gen_walk_increments(args.depth, seed=args.seed)
-    elif gen == "doubling":
-        mart = generators.gen_doubling(args.depth)
-    elif gen == "log_weight":
-        mart = generators.gen_log_weight(args.depth)
-    elif gen == "scaled_walk":
-        mart = generators.gen_scaled_walk(args.depth)
-    else:
-        raise ValueError(f"unknown generator {gen!r}")
+    if args.dist is not None and args.gen in generators.GENERATORS and args.gen not in generators.DRAWING:
+        raise ValueError(f"generator {args.gen!r} takes no --dist")
+    mart = generators.generate(args.gen, args.depth, args.seed, args.dist or "normal")
     save_tree(args.out, mart.tree, {"f": mart})
     print(f"wrote {args.out}: depth={mart.tree.depth} leaves={mart.tree.n_leaves}")
     return 0
@@ -272,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a tree + martingale JSON corpus file")
-    g.add_argument("--gen", default="backprop", help="backprop|increment|walk|doubling|log_weight|scaled_walk")
+    g.add_argument("--gen", default="backprop", help="|".join(generators.GENERATORS))
     g.add_argument("--depth", type=int, default=6)
     g.add_argument("--dist", help="normal (default)|uniform|exponential|sign; backprop and increment only")
     g.add_argument("--seed", type=int, required=True)

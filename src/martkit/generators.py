@@ -145,9 +145,33 @@ def gen_walk_increments(depth: int, seed: int) -> Martingale:
     return Martingale(tree, values)
 
 
+# the generators of ``generate``; only those in DRAWING read a distribution
+GENERATORS = ("backprop", "increment", "walk", "doubling", "log_weight", "scaled_walk")
+DRAWING = ("backprop", "increment")
+
+
+def generate(gen: str, depth: int, seed: int, dist: str = "normal", width: int = 0) -> Martingale:
+    """One martingale of generator ``gen``: the dispatch of ``martkit gen``,
+    which passes its seed, and of ``corpus_martingale``, which passes each
+    trial's own seed.  ``width`` reaches only backprop."""
+    if gen == "backprop":
+        return gen_leaf_backprop(dist, depth, seed=seed, width=width)
+    if gen == "increment":
+        return gen_increment(depth, seed=seed, dist=dist)
+    if gen == "walk":
+        return gen_walk_increments(depth, seed=seed)
+    if gen == "doubling":
+        return gen_doubling(depth)
+    if gen == "log_weight":
+        return gen_log_weight(depth)
+    if gen == "scaled_walk":
+        return gen_scaled_walk(depth)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
 _MIX_DISTS = ("normal", "uniform", "exponential")
 
-# the corpus kinds of ``corpus_martingale``
+# the corpus kinds of ``corpus_martingale``: the generators, "mixed" and "family"
 KINDS = ("mixed", "backprop", "increment", "walk", "family", "doubling", "log_weight", "scaled_walk")
 
 
@@ -156,35 +180,22 @@ def corpus_martingale(kind: str, depth: int, seed: int, index: int, dist: str = 
 
     ``kind="mixed"`` rotates distributions and tree shapes to cover both
     dyadic and irregular atomic filtrations; depth varies between 2 and the
-    requested bound.
+    requested bound.  ``kind="family"`` is backprop with at least 4
+    components.
     """
     if kind == "mixed":
         d = 2 + (index % max(1, depth - 1))
         if index % 10 < 7 or width:
             return gen_leaf_backprop(_MIX_DISTS[index % 3], d, seed=_sub(seed, index), width=width)
         return gen_increment(d, seed=_sub(seed, index), dist=_MIX_DISTS[index % 3])
-    if kind == "backprop":
-        return gen_leaf_backprop(dist, depth, seed=_sub(seed, index), width=width)
-    if kind == "increment":
-        return gen_increment(depth, seed=_sub(seed, index), dist=dist)
-    if kind == "walk":
-        return gen_walk_increments(depth, seed=_sub(seed, index))
     if kind == "family":
-        return gen_leaf_backprop(dist, depth, seed=_sub(seed, index), width=width or 4)
-    if kind == "doubling":
-        return gen_doubling(depth)
-    if kind == "log_weight":
-        return gen_log_weight(depth)
-    if kind == "scaled_walk":
-        return gen_scaled_walk(depth)
-    raise ValueError(f"unknown corpus kind {kind!r}")
+        return generate("backprop", depth, _sub(seed, index), dist, width or 4)
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown corpus kind {kind!r}")
+    return generate(kind, depth, _sub(seed, index), dist, width)
 
 
 def _sub(seed: int, index: int) -> int:
     # stable per-trial seed packed as (seed << TRIAL_BITS) + index, not a spawn
     # key: an index of 2**TRIAL_BITS or more would replay seed + 1's corpus
     return (int(seed) << TRIAL_BITS) + int(index)
-
-
-def corpus_rng(seed: int, index: int) -> np.random.Generator:
-    return rng_for(seed, index)

@@ -3,8 +3,8 @@ exact pre-limit identities.
 
 Continuous time is a uniform grid t_k = k T / N.  A path bundle is either
 backed by a finite tree (exact expectations, conditional identities
-testable to 1e-10) or sampled by Monte Carlo when full enumeration would
-exceed the path budget (flagged, pathwise identities still exact).
+testable to 1e-10) or sampled by Monte Carlo (flagged ``sampled``;
+pathwise identities still exact).
 
 The Ito sum along an adapted partition pi is the discrete paraproduct of
 the discretized path: Pi^pi(f, g) = Pi(delta f^(pi), g), where f^(pi)_u =
@@ -32,7 +32,6 @@ from . import functionals as fn
 from .tree import FiltrationTree
 
 GRID_GUARD = 4096
-ENUMERATION_BUDGET = 2**20
 
 
 @dataclass
@@ -64,10 +63,6 @@ class GridCadlagPath:
     @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[1]
 
     def expectation(self, per_path: np.ndarray) -> float:
         return float(self.weights @ np.asarray(per_path, dtype=np.float64))

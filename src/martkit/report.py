@@ -23,7 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .generators import DISTS, KINDS, TRIAL_BITS, corpus_martingale, corpus_rng
+from . import generators
+from .generators import DISTS, KINDS, TRIAL_BITS, corpus_martingale
 from .tree import MAX_DEPTH, Martingale
 
 # Below this many entries stable_argsort calls numpy's stable sort itself.
@@ -134,7 +135,7 @@ class CorpusSpec:
             yield corpus_martingale(self.kind, self.depth, self.seed, i, self.dist, self.width)
 
     def rng(self, index: int) -> np.random.Generator:
-        return corpus_rng(self.seed, index)
+        return generators.rng_for(self.seed, index)
 
     def to_dict(self) -> dict:
         return {
@@ -159,11 +160,12 @@ class RatioTracker:
     :func:`ratio`, the measured quantities of a check and its count of
     trials that fail a hypothesis.
 
-    ``violations`` counts trials, not individual ratios: every assertion of
-    one trial raises a flag that ``commit_trial`` folds into the count, so
-    the report invariant "worst_ratio <= 1 + RATIO_TOL iff violations = 0"
-    holds with trial-level semantics.  A NaN ratio, from a side that
-    overflowed, is a violation but never the worst ratio.
+    ``violations`` counts trials, not individual ratios: every failed
+    assertion of one trial raises a flag that ``commit_trial`` folds into
+    the count.  So worst_ratio > 1 + RATIO_TOL implies violations >= 1, but
+    not conversely: a NaN ratio, from a side that overflowed, and a
+    ``flag`` are violations that leave worst_ratio unmoved, so a report can
+    read violations >= 1 beside a worst_ratio within 1 + RATIO_TOL.
     """
 
     def __init__(self, measured: dict | None = None):

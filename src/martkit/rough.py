@@ -9,14 +9,15 @@ a d-dimensional driver; second-level arrays are stored densely on grid
 pairs (n <= 512 guard).  Distances between path values are made a block
 of columns at a time, so a control or a variation never holds an (n, n)
 distance matrix, and the RDE solver picks each split point from two
-chain DPs over the interval it splits, a forward and a reversed one.
+chain DPs over the interval it splits, a forward and a reversed one; the
+forward one also gives the interval's V^r X.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -155,6 +156,14 @@ def variation_control(path: SampledPath, r: float) -> Control:
         return fn.step_cost(ends[:, 0] if path.dim == 1 else ends, r)
 
     return Control(fun, lower)
+
+
+def _prefix_controls(values: np.ndarray, r: float) -> np.ndarray:
+    """omega(0, t_k) at every grid index k, omega the r-variation control of
+    the path with these (n+1, d) values: the running maximum of one forward
+    chain DP.  Its last entry is V^r(path)^r, the value that
+    ``variation_control(path, r)(0, T)`` gives on the grid."""
+    return np.maximum.accumulate(chain_dp(fn.DistColumns(values[:, 0] if values.shape[1] == 1 else values), r))
 
 
 # -- sewing ------------------------------------------------------------------
@@ -320,22 +329,9 @@ class RoughPath:
         x = self.path.values
         return x[None, :, :] - x[:, None, :]
 
-    def chen_residual(self) -> float:
-        """max over grid triples s <= t <= u of |Chen defect| (Frobenius)."""
-        x = self.path.values
-        n = x.shape[0]
-        worst = 0.0
-        for t in range(n):
-            a = self.xx[: t + 1, t:]  # (s, u) block
-            b = self.xx[: t + 1, t][:, None]
-            c = self.xx[t, t:][None, :]
-            cross = np.einsum("si,uj->suij", x[t] - x[: t + 1], x[t:] - x[t])
-            worst = max(worst, float(np.abs(a - b - c - cross).max()))
-        return worst
-
     def variation_norms(self) -> tuple[float, float]:
         """(V^r X, V^{r/2} XX) over [0, T] on the grid."""
-        vx = variation_control(self.path, self.r)(0.0, self.path.T) ** (1.0 / self.r)
+        vx = float(_prefix_controls(self.path.values, self.r)[-1]) ** (1.0 / self.r)
         return vx, two_param_variation(self.xx, self.r / 2.0)
 
     def restrict(self, i0: int, i1: int) -> "RoughPath":
@@ -415,6 +411,7 @@ class ControlledPath:
         }
         return out
 
+
 @dataclass
 class ControlledCovector:
     """Integrand path with values in L(R^d, R): P (n+1, d), P' (n+1, d, d)."""
@@ -423,32 +420,14 @@ class ControlledCovector:
     values: np.ndarray
     deriv: np.ndarray
 
-    def remainder(self) -> np.ndarray:
-        dp = self.values[None, :, :] - self.values[:, None, :]
-        dx = self.rough.increments()
-        return dp - np.einsum("sed,std->ste", self.deriv, dx)
-
-    def norms(self) -> dict:
-        r = self.rough.r
-        return {
-            "P_r": fn.variation(self.values, r),
-            "Pp_r": fn.variation(self.deriv.reshape(self.deriv.shape[0], -1), r),
-            "Pp_sup": float(np.sqrt((self.deriv.reshape(self.deriv.shape[0], -1) ** 2).sum(axis=1)).max()),
-            "P_sup": float(np.sqrt((self.values**2).sum(axis=1)).max()),
-            "R_r2": two_param_variation(self.remainder(), r / 2.0),
-        }
-
 
 # -- smooth coefficient functions ------------------------------------------------
 
 
 @dataclass
 class SmoothFunction:
-    """Coefficient phi: R -> L(R^d, R) with declared norm bounds.
-
-    The declared norms are trusted inputs for all estimates; ``validate_box``
-    spot-checks them by finite differences and only warns on exceedance.
-    """
+    """Coefficient phi: R -> L(R^d, R) with declared norm bounds, trusted
+    inputs for all estimates; phi_lip is the Lipschitz constant of phi."""
 
     phi: Callable[[np.ndarray], np.ndarray]  # (...,) -> (..., d)
     dphi: Callable[[np.ndarray], np.ndarray]
@@ -459,25 +438,7 @@ class SmoothFunction:
     dphi_lip: float
     d2phi_sup: float
     d2phi_lip: float
-    phi_lip: float = 0.0
-
-    def __post_init__(self):
-        if self.phi_lip == 0.0:
-            self.phi_lip = self.dphi_sup
-
-    def validate_box(self, lo: float, hi: float, samples: int = 200, seed: int = 0) -> None:
-        rng = np.random.default_rng(seed)
-        y = rng.uniform(lo, hi, size=samples)
-        h = 1e-5 * max(1.0, hi - lo)
-        fd = (self.phi(y + h) - self.phi(y - h)) / (2 * h)
-        checks = [
-            ("phi_sup", float(np.abs(self.phi(y)).max()), self.phi_sup),
-            ("dphi_sup", float(np.abs(self.dphi(y)).max()), self.dphi_sup),
-            ("dphi_fd", float(np.abs(fd - self.dphi(y)).max()), 1e-3 * (1 + self.d2phi_sup)),
-        ]
-        for name, got, declared in checks:
-            if got > declared * (1 + 1e-6) + 1e-9:
-                warnings.warn(f"declared norm {name} exceeded on box: {got:.4g} > {declared:.4g}", stacklevel=2)
+    phi_lip: float
 
 
 def linear_coefficient(a: float = 1.0, box: float = 8.0) -> SmoothFunction:
@@ -529,32 +490,12 @@ def scalar_coefficient(f, df, d2f, box: float) -> SmoothFunction:
     )
 
 
-def compose(phi: SmoothFunction, Y: ControlledPath, check: bool = True) -> ControlledCovector:
-    """phi(Y) = (phi(Y), Dphi(Y) Y'), again controlled by the same driver.
-
-    When ``check`` is set, the two composition estimates (with constant 1 in
-    the declared norms) are asserted:
-        |phi(Y)'|_r   <= |Dphi|_sup |Y'|_r + |Dphi|_Lip |Y|_r |Y'|_sup
-        |R^{phi(Y)}|_{r/2} <= |Dphi|_sup |R^Y|_{r/2} + 1/2 |Dphi|_Lip |Y|_r^2
-    """
+def compose(phi: SmoothFunction, Y: ControlledPath) -> ControlledCovector:
+    """phi(Y) = (phi(Y), Dphi(Y) Y'), again controlled by the same driver."""
     vals = phi.phi(Y.values)
     dvals = phi.dphi(Y.values)
     deriv = np.einsum("te,td->ted", dvals, Y.deriv)
-    out = ControlledCovector(Y.rough, vals, deriv)
-    if check:
-        ny = Y.norms()
-        no = out.norms()
-        lhs1 = no["Pp_r"]
-        rhs1 = phi.dphi_sup * ny["Yp_r"] + phi.dphi_lip * ny["Y_r"] * ny["Yp_sup"]
-        lhs2 = no["R_r2"]
-        rhs2 = phi.dphi_sup * ny["R_r2"] + 0.5 * phi.dphi_lip * ny["Y_r"] ** 2
-        tol = 1e-9
-        if lhs1 > rhs1 * (1 + tol) + 1e-12 or lhs2 > rhs2 * (1 + tol) + 1e-12:
-            raise RdeError(
-                f"composition estimates violated: {lhs1:.4g} vs {rhs1:.4g}, {lhs2:.4g} vs {rhs2:.4g} "
-                "(check the declared coefficient norms)"
-            )
-    return out
+    return ControlledCovector(Y.rough, vals, deriv)
 
 
 # -- rough integration -------------------------------------------------------------
@@ -575,6 +516,12 @@ def _sew_on_grid(P: ControlledCovector, X: RoughPath) -> ControlledPath:
 # -- rough differential equations ----------------------------------------------------
 
 
+# a Picard run stops once its contraction metric is at most PICARD_TOL, and
+# fails after PICARD_MAX_ITER iterations
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 80
+
+
 @dataclass
 class RdeSolution:
     path: ControlledPath
@@ -582,13 +529,11 @@ class RdeSolution:
     final_metric: float
     metric_runs: list[list[float]]  # one Picard run per smallness window
     subdivisions: int
-    diagnostics: dict = field(default_factory=dict)
 
-    def strictly_decreasing(self, tol: float = 1e-12) -> bool:
-        """Each run's contraction metric decreases strictly until below tol."""
-        return all(
-            b < a or b <= tol for run in self.metric_runs for a, b in zip(run, run[1:])
-        )
+    def strictly_decreasing(self) -> bool:
+        """Each run's contraction metric decreases strictly until it is at
+        most PICARD_TOL."""
+        return all(b < a or b <= PICARD_TOL for run in self.metric_runs for a, b in zip(run, run[1:]))
 
 
 def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath) -> float:
@@ -606,36 +551,29 @@ def default_smallness(phi: SmoothFunction) -> float:
     return 0.25 / (1.0 + phi.dphi_sup + phi.dphi_lip)
 
 
-def rde_solve(
-    phi: SmoothFunction,
-    X: RoughPath,
-    y0: float,
-    eps: float | None = None,
-    A: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> RdeSolution:
+def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
     """Picard iteration Y -> (y0 + int phi(Y) dX, phi(Y)) on the grid.
 
-    Intervals whose driver norms exceed the smallness threshold are split at
-    the grid time halving the r-variation of X and solved left to right with
-    matched initial data; the prefix and suffix controls of the interval come
-    from a forward and a reversed chain DP (``_halving_index``).  A single
-    grid step already above the threshold is a jump the local theory cannot
-    absorb and raises.  Each Picard step only sews on the grid: it computes
-    no remainder diagnostics.  The contraction metric must decrease strictly
-    until it falls below tol; the iterates after the first are checked to
-    stay in the solution set of radius A (chosen from the first iterate when
-    not supplied).
+    Intervals whose driver norms reach the smallness threshold
+    ``default_smallness(phi)`` are split at the grid time halving the
+    r-variation of X and solved left to right with matched initial data.
+    One forward chain DP gives both V^r X, from its last prefix control, and
+    the prefix controls of the split; a reversed one gives the suffix
+    controls (``_halving_index``).  A single grid step already above the
+    threshold is a jump the local theory cannot absorb and raises.  Each
+    Picard step only sews on the grid: it computes no remainder diagnostics.
+    The contraction metric must decrease strictly until it is at most
+    PICARD_TOL; the first iterate sets the radius A of the solution set, and
+    every later iterate is checked to stay in it.
     """
-    if eps is None:
-        eps = default_smallness(phi)
-    vx, vxx = X.variation_norms()
+    eps = default_smallness(phi)
+    prefix = _prefix_controls(X.path.values, X.r)
+    vx, vxx = float(prefix[-1]) ** (1.0 / X.r), two_param_variation(X.xx, X.r / 2.0)
     n = X.times.size - 1
     if vx + vxx >= eps and n > 1:
-        k = _halving_index(X)
-        left = rde_solve(phi, X.restrict(0, k), y0, eps=eps, A=A, tol=tol, max_iter=max_iter)
-        right = rde_solve(phi, X.restrict(k, n), float(left.path.values[-1]), eps=eps, A=A, tol=tol, max_iter=max_iter)
+        k = _halving_index(X, prefix)
+        left = rde_solve(phi, X.restrict(0, k), y0)
+        right = rde_solve(phi, X.restrict(k, n), float(left.path.values[-1]))
         values = np.concatenate([left.path.values, right.path.values[1:]])
         deriv = np.concatenate([left.path.deriv, right.path.deriv[1:]], axis=0)
         return RdeSolution(
@@ -644,7 +582,6 @@ def rde_solve(
             final_metric=max(left.final_metric, right.final_metric),
             metric_runs=left.metric_runs + right.metric_runs,
             subdivisions=left.subdivisions + right.subdivisions + 1,
-            diagnostics={"left": left.diagnostics, "right": right.diagnostics},
         )
     if vx + vxx >= eps:
         raise RdeError(
@@ -654,54 +591,47 @@ def rde_solve(
 
     Y = ControlledPath(X, np.full(X.times.size, float(y0)), np.zeros((X.times.size, X.dim)))
     metrics: list[float] = []
-    A_auto = A
+    A = None
     increase_run = 0
-    for it in range(1, max_iter + 1):
-        P = compose(phi, Y, check=False)
-        Z = _sew_on_grid(P, X)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        Z = _sew_on_grid(compose(phi, Y), X)
         Z = ControlledPath(X, Z.values + y0, Z.deriv)
-        if it == 1 and A_auto is None:
-            nz = Z.norms()
-            A_auto = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.phi_lip * nz["Y_r"])
-        if it >= 2:
-            nz = Z.norms()
-            sol_ok = (
-                nz["Yp_r"] <= A_auto * (1 + 1e-9)
-                and nz["R_r2"] <= A_auto**2 * (1 + 1e-9)
-                and (phi.phi_lip == 0.0 or nz["Y_r"] <= A_auto / phi.phi_lip * (1 + 1e-9))
-                and nz["Yp_sup"] <= phi.phi_sup * (1 + 1e-9)
-            )
-            if not sol_ok:
-                raise RdeError(f"iterate left the solution set (A = {A_auto:.4g}): {nz}")
-        m = _metric(phi, A_auto, Z, Y)
+        nz = Z.norms()
+        if A is None:
+            A = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.phi_lip * nz["Y_r"])
+        elif not (
+            nz["Yp_r"] <= A * (1 + 1e-9)
+            and nz["R_r2"] <= A**2 * (1 + 1e-9)
+            and (phi.phi_lip == 0.0 or nz["Y_r"] <= A / phi.phi_lip * (1 + 1e-9))
+            and nz["Yp_sup"] <= phi.phi_sup * (1 + 1e-9)
+        ):
+            raise RdeError(f"iterate left the solution set (A = {A:.4g}): {nz}")
+        m = _metric(phi, A, Z, Y)
         metrics.append(m)
         Y = Z
-        if m <= tol:
-            return RdeSolution(Y, it, m, [metrics], 0, {"A": A_auto, "eps": eps})
+        if m <= PICARD_TOL:
+            return RdeSolution(Y, it, m, [metrics], 0)
         if len(metrics) >= 2 and metrics[-1] >= metrics[-2]:
             increase_run += 1
             if increase_run >= 3:
                 raise RdeError("contraction metric non-decreasing for 3 iterations: smallness violated")
         else:
             increase_run = 0
-    raise RdeError(f"no convergence within {max_iter} Picard iterations (last metric {metrics[-1]:.3e})")
+    raise RdeError(f"no convergence within {PICARD_MAX_ITER} Picard iterations (last metric {metrics[-1]:.3e})")
 
 
-def _halving_index(X: RoughPath) -> int:
+def _halving_index(X: RoughPath, prefix: np.ndarray) -> int:
     """First grid index k minimizing |omega(0, t_k) - omega(t_k, T)| for the
-    r-variation control omega of X, from two chain DPs.
+    r-variation control omega of X, given the prefix controls omega(0, t_k)
+    of ``_prefix_controls``.
 
-    The prefix omega(0, t_k) is the running maximum of chain_dp over the
-    values; the suffix omega(t_k, T) is the running maximum of chain_dp over
-    the reversed values, read back in reverse.  Both read the same
-    |f_i - f_j|^r costs, but the reversed DP adds each chain's costs in the
-    opposite order, so on a near tie a suffix may differ from omega(t_k, T)
-    by an ulp.
+    The suffix omega(t_k, T) is the prefix controls of the reversed values,
+    read back in reverse.  Both DPs read the same |f_i - f_j|^r costs, but
+    the reversed DP adds each chain's costs in the opposite order, so on a
+    near tie a suffix may differ from omega(t_k, T) by an ulp.
     """
-    vals = X.path.values[:, 0] if X.dim == 1 else X.path.values
-    prefix = np.maximum.accumulate(chain_dp(fn.DistColumns(vals), X.r))
-    suffix = np.maximum.accumulate(chain_dp(fn.DistColumns(vals[::-1]), X.r))[::-1]
-    n = vals.shape[0] - 1
+    suffix = _prefix_controls(X.path.values[::-1], X.r)[::-1]
+    n = prefix.shape[0] - 1
     best, arg = math.inf, n // 2
     for k in range(1, n):
         gap = abs(float(prefix[k]) - float(suffix[k]))
@@ -710,12 +640,10 @@ def _halving_index(X: RoughPath) -> int:
     return arg
 
 
-def rde_stability(
-    phi: SmoothFunction, X: RoughPath, X2: RoughPath, y0: float, y02: float, **kw
-) -> dict:
+def rde_stability(phi: SmoothFunction, X: RoughPath, X2: RoughPath, y0: float, y02: float) -> dict:
     """Lipschitz-type sensitivity: solution distance over data distance."""
-    s1 = rde_solve(phi, X, y0, **kw)
-    s2 = rde_solve(phi, X2, y02, **kw)
+    s1 = rde_solve(phi, X, y0)
+    s2 = rde_solve(phi, X2, y02)
     r = X.r
     num = max(
         two_param_variation(s1.path.remainder() - s2.path.remainder(), r / 2.0),

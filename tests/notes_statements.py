@@ -1,16 +1,21 @@
-"""Statements of the notes that several test modules assert but no check or
-CLI command reaches, so they live with the tests and not in ``martkit``:
-the zero-only partition and tree-backed bundles of the Ito layer, the rough
-integral with its asserted remainder estimate, and the path-aware splitter
-that saturates step paths at their grid when sewing.
+"""Statements of the notes that the tests assert but no check or CLI command
+reaches, so they live with the tests and not in ``martkit``:
+the zero-only partition and tree-backed bundles of the Ito layer, Chen's
+relation of a rough path, the norms of a controlled covector, the two
+composition estimates, the rough integral with its asserted remainder
+estimate, a finite-difference check of a coefficient's declared norms, and
+the path-aware splitter that saturates step paths at their grid when
+sewing.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Callable
 
 import numpy as np
 
+from martkit import functionals as fn
 from martkit import ito, rough
 
 
@@ -27,6 +32,75 @@ def from_tree_process(proc, T: float = 1.0) -> ito.GridCadlagPath:
     return ito.GridCadlagPath(proc.paths().copy(), proc.tree.leaf_prob.copy(), T, proc.tree, False)
 
 
+def chen_residual(X: rough.RoughPath) -> float:
+    """max over grid triples s <= t <= u of |Chen defect| (Frobenius)."""
+    x = X.path.values
+    worst = 0.0
+    for t in range(x.shape[0]):
+        a = X.xx[: t + 1, t:]  # (s, u) block
+        b = X.xx[: t + 1, t][:, None]
+        c = X.xx[t, t:][None, :]
+        cross = np.einsum("si,uj->suij", x[t] - x[: t + 1], x[t:] - x[t])
+        worst = max(worst, float(np.abs(a - b - c - cross).max()))
+    return worst
+
+
+def covector_remainder(P: rough.ControlledCovector) -> np.ndarray:
+    """R_{s,t} = delta P_{s,t} - P'_s delta X_{s,t} on all grid pairs."""
+    dp = P.values[None, :, :] - P.values[:, None, :]
+    return dp - np.einsum("sed,std->ste", P.deriv, P.rough.increments())
+
+
+def covector_norms(P: rough.ControlledCovector) -> dict:
+    r = P.rough.r
+    flat_deriv = P.deriv.reshape(P.deriv.shape[0], -1)
+    return {
+        "P_r": fn.variation(P.values, r),
+        "Pp_r": fn.variation(flat_deriv, r),
+        "Pp_sup": float(np.sqrt((flat_deriv**2).sum(axis=1)).max()),
+        "P_sup": float(np.sqrt((P.values**2).sum(axis=1)).max()),
+        "R_r2": rough.two_param_variation(covector_remainder(P), r / 2.0),
+    }
+
+
+def checked_compose(phi: rough.SmoothFunction, Y: rough.ControlledPath) -> rough.ControlledCovector:
+    """``rough.compose(phi, Y)`` with the two composition estimates (with
+    constant 1 in the declared norms) asserted:
+        |phi(Y)'|_r   <= |Dphi|_sup |Y'|_r + |Dphi|_Lip |Y|_r |Y'|_sup
+        |R^{phi(Y)}|_{r/2} <= |Dphi|_sup |R^Y|_{r/2} + 1/2 |Dphi|_Lip |Y|_r^2
+    """
+    out = rough.compose(phi, Y)
+    ny = Y.norms()
+    no = covector_norms(out)
+    lhs1 = no["Pp_r"]
+    rhs1 = phi.dphi_sup * ny["Yp_r"] + phi.dphi_lip * ny["Y_r"] * ny["Yp_sup"]
+    lhs2 = no["R_r2"]
+    rhs2 = phi.dphi_sup * ny["R_r2"] + 0.5 * phi.dphi_lip * ny["Y_r"] ** 2
+    tol = 1e-9
+    if lhs1 > rhs1 * (1 + tol) + 1e-12 or lhs2 > rhs2 * (1 + tol) + 1e-12:
+        raise rough.RdeError(
+            f"composition estimates violated: {lhs1:.4g} vs {rhs1:.4g}, {lhs2:.4g} vs {rhs2:.4g} "
+            "(check the declared coefficient norms)"
+        )
+    return out
+
+
+def validate_box(phi: rough.SmoothFunction, lo: float, hi: float) -> None:
+    """Spot-check the declared norms of phi at 200 points of [lo, hi], the
+    derivative by central finite differences; warn on exceedance."""
+    y = np.random.default_rng(0).uniform(lo, hi, size=200)
+    h = 1e-5 * max(1.0, hi - lo)
+    fd = (phi.phi(y + h) - phi.phi(y - h)) / (2 * h)
+    checks = [
+        ("phi_sup", float(np.abs(phi.phi(y)).max()), phi.phi_sup),
+        ("dphi_sup", float(np.abs(phi.dphi(y)).max()), phi.dphi_sup),
+        ("dphi_fd", float(np.abs(fd - phi.dphi(y)).max()), 1e-3 * (1 + phi.d2phi_sup)),
+    ]
+    for name, got, declared in checks:
+        if got > declared * (1 + 1e-6) + 1e-9:
+            warnings.warn(f"declared norm {name} exceeded on box: {got:.4g} > {declared:.4g}", stacklevel=2)
+
+
 def rough_integral(P: rough.ControlledCovector, X: rough.RoughPath) -> tuple[rough.ControlledPath, dict]:
     """Z_t = int_0^t P dX sewn on the grid, with its remainder diagnostics.
 
@@ -38,7 +112,7 @@ def rough_integral(P: rough.ControlledCovector, X: rough.RoughPath) -> tuple[rou
     Z = rough._sew_on_grid(P, X)
     r = X.r
     const = 2.0 * (1.0 + rough.zeta_sum(3.0 / r))
-    np_norms = P.norms()
+    np_norms = covector_norms(P)
     vx, vxx = X.variation_norms()
     rhs = np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx + np_norms["Pp_sup"] * vxx
     lhs = Z.norms()["R_r2"]

@@ -139,13 +139,35 @@ def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):
 
 
 def test_rde_solve_reads_driver_norms_once_per_solver_node(monkeypatch):
-    # the Picard loop computes no remainder diagnostics, so no driver norms
+    # the Picard loop computes no remainder diagnostics, so no driver norms:
+    # each solver node runs one forward DP, and each split one reversed DP
     calls = Counter()
-    count_calls(monkeypatch, calls, R, ("rde_solve",))
-    count_calls(monkeypatch, calls, R.RoughPath, ("variation_norms",))
+    count_calls(monkeypatch, calls, R, ("rde_solve", "_prefix_controls"))
     sol = R.rde_solve(R.linear_coefficient(1.0), R.rough_line(0.3, 64), 1.0)
-    assert calls["variation_norms"] == calls["rde_solve"] == 2 * sol.subdivisions + 1
+    assert calls["rde_solve"] == 2 * sol.subdivisions + 1
+    assert calls["_prefix_controls"] == calls["rde_solve"] + sol.subdivisions
     assert sol.iterations > calls["rde_solve"]
+
+
+def test_rde_solve_runs_each_driver_dp_once(monkeypatch):
+    # V^r X of a window and the prefix controls of its split come from one
+    # forward chain DP, so no DP over a window's values runs twice
+    runs = Counter()
+    real = R.chain_dp
+
+    def spy(pairs, r):
+        if isinstance(pairs, fn.DistColumns):
+            runs[pairs.values.tobytes()] += 1
+        return real(pairs, r)
+
+    monkeypatch.setattr(R, "chain_dp", spy)
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([[0.0], np.cumsum(rng.choice([-0.0125, 0.0125], size=256))])
+    X = R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"), r=2.5)
+    sol = R.rde_solve(R.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0), X, 1.0)
+    assert sol.subdivisions >= 3
+    assert sum(runs.values()) == (2 * sol.subdivisions + 1) + sol.subdivisions  # forward per node, reversed per split
+    assert max(runs.values()) == 1
 
 
 def test_ito_pairs_forms_the_floors_once(monkeypatch):
@@ -182,7 +204,7 @@ def test_halving_index_holds_no_table():
     table_bytes = 513 * 513 * 8
     tracemalloc.start()
     try:
-        R._halving_index(X)
+        R._halving_index(X, R._prefix_controls(X.path.values, X.r))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -126,7 +126,7 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
         walk = np.cumsum(rng.choice([-0.05, 0.05], size=n))
         for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
             X = rough.lift(path, r=2.5)
-            equal.append(rough._halving_index(X) == oracle.halving_one_interval_at_a_time(X))
+            equal.append(rough._halving_index(X, rough._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X))
 print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
 """
 

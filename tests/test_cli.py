@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 
@@ -34,6 +35,29 @@ def test_gen_seed_changes_corpus(tmp_path):
         main(["gen", "--gen", "backprop", "--depth", "4", "--seed", str(seed), "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
+
+
+# sha256 of the file that `martkit gen --gen G --depth 5 --seed 3` wrote when
+# the command kept its own table of generators
+GEN_SHA256 = {
+    "backprop": "8e3794da8dbd648bbb8c64b226eb26bbdb6dfc5cfcafb6c92a25132d500fb424",
+    "increment": "69b28c0f5c635859049ca3717d9e3f29696e589889b05560a5f1af227cb1fdca",
+    "walk": "7ae049956dc7cee5ee92de6e836e7fe4452c7ab241286e58bafc0e7e2d247a67",
+    "doubling": "077a8b28a6108c0edca3d9116ed65d1f39cb0d089006dfc7cc23ea8a5c178d47",
+    "log_weight": "40c42ab91d8838fa544684a458afbcfc58e7ad366a8983ab9c2f6ececffe3bf9",
+    "scaled_walk": "6b4263d0181a5d41bf0603bcbfc4fb1ab7ba85caf6f181ed8a3dd589796b0a72",
+}
+
+
+def test_gen_pins_every_generator():
+    assert set(GEN_SHA256) == set(G.GENERATORS)
+
+
+@pytest.mark.parametrize("gen", sorted(GEN_SHA256))
+def test_gen_writes_the_pinned_bytes(tmp_path, gen):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--gen", gen, "--depth", "5", "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256[gen]
 
 
 @pytest.mark.parametrize("gen", ["backprop", "increment"])

@@ -41,7 +41,7 @@ def test_floor_time(small_bundle):
     # floor is idempotent and a partition point maps to itself
     for t in range(f.values.shape[0]):
         ft = floors[t]
-        assert np.all(floors[ft, np.arange(f.n_paths)] == ft)
+        assert np.all(floors[ft, np.arange(f.values.shape[1])] == ft)
         on = part.mask[t]
         assert np.all(floors[t][on] == t)
 
@@ -60,7 +60,7 @@ def test_ito_sum_brute_force(small_bundle):
     for t in range(n):
         vals = I.ito_sum_from(f, g, part, t)
         for t2 in range(t, n + 1):
-            for c in range(f.n_paths):
+            for c in range(f.values.shape[1]):
                 b = brute_ito(f.values[:, c], g.values[:, c], part.mask[:, c], t, t2)
                 worst = max(worst, abs(vals[t2, c] - b))
     assert worst <= 1e-12

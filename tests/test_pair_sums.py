@@ -141,7 +141,7 @@ def test_refine_converge_equals_the_pair_tensor_oracle(levels, r):
     cases += [(tree, tree), (tree, tree_bundle(7, seed=levels + 10))]
     taken = set()
     for f, g in cases:
-        width = fn.CHAIN_BLOCK_ELEMENTS // ((f.n_steps + 1) * levels * f.n_paths)
+        width = fn.CHAIN_BLOCK_ELEMENTS // ((f.n_steps + 1) * levels * f.values.shape[1])
         taken.add("blocks" if width >= 2 else "columns")
         for base in (I.AdaptedGridPartition.from_oscillation(f, 0.4), zero_only(f)):
             diag = I.refine_converge(f, g, base, levels=levels, r=r)

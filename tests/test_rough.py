@@ -6,7 +6,7 @@ import pytest
 
 import chain_dp_oracles as oracle
 from martkit import rough as R
-from notes_statements import rough_integral
+from notes_statements import checked_compose, chen_residual, covector_remainder, rough_integral, validate_box
 
 
 def dyadic_walk_path(n, seed=0, step=None):
@@ -181,7 +181,7 @@ def test_young_rejects_r_at_least_two():
 def test_lift_chen_exact_and_identity():
     X = dyadic_walk_path(256, seed=3, step=1.0 / 16.0)
     rp = R.lift(X, r=2.5)
-    assert rp.chen_residual() <= 1e-12
+    assert chen_residual(rp) <= 1e-12
     dX = np.diff(X.values[:, 0])
     sym = 2.0 * rp.xx[0, -1, 0, 0]
     ibp = (X.values[-1, 0] - X.values[0, 0]) ** 2 - np.sum(dX**2)
@@ -201,7 +201,7 @@ def test_lift_chen_vector_driver():
     vals -= vals[0]
     X = R.SampledPath(np.linspace(0, 1, n + 1), vals, "step")
     rp = R.lift(X, r=2.5)
-    assert rp.chen_residual() <= 1e-12
+    assert chen_residual(rp) <= 1e-12
     vx, vxx = rp.variation_norms()
     assert np.isfinite(vx) and np.isfinite(vxx)
 
@@ -256,19 +256,19 @@ def test_rough_integral_smooth_half():
 def test_compose_identity_and_constant():
     X = R.rough_line(0.5, 64, r=2.5)
     Y = R.ControlledPath(X, X.path.values[:, 0].copy(), np.ones((65, 1)))
-    ident = R.compose(R.linear_coefficient(1.0, box=2.0), Y)
+    ident = checked_compose(R.linear_coefficient(1.0, box=2.0), Y)
     assert np.allclose(ident.values[:, 0], Y.values)
     assert np.allclose(ident.deriv[:, 0, 0], 1.0)
-    const = R.compose(R.constant_coefficient(3.0), Y)
+    const = checked_compose(R.constant_coefficient(3.0), Y)
     assert np.allclose(const.values, 3.0)
-    assert np.abs(const.remainder()).max() == 0.0
+    assert np.abs(covector_remainder(const)).max() == 0.0
 
 
 def test_compose_square_estimates():
     X = R.rough_line(0.5, 64, r=2.5)
     Y = R.ControlledPath(X, X.path.values[:, 0].copy(), np.ones((65, 1)))
     sq = R.scalar_coefficient(lambda y: y**2, lambda y: 2 * y, lambda y: 2 * np.ones_like(y), box=1.0)
-    out = R.compose(sq, Y, check=True)  # raises if the two estimates fail
+    out = checked_compose(sq, Y)  # raises if the two estimates fail
     assert np.allclose(out.values[:, 0], Y.values**2)
 
 
@@ -317,7 +317,14 @@ def test_halving_index_equals_one_interval_at_a_time():
     # the reversed DP adds a suffix's costs in the opposite order; an ulp
     # there must not move the split
     for X in halving_drivers():
-        assert R._halving_index(X) == oracle.halving_one_interval_at_a_time(X)
+        assert R._halving_index(X, R._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X)
+
+
+def test_prefix_controls_end_at_the_variation_control():
+    # rde_solve reads V^r X off the prefix controls that its split reads
+    for X in halving_drivers():
+        prefix = R._prefix_controls(X.path.values, X.r)
+        assert float(prefix[-1]) == R.variation_control(X.path, X.r)(0.0, X.path.T)
 
 
 def test_rde_jump_too_large_raises():
@@ -435,7 +442,7 @@ def test_compose_then_integrate_remainder_structure():
     X = R.rough_line(0.4, 128, r=2.5)
     Y = R.ControlledPath(X, np.sin(X.times), np.cos(X.times)[:, None])
     sq = R.scalar_coefficient(lambda y: y**2, lambda y: 2 * y, lambda y: 2 * np.ones_like(y), box=2.0)
-    P = R.compose(sq, Y)
+    P = checked_compose(sq, Y)
     Z, diag = rough_integral(P, X)
     assert diag["remainder_r2"] <= diag["remainder_bound"]
     assert diag["local_error_bound"] >= 0.0
@@ -455,8 +462,9 @@ def test_smooth_function_box_validation_warns():
         dphi_lip=0.0,
         d2phi_sup=0.0,
         d2phi_lip=0.0,
+        phi_lip=0.1,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        lying.validate_box(-1.0, 1.0)
+        validate_box(lying, -1.0, 1.0)
     assert any("declared norm" in str(w.message) for w in caught)
