@@ -142,6 +142,8 @@ def cmd_suite(args) -> int:
 
 def _parse_phi(text: str) -> tuple[rough.SmoothFunction, str, float]:
     name, _, arg = text.partition(":")
+    if name == "sin" and arg:
+        raise ValueError(f"coefficient {text!r}: sin takes no argument")
     a = float(arg) if arg else 1.0
     if not math.isfinite(a):
         raise ValueError(f"coefficient {text!r} must be finite")
@@ -149,12 +151,8 @@ def _parse_phi(text: str) -> tuple[rough.SmoothFunction, str, float]:
         return rough.linear_coefficient(a, box=8.0), "linear", a
     if name in ("const", "constant"):
         return rough.constant_coefficient(a), "const", a
-    if name in ("sin",):
-        return (
-            rough.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0),
-            "sin",
-            a,
-        )
+    if name == "sin":
+        return rough.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0), "sin", a
     raise ValueError(f"unknown coefficient {text!r} (use linear[:a], const[:c], sin)")
 
 
@@ -185,7 +183,7 @@ def cmd_rde(args) -> int:
         "iterations": sol.iterations,
         "final_metric": sol.final_metric,
         "subdivisions": sol.subdivisions,
-        "error_bound": rough.zeta_sum(3.0 / args.r) * sum(driver.variation_norms()),
+        "error_bound": rough.zeta_sum(3.0 / args.r) * sum(sol.driver_norms),
         "metric_strictly_decreasing": sol.strictly_decreasing(),
     }
     sup_err = None

@@ -10,11 +10,13 @@ pairs (n <= 512 guard).  Distances between path values are made a block
 of columns at a time, so a control or a variation never holds an (n, n)
 distance matrix, and the RDE solver picks each split point from two
 chain DPs over the interval it splits, a forward and a reversed one; the
-forward one also gives the interval's V^r X.
+forward one also gives the interval's V^r X, which the solution returns
+with V^{r/2} XX.  Each Picard iterate builds its remainder once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -329,11 +331,6 @@ class RoughPath:
         x = self.path.values
         return x[None, :, :] - x[:, None, :]
 
-    def variation_norms(self) -> tuple[float, float]:
-        """(V^r X, V^{r/2} XX) over [0, T] on the grid."""
-        vx = float(_prefix_controls(self.path.values, self.r)[-1]) ** (1.0 / self.r)
-        return vx, two_param_variation(self.xx, self.r / 2.0)
-
     def restrict(self, i0: int, i1: int) -> "RoughPath":
         t = self.path.times[i0 : i1 + 1] - self.path.times[i0]
         vals = self.path.values[i0 : i1 + 1]
@@ -363,6 +360,8 @@ def lift(X: SampledPath, r: float = 2.5) -> RoughPath:
 
 def rough_line(T: float, n: int, r: float = 2.5) -> RoughPath:
     """X_t = t with the exact second level (t - s)^2 / 2."""
+    if n > GRID_GUARD:
+        raise ValueError(f"rough layer grid exceeds guard {GRID_GUARD}")
     t = np.linspace(0.0, T, n + 1)
     delta = t[None, :] - t[:, None]
     xx = np.where(delta > 0, delta**2 / 2.0, 0.0)[:, :, None, None]
@@ -396,20 +395,22 @@ class ControlledPath:
         if self.values.shape != (n1,) or self.deriv.shape != (n1, self.rough.dim):
             raise ValueError("controlled path shape mismatch")
 
+    @functools.cached_property
     def remainder(self) -> np.ndarray:
+        """R on all grid pairs, (n+1, n+1): built once per path, read-only."""
         dy = self.values[None, :] - self.values[:, None]
-        dx = self.rough.increments()
-        return dy - np.einsum("sd,std->st", self.deriv, dx)
+        rem = dy - np.einsum("sd,std->st", self.deriv, self.rough.increments())
+        rem.flags.writeable = False
+        return rem
 
     def norms(self) -> dict:
         r = self.rough.r
-        out = {
+        return {
             "Y_r": fn.variation(self.values[:, None], r),
             "Yp_r": fn.variation(self.deriv, r),
             "Yp_sup": float(np.sqrt((self.deriv**2).sum(axis=1)).max()),
-            "R_r2": two_param_variation(self.remainder(), r / 2.0),
+            "R_r2": two_param_variation(self.remainder, r / 2.0),
         }
-        return out
 
 
 @dataclass
@@ -501,16 +502,16 @@ def compose(phi: SmoothFunction, Y: ControlledPath) -> ControlledCovector:
 # -- rough integration -------------------------------------------------------------
 
 
-def _sew_on_grid(P: ControlledCovector, X: RoughPath) -> ControlledPath:
-    """Z_t = int_0^t P dX sewn on the grid (the finest resolvable partition),
-    with Z' = P: the cumulative sum of the germs P_s dX_{s,t} + P'_s XX_{s,t}
-    over grid steps."""
+def _sew_on_grid(P: ControlledCovector, X: RoughPath, y0: float) -> ControlledPath:
+    """Z_t = y0 + int_0^t P dX sewn on the grid (the finest resolvable
+    partition), with Z' = P: y0 plus the cumulative sum of the germs
+    P_s dX_{s,t} + P'_s XX_{s,t} over grid steps."""
     x = X.path.values
     dx = np.diff(x, axis=0)
     idx = np.arange(x.shape[0] - 1)
     xx_step = X.xx[idx, idx + 1]
     germs = np.einsum("td,td->t", P.values[:-1], dx) + np.einsum("tde,tde->t", P.deriv[:-1], xx_step)
-    return ControlledPath(X, np.concatenate([[0.0], np.cumsum(germs)]), P.values.copy())
+    return ControlledPath(X, np.concatenate([[0.0], np.cumsum(germs)]) + y0, P.values.copy())
 
 
 # -- rough differential equations ----------------------------------------------------
@@ -529,6 +530,7 @@ class RdeSolution:
     final_metric: float
     metric_runs: list[list[float]]  # one Picard run per smallness window
     subdivisions: int
+    driver_norms: tuple[float, float]  # (V^r X, V^{r/2} XX) of the solved window
 
     def strictly_decreasing(self) -> bool:
         """Each run's contraction metric decreases strictly until it is at
@@ -538,12 +540,9 @@ class RdeSolution:
 
 def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath) -> float:
     r = Y.rough.r
-    dvals = Y.values - Z.values
-    dder = Y.deriv - Z.deriv
-    drem = Y.remainder() - Z.remainder()
-    m1 = two_param_variation(drem, r / 2.0)
-    m2 = fn.variation(dder, r)
-    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation(dvals[:, None], r)
+    m1 = two_param_variation(Y.remainder - Z.remainder, r / 2.0)
+    m2 = fn.variation(Y.deriv - Z.deriv, r)
+    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation((Y.values - Z.values)[:, None], r)
     return max(m1, m2, m3)
 
 
@@ -561,8 +560,10 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
     the prefix controls of the split; a reversed one gives the suffix
     controls (``_halving_index``).  A single grid step already above the
     threshold is a jump the local theory cannot absorb and raises.  Each
-    Picard step only sews on the grid: it computes no remainder diagnostics.
-    The contraction metric must decrease strictly until it is at most
+    Picard step sews one iterate from y0, whose norms and the two contraction
+    metrics it enters, as Z and then as Y, read one remainder array.  The
+    solution carries ``driver_norms`` = (V^r X, V^{r/2} XX) of X.  The
+    contraction metric must decrease strictly until it is at most
     PICARD_TOL; the first iterate sets the radius A of the solution set, and
     every later iterate is checked to stay in it.
     """
@@ -582,6 +583,7 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
             final_metric=max(left.final_metric, right.final_metric),
             metric_runs=left.metric_runs + right.metric_runs,
             subdivisions=left.subdivisions + right.subdivisions + 1,
+            driver_norms=(vx, vxx),
         )
     if vx + vxx >= eps:
         raise RdeError(
@@ -594,8 +596,7 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
     A = None
     increase_run = 0
     for it in range(1, PICARD_MAX_ITER + 1):
-        Z = _sew_on_grid(compose(phi, Y), X)
-        Z = ControlledPath(X, Z.values + y0, Z.deriv)
+        Z = _sew_on_grid(compose(phi, Y), X, y0)
         nz = Z.norms()
         if A is None:
             A = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.phi_lip * nz["Y_r"])
@@ -610,7 +611,7 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
         metrics.append(m)
         Y = Z
         if m <= PICARD_TOL:
-            return RdeSolution(Y, it, m, [metrics], 0)
+            return RdeSolution(Y, it, m, [metrics], 0, (vx, vxx))
         if len(metrics) >= 2 and metrics[-1] >= metrics[-2]:
             increase_run += 1
             if increase_run >= 3:
@@ -646,7 +647,7 @@ def rde_stability(phi: SmoothFunction, X: RoughPath, X2: RoughPath, y0: float, y
     s2 = rde_solve(phi, X2, y02)
     r = X.r
     num = max(
-        two_param_variation(s1.path.remainder() - s2.path.remainder(), r / 2.0),
+        two_param_variation(s1.path.remainder - s2.path.remainder, r / 2.0),
         fn.variation(s1.path.deriv - s2.path.deriv, r),
         fn.variation((s1.path.values - s2.path.values)[:, None], r),
     )

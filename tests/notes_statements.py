@@ -1,11 +1,12 @@
 """Statements of the notes that the tests assert but no check or CLI command
 reaches, so they live with the tests and not in ``martkit``:
 the zero-only partition and tree-backed bundles of the Ito layer, Chen's
-relation of a rough path, the norms of a controlled covector, the two
-composition estimates, the rough integral with its asserted remainder
-estimate, a finite-difference check of a coefficient's declared norms, and
-the path-aware splitter that saturates step paths at their grid when
-sewing.
+relation of a rough path, its driver norms over [0, T] (the RDE solver
+returns those of each window it solves), the norms of a controlled
+covector, the two composition estimates, the rough integral with its
+asserted remainder estimate, a finite-difference check of a coefficient's
+declared norms, and the path-aware splitter that saturates step paths at
+their grid when sewing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def chen_residual(X: rough.RoughPath) -> float:
         cross = np.einsum("si,uj->suij", x[t] - x[: t + 1], x[t:] - x[t])
         worst = max(worst, float(np.abs(a - b - c - cross).max()))
     return worst
+
+
+def variation_norms(X: rough.RoughPath) -> tuple[float, float]:
+    """(V^r X, V^{r/2} XX) over [0, T] on the grid."""
+    vx = float(rough._prefix_controls(X.path.values, X.r)[-1]) ** (1.0 / X.r)
+    return vx, rough.two_param_variation(X.xx, X.r / 2.0)
 
 
 def covector_remainder(P: rough.ControlledCovector) -> np.ndarray:
@@ -109,11 +116,11 @@ def rough_integral(P: rough.ControlledCovector, X: rough.RoughPath) -> tuple[rou
     K = 2 (1 + sum_k (2/k)^{3/r}); the single-cell local error bound is
     reported in the diagnostics.
     """
-    Z = rough._sew_on_grid(P, X)
+    Z = rough._sew_on_grid(P, X, 0.0)
     r = X.r
     const = 2.0 * (1.0 + rough.zeta_sum(3.0 / r))
     np_norms = covector_norms(P)
-    vx, vxx = X.variation_norms()
+    vx, vxx = variation_norms(X)
     rhs = np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx + np_norms["Pp_sup"] * vxx
     lhs = Z.norms()["R_r2"]
     diag = {

@@ -19,8 +19,10 @@ from martkit import functionals as fn
 from martkit import generators as G
 from martkit import ito, report
 from martkit import rough as R
+from martkit.cli import main
 from martkit.report import CorpusSpec
 from martkit.tree import FiltrationTree, TreeProcess
+from notes_statements import variation_norms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -139,8 +141,8 @@ def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):
 
 
 def test_rde_solve_reads_driver_norms_once_per_solver_node(monkeypatch):
-    # the Picard loop computes no remainder diagnostics, so no driver norms:
-    # each solver node runs one forward DP, and each split one reversed DP
+    # the Picard loop reads no driver norms, and each solver node returns
+    # those it computed: one forward DP per node, one reversed DP per split
     calls = Counter()
     count_calls(monkeypatch, calls, R, ("rde_solve", "_prefix_controls"))
     sol = R.rde_solve(R.linear_coefficient(1.0), R.rough_line(0.3, 64), 1.0)
@@ -168,6 +170,52 @@ def test_rde_solve_runs_each_driver_dp_once(monkeypatch):
     assert sol.subdivisions >= 3
     assert sum(runs.values()) == (2 * sol.subdivisions + 1) + sol.subdivisions  # forward per node, reversed per split
     assert max(runs.values()) == 1
+
+
+def test_rde_solve_builds_one_remainder_and_one_path_per_iterate(monkeypatch):
+    # an iterate's norms and the two contraction metrics it enters read one
+    # remainder, and each remainder build calls RoughPath.increments once;
+    # each leaf window also builds its starting path's remainder
+    calls = Counter()
+    count_calls(monkeypatch, calls, R.RoughPath, ("increments",))
+    count_calls(monkeypatch, calls, R.ControlledPath, ("__post_init__",))
+    sol = R.rde_solve(R.linear_coefficient(1.0), R.rough_line(0.3, 256), 1.0)
+    leaves = sol.subdivisions + 1
+    assert (sol.iterations, leaves) == (36, 4)
+    assert calls["increments"] == sol.iterations + leaves
+    assert calls["__post_init__"] == sol.iterations + leaves + sol.subdivisions
+
+
+def test_rde_command_runs_two_dps_over_the_driver(monkeypatch, tmp_path):
+    # the error bound reads the solver's driver norms: the top window's
+    # forward and reversed DPs, and one two-parameter variation of its XX
+    runs = Counter()
+    real_prefix, real_two_param = R._prefix_controls, R.two_param_variation
+
+    def prefix(values, r):
+        runs["prefix", values.shape[0]] += 1
+        return real_prefix(values, r)
+
+    def two_param(xi, rho):
+        runs["two_param", xi.shape] += 1
+        return real_two_param(xi, rho)
+
+    monkeypatch.setattr(R, "_prefix_controls", prefix)
+    monkeypatch.setattr(R, "two_param_variation", two_param)
+    assert main(["rde", "--out", str(tmp_path / "rde.json")]) == 0
+    assert runs["prefix", 257] == 2
+    assert runs["two_param", (257, 257, 1, 1)] == 1
+
+
+def test_rde_solution_carries_the_driver_norms(tmp_path):
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([[0.0], np.cumsum(rng.choice([-0.0125, 0.0125], size=256))])
+    walk = R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"), r=2.5)
+    csv = tmp_path / "driver.csv"
+    np.savetxt(csv, np.column_stack([np.linspace(0.0, 0.3, 41), vals[:41]]), delimiter=",", header="t,x", comments="")
+    sin = R.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0)
+    for X in (R.rough_line(0.3, 256), walk, R.lift(R.read_driver_csv(str(csv)), r=2.5)):
+        assert R.rde_solve(sin, X, 1.0).driver_norms == variation_norms(X)
 
 
 def test_ito_pairs_forms_the_floors_once(monkeypatch):

@@ -285,6 +285,8 @@ def test_rde_walk_driver_requires_seed(tmp_path):
         pytest.param(["--phi", "linear:nan"], "must be finite", id="phi=linear:nan"),
         pytest.param(["--phi", "linear:inf"], "must be finite", id="phi=linear:inf"),
         pytest.param(["--phi", "const:inf"], "must be finite", id="phi=const:inf"),
+        pytest.param(["--phi", "sin:3"], "sin takes no argument", id="phi=sin:3"),
+        pytest.param(["--n", "100000"], "rough layer grid exceeds guard 512", id="n=100000"),
     ],
 )
 def test_rde_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):

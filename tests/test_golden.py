@@ -1,8 +1,9 @@
-"""Golden outputs: five CLI runs pinned byte for byte.
+"""Golden outputs: six CLI runs pinned byte for byte.
 
 The suite run covers every registry check on the default corpora; the rde
 and ito demos reach the rough-path and Ito variation code, which the suite
-does not.  The second ito run has 48 steps, so its walk values are not
+does not.  The rde run with its defaults (linear phi, line driver) splits
+its top window and compares with the closed-form solution.  The second ito run has 48 steps, so its walk values are not
 dyadic and its sums round; the paraproduct run is at a shape where the
 window and delta-f estimates read nonzero (the suite's one paraproduct
 trial reads 0.0 for both).  Timing fields are stripped.  The files were written with the
@@ -32,6 +33,7 @@ MANIFEST = os.path.join(DATA, "golden_manifest.json")
 GOLDEN = {
     "golden_suite.json": ["suite", "--default", "--scale", "0.01", "--seed", "20240"],
     "golden_rde.json": ["rde", "--driver", "walk", "--phi", "sin", "--seed", "7", "--n", "64"],
+    "golden_rde_line.json": ["rde"],
     "golden_ito.json": ["ito", "--seed", "7", "--steps", "64", "--paths", "16"],
     "golden_ito48.json": ["ito", "--seed", "7", "--steps", "48", "--paths", "16"],
     "golden_paraproduct.json": ["check", "paraproduct", "--kind", "mixed", "--depth", "6", "--trials", "100", "--seed", "20247"],

@@ -6,7 +6,7 @@ import pytest
 
 import chain_dp_oracles as oracle
 from martkit import rough as R
-from notes_statements import checked_compose, chen_residual, covector_remainder, rough_integral, validate_box
+from notes_statements import checked_compose, chen_residual, covector_remainder, rough_integral, validate_box, variation_norms
 
 
 def dyadic_walk_path(n, seed=0, step=None):
@@ -202,7 +202,7 @@ def test_lift_chen_vector_driver():
     X = R.SampledPath(np.linspace(0, 1, n + 1), vals, "step")
     rp = R.lift(X, r=2.5)
     assert chen_residual(rp) <= 1e-12
-    vx, vxx = rp.variation_norms()
+    vx, vxx = variation_norms(rp)
     assert np.isfinite(vx) and np.isfinite(vxx)
 
 
@@ -212,7 +212,7 @@ def test_lift_chen_vector_driver():
 def implicit_bound_sides(Y: R.ControlledPath) -> tuple[float, float]:
     """(|Y|_r, |Y'|_sup |X|_r + |R|_{r/2}); left never exceeds right."""
     n = Y.norms()
-    vx, _ = Y.rough.variation_norms()
+    vx, _ = variation_norms(Y.rough)
     return n["Y_r"], n["Yp_sup"] * vx + n["R_r2"]
 
 
