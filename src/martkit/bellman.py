@@ -4,7 +4,8 @@ The function U(x, y, m) = y - (|x|^2 + (gamma - 1) m^2) / m on the domain
 |x| <= m is concave along martingale moves exactly when gamma >= 3, which
 yields E Sf <= sqrt(3) E f* with the best possible constant.  The module
 also hosts the extremal two-point construction approaching sqrt(3) from
-below.
+below, built a level at a time.  The concavity grid evaluates one array of
+residuals per x value.
 
 The pathwise form telescopes U along each path, so every sum in it is
 F_n-measurable: ``pathwise_sharp_sides`` runs it as one parent-to-child
@@ -35,11 +36,11 @@ PATHWISE_TOL = 1e-10
 
 def bellman_U(p: tuple, gamma: float = 3.0) -> float:
     """U(x, y, m) = y - (|x|^2 + (gamma-1) m^2) / m, with U(0, y, 0) = y by
-    continuity (m = 0 forces x = 0)."""
+    continuity (m = 0 forces x = 0); elementwise on arrays of positive m."""
     x, y, m = p
-    if abs(x) > m:
+    if np.any(np.abs(x) > m):
         raise ValueError("outside the domain |x| <= m")
-    if m == 0.0:
+    if np.ndim(m) == 0 and m == 0.0:
         return y
     return y - (x * x + (gamma - 1.0) * m * m) / m
 
@@ -50,13 +51,14 @@ def concavity_residual(x: float, h: float, y: float, m: float, gamma: float = 3.
         U(x+h, y + h^2/(|x+h| v m), |x+h| v m)  <=  U(x, y, m) - 2 x h / m.
 
     Nonnegative for every admissible (x, h, y, m) iff gamma >= 3; the
-    |x+h| <= m branch is an exact identity.
+    |x+h| <= m branch is an exact identity.  Arrays broadcast, and each
+    element is evaluated in the scalar order.
     """
-    if m <= 0:
+    if np.any(m <= 0):
         raise ValueError("need m > 0")
-    if abs(x) > m:
+    if np.any(np.abs(x) > m):
         raise ValueError("need |x| <= m")
-    m_new = max(abs(x + h), m)
+    m_new = np.maximum(np.abs(x + h), m)
     lhs = bellman_U((x + h, y + h * h / m_new, m_new), gamma)
     rhs = bellman_U((x, y, m), gamma) - 2.0 * x * h / m
     return rhs - lhs
@@ -71,17 +73,18 @@ def concavity_grid_min(
     y_vals: tuple = (0.0, 1.0, 10.0),
 ) -> tuple[float, dict]:
     """Minimum residual over a rectangular grid at m = GRID_M; returns
-    (min, argmin)."""
+    (min, argmin), the first strict minimum in (x, h, y) order.  One
+    (h, y) array of residuals per x; a NaN residual is never a minimum."""
     m = GRID_M
     worst = math.inf
     arg = {}
+    hs, ys = np.linspace(h_lo, h_hi, h_pts), np.asarray(y_vals, dtype=np.float64)
     for x in np.linspace(-m, m, x_pts):
-        for h in np.linspace(h_lo, h_hi, h_pts):
-            for y in y_vals:
-                res = concavity_residual(float(x), float(h), float(y), m, gamma)
-                if res < worst:
-                    worst = res
-                    arg = {"gamma": gamma, "x": float(x), "h": float(h), "y": float(y), "m": m, "residual": res}
+        res = concavity_residual(x, hs[:, None], ys, m, gamma)
+        i, j = divmod(int(np.argmin(np.where(np.isnan(res), np.inf, res))), ys.size)
+        if res[i, j] < worst:
+            worst = float(res[i, j])
+            arg = {"gamma": gamma, "x": float(x), "h": float(hs[i]), "y": float(ys[j]), "m": m, "residual": worst}
     return worst, arg
 
 
@@ -193,42 +196,31 @@ def sharp_davis_check(spec: CorpusSpec) -> CheckReport:
 def extremal_tree(depth: int, r: float) -> Martingale:
     """Two-point extremal martingale: a fair unit first step, then alternating
     boundary branches d in {-x, r x} with probabilities r/(r+1), 1/(r+1) and
-    fair refills d = +-m from zero."""
+    fair refills d = +-m from zero.
+
+    Built a level at a time: every node opens (m = 0), branches at the
+    boundary (|x| = m) or refills, and ``children`` selects each child's
+    value, running maximum and conditional probability with ``np.where``.
+    """
     if depth < 1:
         raise ValueError("need depth >= 1")
     if depth > 12:
         raise ValueError("extremal construction capped at depth 12")
-    parents = [np.empty(0, dtype=np.int64)]
-    values = [np.zeros(1)]
-    x = np.zeros(1)
-    m = np.zeros(1)
-    cond = []
-    for level in range(1, depth + 1):
-        at_boundary = (np.abs(np.abs(x) - m) < 1e-12) & (m > 0)
-        par = np.repeat(np.arange(x.size), 2)
-        new_x = np.empty(x.size * 2)
-        new_m = np.empty(x.size * 2)
-        cp = np.empty(x.size * 2)
-        for i in range(x.size):
-            if m[i] == 0.0:  # opening fair step of unit size
-                new_x[2 * i : 2 * i + 2] = (1.0, -1.0)
-                new_m[2 * i : 2 * i + 2] = 1.0
-                cp[2 * i : 2 * i + 2] = 0.5
-            elif at_boundary[i]:
-                new_x[2 * i] = 0.0
-                new_m[2 * i] = m[i]
-                cp[2 * i] = r / (r + 1.0)
-                new_x[2 * i + 1] = x[i] * (1.0 + r)
-                new_m[2 * i + 1] = m[i] * (1.0 + r)
-                cp[2 * i + 1] = 1.0 / (r + 1.0)
-            else:  # refill from zero to the running boundary
-                new_x[2 * i : 2 * i + 2] = (m[i], -m[i])
-                new_m[2 * i : 2 * i + 2] = m[i]
-                cp[2 * i : 2 * i + 2] = 0.5
-        parents.append(par)
-        values.append(new_x.copy())
-        cond.append(cp)
-        x, m = new_x, new_m
+    parents, values, cond = [np.empty(0, dtype=np.int64)], [np.zeros(1)], []
+    x = m = np.zeros(1)
+    for _ in range(depth):
+        opening = m == 0.0
+        boundary = (np.abs(np.abs(x) - m) < 1e-12) & (m > 0)
+
+        def children(if_opening, if_boundary, if_refill):
+            # the (left, right) children of every node, interleaved in node order
+            picks = [np.where(opening, o, np.where(boundary, b, f)) for o, b, f in zip(if_opening, if_boundary, if_refill)]
+            return np.stack(picks, axis=1).reshape(-1)
+
+        parents.append(np.repeat(np.arange(x.size), 2))
+        cond.append(children((0.5, 0.5), (r / (r + 1.0), 1.0 / (r + 1.0)), (0.5, 0.5)))
+        x, m = children((1.0, -1.0), (0.0, x * (1.0 + r)), (m, -m)), children((1.0, 1.0), (m, m * (1.0 + r)), (m, m))
+        values.append(x)
     return Martingale(FiltrationTree.from_conditional(parents, cond), values)
 
 

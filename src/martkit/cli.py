@@ -70,7 +70,7 @@ def _corpus_from_args(args) -> CorpusSpec | FileCorpus:
         tree, procs = load_tree(args.corpus_file)
         if not procs:
             raise ValueError("corpus file contains no processes")
-        marts = [Martingale(tree, p.values, validate=False) for p in procs.values()]
+        marts = [Martingale.from_flat(tree, p.flat) for p in procs.values()]
         return FileCorpus(marts, seed=args.seed or 0)
     if args.seed is None:
         raise ValueError("--seed is required for generated corpora")
@@ -225,9 +225,15 @@ def cmd_ito(args) -> int:
 
 
 def cmd_bellman(args) -> int:
+    if args.grid < 0:
+        raise ValueError(f"--grid must be at least 0, got {args.grid}")
+    if not math.isfinite(args.gamma):
+        raise ValueError(f"--gamma must be finite, got {args.gamma}")
+    r_lo, r_hi = (int(x) for x in args.r_grid.split(":"))
+    if not 1 <= r_lo <= r_hi:
+        raise ValueError(f"--r-grid lo:hi needs 1 <= lo <= hi, got {args.r_grid}")
     n_side = max(11, int(round(args.grid ** (1.0 / 3.0))))
     worst, arg = bellman.concavity_grid_min(args.gamma, x_pts=n_side, h_pts=n_side * 3, y_vals=(0.0, 1.0, 10.0))
-    r_lo, r_hi = (int(x) for x in args.r_grid.split(":"))
     search = bellman.extremal_search(args.depth, tuple(float(r) for r in range(r_lo, r_hi + 1)))
     payload = {"gamma": args.gamma, "worst_concavity_residual": worst, "argmin": arg, "extremal": search}
     counterexample = None

@@ -2,16 +2,19 @@
 
 All randomness flows through counter-based Philox streams derived from an
 explicit integer seed, so identical seeds reproduce corpora bit for bit and
-per-trial streams are independent splits of the root seed.
+per-trial streams are independent splits of the root seed.  Leaf
+back-propagation fills and centers one flat node array, the trial's only
+process; both dyadic walks come from one level-wise builder.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
-from .tree import MAX_DEPTH, FiltrationTree, Martingale, TreeError, guard_nodes
+from .tree import MAX_DEPTH, FiltrationTree, Martingale, TreeError, backprop_flat, guard_nodes
 
 # corpus trial indices must stay below 2**TRIAL_BITS (see _sub)
 TRIAL_BITS = 20
@@ -50,10 +53,9 @@ def gen_leaf_backprop(dist: str, depth: int, seed: int, width: int = 0) -> Marti
     tree = FiltrationTree.dyadic(depth)
     rng = rng_for(seed)
     shape = (tree.n_leaves,) if width == 0 else (tree.n_leaves, width)
-    leaves = draw(dist, rng, shape)
-    mart = Martingale.from_leaf_values(tree, leaves)
-    root = mart.values[0][0]
-    return Martingale(tree, [v - root for v in mart.values], validate=False)
+    flat = backprop_flat(tree, draw(dist, rng, shape))
+    flat -= flat[0]
+    return Martingale.from_flat(tree, flat)
 
 
 def gen_increment(depth: int, seed: int, dist: str = "normal") -> Martingale:
@@ -92,6 +94,18 @@ def gen_increment(depth: int, seed: int, dist: str = "normal") -> Martingale:
     return Martingale(FiltrationTree.from_conditional(parents, cond_prob), values)
 
 
+def _dyadic_walk(depth: int, steps: Iterable[float]) -> Martingale:
+    """Walk on the dyadic tree of ``depth``: every level-n node steps by the
+    n-th of ``steps`` from its parent at an even index and by its negative at
+    an odd one.  ``steps`` is read one level at a time, after the tree is built."""
+    tree = FiltrationTree.dyadic(depth)
+    values = [np.zeros(1)]
+    for n, step in zip(range(1, depth + 1), steps):
+        signs = np.where(np.arange(2**n) % 2 == 0, step, -step)
+        values.append(values[-1][tree.parents[n]] + signs)
+    return Martingale(tree, values)
+
+
 def gen_scaled_walk(depth: int) -> Martingale:
     """Fair random walk with increments +-1/sqrt(depth); S f_depth = 1.
 
@@ -100,13 +114,7 @@ def gen_scaled_walk(depth: int) -> Martingale:
     """
     if depth < 1:
         raise TreeError("walk needs depth >= 1")
-    tree = FiltrationTree.dyadic(depth)
-    step = 1.0 / math.sqrt(depth)
-    values = [np.zeros(1)]
-    for n in range(1, depth + 1):
-        signs = np.where(np.arange(2**n) % 2 == 0, step, -step)
-        values.append(values[-1][tree.parents[n]] + signs)
-    return Martingale(tree, values)
+    return _dyadic_walk(depth, [1.0 / math.sqrt(depth)] * depth)
 
 
 def gen_doubling(depth: int) -> Martingale:
@@ -134,15 +142,10 @@ def gen_log_weight(depth: int) -> Martingale:
 
 
 def gen_walk_increments(depth: int, seed: int) -> Martingale:
-    """Martingale with independent symmetric increments of random magnitude."""
-    tree = FiltrationTree.dyadic(depth)
+    """Martingale with independent symmetric increments of random magnitude,
+    one uniform(0.1, 1) draw per level from the root down."""
     rng = rng_for(seed)
-    values = [np.zeros(1)]
-    for n in range(1, depth + 1):
-        mag = float(rng.uniform(0.1, 1.0))
-        signs = np.where(np.arange(2**n) % 2 == 0, mag, -mag)
-        values.append(values[-1][tree.parents[n]] + signs)
-    return Martingale(tree, values)
+    return _dyadic_walk(depth, (float(rng.uniform(0.1, 1.0)) for _ in range(depth)))
 
 
 # the generators of ``generate``; only those in DRAWING read a distribution

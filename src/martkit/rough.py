@@ -11,7 +11,9 @@ of columns at a time, so a control or a variation never holds an (n, n)
 distance matrix, and the RDE solver picks each split point from two
 chain DPs over the interval it splits, a forward and a reversed one; the
 forward one also gives the interval's V^r X, which the solution returns
-with V^{r/2} XX.  Each Picard iterate builds its remainder once.
+with V^{r/2} XX.  Each Picard iterate builds its remainder once.  A
+coefficient declares three sups, of phi and its first two derivatives; the
+sup of a derivative is the Lipschitz constant the estimates read.
 """
 
 from __future__ import annotations
@@ -428,18 +430,14 @@ class ControlledCovector:
 @dataclass
 class SmoothFunction:
     """Coefficient phi: R -> L(R^d, R) with declared norm bounds, trusted
-    inputs for all estimates; phi_lip is the Lipschitz constant of phi."""
+    inputs for all estimates.  A Lipschitz constant is the sup of the
+    derivative, so dphi_sup is that of phi and d2phi_sup that of dphi."""
 
     phi: Callable[[np.ndarray], np.ndarray]  # (...,) -> (..., d)
     dphi: Callable[[np.ndarray], np.ndarray]
-    d2phi: Callable[[np.ndarray], np.ndarray]
-    dim: int
     phi_sup: float
     dphi_sup: float
-    dphi_lip: float
     d2phi_sup: float
-    d2phi_lip: float
-    phi_lip: float
 
 
 def linear_coefficient(a: float = 1.0, box: float = 8.0) -> SmoothFunction:
@@ -447,14 +445,9 @@ def linear_coefficient(a: float = 1.0, box: float = 8.0) -> SmoothFunction:
     return SmoothFunction(
         phi=lambda y: (a * np.asarray(y))[..., None],
         dphi=lambda y: np.full(np.shape(y) + (1,), a),
-        d2phi=lambda y: np.zeros(np.shape(y) + (1,)),
-        dim=1,
         phi_sup=abs(a) * box,
         dphi_sup=abs(a),
-        dphi_lip=0.0,
         d2phi_sup=0.0,
-        d2phi_lip=0.0,
-        phi_lip=abs(a),
     )
 
 
@@ -462,32 +455,21 @@ def constant_coefficient(c: float) -> SmoothFunction:
     return SmoothFunction(
         phi=lambda y: np.broadcast_to(c, np.shape(y) + (1,)).copy(),
         dphi=lambda y: np.zeros(np.shape(y) + (1,)),
-        d2phi=lambda y: np.zeros(np.shape(y) + (1,)),
-        dim=1,
         phi_sup=abs(c),
         dphi_sup=0.0,
-        dphi_lip=0.0,
         d2phi_sup=0.0,
-        d2phi_lip=0.0,
-        phi_lip=0.0,
     )
 
 
 def scalar_coefficient(f, df, d2f, box: float) -> SmoothFunction:
-    """Wrap scalar callables with norms measured on [-box, box] (declared);
-    the Lipschitz constant of d2f is declared 0."""
+    """Wrap scalar callables with norms measured on [-box, box] (declared)."""
     grid = np.linspace(-box, box, 4001)
     return SmoothFunction(
         phi=lambda y: np.asarray(f(np.asarray(y)))[..., None],
         dphi=lambda y: np.asarray(df(np.asarray(y)))[..., None],
-        d2phi=lambda y: np.asarray(d2f(np.asarray(y)))[..., None],
-        dim=1,
         phi_sup=float(np.abs(f(grid)).max()),
         dphi_sup=float(np.abs(df(grid)).max()),
-        dphi_lip=float(np.abs(d2f(grid)).max()),
         d2phi_sup=float(np.abs(d2f(grid)).max()),
-        d2phi_lip=0.0,
-        phi_lip=float(np.abs(df(grid)).max()),
     )
 
 
@@ -542,12 +524,12 @@ def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath)
     r = Y.rough.r
     m1 = two_param_variation(Y.remainder - Z.remainder, r / 2.0)
     m2 = fn.variation(Y.deriv - Z.deriv, r)
-    m3 = 2.0 * (phi.dphi_sup + A * phi.dphi_lip) * fn.variation((Y.values - Z.values)[:, None], r)
+    m3 = 2.0 * (phi.dphi_sup + A * phi.d2phi_sup) * fn.variation((Y.values - Z.values)[:, None], r)
     return max(m1, m2, m3)
 
 
 def default_smallness(phi: SmoothFunction) -> float:
-    return 0.25 / (1.0 + phi.dphi_sup + phi.dphi_lip)
+    return 0.25 / (1.0 + phi.dphi_sup + phi.d2phi_sup)
 
 
 def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
@@ -599,11 +581,11 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
         Z = _sew_on_grid(compose(phi, Y), X, y0)
         nz = Z.norms()
         if A is None:
-            A = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.phi_lip * nz["Y_r"])
+            A = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.dphi_sup * nz["Y_r"])
         elif not (
             nz["Yp_r"] <= A * (1 + 1e-9)
             and nz["R_r2"] <= A**2 * (1 + 1e-9)
-            and (phi.phi_lip == 0.0 or nz["Y_r"] <= A / phi.phi_lip * (1 + 1e-9))
+            and (phi.dphi_sup == 0.0 or nz["Y_r"] <= A / phi.dphi_sup * (1 + 1e-9))
             and nz["Yp_sup"] <= phi.phi_sup * (1 + 1e-9)
         ):
             raise RdeError(f"iterate left the solution set (A = {A:.4g}): {nz}")

@@ -20,7 +20,10 @@ lies in it and which node is each node's parent.  A functional that is
 F_n-measurable at every level n is then one parent-to-child recursion over
 n_nodes values (about 2L on a binary tree) rather than over the (N+1) L
 entries of a path matrix; the rows of a path matrix are the layout whose
-parent maps are the identity.
+parent maps are the identity.  ``TreeProcess.__init__`` validates
+per-level values; producers that build the flat array themselves
+(back-propagation, the tree JSON loader) hand it to ``from_flat``, the one
+constructor that skips validation.
 """
 
 from __future__ import annotations
@@ -280,45 +283,37 @@ class TreeProcess:
     """Adapted process: one value (scalar or fixed-length vector) per node."""
 
     def __init__(self, tree: FiltrationTree, values: Sequence[np.ndarray]):
-        self.tree = tree
         vals = [np.asarray(v, dtype=np.float64) for v in values]
         if len(vals) != tree.depth + 1:
             raise TreeError("need one value array per level")
-        width = None
         for n, v in enumerate(vals):
+            if v.ndim not in (1, 2):
+                raise TreeError("values must be scalars or fixed-length vectors")
             if v.shape[0] != tree.level_sizes[n]:
                 raise TreeError(f"value count mismatch at level {n}")
-            if v.ndim == 2:
-                if v.shape[1] > MAX_VECTOR_DIM:
-                    raise TreeError(f"vector dimension exceeds guard {MAX_VECTOR_DIM}")
-                w = v.shape[1]
-            elif v.ndim == 1:
-                w = 0
-            else:
-                raise TreeError("values must be scalars or fixed-length vectors")
-            if width is None:
-                width = w
-            elif width != w:
+            if v.shape[1:] != vals[0].shape[1:]:
                 raise TreeError("inconsistent value dimensions across levels")
-        self._adopt(np.concatenate(vals))
+        self._adopt(tree, np.concatenate(vals))
 
-    def _adopt(self, flat: np.ndarray) -> None:
+    def _adopt(self, tree: FiltrationTree, flat: np.ndarray) -> None:
         # all node values, level after level on tree.layout; values[n] is a view
+        if flat.ndim == 2 and flat.shape[1] > MAX_VECTOR_DIM:
+            raise TreeError(f"vector dimension exceeds guard {MAX_VECTOR_DIM}")
+        self.tree = tree
         self.flat = _freeze(flat)
-        self.values = self.tree.layout.levels(flat)
+        self.values = tree.layout.levels(flat)
         self.width = flat.shape[1] if flat.ndim == 2 else 0
         self._paths: np.ndarray | None = None
 
     @classmethod
-    def from_flat(cls, tree: FiltrationTree, flat: np.ndarray) -> "TreeProcess":
-        """Build from a copy of one flat node array on ``tree.layout``, of
-        shape (n_nodes,) or (n_nodes, K)."""
+    def from_flat(cls, tree: FiltrationTree, flat: np.ndarray):
+        """A ``cls`` on a copy of one flat node array on ``tree.layout``, of
+        shape (n_nodes,) or (n_nodes, K), without validation."""
         flat = np.array(flat, dtype=np.float64)
         if flat.ndim not in (1, 2) or flat.shape[0] != tree.n_nodes:
             raise TreeError("flat node array does not fit the tree")
-        proc = TreeProcess.__new__(TreeProcess)
-        proc.tree = tree
-        proc._adopt(flat)
+        proc = cls.__new__(cls)
+        proc._adopt(tree, flat)
         return proc
 
     def paths(self) -> np.ndarray:
@@ -367,13 +362,24 @@ class Martingale(TreeProcess):
 
     @classmethod
     def from_leaf_values(cls, tree: FiltrationTree, leaf_values: np.ndarray) -> "Martingale":
-        """Closed martingale f_n = E(f | F_n): back-propagate leaf averages."""
-        values = [None] * (tree.depth + 1)
-        values[tree.depth] = np.asarray(leaf_values, dtype=np.float64)
-        for n in range(tree.depth, 0, -1):
-            mass = _group_sum(tree.parents[n], tree.node_prob[n], values[n], tree.level_sizes[n - 1])
-            values[n - 1] = (mass.T / tree.node_prob[n - 1]).T
-        return cls(tree, values, validate=False)
+        """Closed martingale f_n = E(f | F_n), from :func:`backprop_flat`."""
+        return cls.from_flat(tree, backprop_flat(tree, leaf_values))
+
+
+def backprop_flat(tree: FiltrationTree, leaf_values: np.ndarray) -> np.ndarray:
+    """Flat node array of f_n = E(f | F_n): the leaves' level holds f, and
+    each level above it the averages of its children, filled from the
+    leaves up."""
+    leaf_values = np.asarray(leaf_values, dtype=np.float64)
+    if leaf_values.ndim not in (1, 2) or leaf_values.shape[0] != tree.n_leaves:
+        raise TreeError("leaf values do not fit the tree")
+    flat = np.empty((tree.n_nodes,) + leaf_values.shape[1:])
+    levels = tree.layout.levels(flat)
+    levels[-1][...] = leaf_values
+    for n in range(tree.depth, 0, -1):
+        mass = _group_sum(tree.parents[n], tree.node_prob[n], levels[n], tree.level_sizes[n - 1])
+        np.divide(mass.T, tree.node_prob[n - 1], out=levels[n - 1].T)
+    return flat
 
 
 def conditional_expectation(tree: FiltrationTree, leaf_values: np.ndarray, n: int) -> np.ndarray:
@@ -528,27 +534,34 @@ def tree_to_dict(tree: FiltrationTree, processes: dict[str, TreeProcess] | None 
     return out
 
 
+def _json(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; a TreeError that names its type otherwise."""
+    if not isinstance(value, kind):
+        raise TreeError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _json_array(value, what: str, dtype=np.float64) -> np.ndarray:
+    try:
+        return np.asarray(_json(value, list, what), dtype=dtype)
+    except TypeError as exc:  # an object or null where a number belongs
+        raise TreeError(f"{what}: {exc}") from None
+
+
 def tree_from_dict(data: dict) -> tuple[FiltrationTree, dict[str, TreeProcess]]:
-    depth = int(data["depth"])
-    parents = [np.empty(0, dtype=np.int64)]
-    parents += [np.asarray(p, dtype=np.int64) for p in data.get("parents", [])]
-    if len(parents) != depth + 1:
+    """Inverse of :func:`tree_to_dict`; a JSON value of the wrong type is a TreeError."""
+    levels = _json(_json(data, dict, "tree JSON").get("parents", []), list, "parents")
+    if data["depth"] != len(levels):
         raise TreeError("parents do not match depth")
-    tree = FiltrationTree(parents, np.asarray(data["leaf_probs"], dtype=np.float64))
+    parents = [np.empty(0, dtype=np.int64)]
+    parents += [_json_array(p, f"parents of level {n}", np.int64) for n, p in enumerate(levels, 1)]
+    tree = FiltrationTree(parents, _json_array(data["leaf_probs"], "leaf_probs"))
     procs = {}
-    for name, flat in data.get("processes", {}).items():
-        values = []
-        pos = 0
-        for n in range(depth + 1):
-            size = tree.level_sizes[n]
-            chunk = flat[pos : pos + size]
-            if len(chunk) != size:
-                raise TreeError(f"process {name!r} has wrong length")
-            values.append(np.asarray(chunk, dtype=np.float64))
-            pos += size
-        if pos != len(flat):
+    for name, values in _json(data.get("processes", {}), dict, "processes").items():
+        flat = _json_array(values, f"process {name!r}")
+        if flat.shape != (tree.n_nodes,):
             raise TreeError(f"process {name!r} has wrong length")
-        procs[name] = TreeProcess(tree, values)
+        procs[name] = TreeProcess.from_flat(tree, flat)
     return tree, procs
 
 

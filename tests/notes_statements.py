@@ -80,9 +80,9 @@ def checked_compose(phi: rough.SmoothFunction, Y: rough.ControlledPath) -> rough
     ny = Y.norms()
     no = covector_norms(out)
     lhs1 = no["Pp_r"]
-    rhs1 = phi.dphi_sup * ny["Yp_r"] + phi.dphi_lip * ny["Y_r"] * ny["Yp_sup"]
+    rhs1 = phi.dphi_sup * ny["Yp_r"] + phi.d2phi_sup * ny["Y_r"] * ny["Yp_sup"]
     lhs2 = no["R_r2"]
-    rhs2 = phi.dphi_sup * ny["R_r2"] + 0.5 * phi.dphi_lip * ny["Y_r"] ** 2
+    rhs2 = phi.dphi_sup * ny["R_r2"] + 0.5 * phi.d2phi_sup * ny["Y_r"] ** 2
     tol = 1e-9
     if lhs1 > rhs1 * (1 + tol) + 1e-12 or lhs2 > rhs2 * (1 + tol) + 1e-12:
         raise rough.RdeError(

@@ -8,7 +8,7 @@ from martkit import bellman as B
 from martkit import functionals as fn
 from martkit import generators as G
 from martkit.report import CorpusSpec, RatioTracker
-from martkit.tree import Martingale
+from martkit.tree import FiltrationTree, Martingale
 
 import path_oracles
 
@@ -213,3 +213,64 @@ def test_extremal_trees_are_martingales():
 def test_extremal_depth_guard():
     with pytest.raises(ValueError):
         B.extremal_tree(13, 2.0)
+
+
+# -- the per-node and per-point loops that the array forms replaced --------------
+
+
+def extremal_tree_loop(depth: int, r: float) -> Martingale:
+    """extremal_tree one node at a time, as the package built it before it
+    selected every level's branches with np.where."""
+    parents, values, cond = [np.empty(0, dtype=np.int64)], [np.zeros(1)], []
+    x, m = np.zeros(1), np.zeros(1)
+    for _ in range(depth):
+        at_boundary = (np.abs(np.abs(x) - m) < 1e-12) & (m > 0)
+        new_x, new_m, cp = (np.empty(x.size * 2) for _ in range(3))
+        for i in range(x.size):
+            if m[i] == 0.0:
+                new_x[2 * i : 2 * i + 2], new_m[2 * i : 2 * i + 2], cp[2 * i : 2 * i + 2] = (1.0, -1.0), 1.0, 0.5
+            elif at_boundary[i]:
+                new_x[2 * i], new_m[2 * i], cp[2 * i] = 0.0, m[i], r / (r + 1.0)
+                new_x[2 * i + 1], new_m[2 * i + 1], cp[2 * i + 1] = x[i] * (1.0 + r), m[i] * (1.0 + r), 1.0 / (r + 1.0)
+            else:
+                new_x[2 * i : 2 * i + 2], new_m[2 * i : 2 * i + 2], cp[2 * i : 2 * i + 2] = (m[i], -m[i]), m[i], 0.5
+        parents.append(np.repeat(np.arange(x.size), 2))
+        values.append(new_x)
+        cond.append(cp)
+        x, m = new_x, new_m
+    return Martingale(FiltrationTree.from_conditional(parents, cond), values)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.5, 8.0])
+def test_extremal_tree_equals_the_node_loop(r):
+    for depth in range(1, 10):
+        got, want = B.extremal_tree(depth, r), extremal_tree_loop(depth, r)
+        assert got.flat.tobytes() == want.flat.tobytes()
+        assert got.tree.leaf_prob.tobytes() == want.tree.leaf_prob.tobytes()
+        assert got.tree.same_shape(want.tree)
+
+
+def concavity_grid_min_loop(gamma, x_pts, h_lo, h_hi, h_pts, y_vals):
+    """concavity_grid_min one scalar residual at a time, in (x, h, y) order."""
+    worst, arg = math.inf, {}
+    for x, h, y in itertools.product(np.linspace(-1.0, 1.0, x_pts), np.linspace(h_lo, h_hi, h_pts), y_vals):
+        res = float(B.concavity_residual(float(x), float(h), float(y), 1.0, gamma))
+        if res < worst:
+            worst, arg = res, {"gamma": gamma, "x": float(x), "h": float(h), "y": float(y), "m": 1.0, "residual": res}
+    return worst, arg
+
+
+@pytest.mark.parametrize(
+    "gamma, grid",
+    [
+        pytest.param(3.0, (46, -5.0, 5.0, 138, (0.0, 1.0, 10.0)), id="demo"),
+        pytest.param(2.9, (46, -5.0, 5.0, 138, (0.0, 1.0, 10.0)), id="demo-2.9"),
+        pytest.param(2.9, (41, -16.0, 16.0, 641, (1.0,)), id="counterexample"),
+        pytest.param(2.0, (21, -5.0, 5.0, 101, (0.0, 1.0, 10.0)), id="gamma=2"),
+        pytest.param(math.nan, (11, -5.0, 5.0, 33, (0.0, 1.0, 10.0)), id="gamma=nan"),
+    ],
+)
+def test_concavity_grid_equals_the_point_loop(gamma, grid):
+    x_pts, h_lo, h_hi, h_pts, y_vals = grid
+    got = B.concavity_grid_min(gamma, x_pts=x_pts, h_lo=h_lo, h_hi=h_hi, h_pts=h_pts, y_vals=y_vals)
+    assert repr(got) == repr(concavity_grid_min_loop(gamma, x_pts, h_lo, h_hi, h_pts, y_vals))

@@ -21,7 +21,7 @@ from martkit import ito, report
 from martkit import rough as R
 from martkit.cli import main
 from martkit.report import CorpusSpec
-from martkit.tree import FiltrationTree, TreeProcess
+from martkit.tree import MAX_VECTOR_DIM, FiltrationTree, Martingale, TreeError, TreeProcess
 from notes_statements import variation_norms
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,6 +138,26 @@ def test_mixed_corpus_builds_each_dyadic_shape_once(monkeypatch):
     for _ in spec.martingales():
         pass
     assert calls == {"init": 30, "increment": 30}
+
+
+@pytest.mark.parametrize("width", [0, 4])
+def test_backprop_builds_one_process_per_trial(monkeypatch, width):
+    # the leaves are back-propagated and centered in one flat node array,
+    # which becomes the trial's only process
+    calls = Counter()
+    count_calls(monkeypatch, calls, TreeProcess, ("_adopt",))
+    for depth in (2, 5, 8):
+        mart = G.gen_leaf_backprop("normal", depth, seed=depth, width=width)
+        assert type(mart) is Martingale and mart.flat.shape[0] == mart.tree.n_nodes
+    assert calls == {"_adopt": 3}
+
+
+def test_from_flat_keeps_the_class_and_the_vector_guard():
+    tree = FiltrationTree.dyadic(3)
+    assert type(Martingale.from_flat(tree, np.zeros(tree.n_nodes))) is Martingale
+    assert type(TreeProcess.from_flat(tree, np.zeros((tree.n_nodes, MAX_VECTOR_DIM)))) is TreeProcess
+    with pytest.raises(TreeError, match=f"vector dimension exceeds guard {MAX_VECTOR_DIM}"):
+        Martingale.from_flat(tree, np.zeros((tree.n_nodes, MAX_VECTOR_DIM + 1)))
 
 
 def test_rde_solve_reads_driver_norms_once_per_solver_node(monkeypatch):

@@ -187,6 +187,27 @@ def test_check_planted_violation(tmp_path):
     assert code == 1
 
 
+GOOD_TREE = {"depth": 1, "parents": [[0, 0]], "leaf_probs": [0.5, 0.5], "processes": {"f": [0.0, 1.0, -1.0]}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param({**GOOD_TREE, "processes": {"f": 3.0}}, "process 'f' must be a list, got float", id="process=number"),
+        pytest.param({**GOOD_TREE, "processes": {"f": {"a": 1}}}, "process 'f' must be a list, got dict", id="process=object"),
+        pytest.param({**GOOD_TREE, "processes": {"f": None}}, "process 'f' must be a list, got NoneType", id="process=null"),
+        pytest.param({**GOOD_TREE, "parents": 2}, "parents must be a list, got int", id="parents=number"),
+        pytest.param({**GOOD_TREE, "leaf_probs": {"a": 0.5}}, "leaf_probs must be a list, got dict", id="leaf_probs=object"),
+        pytest.param([GOOD_TREE], "tree JSON must be a dict, got list", id="file=list"),
+    ],
+)
+def test_malformed_corpus_file_is_a_usage_error(tmp_path, capsys, data, message):
+    corpus = tmp_path / "bad.json"
+    corpus.write_text(json.dumps(data))
+    assert main(["check", "doob", "--corpus-file", str(corpus)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_suite_default_and_determinism(tmp_path):
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
     args = ["suite", "--default", "--scale", "0.002", "--seed", "9"]
@@ -345,6 +366,22 @@ def test_bellman_command(tmp_path):
     diag = read(out)
     assert diag["counterexample"]["residual"] < -1e-12
     assert main(["bellman", "--gamma", "3.0", "--grid", "27000", "--depth", "4", "--out", str(tmp_path / "b2.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["--grid", "-5"], "--grid must be at least 0", id="grid=-5"),
+        pytest.param(["--gamma", "nan"], "--gamma must be finite", id="gamma=nan"),
+        pytest.param(["--gamma", "inf"], "--gamma must be finite", id="gamma=inf"),
+        pytest.param(["--r-grid", "8:1"], "needs 1 <= lo <= hi", id="r-grid=8:1"),
+        pytest.param(["--r-grid", "0:2"], "needs 1 <= lo <= hi", id="r-grid=0:2"),
+    ],
+)
+def test_bellman_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    assert main(["bellman", "--grid", "1000", "--depth", "3", *argv, "--out", str(tmp_path / "b.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_list_checks(capsys):

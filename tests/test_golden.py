@@ -1,4 +1,4 @@
-"""Golden outputs: six CLI runs pinned byte for byte.
+"""Golden outputs: seven CLI runs pinned byte for byte.
 
 The suite run covers every registry check on the default corpora; the rde
 and ito demos reach the rough-path and Ito variation code, which the suite
@@ -6,7 +6,9 @@ does not.  The rde run with its defaults (linear phi, line driver) splits
 its top window and compares with the closed-form solution.  The second ito run has 48 steps, so its walk values are not
 dyadic and its sums round; the paraproduct run is at a shape where the
 window and delta-f estimates read nonzero (the suite's one paraproduct
-trial reads 0.0 for both).  Timing fields are stripped.  The files were written with the
+trial reads 0.0 for both).  The bellman run's grid argmin sits on a
+rounding tie at -3.55e-15, so a change in the residuals' evaluation order
+shows.  Timing fields are stripped.  The files were written with the
 numpy version recorded in ``golden_manifest.json``; byte identity is only
 promised on that version, so a different numpy fails the test outright.
 
@@ -37,6 +39,7 @@ GOLDEN = {
     "golden_ito.json": ["ito", "--seed", "7", "--steps", "64", "--paths", "16"],
     "golden_ito48.json": ["ito", "--seed", "7", "--steps", "48", "--paths", "16"],
     "golden_paraproduct.json": ["check", "paraproduct", "--kind", "mixed", "--depth", "6", "--trials", "100", "--seed", "20247"],
+    "golden_bellman.json": ["bellman", "--gamma", "2.9"],
 }
 
 

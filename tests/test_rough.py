@@ -455,14 +455,9 @@ def test_smooth_function_box_validation_warns():
     lying = R.SmoothFunction(
         phi=lambda y: (3.0 * np.asarray(y))[..., None],
         dphi=lambda y: np.full(np.shape(y) + (1,), 3.0),
-        d2phi=lambda y: np.zeros(np.shape(y) + (1,)),
-        dim=1,
         phi_sup=0.1,  # declared far below the truth
         dphi_sup=0.1,
-        dphi_lip=0.0,
         d2phi_sup=0.0,
-        d2phi_lip=0.0,
-        phi_lip=0.1,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
