@@ -198,9 +198,12 @@ def sew(
 
     Refines [0, T] by asking ``split`` for one interior point per cell (real
     midpoints by default; a path-aware splitter saturates step paths at their
-    grid) until successive sums differ by less than tol.  The a-priori bound
-    sum_k (2/k)^theta omega(0, T)^theta against the single-cell germ is
-    verified on the result.  Each of the 16 spot checks of the hypothesis
+    grid) until successive sums differ by less than tol.  Default midpoints
+    are interleaved with the cell ends in one pass; only when a midpoint
+    rounds onto an end (cells a few ulps wide) are they sorted and
+    deduplicated by ``np.unique``, as a splitter's points always are.  The
+    a-priori bound sum_k (2/k)^theta omega(0, T)^theta against the
+    single-cell germ is verified on the result.  Each of the 16 spot checks of the hypothesis
     |delta Xi| <= omega^theta evaluates omega(s, t) only when the defect exceeds
     ``omega.lower(s, t) ** theta``; omega(0, T) is always evaluated.
     """
@@ -214,13 +217,18 @@ def sew(
     levels = 0
     for level in range(1, max_level + 1):
         if split is None:
-            new_pts = 0.5 * (parts[:-1] + parts[1:])
+            merged = np.empty(2 * parts.size - 1)
+            merged[::2] = parts
+            merged[1::2] = 0.5 * (parts[:-1] + parts[1:])
+            # strictly increasing is np.unique's output; a midpoint that
+            # rounds onto an endpoint needs the sort
+            parts = merged if (merged[1:] > merged[:-1]).all() else np.unique(merged)
         else:
             new_pts = np.array([m for m in map(split, parts[:-1], parts[1:]) if m is not None])
-        if new_pts.size == 0:
-            converged = True  # no cell can be refined further: grid saturated
-            break
-        parts = np.unique(np.concatenate([parts, new_pts]))
+            if new_pts.size == 0:
+                converged = True  # no cell can be refined further: grid saturated
+                break
+            parts = np.unique(np.concatenate([parts, new_pts]))
         new_value = float(np.asarray(xi(parts[:-1], parts[1:])).sum())
         diffs.append(abs(new_value - value))
         value = new_value

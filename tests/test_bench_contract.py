@@ -369,9 +369,19 @@ def test_refinement_and_chen_residual_build_no_pair_tensor(monkeypatch):
 
 def test_sew_young_runs_only_the_bound_dps(monkeypatch):
     # the lower bounds pass all 16 spot checks, so only the two summands of
-    # omega(0, T) run a chain DP; each spot check ran two more
+    # omega(0, T) run a chain DP; each spot check ran two more.  The line's
+    # r = 1 chain sums are certified exact, so neither DP makes a cost
+    # column: the column loop made 2 x 4,096
     calls = Counter()
     count_calls(monkeypatch, calls, R, ("chain_dp",))
+    real = fn._cost_columns
+
+    def counting_columns(pairs, r):
+        for column in real(pairs, r):
+            calls["cost column"] += 1
+            yield column
+
+    monkeypatch.setattr(fn, "_cost_columns", counting_columns)
     a = R.SampledPath.line(1.0, 4096)
     omega = R.variation_control(a, 1.0) + R.variation_control(a, 1.0)
     res = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6)

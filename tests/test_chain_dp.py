@@ -3,7 +3,9 @@
 ``chain_dp`` reads its costs a block of columns at a time, with a block width
 set by ``functionals.CHAIN_BLOCK_ELEMENTS``.  The tests shrink that budget
 so that small inputs cross every case: one block, several blocks that divide
-the n - 1 columns exactly or not, and one column at a time.
+the n - 1 columns exactly or not, and one column at a time.  For r = 1 the
+prefix sums that replace the DP on certified inputs must equal the column
+loop too, and inputs whose chain sums may round must be left to the DP.
 """
 
 import json
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chain_dp_oracles as oracle
 from martkit import functionals as fn
@@ -97,6 +101,86 @@ def test_variation_keeps_its_value():
             for r in (1.0, 2.5, 4):
                 best = oracle.chain_dp(oracle.DistColumns(vals), r)
                 assert fn.variation(vals, r) == float(best.max()) ** (1.0 / r)
+
+
+def lattice_walk(rng, n: int, scale: int, width: int | None = None) -> np.ndarray:
+    """A walk of integer steps in [-3, 3] times 2**scale: n points, or an
+    (n, width) path matrix."""
+    steps = rng.integers(-3, 4, size=(n,) if width is None else (n, width))
+    return np.ldexp(np.cumsum(steps, axis=0).astype(np.float64), scale)
+
+
+def both_sources(x: np.ndarray):
+    """(kind, package pairs, oracle pairs): x as a scalar sequence, and as
+    the one-path and, for 2-D x, the many-path matrix of path gaps."""
+    flat = x if x.ndim == 1 else x[:, 0]
+    yield "scalar", fn.DistColumns(flat), oracle.DistColumns(flat)
+    pm = x if x.ndim == 2 else x[:, None]
+    yield "path gaps", fn._PathGaps(pm), oracle.PathGaps(pm)
+
+
+def certified_values():
+    """Sequences whose r = 1 chain sums are all exact."""
+    rng = np.random.default_rng(45)
+    for scale in (-1074, -1060, -30, -8, -1, 0, 1, 8, 30, 900):
+        yield f"lattice 2^{scale}", lattice_walk(rng, 65, scale, width=4)
+    yield "integers", rng.integers(-(2**40), 2**40, size=(33, 3)).astype(np.float64)
+    yield "zeros", np.zeros((9, 2))
+    yield "subnormals", np.array([0.0, 5e-324, -1e-323, 2.5e-322, -0.0, 4.9e-322])
+    yield "demo line", np.linspace(0.0, 1.0, 4097)
+    yield "one point", np.array([[1.5, -2.0]])
+
+
+def declined_values():
+    """Sequences the certificate must refuse: chain sums that may round,
+    or values that are not finite."""
+    rng = np.random.default_rng(46)
+    yield "0.3 linspace", np.linspace(0.0, 0.3, 65)
+    yield "1/3 steps", np.cumsum(rng.choice([-1.0, 1.0], size=(65, 4)), axis=0) / 3.0
+    yield "normals", rng.normal(size=(65, 3))
+    yield "huge and tiny", np.array([0.0, 1e300, 1e-300, -1e300, 3.0])
+    yield "tiny under a huge unit", np.array([0.0, 2.0**996, 5e-324, 2.0**996])  # k = 0 for 5e-324
+    yield "past 2^53 units", np.array([0.0, 2.0**52 - 1, 0.0, 2.0**52 - 1, 0.0])
+    yield "nan", np.array([0.0, 1.0, np.nan, 2.0])
+    yield "inf", np.array([0.0, np.inf, 1.0, -np.inf])
+
+
+@pytest.mark.parametrize("kind, x", list(certified_values()), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_total_variation_takes_certified_sources(kind, x):
+    for source, pairs, ref in both_sources(x):
+        assert fn._exact_total_variation(pairs) is not None, (kind, source)
+        assert np.array_equal(fn.chain_dp(pairs, 1), oracle.chain_dp(ref, 1)), (kind, source)
+
+
+@pytest.mark.parametrize("kind, x", list(declined_values()), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_total_variation_declines_inexact_sources(kind, x):
+    for source, pairs, ref in both_sources(x):
+        assert fn._exact_total_variation(pairs) is None, (kind, source)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.array_equal(fn.chain_dp(pairs, 1.0), oracle.chain_dp(ref, 1.0), equal_nan=True), (kind, source)
+
+
+def test_exact_total_variation_leaves_other_sources_to_the_dp():
+    vec = np.ldexp(np.arange(12.0).reshape(6, 2), -3)
+    assert fn._exact_total_variation(fn.DistColumns(vec)) is None  # Euclidean distances round
+    assert fn._exact_total_variation(np.zeros((4, 4))) is None
+    assert fn._exact_total_variation(fn.DistColumns(np.arange(5))) is None  # integer dtype
+    assert fn.chain_dp(fn._PathGaps(np.zeros((5, 0))), 1).shape == (5, 0)  # no paths
+
+
+@given(
+    st.integers(-1074, 960),
+    st.lists(st.integers(-(2**20), 2**20), min_size=1, max_size=40),
+    st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_lattice_walks_equal_the_oracle(scale, steps, width):
+    # any k * 2^s walk with few enough units is certified, whatever s is
+    k = np.cumsum(np.array([0] + steps, dtype=np.float64))
+    x = np.ldexp(np.repeat(k[:, None], width, axis=1) * np.arange(1, width + 1), scale)
+    for source, pairs, ref in both_sources(x):
+        assert fn._exact_total_variation(pairs) is not None, source
+        assert np.array_equal(fn.chain_dp(pairs, 1), oracle.chain_dp(ref, 1)), source
 
 
 SIMD_PROBE = """

@@ -376,6 +376,9 @@ def test_bellman_command(tmp_path):
         pytest.param(["--gamma", "inf"], "--gamma must be finite", id="gamma=inf"),
         pytest.param(["--r-grid", "8:1"], "needs 1 <= lo <= hi", id="r-grid=8:1"),
         pytest.param(["--r-grid", "0:2"], "needs 1 <= lo <= hi", id="r-grid=0:2"),
+        pytest.param(["--r-grid", "8"], "--r-grid takes lo:hi", id="r-grid=8"),
+        pytest.param(["--r-grid", "2:x"], "--r-grid takes lo:hi", id="r-grid=2:x"),
+        pytest.param(["--r-grid", "1:2:3"], "--r-grid takes lo:hi", id="r-grid=1:2:3"),
     ],
 )
 def test_bellman_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):

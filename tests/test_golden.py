@@ -1,4 +1,4 @@
-"""Golden outputs: seven CLI runs pinned byte for byte.
+"""Golden outputs: eight CLI runs pinned byte for byte.
 
 The suite run covers every registry check on the default corpora; the rde
 and ito demos reach the rough-path and Ito variation code, which the suite
@@ -8,8 +8,9 @@ dyadic and its sums round; the paraproduct run is at a shape where the
 window and delta-f estimates read nonzero (the suite's one paraproduct
 trial reads 0.0 for both).  The bellman run's grid argmin sits on a
 rounding tie at -3.55e-15, so a change in the residuals' evaluation order
-shows.  Timing fields are stripped.  The files were written with the
-numpy version recorded in ``golden_manifest.json``; byte identity is only
+shows.  The sew run sews the Young integral of a line against itself; its
+control omega(0, T) takes two r = 1 chain DPs over 4,097 points.  Timing
+fields are stripped.  The files were written with the numpy version recorded in ``golden_manifest.json``; byte identity is only
 promised on that version, so a different numpy fails the test outright.
 
 Re-pin (and say why in CHANGES.md) with::
@@ -40,6 +41,7 @@ GOLDEN = {
     "golden_ito48.json": ["ito", "--seed", "7", "--steps", "48", "--paths", "16"],
     "golden_paraproduct.json": ["check", "paraproduct", "--kind", "mixed", "--depth", "6", "--trials", "100", "--seed", "20247"],
     "golden_bellman.json": ["bellman", "--gamma", "2.9"],
+    "golden_sew.json": ["sew"],
 }
 
 

@@ -33,10 +33,13 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 # knobs that a test sets to reach a behaviour cheaply, each with that test
 ALLOWED = {
     "cli.main(argv)",  # tests/test_cli.py runs every command in process
+    # `martkit sew` and the demos workload pass theta, T and tol only
     "rough.sew(max_level)",  # test_rough.py::test_sew_non_cauchy_raises gives up after 6 levels
-    "rough.sew(split)",  # test_acceptance.py::test_criterion_06_sewing_young saturates step paths
+    "rough.sew(split)",  # test_acceptance.py::test_criterion_06_sewing_young saturates step paths;
+    # test_rough.py::test_sew_default_midpoints_equal_a_midpoint_splitter merges by np.unique
     "rough.sew(seed)",  # test_acceptance.py::test_criterion_06_sewing_young varies the spot checks
-    "rough.young_integral(tol)",  # test_rough.py::test_young_identity_half stops at 5e-7
+    "rough.young_integral(tol)",  # test_rough.py::test_young_identity_half stops at 5e-7; only
+    # benchmarks/tracing.py names young_integral, which no command calls
     "ito.refine_converge(r)",  # test_pair_sums.py::test_refine_converge_equals_the_pair_tensor_oracle
     "bellman.induction_values(gamma)",  # test_bellman.py::test_bellman_scans_equal_the_numpy_cumsums at 2.5
 }

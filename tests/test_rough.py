@@ -121,13 +121,36 @@ def test_sew_young_identity():
     assert 0.5 <= R.zeta_sum(2.0) * omega(0.0, 1.0) ** 2
 
 
-def test_sew_default_midpoints_equal_a_midpoint_splitter():
+def test_sew_default_midpoints_equal_a_midpoint_splitter(monkeypatch):
+    # a splitter's points are merged by np.unique; default midpoints are
+    # interleaved, and sorted by np.unique only when one rounds onto an end
+    sorts = []
+    real_unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        sorts.append(1)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    midpoint = lambda u, v: 0.5 * (u + v)  # noqa: E731
     a = R.SampledPath.line(1.0, 256)
     omega = R.variation_control(a, 1.0)
     vectorized = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6)
-    per_cell = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6, split=lambda u, v: 0.5 * (u + v))
+    assert sorts == []
+    per_cell = R.sew(R.young_germ(a, a), omega, theta=2.0, T=1.0, tol=1e-6, split=midpoint)
     assert vectorized == per_cell
     assert vectorized.levels > 1
+    # [0, 4 subnormal units]: the third level's midpoints 0.5, 1.5, 2.5 and
+    # 3.5 units round (to even) onto the ends, so the partition stops at 5
+    # points and the cell count 1, 2, 4, 4 converges there
+    T = 4 * 5e-324
+    cells = lambda s, t: (t > s).astype(np.float64)  # noqa: E731
+    ctrl = R.Control(lambda s, t: 2.0)
+    del sorts[:]
+    tiny = R.sew(cells, ctrl, theta=2.0, T=T, tol=0.5)
+    assert sorts == [1]
+    assert tiny == R.sew(cells, ctrl, theta=2.0, T=T, tol=0.5, split=midpoint)
+    assert (tiny.value, tiny.levels, tiny.diffs) == (4.0, 3, [1.0, 2.0, 0.0])
 
 
 def test_sew_non_cauchy_raises():
