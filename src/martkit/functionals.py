@@ -33,15 +33,20 @@ block of w consecutive columns in one contiguous array, w =
 CHAIN_BLOCK_ELEMENTS // (n * trailing size), so a short sequence costs a few
 numpy calls per block and two per column; when w < 2 (long or wide inputs)
 it reads one column at a time into the same reused buffer.  |.| is taken
-once, and r = 1 skips the power (x**1 == x).  A column that holds an exact
-zero is raised with its zeros moved to 1 and back (``_costs``), because
-numpy's power is several times slower on zero inputs; every float stays
-that of the plain power.  For r = 1 on scalar values (a ``DistColumns``
-of a sequence or a ``_PathGaps``) whose values are multiples of one power
-of two u with total variation below 2^53 u, every chain sum is exact and the
-longest chain is the best, so ``_exact_total_variation`` returns the prefix
-sums of |increments|, the DP's own floats, in O(n) instead of O(n^2); other
-values run the DP.  ``variation`` returns the float best.max() ** (1/r).
+once, and r = 1 skips the power (x**1 == x).  When a certificate shows that
+every magnitude is an exact multiple k 2^s of one power of two with k at
+most the width of the widest cost column (``_power_table``: scalar
+``DistColumns``, ``_PathGaps`` and ``ParaproductGaps`` of dyadic values,
+such as +-1/sqrt(N) walks with N a power of 4), each k is raised once into a
+table and every cost is read from it, the float the power gives on that
+magnitude.  Otherwise a column that holds an exact zero is raised with its
+zeros moved to 1 and back (``_costs``), because numpy's power is several
+times slower on zero inputs; every float stays that of the plain power.
+For r = 1 on the same dyadic scalar values with total variation below 2^53
+units, every chain sum is exact and the longest chain is the best, so
+``_exact_total_variation`` returns the prefix sums of |increments|, the
+DP's own floats, in O(n) instead of O(n^2); other values run the DP.
+``variation`` returns the float best.max() ** (1/r).
 """
 
 from __future__ import annotations
@@ -257,21 +262,26 @@ class _PathGaps:
         return np.abs(out, out=out)
 
 
-def _costs(pairs, cols: int | slice, r: float, out: np.ndarray) -> np.ndarray:
+def _costs(pairs, cols: int | slice, r: float, out: np.ndarray, table=None, index=None) -> np.ndarray:
     """|pairs[i, j]|**r into ``out``: out[i] for i < j of one column j, or
     out[j - j0, i] for i < j1 - 1 of a slice j0:j1 of columns, so each
     column's costs are one contiguous row.  A block also makes the entries
     with i >= j, which are never read.  x**1 == x exactly, so r = 1 skips the
     power.
 
-    numpy's power (2.4, AVX-512) is about 4 times slower on zero inputs, and
-    Ito refinement gaps hold up to 39% exact zeros.  So a column whose
-    minimum is 0 is raised as out + (out == 0), which turns each zero into 1,
-    and the zeros are taken back out after.  For r > 0, 0**r == 0 and 1**r
-    == 1 exactly (C99 Annex F: pow(+1, y) == 1), and x + 0.0 == x and y - 0.0
-    == y, so every float is that of the plain power.  A NaN makes the
-    minimum NaN and takes the plain power.  Blocks take the plain power (see
-    CHAIN_BLOCK_ELEMENTS)."""
+    With a ``table`` = (2^-s, powers) from ``_power_table``, every magnitude
+    is k 2^s exactly with 0 <= k < powers.size, so k = |pairs[i, j]| 2^-s is
+    an exact product, cast into the reused intp buffer ``index``, and the
+    cost is powers[k] = (k 2^s)**r, the float the power gives on this
+    magnitude.
+
+    Without one, numpy's power (2.4, AVX-512) is about 4 times slower on zero
+    inputs.  So a column whose minimum is 0 is raised as out + (out == 0),
+    which turns each zero into 1, and the zeros are taken back out after.
+    For r > 0, 0**r == 0 and 1**r == 1 exactly (C99 Annex F: pow(+1, y) ==
+    1), and x + 0.0 == x and y - 0.0 == y, so every float is that of the
+    plain power.  A NaN makes the minimum NaN and takes the plain power.
+    Blocks take the plain power (see CHAIN_BLOCK_ELEMENTS)."""
     if not isinstance(pairs, np.ndarray):
         pairs.magnitudes(cols, out)
     elif isinstance(cols, int):
@@ -280,6 +290,11 @@ def _costs(pairs, cols: int | slice, r: float, out: np.ndarray) -> np.ndarray:
         np.abs(pairs[: cols.stop - 1, cols].swapaxes(0, 1), out=out)
     if r == 1:
         return out
+    if table is not None:
+        inverse_unit, powers = table
+        k = index[: out.size].reshape(out.shape)
+        np.multiply(out, inverse_unit, out=k, casting="unsafe")
+        return np.take(powers, k, out=out, mode="clip")
     if isinstance(cols, slice) or out.min() != 0.0:
         out **= r
         return out
@@ -294,20 +309,25 @@ def _cost_columns(pairs, r: float):
     """Yield (j, costs) for j = 1..n-1 with costs[i] = |pairs[i, j]|**r,
     i < j, a contiguous view into one reused buffer that a later column
     overwrites.  The columns come in blocks of w = CHAIN_BLOCK_ELEMENTS //
-    (n * trailing size), or one at a time when w < 2."""
+    (n * trailing size), or one at a time when w < 2.  For r != 1 the costs
+    are read from ``_power_table`` when it certifies the magnitudes."""
     n, trail = pairs.shape[0], pairs.shape[2:]
     size = math.prod(trail)
     width = CHAIN_BLOCK_ELEMENTS // max(n * size, 1)
     m = max(n - 1, 0)
+    table = None if r == 1 else _power_table(pairs, r)
     if width < 2:
         buf = np.empty((m,) + trail)
+        index = np.empty(buf.size if table else 0, dtype=np.intp)
         for j in range(1, n):
-            yield j, _costs(pairs, j, r, buf[:j])
+            yield j, _costs(pairs, j, r, buf[:j], table, index)
         return
     buf = np.empty(min(width, m) * m * size)
+    index = np.empty(buf.size if table else 0, dtype=np.intp)
     for j0 in range(1, n, width):
         j1 = min(j0 + width, n)
-        block = _costs(pairs, slice(j0, j1), r, buf[: (j1 - j0) * (j1 - 1) * size].reshape((j1 - j0, j1 - 1) + trail))
+        block = buf[: (j1 - j0) * (j1 - 1) * size].reshape((j1 - j0, j1 - 1) + trail)
+        _costs(pairs, slice(j0, j1), r, block, table, index)
         for k in range(j1 - j0):
             yield j0 + k, block[k, : j0 + k]
 
@@ -321,40 +341,111 @@ def step_cost(values: np.ndarray, r: float) -> float:
     return float(_costs(ends, 1, r, np.empty(1))[0])
 
 
+def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """(s, k) with x == k * 2^s exactly, k the float64 integers of x in units
+    of 2^s, |k| < 2^53 and not all even unless all are 0; None when x is not
+    finite float64 or its values do not fit one such unit.
+
+    With e the binary exponent of max |x| (``math.frexp``) and E = 52 - e,
+    every x * 2^E must be an integer that scales back to x; 2^t, the lowest
+    set bit among these integers, gives s = t - E.  A matrix is first tested
+    on its last row against that row's own maximum: a row of a certified
+    matrix passes (its E is at least the matrix's), so a row that fails
+    declines the matrix before any pass over all of it."""
+    if x.dtype != np.float64 or x.size == 0:
+        return None
+    if x.ndim > 1 and _dyadic_units(x[-1]) is None:
+        return None
+    top = float(np.abs(x).max())
+    if not math.isfinite(top):
+        return None
+    scale = 52 - math.frexp(top)[1]
+    k = np.ldexp(x, scale)
+    if not ((np.trunc(k) == k).all() and (np.ldexp(k, -scale) == x).all()):
+        return None
+    bits = int(np.bitwise_or.reduce(k.astype(np.int64), axis=None))
+    low = max((bits & -bits).bit_length() - 1, 0)
+    return low - scale, np.ldexp(k, -low)
+
+
+def _scalar_values(pairs) -> np.ndarray | None:
+    """The values x of a scalar ``DistColumns`` (pairs[i, j] = |x_i - x_j|)
+    or the path matrix of a ``_PathGaps`` (x_j - x_i); None for other
+    sources."""
+    if isinstance(pairs, _PathGaps):
+        return pairs.pm
+    if isinstance(pairs, DistColumns) and pairs.values.ndim == 1:
+        return pairs.values
+    return None
+
+
 def _exact_total_variation(pairs) -> np.ndarray | None:
     """The r = 1 chain DP of a scalar ``DistColumns`` or a ``_PathGaps`` as
     the prefix sums best = [0, cumsum |diff x|] of its values x (axis 0),
     when a certificate shows that every float the DP makes is exact; else
     None.
 
-    The certificate: x is finite float64; with e the binary exponent of
-    max |x| (``np.frexp``) and E = 52 - e, every k = x * 2^E is an integer
-    (|k| < 2^52) that scales back to x.  So every x is a multiple of the
-    unit u = 2^(t - E), 2^t the lowest set bit among the k, and the last
-    check is best[-1] < 2^53 u.  Then each |x_j - x_i| and each chain sum is
-    a multiple of u below 2^53 u (a sum of nonnegative terms is at most the
-    total, and a rounded partial sum at or past 2^53 u would keep the
-    computed total there), so every DP candidate is exact.  Adding a point
-    to a chain never lowers its exact sum (triangle inequality), so the DP's
-    maximum over the chains ending at j is the full chain's sum, best[j]."""
-    if isinstance(pairs, _PathGaps):
-        x = pairs.pm
-    elif isinstance(pairs, DistColumns) and pairs.values.ndim == 1:
-        x = pairs.values
-    else:
+    The certificate: ``_dyadic_units`` writes every x as an integer multiple
+    of one unit u = 2^s, and the last check is best[-1] < 2^53 u.  Then each
+    |x_j - x_i| and each chain sum is a multiple of u below 2^53 u (a sum of
+    nonnegative terms is at most the total, and a rounded partial sum at or
+    past 2^53 u would keep the computed total there), so every DP candidate
+    is exact.  Adding a point to a chain never lowers its exact sum
+    (triangle inequality), so the DP's maximum over the chains ending at j
+    is the full chain's sum, best[j]."""
+    x = _scalar_values(pairs)
+    units = None if x is None else _dyadic_units(x)
+    if units is None:
         return None
-    if x.dtype != np.float64 or x.size == 0 or not np.isfinite(x).all():
-        return None
-    scale = 52 - int(np.frexp(np.abs(x).max())[1])
-    k = np.ldexp(x, scale)
-    if not (np.array_equal(k, np.trunc(k)) and np.array_equal(np.ldexp(k, -scale), x)):
-        return None
-    bits = int(np.bitwise_or.reduce(k.astype(np.int64), axis=None))
     best = np.zeros(x.shape)
     np.cumsum(np.abs(np.diff(x, axis=0)), axis=0, out=best[1:])
-    if not np.ldexp(best[-1], scale - ((bits & -bits).bit_length() - 1)).max() < 2.0**53:
+    if not np.ldexp(best[-1], -units[0]).max() < 2.0**53:
         return None
     return best
+
+
+def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
+    """(2^-s, powers) with powers[k] = (k 2^s)**r for k = 0..span, when a
+    certificate shows that every magnitude |pairs[i, j]| the DP reads is
+    exactly k 2^s with 0 <= k <= span; else None.
+
+    - A scalar ``DistColumns`` or a ``_PathGaps`` certifies its values x
+      (``_dyadic_units``): every gap is an exact multiple of 2^s, at most
+      the per-path range of x in units.
+    - A ``ParaproductGaps`` certifies f_stack in units 2^a and dg in units
+      2^b, s = a + b.  Each term (f_{j-1} - f_i) dg_{j-1} is a multiple of
+      2^s, at most range_f |dg_{j-1}| in units (range_f the largest range of
+      one path of f_stack over time), so every running sum is at most
+      range_f sum |dg| and every gap between two paths' sums at most span =
+      2 range_f sum |dg|, per trailing index.  With span below 2^53 no term,
+      sum or gap rounds.
+    - Other sources (Euclidean distances, dense arrays) return None.
+
+    The table is made only when span + 1 <= (n - 1) * trailing size, the
+    widest cost column: it holds no more floats than the column buffer of
+    ``_cost_columns`` and raises at most 2/n of the DP's costs.  It also
+    needs 2^-s and span 2^s finite.  The powers are made by
+    the same in-place ``**`` as ``_costs`` on one contiguous array."""
+    if isinstance(pairs, ParaproductGaps):
+        f, g = _dyadic_units(pairs.f), _dyadic_units(pairs.dg)
+        if f is None or g is None:
+            return None
+        f_range = np.ptp(f[1], axis=0).max(axis=0)
+        if math.frexp(f_range.max())[1] + f[0] > 1024:  # f_{j-1} - f_i overflows
+            return None
+        s = f[0] + g[0]
+        span = 2.0 * (f_range * np.abs(g[1]).sum(axis=0)).max()
+    else:
+        x = _scalar_values(pairs)
+        units = None if x is None else _dyadic_units(x)
+        if units is None:
+            return None
+        s, span = units[0], np.ptp(units[1], axis=0).max()
+    if not (span + 1 <= (pairs.shape[0] - 1) * math.prod(pairs.shape[2:]) and s > -1024 and math.frexp(span)[1] + s <= 1024):
+        return None
+    powers = np.ldexp(np.arange(int(span) + 1, dtype=np.float64), s)
+    powers **= r
+    return float(np.ldexp(1.0, -s)), powers
 
 
 def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
@@ -371,7 +462,10 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     change a float.  ``r`` must be positive, as the zero shift of ``_costs``
     needs 0**r == 0.  For r = 1 on scalar values whose chain sums are
     certified exact, the O(n) prefix sum of ``_exact_total_variation``
-    replaces the O(n^2) DP with the same floats.
+    replaces the O(n^2) DP with the same floats.  For r != 1 on certified
+    dyadic magnitudes the costs come from one table of powers
+    (``_power_table``), made once per call: at most (n - 1) * trailing size
+    powers against the DP's n (n - 1) / 2 per trailing index.
     """
     if r == 1:
         best = _exact_total_variation(pairs)

@@ -70,7 +70,10 @@ class GridCadlagPath:
     @classmethod
     def sampled_walk(cls, n_steps: int, n_paths: int, seed: int, T: float = 1.0) -> "GridCadlagPath":
         """Monte Carlo bundle of scaled +-1/sqrt(N) walk paths (exact dyadic
-        values when sqrt(N) is a power of two)."""
+        values when sqrt(N) is a power of two, that is N a power of 4; then
+        the chain DPs of ``refine_converge`` read their costs from power
+        tables, as long as no path ranges over more than about
+        levels * n_paths / 2 steps of 1/sqrt(N))."""
         from .generators import rng_for
 
         rng = rng_for(seed)
@@ -259,7 +262,10 @@ def refine_converge(
     column at a time from the stacked discretizations, and one for the
     other levels' discretization errors; levels and paths are independent
     trailing axes, so no (N+1, N+1, P) tensor is built and every float is
-    that of one level at a time.
+    that of one level at a time.  On dyadic walks (``sampled_walk`` with N
+    a power of 4, such as the demo's 256 steps and the 64 of the golden ito
+    run) both DPs raise each distinct gap once into a power table
+    (``functionals._power_table``); other N, such as 48, raise every cost.
     """
     if not r > 0:
         raise ValueError("variation exponent must be positive")

@@ -185,7 +185,7 @@ class SewResult:
 
 
 def sew(
-    xi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    xi: Callable[[np.ndarray], np.ndarray],
     omega: Control,
     theta: float,
     T: float,
@@ -196,9 +196,11 @@ def sew(
 ) -> SewResult:
     """Limit of Riemann sums of a germ whose defect is controlled by omega^theta.
 
-    Refines [0, T] by asking ``split`` for one interior point per cell (real
-    midpoints by default; a path-aware splitter saturates step paths at their
-    grid) until successive sums differ by less than tol.  Default midpoints
+    The germ takes a partition p_0 < ... < p_m and returns its m values
+    Xi(p_k, p_{k+1}), one per cell, so it can evaluate the paths once per
+    point.  Refines [0, T] by asking ``split`` for one interior point per
+    cell (real midpoints by default; a path-aware splitter saturates step
+    paths at their grid) until successive sums differ by less than tol.  Default midpoints
     are interleaved with the cell ends in one pass; only when a midpoint
     rounds onto an end (cells a few ulps wide) are they sorted and
     deduplicated by ``np.unique``, as a splitter's points always are.  The
@@ -210,7 +212,7 @@ def sew(
     if not theta > 1:
         raise ValueError("need theta > 1")
     parts = np.array([0.0, T])
-    germ_value = float(np.asarray(xi(np.array([0.0]), np.array([T])))[0])
+    germ_value = float(np.asarray(xi(parts))[0])
     value = germ_value
     diffs: list[float] = []
     converged = False
@@ -229,7 +231,7 @@ def sew(
                 converged = True  # no cell can be refined further: grid saturated
                 break
             parts = np.unique(np.concatenate([parts, new_pts]))
-        new_value = float(np.asarray(xi(parts[:-1], parts[1:])).sum())
+        new_value = float(np.asarray(xi(parts)).sum())
         diffs.append(abs(new_value - value))
         value = new_value
         levels = level
@@ -246,7 +248,8 @@ def sew(
             break
         i, j, k = np.sort(rng.choice(parts.size, size=3, replace=False))  # i < j < k
         s, u, t = parts[i], parts[j], parts[k]
-        defect = abs(float(xi(np.array([s]), np.array([t]))[0]) - float(xi(np.array([s]), np.array([u]))[0]) - float(xi(np.array([u]), np.array([t]))[0]))
+        left, right = xi(np.array([s, u, t]))
+        defect = abs(float(xi(np.array([s, t]))[0]) - float(left) - float(right))
         # lower <= omega and pow is within an ulp, inside the test's slack:
         # a defect the lower bound passes passes the exact test too
         if defect > omega.lower(s, t) ** theta and defect > omega(s, t) ** theta * (1.0 + 1e-9) + 1e-12:
@@ -260,9 +263,15 @@ def sew(
     return SewResult(value, germ_value, bound, levels, diffs, converged, hypothesis_ok)
 
 
-def young_germ(a: SampledPath, g: SampledPath) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def xi(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return (a.eval(s) * (g.eval(t) - g.eval(s))).sum(axis=1)
+def young_germ(a: SampledPath, g: SampledPath) -> Callable[[np.ndarray], np.ndarray]:
+    """Xi(s, t) = a_s (g_t - g_s), summed over components, on every cell of a
+    partition: each path is evaluated once per point, and once in all when
+    ``a is g``."""
+
+    def xi(parts: np.ndarray) -> np.ndarray:
+        gv = g.eval(parts)
+        av = gv if a is g else a.eval(parts)
+        return (av[:-1] * (gv[1:] - gv[:-1])).sum(axis=1)
 
     return xi
 
@@ -284,7 +293,7 @@ def young_integral(a: SampledPath, g: SampledPath, r: float, tol: float = 1e-9) 
     times = g.times
     u, v = times[:-1], times[1:]
     germ = young_germ(a, g)
-    contrib = germ(u, v)
+    contrib = germ(times)
     diffs = []
     refinable = a.interpretation == "linear" or g.interpretation == "linear"
     levels_used = 0
@@ -294,8 +303,8 @@ def young_integral(a: SampledPath, g: SampledPath, r: float, tol: float = 1e-9) 
         m = 1 << level
         frac = np.arange(m, dtype=np.float64) / m
         sub_lo = u[:, None] + (v - u)[:, None] * frac[None, :]
-        sub_hi = np.concatenate([sub_lo[:, 1:], v[:, None]], axis=1)
-        new_contrib = germ(sub_lo.ravel(), sub_hi.ravel()).reshape(u.size, m).sum(axis=1)
+        # the cells of all grid steps in time order: each step ends where the next starts
+        new_contrib = germ(np.append(sub_lo.ravel(), v[-1])).reshape(u.size, m).sum(axis=1)
         diffs.append(float(np.abs(np.cumsum(new_contrib) - np.cumsum(contrib)).max()))
         contrib = new_contrib
         levels_used = level

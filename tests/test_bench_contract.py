@@ -305,9 +305,9 @@ def test_refinement_diagnostics_hold_no_pair_tensor():
     assert peak < 8 * 2**20
 
 
-def ito_walk_refinement():
+def ito_walk_refinement(n_steps: int = 256):
     # the shapes of the ito demo: 256 steps of 64 +-1/16 lattice paths
-    g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)
+    g = ito.GridCadlagPath.sampled_walk(n_steps, 64, seed=11)
     return ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
 
 
@@ -322,22 +322,56 @@ class PowerInput(np.ndarray):
         return super().__ipow__(r)
 
 
+def record_tables(monkeypatch) -> list:
+    """(source type, r, whether a table was made) for each ``_power_table``
+    call from now on."""
+    real = fn._power_table
+    tables = []
+
+    def spy(pairs, r):
+        table = real(pairs, r)
+        tables.append((type(pairs).__name__, r, table is not None))
+        return table
+
+    monkeypatch.setattr(fn, "_power_table", spy)
+    return tables
+
+
 def test_column_path_keeps_zeros_out_of_the_power(monkeypatch):
-    # numpy's power is several times slower on exact zeros, of which the
-    # refinement gaps and error paths hold many; every DP here reads columns
+    # the demo walk's gaps and error paths are dyadic, so both refinement
+    # DPs read their costs from power tables and raise no column; the
+    # 1/sqrt(48) steps of a 48-step walk are not, and numpy's power, several
+    # times slower on exact zeros, raises its columns with no zero in them
     real = fn._costs
 
-    def spy(pairs, cols, r, out):
-        real(pairs, cols, r, out.view(PowerInput))
+    def spy(pairs, cols, r, out, table=None, index=None):
+        real(pairs, cols, r, out.view(PowerInput), table, index)
         return out
 
     monkeypatch.setattr(fn, "_costs", spy)
+    tables = record_tables(monkeypatch)
     monkeypatch.setattr(PowerInput, "seen", [])
     powered = PowerInput.seen
     ito_walk_refinement()
+    assert tables == [("ParaproductGaps", 2.5, True), ("_PathGaps", 3.0, True)]
+    assert powered == []
+    del tables[:]
+    ito_walk_refinement(48)
+    assert tables == [("ParaproductGaps", 2.5, False), ("_PathGaps", 3.0, False)]
     assert {r for r, _, _ in powered} == {2.5, 3.0}
-    assert sum(size for _, _, size in powered) > 10**6
+    assert sum(size for _, _, size in powered) > 10**5
     assert sum(zeros for _, zeros, _ in powered) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 57, 20240])
+def test_demo_refinement_takes_power_tables(monkeypatch, seed):
+    # the demos' ito_walk bundle (256 steps of 64 +-1/16 paths) is dyadic at
+    # every seed, and its ranges stay within the span bound of both DPs
+    demos = load_bench("workloads").DemoWorkload("demos", {"rough": R, "ito": ito, "bellman": bellman}, {})
+    g = demos.inputs(seed)["bundle"]
+    tables = record_tables(monkeypatch)
+    ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
+    assert tables == [("ParaproductGaps", 2.5, True), ("_PathGaps", 3.0, True)]
 
 
 def test_refinement_runs_no_dp_on_the_full_grid_error(monkeypatch):

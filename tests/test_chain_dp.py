@@ -6,6 +6,9 @@ so that small inputs cross every case: one block, several blocks that divide
 the n - 1 columns exactly or not, and one column at a time.  For r = 1 the
 prefix sums that replace the DP on certified inputs must equal the column
 loop too, and inputs whose chain sums may round must be left to the DP.
+For r != 1 the costs of certified dyadic inputs come from one table of
+powers, which must give every cost the float of the column loop's power;
+inputs that the certificate cannot cover must be raised column by column.
 """
 
 import json
@@ -20,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain_dp_oracles as oracle
+import pair_sum_oracles
 from martkit import functionals as fn
+from martkit import ito
 
 EXPONENTS = (1, 1.0, 1.5, 2.5, 3, 4)
 DEFAULT = fn.CHAIN_BLOCK_ELEMENTS
@@ -183,15 +188,155 @@ def test_lattice_walks_equal_the_oracle(scale, steps, width):
         assert np.array_equal(fn.chain_dp(pairs, 1), oracle.chain_dp(ref, 1)), source
 
 
+def at_the_span_bound(n: int, width: int, past: int) -> np.ndarray:
+    """(n, width) paths of integers times 2^-3 whose largest per-path range
+    is (n - 1) * width - 1 + past units: the widest range that still gets a
+    power table (past = 0), or one past it (past = 1)."""
+    rng = np.random.default_rng(n * width + past)
+    span = (n - 1) * width - 1 + past
+    k = rng.integers(0, span + 1, size=(n, width))
+    k[:3, 0] = (0, span, 1)  # the range, and an odd value, so the unit is 2^-3
+    return np.ldexp(k.astype(np.float64), -3)
+
+
+def refinement_gaps(n_steps: int, n_paths: int, seed: int):
+    """The refinement gaps of ``ito.refine_converge`` on a +-1/sqrt(N) walk
+    against itself, at strides 8, 4, 2 and 1 over its oscillation partition:
+    the package's ``ParaproductGaps`` and the dense tensor of the same gaps
+    from the one-term-at-a-time pair sums of ``pair_sum_oracles``."""
+    walk = ito.GridCadlagPath.sampled_walk(n_steps, n_paths, seed=seed)
+    base = ito.AdaptedGridPartition.from_oscillation(walk, 0.5)
+    fds = np.stack([ito.discretize(walk, base.union_grid(stride)).values for stride in (8, 4, 2, 1)], axis=1)
+    sums = np.stack([pair_sum_oracles.paraproduct_deltaf_pairs(fds[:, k], walk.values) for k in range(4)], axis=2)
+    return fn.ParaproductGaps(fds, np.diff(walk.values, axis=0)), sums[:, :, :-1] - sums[:, :, 1:]
+
+
+def dyadic_sources(n: int):
+    """(kind, package pairs, oracle pairs, takes a table) for dyadic sources
+    on n points: the span bound of each source kind and one past it, and
+    Ito refinements of walks with 16 and 64 steps (N a power of 4, so
+    1/sqrt(N) is a power of two)."""
+    for past in (0, 1):
+        x = at_the_span_bound(n, 1, past)[:, 0]
+        yield f"scalar, bound + {past}", fn.DistColumns(x), oracle.DistColumns(x), not past
+        pm = at_the_span_bound(n, 5, past)
+        yield f"path gaps, bound + {past}", fn._PathGaps(pm), oracle.PathGaps(pm), not past
+    for steps, paths in ((16, 8), (64, 32)):
+        gaps, dense = refinement_gaps(steps, paths, seed=n)
+        yield f"refinement of {steps} steps", gaps, dense, True
+
+
+@pytest.mark.parametrize("n", (9, 33))
+def test_power_tables_equal_the_column_loop(n):
+    for kind, pairs, ref, takes in dyadic_sources(n):
+        for r in EXPONENTS:
+            if r != 1:
+                assert (fn._power_table(pairs, r) is not None) == takes, (kind, r)
+            assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, n, r)
+
+
+def declined_tables():
+    """(kind, package pairs, oracle pairs or None) that ``_power_table``
+    must refuse, all of whose costs the power makes column by column."""
+    rng = np.random.default_rng(47)
+    steps = np.cumsum(rng.choice([-1.0, 1.0], size=(33, 4)), axis=0)
+    for kind, pm in (("0.0125 steps", steps * 0.0125), ("1/sqrt(48) steps", steps / np.sqrt(48))):
+        yield kind, fn._PathGaps(pm), oracle.PathGaps(pm)
+        yield f"{kind}, scalar", fn.DistColumns(pm[:, 0]), oracle.DistColumns(pm[:, 0])
+    gaps, dense = refinement_gaps(48, 4, seed=3)
+    yield "refinement of 48 steps", gaps, dense
+    for kind, bad in (("nan", np.nan), ("inf", np.inf)):
+        pm = steps / 4.0
+        pm[5, 1] = bad
+        yield kind, fn._PathGaps(pm), None
+    yield "integer dtype", fn.DistColumns(np.arange(9)), None
+    vec = np.ldexp(steps[:, :2], -2)
+    yield "vector", fn.DistColumns(vec), oracle.DistColumns(vec)
+    dense = np.ldexp(np.abs(steps[:, None, :2] - steps[None, :, :2]), -2)
+    yield "dense", dense, dense
+    # certified units, but running sums near 2^53 of them: f ranges over
+    # 2^26 units and the |dg| sum to 2^26 units
+    f = np.zeros((9, 2, 1))
+    f[1::2] = 2.0**26
+    dg = np.full((8, 1), 2.0**23)
+    yield "sums near 2^53 units", fn.ParaproductGaps(f, dg), None
+    pm = np.array([[0.0], [2.0**52 - 1], [1.0]])
+    yield "range near 2^53 units", fn._PathGaps(pm), oracle.PathGaps(pm)
+    pm = np.ldexp(steps[:9], -1070)  # a unit of 2^-1070, whose inverse overflows
+    yield "subnormal unit", fn._PathGaps(pm), oracle.PathGaps(pm)
+    # one unit of 2^1023: the range of 2 units overflows
+    yield "overflowing gaps", fn._PathGaps(np.ldexp(np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]), 1023)), None
+    f = np.zeros((5, 2, 1))
+    f[1::2] = 2.0**1023
+    f[2::2] = -(2.0**1023)
+    yield "overflowing f differences", fn.ParaproductGaps(f, np.zeros((4, 1))), None
+
+
+@pytest.mark.parametrize("kind, pairs, ref", list(declined_tables()), ids=lambda v: v if isinstance(v, str) else "")
+def test_power_table_declines_what_it_cannot_certify(kind, pairs, ref):
+    for r in EXPONENTS:
+        assert fn._power_table(pairs, r) is None, (kind, r)
+        if ref is not None:
+            assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, r)
+
+
+def test_dyadic_units_decline_on_the_last_row(monkeypatch):
+    # a matrix whose last row is not dyadic on its own maximum is refused
+    # before any pass over the whole matrix
+    pm = np.ldexp(np.arange(60.0).reshape(20, 3), -4)
+    pm[-1] = (0.1, 0.2, 0.3)
+    seen = []
+    real = np.ldexp
+
+    def spy(x, e, *args, **kwargs):
+        seen.append(np.shape(x))
+        return real(x, e, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ldexp", spy)
+    assert fn._dyadic_units(pm) is None
+    assert seen == [(3,)]
+    del seen[:]
+    assert fn._dyadic_units(pm[:-1]) is not None and (19, 3) in seen
+
+
+@given(
+    st.integers(-1000, 200),  # no cost overflows at r = 4
+    st.lists(st.integers(-3, 3), min_size=1, max_size=24),
+    st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_dyadic_walks_equal_the_oracle(scale, steps, width):
+    # a table is made exactly when the largest range in units (the unit
+    # being the largest power of two that divides every value) is below the
+    # widest cost column; either way every float is the column loop's
+    k = np.cumsum(np.array([0] + steps, dtype=np.int64))
+    paths = k[:, None] * np.arange(1, width + 1)
+    x = np.ldexp(paths.astype(np.float64), scale)
+    low = np.bitwise_or.reduce(paths, axis=None)
+    unit_bits = (int(low) & -int(low)).bit_length() - 1 if low else 0
+    span = int(np.ptp(paths, axis=0).max()) >> unit_bits
+    for source, pairs, ref in both_sources(x):
+        trail = 1 if source == "scalar" else width
+        flat = x if source != "scalar" else x[:, 0]
+        span_here = span if source != "scalar" else int(np.ptp(k)) >> unit_bits
+        takes = span_here + 1 <= (flat.shape[0] - 1) * trail
+        for r in EXPONENTS:
+            if r != 1:
+                assert (fn._power_table(pairs, r) is not None) == takes, (source, r)
+            assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (source, r)
+
+
 SIMD_PROBE = """
 import json, sys
 import numpy as np
 sys.path.insert(0, {tests!r})
 import chain_dp_oracles as oracle
+import pair_sum_oracles
 from martkit import functionals as fn
+from martkit import ito
 from martkit import rough
 
-from test_chain_dp import zero_heavy
+from test_chain_dp import dyadic_sources, zero_heavy
 
 rng = np.random.default_rng(44)
 equal = []
@@ -208,6 +353,9 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
         times = np.linspace(0.0, 0.3, n)
         walk = np.cumsum(rng.choice([-0.05, 0.05], size=n))
+        for _, new, ref, _ in dyadic_sources(n):
+            for r in {exponents!r}:
+                equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
         for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
             X = rough.lift(path, r=2.5)
             equal.append(rough._halving_index(X, rough._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X))
@@ -218,7 +366,8 @@ print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
 def test_blocks_equal_columns_at_every_simd_level():
     # numpy's power may take another code path at another SIMD level; a 2-D
     # block and a 1-D column must still raise each cost alike, a column's
-    # zeros shifted to 1 and back must keep the plain power's floats, and the
+    # zeros shifted to 1 and back must keep the plain power's floats, a power
+    # table read by index must give each cost the float of its own power, and the
     # RDE split from a forward and a reversed DP must stay the defined one
     root = Path(__file__).resolve().parents[1]
     probe = SIMD_PROBE.format(tests=str(root / "tests"), exponents=EXPONENTS)

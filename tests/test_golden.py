@@ -73,6 +73,20 @@ def test_golden_output(name):
     assert render(GOLDEN[name]) == expected, f"martkit {' '.join(GOLDEN[name])} no longer reproduces {name}"
 
 
+@pytest.mark.parametrize("name, takes", [("golden_ito.json", True), ("golden_ito48.json", False)])
+def test_ito_pins_take_power_tables_on_dyadic_walks(monkeypatch, name, takes):
+    # a 64-step walk moves by 1/8, so both refinement DPs read their costs
+    # from power tables; 1/sqrt(48) is not dyadic.  A table that silently
+    # stopped certifying would keep the pin and lose the speed
+    from martkit import functionals as fn
+
+    real = fn._power_table
+    taken = []
+    monkeypatch.setattr(fn, "_power_table", lambda pairs, r: taken.append((r, (table := real(pairs, r)) is not None)) or table)
+    render(GOLDEN[name])
+    assert taken == [(2.5, takes), (3.0, takes)]
+
+
 if __name__ == "__main__":
     os.makedirs(DATA, exist_ok=True)
     for name, argv in GOLDEN.items():

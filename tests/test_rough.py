@@ -102,7 +102,7 @@ def test_sew_hypothesis_failures_warn_and_raise():
 
 def test_sew_additive_germ_telescopes():
     # delta Xi = 0: every partition returns the germ value exactly
-    xi = lambda s, t: t**2 - s**2  # noqa: E731
+    xi = lambda p: p[1:] ** 2 - p[:-1] ** 2  # noqa: E731
     ctrl = R.Control(lambda s, t: t - s)
     res = R.sew(xi, ctrl, theta=2.0, T=1.0, tol=1e-12, max_level=8)
     assert res.value == res.germ_value == 1.0
@@ -144,7 +144,7 @@ def test_sew_default_midpoints_equal_a_midpoint_splitter(monkeypatch):
     # 3.5 units round (to even) onto the ends, so the partition stops at 5
     # points and the cell count 1, 2, 4, 4 converges there
     T = 4 * 5e-324
-    cells = lambda s, t: (t > s).astype(np.float64)  # noqa: E731
+    cells = lambda p: (p[1:] > p[:-1]).astype(np.float64)  # noqa: E731
     ctrl = R.Control(lambda s, t: 2.0)
     del sorts[:]
     tiny = R.sew(cells, ctrl, theta=2.0, T=T, tol=0.5)
@@ -153,9 +153,27 @@ def test_sew_default_midpoints_equal_a_midpoint_splitter(monkeypatch):
     assert (tiny.value, tiny.levels, tiny.diffs) == (4.0, 3, [1.0, 2.0, 0.0])
 
 
+def test_young_germ_evaluates_each_path_once_per_partition(monkeypatch):
+    # one evaluation per path, shared when a is g, with the floats of the
+    # per-cell form a_s (g_t - g_s) that evaluated g twice
+    times = np.linspace(0.0, 1.0, 65)
+    a = R.SampledPath(times, np.sin(3.0 * times), "linear")
+    g = R.SampledPath(times, np.round(np.cos(5.0 * times), 3), "step")
+    parts = np.linspace(0.0, 1.0, 301) ** 2
+    s, t = parts[:-1], parts[1:]
+    cells = [(x, y, (x.eval(s) * (y.eval(t) - y.eval(s))).sum(axis=1)) for x, y in ((a, g), (g, a), (a, a))]
+    evals = []
+    real = R.SampledPath.eval
+    monkeypatch.setattr(R.SampledPath, "eval", lambda path, pts: evals.append(path) or real(path, pts))
+    for x, y, expect in cells:
+        del evals[:]
+        assert np.array_equal(R.young_germ(x, y)(parts), expect)
+        assert len(evals) == (1 if x is y else 2)
+
+
 def test_sew_non_cauchy_raises():
     rng = np.random.default_rng(0)
-    xi = lambda s, t: rng.normal(size=np.shape(s))  # noqa: E731  incoherent germ
+    xi = lambda p: rng.normal(size=p.size - 1)  # noqa: E731  incoherent germ
     with pytest.raises(R.SewingError):
         R.sew(xi, R.Control(lambda s, t: t - s), theta=1.5, T=1.0, tol=1e-12, max_level=6)
 
