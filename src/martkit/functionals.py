@@ -28,25 +28,25 @@ time for every start row, and hands chain_dp the gaps between the sums of
 successive paths, so the r-variation distance between two pair-sum tensors
 is taken without holding either.
 
-``chain_dp`` is the one r-variation kernel.  It reads |pairs[i, j]|^r for a
+``chain_dp`` is the one r-variation kernel, for 0 < r < inf.  A sequence
+reaches it through one of two sources: ``PathGaps`` for scalar values and
+the per-path gaps of a path matrix, ``DistColumns`` for the Euclidean
+distances of a vector sequence.  It reads |pairs[i, j]|^r for a
 block of w consecutive columns in one contiguous array, w =
 CHAIN_BLOCK_ELEMENTS // (n * trailing size), so a short sequence costs a few
 numpy calls per block and two per column; when w < 2 (long or wide inputs)
 it reads one column at a time into the same reused buffer.  |.| is taken
 once, and r = 1 skips the power (x**1 == x).  When a certificate shows that
 every magnitude is an exact multiple k 2^s of one power of two with k at
-most the width of the widest cost column (``_power_table``: scalar
-``DistColumns``, ``_PathGaps`` and ``ParaproductGaps`` of dyadic values,
-such as +-1/sqrt(N) walks with N a power of 4), each k is raised once into a
-table and every cost is read from it, the float the power gives on that
-magnitude.  Otherwise a column that holds an exact zero is raised with its
-zeros moved to 1 and back (``_costs``), because numpy's power is several
-times slower on zero inputs; every float stays that of the plain power.
-For r = 1 on the same dyadic scalar values with total variation below 2^53
-units, every chain sum is exact and the longest chain is the best, so
-``_exact_total_variation`` returns the prefix sums of |increments|, the
-DP's own floats, in O(n) instead of O(n^2); other values run the DP.
-``variation`` returns the float best.max() ** (1/r).
+most the width of the widest cost column (``_power_table``: ``PathGaps``
+and ``ParaproductGaps`` of dyadic values, such as +-1/sqrt(N) walks with N
+a power of 4), each k is raised once into a table and every cost is read
+from it, the float the power gives on that magnitude; otherwise every cost
+is raised by numpy's power.  For r = 1 on dyadic ``PathGaps`` with total
+variation below 2^53 units, every chain sum is exact and the longest chain
+is the best, so ``_exact_total_variation`` returns the prefix sums of
+|increments|, the DP's own floats, in O(n) instead of O(n^2); other values
+run the DP.  ``variation`` returns the float best.max() ** (1/r).
 """
 
 from __future__ import annotations
@@ -207,11 +207,7 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProc
 # 2-core x86 host with AVX-512 (numpy 2.4), blocks of 4096 elements ran
 # scalar sequences of 17 to 2,048 points 1.4 to 3 times faster than columns
 # and no measured shape slower; at 8192, path gaps of 3 to 9 points by 400
-# to 1,024 paths ran 5 to 31% slower.  Blocks keep the plain power on their
-# exact zeros (the unread diagonal, ties): on the 400 sampled blocks of the
-# rde_line and rde_walk demos (882 costs, 16% zeros, on average), the zero
-# shift of the column path took 11.3 against 6.3 us a block, and with it
-# demos op_ms_p50 read 10% above the plain power in 6 of 8 benchmark runs.
+# to 1,024 paths ran 5 to 31% slower.
 CHAIN_BLOCK_ELEMENTS = 4096
 
 
@@ -226,9 +222,10 @@ def _split(arr: np.ndarray, cols: int | slice) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DistColumns:
-    """pairs[i, j] = |f_i - f_j| of a sequence (Euclidean across the trailing
-    axis for vector values), made a column or a block of columns at a time,
-    so chain_dp never holds the (n, n) distance matrix."""
+    """pairs[i, j] = |f_i - f_j| of an (n, d) vector sequence, Euclidean
+    across the trailing axis, made a column or a block of columns at a time,
+    so chain_dp never holds the (n, n) distance matrix.  Scalar sequences
+    take ``PathGaps``."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
@@ -237,18 +234,16 @@ class DistColumns:
     def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
         rows, at = _split(self.values, cols)
-        if rows.ndim == 1:
-            np.subtract(rows, at, out=out)
-            return np.abs(out, out=out)
         diff = rows - at
         diff *= diff
         np.add.reduce(diff.reshape(-1, diff.shape[-1]), axis=-1, out=out.reshape(-1))
         return np.sqrt(out, out=out)
 
 
-class _PathGaps:
-    """pairs[i, j] = pm[j] - pm[i] of a (N+1, L) path matrix, made a column or
-    a block of columns at a time, so chain_dp never holds the (N+1, N+1, L)
+class PathGaps:
+    """pairs[i, j] = pm[j] - pm[i] of an (N+1, ...) path matrix, or of an
+    (n,) scalar sequence, whose |pairs[i, j]| = |x_i - x_j|, made a column or
+    a block of columns at a time, so chain_dp never holds the (N+1, N+1, ...)
     difference tensor."""
 
     def __init__(self, pm: np.ndarray):
@@ -273,15 +268,7 @@ def _costs(pairs, cols: int | slice, r: float, out: np.ndarray, table=None, inde
     is k 2^s exactly with 0 <= k < powers.size, so k = |pairs[i, j]| 2^-s is
     an exact product, cast into the reused intp buffer ``index``, and the
     cost is powers[k] = (k 2^s)**r, the float the power gives on this
-    magnitude.
-
-    Without one, numpy's power (2.4, AVX-512) is about 4 times slower on zero
-    inputs.  So a column whose minimum is 0 is raised as out + (out == 0),
-    which turns each zero into 1, and the zeros are taken back out after.
-    For r > 0, 0**r == 0 and 1**r == 1 exactly (C99 Annex F: pow(+1, y) ==
-    1), and x + 0.0 == x and y - 0.0 == y, so every float is that of the
-    plain power.  A NaN makes the minimum NaN and takes the plain power.
-    Blocks take the plain power (see CHAIN_BLOCK_ELEMENTS)."""
+    magnitude.  Without one, numpy's power raises every cost."""
     if not isinstance(pairs, np.ndarray):
         pairs.magnitudes(cols, out)
     elif isinstance(cols, int):
@@ -295,13 +282,7 @@ def _costs(pairs, cols: int | slice, r: float, out: np.ndarray, table=None, inde
         k = index[: out.size].reshape(out.shape)
         np.multiply(out, inverse_unit, out=k, casting="unsafe")
         return np.take(powers, k, out=out, mode="clip")
-    if isinstance(cols, slice) or out.min() != 0.0:
-        out **= r
-        return out
-    zero = out == 0.0
-    out += zero
     out **= r
-    out -= zero
     return out
 
 
@@ -334,11 +315,12 @@ def _cost_columns(pairs, r: float):
 
 def step_cost(values: np.ndarray, r: float) -> float:
     """|values[-1] - values[0]|**r, Euclidean across a trailing axis: the cost
-    of the one-step chain, made by chain_dp's own ops on ``DistColumns``.  The
-    DP over any sequence with these end points holds this candidate in its
-    last column, so its float maximum is at least this float."""
-    ends = DistColumns(np.asarray(values, dtype=np.float64)[[0, -1]])
-    return float(_costs(ends, 1, r, np.empty(1))[0])
+    of the one-step chain, made by chain_dp's own ops on ``PathGaps`` or
+    ``DistColumns``.  The DP over any sequence with these end points holds
+    this candidate in its last column, so its float maximum is at least this
+    float."""
+    ends = np.asarray(values, dtype=np.float64)[[0, -1]]
+    return float(_costs(PathGaps(ends) if ends.ndim == 1 else DistColumns(ends), 1, r, np.empty(1))[0])
 
 
 def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
@@ -368,22 +350,10 @@ def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
     return low - scale, np.ldexp(k, -low)
 
 
-def _scalar_values(pairs) -> np.ndarray | None:
-    """The values x of a scalar ``DistColumns`` (pairs[i, j] = |x_i - x_j|)
-    or the path matrix of a ``_PathGaps`` (x_j - x_i); None for other
-    sources."""
-    if isinstance(pairs, _PathGaps):
-        return pairs.pm
-    if isinstance(pairs, DistColumns) and pairs.values.ndim == 1:
-        return pairs.values
-    return None
-
-
 def _exact_total_variation(pairs) -> np.ndarray | None:
-    """The r = 1 chain DP of a scalar ``DistColumns`` or a ``_PathGaps`` as
-    the prefix sums best = [0, cumsum |diff x|] of its values x (axis 0),
-    when a certificate shows that every float the DP makes is exact; else
-    None.
+    """The r = 1 chain DP of a ``PathGaps`` as the prefix sums best = [0,
+    cumsum |diff x|] of its values x (axis 0), when a certificate shows that
+    every float the DP makes is exact; else None.
 
     The certificate: ``_dyadic_units`` writes every x as an integer multiple
     of one unit u = 2^s, and the last check is best[-1] < 2^53 u.  Then each
@@ -393,10 +363,10 @@ def _exact_total_variation(pairs) -> np.ndarray | None:
     is exact.  Adding a point to a chain never lowers its exact sum
     (triangle inequality), so the DP's maximum over the chains ending at j
     is the full chain's sum, best[j]."""
-    x = _scalar_values(pairs)
-    units = None if x is None else _dyadic_units(x)
+    units = _dyadic_units(pairs.pm) if isinstance(pairs, PathGaps) else None
     if units is None:
         return None
+    x = pairs.pm
     best = np.zeros(x.shape)
     np.cumsum(np.abs(np.diff(x, axis=0)), axis=0, out=best[1:])
     if not np.ldexp(best[-1], -units[0]).max() < 2.0**53:
@@ -409,9 +379,8 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
     certificate shows that every magnitude |pairs[i, j]| the DP reads is
     exactly k 2^s with 0 <= k <= span; else None.
 
-    - A scalar ``DistColumns`` or a ``_PathGaps`` certifies its values x
-      (``_dyadic_units``): every gap is an exact multiple of 2^s, at most
-      the per-path range of x in units.
+    - A ``PathGaps`` certifies its values x (``_dyadic_units``): every gap
+      is an exact multiple of 2^s, at most the per-path range of x in units.
     - A ``ParaproductGaps`` certifies f_stack in units 2^a and dg in units
       2^b, s = a + b.  Each term (f_{j-1} - f_i) dg_{j-1} is a multiple of
       2^s, at most range_f |dg_{j-1}| in units (range_f the largest range of
@@ -435,12 +404,10 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
             return None
         s = f[0] + g[0]
         span = 2.0 * (f_range * np.abs(g[1]).sum(axis=0)).max()
-    else:
-        x = _scalar_values(pairs)
-        units = None if x is None else _dyadic_units(x)
-        if units is None:
-            return None
+    elif isinstance(pairs, PathGaps) and (units := _dyadic_units(pairs.pm)) is not None:
         s, span = units[0], np.ptp(units[1], axis=0).max()
+    else:
+        return None
     if not (span + 1 <= (pairs.shape[0] - 1) * math.prod(pairs.shape[2:]) and s > -1024 and math.frexp(span)[1] + s <= 1024):
         return None
     powers = np.ldexp(np.arange(int(span) + 1, dtype=np.float64), s)
@@ -451,16 +418,15 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
 def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     """Best totals of sum |pairs[u_{k-1}, u_k]|^r over increasing chains.
 
-    ``pairs`` has shape (n, n, ...), as an array, a ``DistColumns``, a
-    ``_PathGaps`` or a ``ParaproductGaps``; only its strict upper triangle is
+    ``pairs`` has shape (n, n, ...), as an array, a ``PathGaps``, a
+    ``DistColumns`` or a ``ParaproductGaps``; only its strict upper triangle is
     read, a block of columns at a time and in column order
     (``_cost_columns``), and trailing axes are independent problems.
     Returns ``best`` of shape (n, ...) with best[j] the largest total over
     chains ending at j (0 for the one-point chain), so the r-variation is
     best.max(axis=0) ** (1 / r).  Every candidate is |pairs[i, j]|^r +
     best[i] and a max is exact in any order, so the block width does not
-    change a float.  ``r`` must be positive, as the zero shift of ``_costs``
-    needs 0**r == 0.  For r = 1 on scalar values whose chain sums are
+    change a float.  For r = 1 on scalar values whose chain sums are
     certified exact, the O(n) prefix sum of ``_exact_total_variation``
     replaces the O(n^2) DP with the same floats.  For r != 1 on certified
     dyadic magnitudes the costs come from one table of powers
@@ -478,38 +444,33 @@ def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     return best
 
 
-def variation(values: np.ndarray, r: float) -> float:
-    """Exact r-variation of a finite sequence via dynamic programming.
+def check_exponent(r: float) -> None:
+    """Raise ValueError unless 0 < r < inf, the exponents of every
+    r-variation entry point."""
+    if not 0 < r < math.inf:
+        raise ValueError("variation exponent must be positive and finite")
 
-    ``r = inf`` returns the maximal oscillation, the largest cost-column
-    maximum.
-    """
-    if not r > 0:
-        raise ValueError("variation exponent must be positive")
+
+def variation(values: np.ndarray, r: float) -> float:
+    """Exact r-variation of a finite (n,) or (n, d) sequence via dynamic
+    programming."""
+    check_exponent(r)
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] <= 1:
         return 0.0
-    dist = DistColumns(values)
-    if np.isinf(r):
-        return max(float(col.max()) for _, col in _cost_columns(dist, 1))
+    dist = PathGaps(values) if values.ndim == 1 else DistColumns(values)
     return float(chain_dp(dist, r).max()) ** (1.0 / r)
 
 
 def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
     """Per-path r-variation values for a (N+1, L) path matrix."""
-    if not r > 0:
-        raise ValueError("variation exponent must be positive")
-    pm = np.asarray(pathmat, dtype=np.float64)
-    if np.isinf(r):
-        # fl(max - min) is the largest rounded gap: rounding is monotone
-        return running_oscillation(pm)[-1]
-    return chain_dp(_PathGaps(pm), r).max(axis=0) ** (1.0 / r)
+    check_exponent(r)
+    return chain_dp(PathGaps(np.asarray(pathmat, dtype=np.float64)), r).max(axis=0) ** (1.0 / r)
 
 
 def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
     """Chain DP over a per-path cost tensor of shape (n, n, L)."""
-    if not rho > 0:
-        raise ValueError("variation exponent must be positive")
+    check_exponent(rho)
     return chain_dp(np.asarray(cost, dtype=np.float64), rho).max(axis=0) ** (1.0 / rho)
 
 

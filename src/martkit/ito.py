@@ -267,8 +267,7 @@ def refine_converge(
     run) both DPs raise each distinct gap once into a power table
     (``functionals._power_table``); other N, such as 48, raise every cost.
     """
-    if not r > 0:
-        raise ValueError("variation exponent must be positive")
+    fn.check_exponent(r)
     n = f.n_steps
     start_power = max(0, int(round(np.log2(n))) - levels)
     parts = [base.union_grid(max(1, n >> (start_power + level))) for level in range(levels + 1)]

@@ -178,8 +178,8 @@ def test_rde_solve_runs_each_driver_dp_once(monkeypatch):
     real = R.chain_dp
 
     def spy(pairs, r):
-        if isinstance(pairs, fn.DistColumns):
-            runs[pairs.values.tobytes()] += 1
+        if isinstance(pairs, fn.PathGaps):
+            runs[pairs.pm.tobytes()] += 1
         return real(pairs, r)
 
     monkeypatch.setattr(R, "chain_dp", spy)
@@ -305,20 +305,14 @@ def test_refinement_diagnostics_hold_no_pair_tensor():
     assert peak < 8 * 2**20
 
 
-def ito_walk_refinement(n_steps: int = 256):
-    # the shapes of the ito demo: 256 steps of 64 +-1/16 lattice paths
-    g = ito.GridCadlagPath.sampled_walk(n_steps, 64, seed=11)
-    return ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
-
-
 class PowerInput(np.ndarray):
-    """A view of chain-DP costs that records the exponent, the number of
-    exact zeros and the size of each in-place power it takes."""
+    """A view of chain-DP costs that records the exponent of each in-place
+    power it takes."""
 
     seen: list = []
 
     def __ipow__(self, r):
-        PowerInput.seen.append((r, int(np.count_nonzero(self.view(np.ndarray) == 0.0)), self.size))
+        PowerInput.seen.append(r)
         return super().__ipow__(r)
 
 
@@ -337,11 +331,14 @@ def record_tables(monkeypatch) -> list:
     return tables
 
 
-def test_column_path_keeps_zeros_out_of_the_power(monkeypatch):
-    # the demo walk's gaps and error paths are dyadic, so both refinement
-    # DPs read their costs from power tables and raise no column; the
-    # 1/sqrt(48) steps of a 48-step walk are not, and numpy's power, several
-    # times slower on exact zeros, raises its columns with no zero in them
+@pytest.mark.parametrize("seed", [1, 2, 3, 57, 20240])
+def test_demo_refinement_takes_power_tables(monkeypatch, seed):
+    # the demos' ito_walk bundle (256 steps of 64 +-1/16 paths) is dyadic at
+    # every seed, and its ranges stay within the span bound of both DPs, so
+    # both refinement DPs read their costs from power tables and raise no
+    # column
+    demos = load_bench("workloads").DemoWorkload("demos", {"rough": R, "ito": ito, "bellman": bellman}, {})
+    g = demos.inputs(seed)["bundle"]
     real = fn._costs
 
     def spy(pairs, cols, r, out, table=None, index=None):
@@ -349,29 +346,11 @@ def test_column_path_keeps_zeros_out_of_the_power(monkeypatch):
         return out
 
     monkeypatch.setattr(fn, "_costs", spy)
-    tables = record_tables(monkeypatch)
     monkeypatch.setattr(PowerInput, "seen", [])
-    powered = PowerInput.seen
-    ito_walk_refinement()
-    assert tables == [("ParaproductGaps", 2.5, True), ("_PathGaps", 3.0, True)]
-    assert powered == []
-    del tables[:]
-    ito_walk_refinement(48)
-    assert tables == [("ParaproductGaps", 2.5, False), ("_PathGaps", 3.0, False)]
-    assert {r for r, _, _ in powered} == {2.5, 3.0}
-    assert sum(size for _, _, size in powered) > 10**5
-    assert sum(zeros for _, zeros, _ in powered) == 0
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3, 57, 20240])
-def test_demo_refinement_takes_power_tables(monkeypatch, seed):
-    # the demos' ito_walk bundle (256 steps of 64 +-1/16 paths) is dyadic at
-    # every seed, and its ranges stay within the span bound of both DPs
-    demos = load_bench("workloads").DemoWorkload("demos", {"rough": R, "ito": ito, "bellman": bellman}, {})
-    g = demos.inputs(seed)["bundle"]
     tables = record_tables(monkeypatch)
     ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
-    assert tables == [("ParaproductGaps", 2.5, True), ("_PathGaps", 3.0, True)]
+    assert tables == [("ParaproductGaps", 2.5, True), ("PathGaps", 3.0, True)]
+    assert PowerInput.seen == []
 
 
 def test_refinement_runs_no_dp_on_the_full_grid_error(monkeypatch):
@@ -384,7 +363,8 @@ def test_refinement_runs_no_dp_on_the_full_grid_error(monkeypatch):
         return real(pathmat, r)
 
     monkeypatch.setattr(fn, "variation_paths", spy)
-    diag = ito_walk_refinement()
+    g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)  # the ito demo's shapes: 64 +-1/16 lattice paths
+    diag = ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
     assert shapes == [((257, 4, 64), 3.0)]
     assert diag.discretization_errors[-1] == 0.0 and len(diag.discretization_errors) == 5
 

@@ -30,17 +30,18 @@ from martkit import ito
 EXPONENTS = (1, 1.0, 1.5, 2.5, 3, 4)
 DEFAULT = fn.CHAIN_BLOCK_ELEMENTS
 BUDGETS = (DEFAULT, 96, 24)
+# NPY_DISABLE_CPU_FEATURES values: native, AVX-512 off, AVX-512 and AVX2 off
+SIMD_LEVELS = ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 # paths of the wide lattice walk: from 33 points on, the default budget
 # reads its gaps one column at a time
 WIDE = 64
 
 
 def zero_heavy(n: int) -> list[tuple[str, np.ndarray]]:
-    """Path matrices whose gaps hold many exact zeros, which the column path
-    keeps out of the power: lattice walks of +-1/4 steps (exact ties, 0 at
-    every return; with steps below 1, a zero raised as 1 would show in the
-    best totals) and normal paths whose first half is 0, so the columns
-    j < n // 2 are all zero."""
+    """Path matrices whose gaps hold many exact zeros, which numpy's power
+    raises on another code path than nonzero costs: lattice walks of +-1/4
+    steps (exact ties, 0 at every return) and normal paths whose first half
+    is 0, so the columns j < n // 2 are all zero."""
     rng = np.random.default_rng(n)
     zero_start = rng.normal(size=(n, 3))
     zero_start[: n // 2] = 0.0
@@ -54,18 +55,18 @@ def zero_heavy(n: int) -> list[tuple[str, np.ndarray]]:
 def sources(n: int, rng):
     """(kind, package pairs, oracle pairs) on n points."""
     vals = rng.normal(size=n)
-    yield "scalar", fn.DistColumns(vals), oracle.DistColumns(vals)
+    yield "scalar", fn.PathGaps(vals), oracle.DistColumns(vals)
     rounded = np.round(vals)  # ties among distances
-    yield "scalar ties", fn.DistColumns(rounded), oracle.DistColumns(rounded)
+    yield "scalar ties", fn.PathGaps(rounded), oracle.DistColumns(rounded)
     for dim in (1, 3, 9):
         vec = rng.normal(size=(n, dim))
         yield f"vector d={dim}", fn.DistColumns(vec), oracle.DistColumns(vec)
     pm = rng.normal(size=(n, 3))
-    yield "path gaps", fn._PathGaps(pm), oracle.PathGaps(pm)
+    yield "path gaps", fn.PathGaps(pm), oracle.PathGaps(pm)
     dense = rng.normal(size=(n, n, 2))
     yield "dense", dense, dense
     for kind, pm in zero_heavy(n):
-        yield kind, fn._PathGaps(pm), oracle.PathGaps(pm)
+        yield kind, fn.PathGaps(pm), oracle.PathGaps(pm)
 
 
 def covered(budget: int, size: int, ns) -> set[str]:
@@ -119,9 +120,9 @@ def both_sources(x: np.ndarray):
     """(kind, package pairs, oracle pairs): x as a scalar sequence, and as
     the one-path and, for 2-D x, the many-path matrix of path gaps."""
     flat = x if x.ndim == 1 else x[:, 0]
-    yield "scalar", fn.DistColumns(flat), oracle.DistColumns(flat)
+    yield "scalar", fn.PathGaps(flat), oracle.DistColumns(flat)
     pm = x if x.ndim == 2 else x[:, None]
-    yield "path gaps", fn._PathGaps(pm), oracle.PathGaps(pm)
+    yield "path gaps", fn.PathGaps(pm), oracle.PathGaps(pm)
 
 
 def certified_values():
@@ -169,8 +170,8 @@ def test_exact_total_variation_leaves_other_sources_to_the_dp():
     vec = np.ldexp(np.arange(12.0).reshape(6, 2), -3)
     assert fn._exact_total_variation(fn.DistColumns(vec)) is None  # Euclidean distances round
     assert fn._exact_total_variation(np.zeros((4, 4))) is None
-    assert fn._exact_total_variation(fn.DistColumns(np.arange(5))) is None  # integer dtype
-    assert fn.chain_dp(fn._PathGaps(np.zeros((5, 0))), 1).shape == (5, 0)  # no paths
+    assert fn._exact_total_variation(fn.PathGaps(np.arange(5))) is None  # integer dtype
+    assert fn.chain_dp(fn.PathGaps(np.zeros((5, 0))), 1).shape == (5, 0)  # no paths
 
 
 @given(
@@ -218,9 +219,9 @@ def dyadic_sources(n: int):
     1/sqrt(N) is a power of two)."""
     for past in (0, 1):
         x = at_the_span_bound(n, 1, past)[:, 0]
-        yield f"scalar, bound + {past}", fn.DistColumns(x), oracle.DistColumns(x), not past
+        yield f"scalar, bound + {past}", fn.PathGaps(x), oracle.DistColumns(x), not past
         pm = at_the_span_bound(n, 5, past)
-        yield f"path gaps, bound + {past}", fn._PathGaps(pm), oracle.PathGaps(pm), not past
+        yield f"path gaps, bound + {past}", fn.PathGaps(pm), oracle.PathGaps(pm), not past
     for steps, paths in ((16, 8), (64, 32)):
         gaps, dense = refinement_gaps(steps, paths, seed=n)
         yield f"refinement of {steps} steps", gaps, dense, True
@@ -241,15 +242,15 @@ def declined_tables():
     rng = np.random.default_rng(47)
     steps = np.cumsum(rng.choice([-1.0, 1.0], size=(33, 4)), axis=0)
     for kind, pm in (("0.0125 steps", steps * 0.0125), ("1/sqrt(48) steps", steps / np.sqrt(48))):
-        yield kind, fn._PathGaps(pm), oracle.PathGaps(pm)
-        yield f"{kind}, scalar", fn.DistColumns(pm[:, 0]), oracle.DistColumns(pm[:, 0])
+        yield kind, fn.PathGaps(pm), oracle.PathGaps(pm)
+        yield f"{kind}, scalar", fn.PathGaps(pm[:, 0]), oracle.DistColumns(pm[:, 0])
     gaps, dense = refinement_gaps(48, 4, seed=3)
     yield "refinement of 48 steps", gaps, dense
     for kind, bad in (("nan", np.nan), ("inf", np.inf)):
         pm = steps / 4.0
         pm[5, 1] = bad
-        yield kind, fn._PathGaps(pm), None
-    yield "integer dtype", fn.DistColumns(np.arange(9)), None
+        yield kind, fn.PathGaps(pm), None
+    yield "integer dtype", fn.PathGaps(np.arange(9)), None
     vec = np.ldexp(steps[:, :2], -2)
     yield "vector", fn.DistColumns(vec), oracle.DistColumns(vec)
     dense = np.ldexp(np.abs(steps[:, None, :2] - steps[None, :, :2]), -2)
@@ -261,11 +262,11 @@ def declined_tables():
     dg = np.full((8, 1), 2.0**23)
     yield "sums near 2^53 units", fn.ParaproductGaps(f, dg), None
     pm = np.array([[0.0], [2.0**52 - 1], [1.0]])
-    yield "range near 2^53 units", fn._PathGaps(pm), oracle.PathGaps(pm)
+    yield "range near 2^53 units", fn.PathGaps(pm), oracle.PathGaps(pm)
     pm = np.ldexp(steps[:9], -1070)  # a unit of 2^-1070, whose inverse overflows
-    yield "subnormal unit", fn._PathGaps(pm), oracle.PathGaps(pm)
+    yield "subnormal unit", fn.PathGaps(pm), oracle.PathGaps(pm)
     # one unit of 2^1023: the range of 2 units overflows
-    yield "overflowing gaps", fn._PathGaps(np.ldexp(np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]), 1023)), None
+    yield "overflowing gaps", fn.PathGaps(np.ldexp(np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]), 1023)), None
     f = np.zeros((5, 2, 1))
     f[1::2] = 2.0**1023
     f[2::2] = -(2.0**1023)
@@ -345,9 +346,9 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
     for n in (9, 33, 65):
         vals, vec, pm = rng.normal(size=n), rng.normal(size=(n, 9)), rng.normal(size=(n, 5))
         dense = rng.normal(size=(n, n, 2))
-        pairs = [(fn.DistColumns(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
-                 (fn._PathGaps(pm), oracle.PathGaps(pm)), (dense, dense)]
-        pairs += [(fn._PathGaps(zm), oracle.PathGaps(zm)) for _, zm in zero_heavy(n)]
+        pairs = [(fn.PathGaps(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
+                 (fn.PathGaps(pm), oracle.PathGaps(pm)), (dense, dense)]
+        pairs += [(fn.PathGaps(zm), oracle.PathGaps(zm)) for _, zm in zero_heavy(n)]
         for r in {exponents!r}:
             for new, ref in pairs:
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
@@ -364,14 +365,14 @@ print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
 
 
 def test_blocks_equal_columns_at_every_simd_level():
-    # numpy's power may take another code path at another SIMD level; a 2-D
-    # block and a 1-D column must still raise each cost alike, a column's
-    # zeros shifted to 1 and back must keep the plain power's floats, a power
-    # table read by index must give each cost the float of its own power, and the
-    # RDE split from a forward and a reversed DP must stay the defined one
+    # numpy's power may take another code path at another SIMD level, and
+    # on exact zeros; a 2-D block and a 1-D column must still raise each cost
+    # alike, a power table read by index must give each cost the float of its
+    # own power, and the RDE split from a forward and a reversed DP must stay
+    # the defined one
     root = Path(__file__).resolve().parents[1]
     probe = SIMD_PROBE.format(tests=str(root / "tests"), exponents=EXPONENTS)
-    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+    for disabled in SIMD_LEVELS:
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from martkit import functionals as fn
 from martkit import generators as G
+from martkit import ito
 from martkit.report import CorpusSpec, lq_norm
 from martkit.tree import FiltrationTree, Martingale, TreeProcess
 
@@ -251,7 +252,7 @@ def test_variation_holder_chain():
     rng = np.random.default_rng(8)
     for _ in range(40):
         vals = rng.normal(size=10)
-        v_inf = fn.variation(vals, np.inf)
+        v_inf = fn.running_oscillation(vals[:, None])[-1, 0]  # V^inf, the widest gap
         v3 = fn.variation(vals, 3.0)
         v2 = fn.variation(vals, 2.0)
         assert v_inf <= v3 + 1e-12 and v3 <= v2 + 1e-12
@@ -272,11 +273,25 @@ def test_variation_paths_agrees_with_scalar():
         assert np.isclose(out[c], fn.variation(pm[:, c], 2.5))
 
 
-def test_variation_paths_infinity_is_oscillation():
-    rng = np.random.default_rng(12)
-    pm = rng.normal(size=(9, 20))
-    gaps = np.abs(pm[:, None] - pm[None, :]).max(axis=(0, 1))
-    assert np.array_equal(fn.variation_paths(pm, np.inf), gaps)
+def ito_walk_and_base():
+    g = ito.GridCadlagPath.sampled_walk(16, 2, seed=1)
+    return g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5)
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda r: fn.variation(np.arange(4.0), r),
+        lambda r: fn.variation_paths(np.zeros((4, 2)), r),
+        lambda r: fn.two_param_variation_paths(np.zeros((4, 4, 2)), r),
+        lambda r: ito.refine_converge(*ito_walk_and_base(), levels=2, r=r),
+    ],
+    ids=["variation", "variation_paths", "two_param_variation_paths", "refine_converge"],
+)
+def test_variation_entry_points_take_finite_positive_exponents(entry, r):
+    with pytest.raises(ValueError, match="variation exponent must be positive and finite"):
+        entry(r)
 
 
 def test_chain_dp_reads_only_the_strict_upper_triangle(monkeypatch):
@@ -315,8 +330,10 @@ def dist_inputs():
 
 
 def test_dist_columns_equal_the_dense_matrix():
+    # scalar sequences take PathGaps, vector ones DistColumns
     for vals in dist_inputs():
-        dense, cols = dense_dist(vals), fn.DistColumns(vals)
+        dense = dense_dist(vals)
+        cols = fn.PathGaps(vals) if vals.ndim == 1 else fn.DistColumns(vals)
         n = vals.shape[0]
         assert cols.shape == dense.shape
         for j in range(1, n):
@@ -324,12 +341,6 @@ def test_dist_columns_equal_the_dense_matrix():
         for j0, j1 in ((1, n), (1, 2), (5, 9), (n - 1, n)):
             block = cols.magnitudes(slice(j0, j1), np.empty((j1 - j0, j1 - 1)))
             assert np.array_equal(block, dense[: j1 - 1, j0:j1].T)
-
-
-def test_variation_at_infinity_is_the_widest_distance():
-    for vals in dist_inputs():
-        dense = dense_dist(vals)
-        assert fn.variation(vals, np.inf) == dense[np.triu_indices(vals.shape[0], k=1)].max()
 
 
 def test_two_param_variation_paths_batch_equals_slices():

@@ -20,6 +20,7 @@ Re-pin (and say why in CHANGES.md) with::
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -29,6 +30,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from martkit.cli import main  # noqa: E402
+from test_chain_dp import SIMD_LEVELS  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 MANIFEST = os.path.join(DATA, "golden_manifest.json")
@@ -43,6 +45,22 @@ GOLDEN = {
     "golden_bellman.json": ["bellman", "--gamma", "2.9"],
     "golden_sew.json": ["sew"],
 }
+
+# the pins that read the same at every SIMD level; golden_suite, golden_ito
+# and golden_paraproduct each move one field by one ulp with AVX-512 off,
+# where numpy's float64 power rounds the last bit differently
+SIMD_STABLE = ("golden_bellman.json", "golden_ito48.json", "golden_rde.json", "golden_rde_line.json", "golden_sew.json")
+
+SIMD_PROBE = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_golden import DATA, GOLDEN, SIMD_STABLE, render
+equal = {{}}
+for name in SIMD_STABLE:
+    with open(f"{{DATA}}/{{name}}") as fh:
+        equal[name] = render(GOLDEN[name]) == fh.read()
+print(json.dumps(equal))
+"""
 
 
 def render(argv: list[str]) -> str:
@@ -85,6 +103,23 @@ def test_ito_pins_take_power_tables_on_dyadic_walks(monkeypatch, name, takes):
     monkeypatch.setattr(fn, "_power_table", lambda pairs, r: taken.append((r, (table := real(pairs, r)) is not None)) or table)
     render(GOLDEN[name])
     assert taken == [(2.5, takes), (3.0, takes)]
+
+
+@pytest.mark.parametrize("disabled", SIMD_LEVELS)
+def test_simd_stable_pins_hold_at_every_simd_level(disabled):
+    # the exact zeros of golden_ito48's error paths reach numpy's power,
+    # which may take another kernel at another SIMD level
+    with open(MANIFEST) as fh:
+        pinned = json.load(fh)["numpy"]
+    if pinned != np.__version__:
+        pytest.fail(f"golden outputs were pinned with numpy {pinned}, this is numpy {np.__version__}")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    probe = SIMD_PROBE.format(tests=tests)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    equal = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert equal == dict.fromkeys(SIMD_STABLE, True), disabled
 
 
 if __name__ == "__main__":

@@ -250,7 +250,7 @@ def ito_bound_data(
     lhs = lq_norm(fn.two_param_variation_paths(pairs, r), q, f.weights)
     fd = I.discretize(f, partition)
     rhs = lq_norm(fn.variation_paths(fd.values, p1), q1, f.weights) * lq_norm(
-        fn.variation_paths(g.values, np.inf), q0, f.weights
+        fn.running_oscillation(g.values)[-1], q0, f.weights  # V^inf g, the widest gap
     )
     return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ def test_young_matches_riemann_stieltjes_for_steps():
     path, _ = R.young_integral(a, g, r=1.0, tol=1e-12)
     direct = np.cumsum(a.values[:-1, 0] * np.diff(g.values[:, 0]))
     assert np.abs(path.values[1:, 0] - direct).max() == 0.0
+
+
+def test_young_refinement_stops_at_its_cell_limit():
+    # left-point sums of two linear paths converge only like 2^-level, so at
+    # tol 1e-9 a 32-step grid would refine past 2^24 cells a step
+    t = np.linspace(0.0, 1.0, 33)
+    a = R.SampledPath(t, np.sin(3.0 * t), "linear")
+    g = R.SampledPath(t, np.cos(5.0 * t) + t, "linear")
+    tracemalloc.start()
+    try:
+        with pytest.raises(R.SewingError, match="cells a level"):
+            R.young_integral(a, g, r=1.5, tol=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**27
 
 
 def test_young_rejects_r_at_least_two():
