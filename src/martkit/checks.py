@@ -28,17 +28,15 @@ from .tree import Martingale, StoppingRule
 
 
 def _conjugate(p: float) -> float:
-    if np.isinf(p):
-        return 1.0
     return p / (p - 1.0)
 
 
 def _exponents(p, ok: Callable[[float], bool], what: str) -> tuple:
-    """One exponent or a sequence of them, as a tuple whose every entry
-    satisfies ``ok``; ``what`` names the condition in the error."""
+    """One exponent or a sequence of them, as a tuple whose every entry is
+    finite and satisfies ``ok``; ``what`` names the condition in the error."""
     ps = (p,) if np.isscalar(p) else tuple(p)
-    if not all(ok(x) for x in ps):
-        raise ValueError(f"{what}, got {list(ps)}")
+    if not all(math.isfinite(x) and ok(x) for x in ps):
+        raise ValueError(f"{what}, each finite, got {list(ps)}")
     return ps
 
 
@@ -299,8 +297,8 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
     """
     if spec.width < 1:
         raise ValueError("vector-valued checks need a family corpus (width >= 1)")
-    if not (q > 1 and p > 1 and r >= 1):
-        raise ValueError(f"vector-valued checks need q > 1, p > 1 and r >= 1, got q={q}, p={p}, r={r}")
+    if not (1 < q < math.inf and 1 < p < math.inf and 1 <= r < math.inf):
+        raise ValueError(f"vector-valued checks need q > 1, p > 1 and r >= 1, each finite, got q={q}, p={p}, r={r}")
 
     def trial(tracker, i, mart):
         tree = mart.tree
@@ -360,8 +358,8 @@ def check_paraproduct(
     form carry unspecified constants and are measured.  The L^q Davis
     decomposition bounds (constants q+1 and q+2) are asserted.
     """
-    if not all(x >= 1 for x in (q0, q1, r0, r1)):
-        raise ValueError("q0, q1, r0 and r1 must be at least 1")
+    if not all(1 <= x < math.inf for x in (q0, q1, r0, r1)):
+        raise ValueError("q0, q1, r0 and r1 must be at least 1 and finite")
     if not (families >= 1 and float(families).is_integer()):
         raise ValueError(f"families must be a positive integer, got {families}")
     families = int(families)
@@ -379,23 +377,25 @@ def check_paraproduct(
         lhs_pow = np.zeros(tree.n_leaves)
         f_pow = np.zeros(tree.n_leaves)
         g_pow = np.zeros(tree.n_leaves)
+        cols = np.arange(tree.n_leaves)
+        t = np.arange(depth + 1)[:, None]
         for k in range(families):
             g_k = Martingale.from_leaf_values(tree, spec.rng(i * 1000 + k).normal(size=tree.n_leaves))
             u_k = np.abs(
                 Martingale.from_leaf_values(tree, spec.rng(i * 1000 + 500 + k).normal(size=tree.n_leaves)).paths()
             )
-            g_pm = g_k.paths()
+            dg = np.diff(g_k.paths(), axis=0)
             lo, hi = _random_stopping_pair(tree, rng)
             lo_t = np.minimum(lo.times, depth)
             hi_t = np.minimum(hi.times, depth)
-            # Pi(F, g) with F[s, t] = u_t - u_s adapted in t is Pi(delta u, g);
-            # each path's sups over its window [lo, hi] are masked max reductions
-            pi_lo = np.take_along_axis(fn.paraproduct_deltaf_pairs(u_k, g_pm), lo_t[None, None, :], axis=0)[0]
-            cols = np.arange(tree.n_leaves)
-            t = np.arange(depth + 1)[:, None]
-            sup_pi = np.abs(pi_lo).max(axis=0, where=(lo_t <= t) & (t <= hi_t), initial=0.0)
-            sup_f = np.abs(u_k - u_k[lo_t, cols]).max(axis=0, where=(lo_t <= t) & (t < hi_t), initial=0.0)
-            dg2 = np.vstack([np.zeros(tree.n_leaves), np.diff(g_pm, axis=0) ** 2])
+            # Pi(F, g) with F[s, t] = u_t - u_s is Pi(delta u, g): row lo of each path sums
+            # the row kernel's terms du_{j-1} dg_j in time order, 0 outside lo <= j - 1 < hi
+            du = u_k - u_k[lo_t, cols]
+            win = (lo_t <= t) & (t < hi_t)
+            terms = np.where(win[:-1], du[:-1] * dg, 0.0)
+            sup_pi = np.abs(fn.accumulate_rows(np.add, terms, out=terms)).max(axis=0, initial=0.0)
+            sup_f = np.abs(du).max(axis=0, where=win, initial=0.0)
+            dg2 = np.vstack([np.zeros(tree.n_leaves), dg**2])
             cums = fn.accumulate_rows(np.add, dg2, out=dg2)
             s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
             lhs_pow += sup_pi**r
@@ -409,40 +409,42 @@ def check_paraproduct(
         f_m = Martingale.from_leaf_values(tree, spec.rng(i * 1000 + 777).normal(size=tree.n_leaves))
         f_pm = np.abs(f_m.paths())
         g_pm = mart.paths()
-        pi = fn.paraproduct_deltaf_pairs(f_pm, g_pm)
+        dg = np.diff(g_pm, axis=0)
         cuts = sorted(rng.choice(np.arange(1, depth + 1), size=min(families - 1, depth), replace=False))
         bounds = [0] + list(cuts) + [depth]
         r_df = 1.0 / (0.5 + 1.0 / r1)
         lhs_pow = np.zeros(tree.n_leaves)
         f_pow = np.zeros(tree.n_leaves)
         for a, b in zip(bounds, bounds[1:]):
-            # pi is 0 on and below the diagonal, so the block's max is the sup
-            # over a <= s <= t <= b
-            lhs_pow += np.abs(pi[a : b + 1, a : b + 1]).max(axis=(0, 1)) ** r_df
+            # the sup of |Pi(delta f, g)_{s,t}| over a <= s <= t <= b: rows s < b
+            # of the row kernel on t <= b (0 for t <= s), and Pi_{b,b} = 0
+            rows = [np.abs(fn.paraproduct_deltaf_row(f_pm[: b + 1], dg[:b], s)).max(axis=0) for s in range(a, b)]
+            lhs_pow += np.max(rows, axis=0, initial=0.0) ** r_df
             f_pow += np.abs(f_pm[a:b] - f_pm[a]).max(axis=0, initial=0.0) ** r1
         sg = fn.square_function_paths(g_pm)[-1]
         lhs = lq_norm(lhs_pow ** (1.0 / r_df), q, w)
         rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(sg, q0, w)
         tracker.measure("delta_f_bound", ratio(lhs, rhs))
 
-        # -- r-variation form
-        vr_pi = fn.two_param_variation_paths(pi, r_var)
+        # -- r-variation form: the gaps to the sums of a zero path are the sums
+        best = fn.chain_dp(fn.ParaproductGaps(np.stack([f_pm, np.zeros_like(f_pm)], axis=1), dg), r_var)
+        vr_pi = best[:, 0].max(axis=0) ** (1.0 / r_var)
         vr_f = fn.variation_paths(f_pm, r1)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))
 
-        # -- L^q Davis decomposition bounds with explicit constants
+        # -- L^q Davis decomposition bounds with explicit constants, per node
         fam = Martingale.from_leaf_values(
             tree, spec.rng(i * 1000 + 888).normal(size=(tree.n_leaves, max(2, families)))
         )
         pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
-        x_dbv = fn.component_norm(fn.increments(bv.paths()), r0).sum(axis=0)
-        x_df = fn.component_norm(fn.increments(fam.paths()), r0)
-        m_x_df = x_df.max(axis=0, initial=0.0)
-        tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
-        s_pred = fn.component_norm(fn.square_function_paths(pred.paths())[-1], r0)
-        s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)
+        layout = tree.layout
+        x_dbv = layout.accumulate(np.add, fn.component_norm(fn.increments(bv.flat, layout), r0), start=2)
+        m_x_df = layout.accumulate(np.maximum, fn.component_norm(fn.increments(fam.flat, layout), r0))
+        tracker.add(lq_norm(layout.leaves(x_dbv), q0, w), (q0 + 1.0) * lq_norm(layout.leaves(m_x_df), q0, w))
+        s_pred = fn.component_norm(layout.leaves(fn.square_function_paths(pred.flat, layout)), r0)
+        s_full = fn.component_norm(layout.leaves(fn.square_function_paths(fam.flat, layout)), r0)
         tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
 
     params = {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var}

@@ -16,9 +16,10 @@ to be 0.  The tree-level wrappers ``maximal``, ``square_function`` and
 row is constant on the atoms of its level.  No check or CLI command calls
 them; they stay because ``benchmarks/tracing.py`` wraps them by name.
 
-``paraproduct_deltaf_pairs`` is the one pair-sum kernel: the discrete
+``paraproduct_deltaf_row`` is the one pair-sum kernel: row s of the discrete
 paraproduct Pi(delta f, g)_{s,t} = sum_{s<j<=t} (f_{j-1} - f_s) dg_j, one
-cumsum along time per start row (``paraproduct_deltaf_row``).  The Ito sum
+cumsum along time; ``paraproduct_deltaf_pairs`` stacks its rows into the
+(n, n, L) tensor, which only ``ito.ito_pairs`` reads.  The Ito sum
 along an adapted partition pi is the same sum on the discretized path,
 Pi^pi(f, g) = Pi(delta f^(pi), g) with f^(pi)_u = f_{a(u)} frozen at the last
 partition point a(u) <= u: a step with a(u) <= t has a(u) = floor(t), so its
@@ -157,9 +158,9 @@ def predictable_square(f: Martingale) -> TreeProcess:
 
 
 def component_norm(arr: np.ndarray, r: float) -> np.ndarray:
-    """l^r norm across the trailing (component) axis; r = inf takes the max."""
-    if np.isinf(r):
-        return np.abs(arr).max(axis=-1)
+    """l^r norm across the trailing (component) axis, for 0 < r < inf."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"norm exponent must be positive and finite, got {r}")
     return (np.abs(arr) ** r).sum(axis=-1) ** (1.0 / r)
 
 
@@ -550,9 +551,9 @@ def paraproduct_pairs(F: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
 
     F has shape (n, n, L) with F[s, j] the F_j-measurable row value; the
     result has the same shape with zeros on and below the diagonal.  For
-    F[s, j] = f_j - f_s this is ``paraproduct_deltaf_pairs``, which the
-    checks use; no check or CLI command calls this general form, which stays
-    because ``benchmarks/tracing.py`` wraps it by name.
+    F[s, j] = f_j - f_s this is ``paraproduct_deltaf_pairs``.  No check or
+    CLI command calls this general form, which stays because
+    ``benchmarks/tracing.py`` wraps it by name.
     """
     n, L = g_pm.shape
     dg = np.diff(g_pm, axis=0)
@@ -580,11 +581,10 @@ def paraproduct_deltaf_row(f_pm: np.ndarray, dg: np.ndarray, s: int, out: np.nda
 
 def paraproduct_deltaf_pairs(f_pm: np.ndarray, g_pm: np.ndarray) -> np.ndarray:
     """Pi(delta f, g)_{s,t} for all index pairs, shape (n, n, L), zeros on and
-    below the diagonal; row s is ``paraproduct_deltaf_row``.
-
-    This is the one pair-sum kernel: the Ito sums are Pi^pi(f, g) =
-    Pi(delta f^(pi), g) on the discretized path (see ``ito``), and the
-    paraproduct check's window and delta-f estimates read it too.
+    below the diagonal; row s is ``paraproduct_deltaf_row``.  Only
+    ``ito.ito_pairs`` reads the whole tensor (the Ito sums are Pi^pi(f, g) =
+    Pi(delta f^(pi), g) on the discretized path, see ``ito``); the
+    paraproduct check reads its rows one at a time.
     """
     dg = np.diff(g_pm, axis=0)
     out = np.zeros((g_pm.shape[0],) + g_pm.shape)

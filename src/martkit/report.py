@@ -214,12 +214,10 @@ def ratio(lhs: float, rhs: float) -> float:
 
 
 def lq_norm(values: np.ndarray, q: float, weights: np.ndarray) -> float:
-    """Exact L^q quasi-norm on a finite weighted space (q = inf is the max)."""
+    """Exact L^q quasi-norm on a finite weighted space, 0 < q < inf."""
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     x = np.abs(np.asarray(values, dtype=np.float64))
-    if np.isinf(q):
-        return float(x.max(initial=0.0))
-    if q <= 0:
-        raise ValueError("q must be positive")
     return float((weights @ x**q) ** (1.0 / q))
 
 

@@ -1,16 +1,21 @@
-"""The five node-array checks as they were written on path matrices.
+"""The five node-array checks as they were written on path matrices, and the
+paraproduct check as it was written on pair tensors.
 
 Each oracle is the path-matrix body of its check: every functional is formed
 per leaf on the (N+1, L) matrix of ``mart.paths()``, and both breakpoint
-scans sort with numpy's stable argsort.  The node-array checks must
-reproduce their reports float for float (``runtime_ms`` aside).
+scans sort with numpy's stable argsort.  The paraproduct oracle also builds
+the (N+1, N+1, L) pair tensor Pi(delta f, g) and runs the chain DP on it.
+The checks must reproduce their reports float for float (``runtime_ms``
+aside).
 """
 
 import numpy as np
 
 from martkit import bellman
 from martkit import functionals as fn
+from martkit.checks import _random_stopping_pair
 from martkit.report import lq_norm, ratio, run_trials
+from martkit.tree import Martingale
 
 
 def closed_tail_scan(stat, *mass_arrays):
@@ -161,6 +166,84 @@ def sharp_davis_check(spec):
         tracker.add(float(w @ lhs), float(w @ rhs))
 
     return run_trials("sharp_davis", {}, spec, bellman.SQRT3, trial, {"max_ES_over_Estar": 0.0})
+
+
+def check_paraproduct(spec, q0=2.0, q1=2.0, r0=2.0, r1=2.0, families=4):
+    q = 1.0 / (1.0 / q0 + 1.0 / q1)
+    r = 1.0 / (1.0 / r0 + 1.0 / r1)
+    r_var = 1.25 / (0.5 + 1.0 / r1)
+
+    def trial(tracker, i, mart):
+        tree = mart.tree
+        w = tree.leaf_prob
+        depth = tree.depth
+        rng = spec.rng(i)
+
+        lhs_pow = np.zeros(tree.n_leaves)
+        f_pow = np.zeros(tree.n_leaves)
+        g_pow = np.zeros(tree.n_leaves)
+        for k in range(families):
+            g_k = Martingale.from_leaf_values(tree, spec.rng(i * 1000 + k).normal(size=tree.n_leaves))
+            u_k = np.abs(
+                Martingale.from_leaf_values(tree, spec.rng(i * 1000 + 500 + k).normal(size=tree.n_leaves)).paths()
+            )
+            g_pm = g_k.paths()
+            lo, hi = _random_stopping_pair(tree, rng)
+            lo_t = np.minimum(lo.times, depth)
+            hi_t = np.minimum(hi.times, depth)
+            pi_lo = np.take_along_axis(fn.paraproduct_deltaf_pairs(u_k, g_pm), lo_t[None, None, :], axis=0)[0]
+            cols = np.arange(tree.n_leaves)
+            t = np.arange(depth + 1)[:, None]
+            sup_pi = np.abs(pi_lo).max(axis=0, where=(lo_t <= t) & (t <= hi_t), initial=0.0)
+            sup_f = np.abs(u_k - u_k[lo_t, cols]).max(axis=0, where=(lo_t <= t) & (t < hi_t), initial=0.0)
+            dg2 = np.vstack([np.zeros(tree.n_leaves), np.diff(g_pm, axis=0) ** 2])
+            cums = fn.accumulate_rows(np.add, dg2, out=dg2)
+            s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
+            lhs_pow += sup_pi**r
+            f_pow += sup_f**r1
+            g_pow += s_win**r0
+        lhs = lq_norm(lhs_pow ** (1.0 / r), q, w)
+        rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(g_pow ** (1.0 / r0), q0, w)
+        tracker.measure("window_bound", ratio(lhs, rhs))
+
+        f_m = Martingale.from_leaf_values(tree, spec.rng(i * 1000 + 777).normal(size=tree.n_leaves))
+        f_pm = np.abs(f_m.paths())
+        g_pm = mart.paths()
+        pi = fn.paraproduct_deltaf_pairs(f_pm, g_pm)
+        cuts = sorted(rng.choice(np.arange(1, depth + 1), size=min(families - 1, depth), replace=False))
+        bounds = [0] + list(cuts) + [depth]
+        r_df = 1.0 / (0.5 + 1.0 / r1)
+        lhs_pow = np.zeros(tree.n_leaves)
+        f_pow = np.zeros(tree.n_leaves)
+        for a, b in zip(bounds, bounds[1:]):
+            lhs_pow += np.abs(pi[a : b + 1, a : b + 1]).max(axis=(0, 1)) ** r_df
+            f_pow += np.abs(f_pm[a:b] - f_pm[a]).max(axis=0, initial=0.0) ** r1
+        sg = fn.square_function_paths(g_pm)[-1]
+        lhs = lq_norm(lhs_pow ** (1.0 / r_df), q, w)
+        rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(sg, q0, w)
+        tracker.measure("delta_f_bound", ratio(lhs, rhs))
+
+        vr_pi = fn.two_param_variation_paths(pi, r_var)
+        vr_f = fn.variation_paths(f_pm, r1)
+        lhs = lq_norm(vr_pi, q, w)
+        rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
+        tracker.measure("variation_bound", ratio(lhs, rhs))
+
+        fam = Martingale.from_leaf_values(
+            tree, spec.rng(i * 1000 + 888).normal(size=(tree.n_leaves, max(2, families)))
+        )
+        pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
+        x_dbv = fn.component_norm(fn.increments(bv.paths()), r0).sum(axis=0)
+        x_df = fn.component_norm(fn.increments(fam.paths()), r0)
+        m_x_df = x_df.max(axis=0, initial=0.0)
+        tracker.add(lq_norm(x_dbv, q0, w), (q0 + 1.0) * lq_norm(m_x_df, q0, w))
+        s_pred = fn.component_norm(fn.square_function_paths(pred.paths())[-1], r0)
+        s_full = fn.component_norm(fn.square_function_paths(fam.paths())[-1], r0)
+        tracker.add(lq_norm(s_pred, q0, w), (q0 + 2.0) * lq_norm(s_full, q0, w))
+
+    params = {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var}
+    measured = {"window_bound": 0.0, "delta_f_bound": 0.0, "variation_bound": 0.0}
+    return run_trials("paraproduct", params, spec, q0 + 2.0, trial, measured)
 
 
 ORACLES = {

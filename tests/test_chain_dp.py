@@ -11,12 +11,6 @@ powers, which must give every cost the float of the column loop's power;
 inputs that the certificate cannot cover must be raised column by column.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,12 +20,11 @@ import chain_dp_oracles as oracle
 import pair_sum_oracles
 from martkit import functionals as fn
 from martkit import ito
+from simd_probe import SIMD_LEVELS, run_probe
 
 EXPONENTS = (1, 1.0, 1.5, 2.5, 3, 4)
 DEFAULT = fn.CHAIN_BLOCK_ELEMENTS
 BUDGETS = (DEFAULT, 96, 24)
-# NPY_DISABLE_CPU_FEATURES values: native, AVX-512 off, AVX-512 and AVX2 off
-SIMD_LEVELS = ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 # paths of the wide lattice walk: from 33 points on, the default budget
 # reads its gaps one column at a time
 WIDE = 64
@@ -328,16 +321,15 @@ def test_dyadic_walks_equal_the_oracle(scale, steps, width):
 
 
 SIMD_PROBE = """
-import json, sys
+import json
 import numpy as np
-sys.path.insert(0, {tests!r})
 import chain_dp_oracles as oracle
 import pair_sum_oracles
 from martkit import functionals as fn
 from martkit import ito
 from martkit import rough
 
-from test_chain_dp import dyadic_sources, zero_heavy
+from test_chain_dp import EXPONENTS, dyadic_sources, zero_heavy
 
 rng = np.random.default_rng(44)
 equal = []
@@ -349,18 +341,18 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
         pairs = [(fn.PathGaps(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
                  (fn.PathGaps(pm), oracle.PathGaps(pm)), (dense, dense)]
         pairs += [(fn.PathGaps(zm), oracle.PathGaps(zm)) for _, zm in zero_heavy(n)]
-        for r in {exponents!r}:
+        for r in EXPONENTS:
             for new, ref in pairs:
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
         times = np.linspace(0.0, 0.3, n)
         walk = np.cumsum(rng.choice([-0.05, 0.05], size=n))
         for _, new, ref, _ in dyadic_sources(n):
-            for r in {exponents!r}:
+            for r in EXPONENTS:
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
         for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
             X = rough.lift(path, r=2.5)
             equal.append(rough._halving_index(X, rough._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X))
-print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
+print(json.dumps({"cases": len(equal), "equal": sum(equal)}))
 """
 
 
@@ -370,12 +362,6 @@ def test_blocks_equal_columns_at_every_simd_level():
     # alike, a power table read by index must give each cost the float of its
     # own power, and the RDE split from a forward and a reversed DP must stay
     # the defined one
-    root = Path(__file__).resolve().parents[1]
-    probe = SIMD_PROBE.format(tests=str(root / "tests"), exponents=EXPONENTS)
     for disabled in SIMD_LEVELS:
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        out = run_probe(SIMD_PROBE, disabled)
         assert out["equal"] == out["cases"] > 0, (disabled, out)

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +26,7 @@ from martkit.report import (
 from martkit.tree import FiltrationTree, Martingale
 from path_oracles import closed_sublevel_scan, davis_decompose
 from path_oracles import closed_tail_scan as numpy_closed_tail_scan
+from simd_probe import SIMD_LEVELS, run_probe
 
 
 def small(kind="mixed", depth=6, trials=60, seed=123, **kw):
@@ -154,15 +152,8 @@ print(json.dumps({"stable": stable, "reports": reports}, sort_keys=True))
 def test_stable_argsort_does_not_depend_on_the_simd_level():
     # numpy's unstable argsort orders ties differently with AVX-512, with
     # AVX2 and at its baseline; the stable order and the reports must not move
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", SIMD_PROBE], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append(proc.stdout.strip().splitlines()[-1])
-    assert json.loads(outputs[0])["stable"]
+    outputs = [run_probe(SIMD_PROBE, disabled) for disabled in SIMD_LEVELS]
+    assert outputs[0]["stable"]
     assert outputs[1:] == outputs[:1] * 2
 
 
@@ -547,6 +538,23 @@ def test_paraproduct_check():
         C.check_paraproduct(small(trials=1), q0=0.5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: C.check_doob(small(trials=1), p=math.inf),
+        lambda: C.check_vector_valued(small("family", depth=3, trials=1, width=2), r=math.inf),
+        lambda: C.check_paraproduct(small(trials=1), r0=math.inf),
+        lambda: R.lq_norm(np.ones(2), math.inf, np.full(2, 0.5)),
+        lambda: fn.component_norm(np.ones((2, 3)), math.inf),
+    ],
+    ids=["doob-p", "vector_valued-r", "paraproduct-r0", "lq_norm-q", "component_norm-r"],
+)
+def test_infinite_exponents_are_rejected(call):
+    # every exponent is finite: the l^inf and L^inf branches are gone
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_paraproduct_scans_equal_the_numpy_accumulates(monkeypatch):
     scans, real = [], fn.accumulate_rows
 
@@ -561,7 +569,7 @@ def test_paraproduct_scans_equal_the_numpy_accumulates(monkeypatch):
     adds = recorded(monkeypatch, RatioTracker, "add")
     spec = small(depth=6, trials=8, seed=68)
     C.check_paraproduct(spec, q0=2.0, r0=2.0)
-    # the window sums np.cumsum(dg2, axis=0), and the square functions
+    # the window sums its Pi rows and np.cumsum(dg2, axis=0), and the square function
     assert sum(ufunc is np.add for ufunc, _, _ in scans) >= 4 * spec.trials
     for ufunc, arr, result in scans:
         assert np.array_equal(result, ufunc.accumulate(arr, axis=0))

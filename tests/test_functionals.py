@@ -197,7 +197,7 @@ def test_davis_invariants_random():
         assert tree.expectation(tv) <= 2 * tree.expectation(df.max(axis=0)) + 1e-10
 
 
-@pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", 2.0), ("family", np.inf)])
+@pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", 2.0), ("family", 1.0)])
 def test_davis_parts_are_adapted_martingales(kind, norm_exponent):
     # row n is built from level-n values and level-(n-1) averages only
     for index in range(60):

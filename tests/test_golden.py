@@ -20,7 +20,6 @@ Re-pin (and say why in CHANGES.md) with::
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -30,7 +29,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from martkit.cli import main  # noqa: E402
-from test_chain_dp import SIMD_LEVELS  # noqa: E402
+from simd_probe import SIMD_LEVELS, run_probe  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 MANIFEST = os.path.join(DATA, "golden_manifest.json")
@@ -52,12 +51,11 @@ GOLDEN = {
 SIMD_STABLE = ("golden_bellman.json", "golden_ito48.json", "golden_rde.json", "golden_rde_line.json", "golden_sew.json")
 
 SIMD_PROBE = """
-import json, sys
-sys.path.insert(0, {tests!r})
+import json
 from test_golden import DATA, GOLDEN, SIMD_STABLE, render
-equal = {{}}
+equal = {}
 for name in SIMD_STABLE:
-    with open(f"{{DATA}}/{{name}}") as fh:
+    with open(f"{DATA}/{name}") as fh:
         equal[name] = render(GOLDEN[name]) == fh.read()
 print(json.dumps(equal))
 """
@@ -113,13 +111,7 @@ def test_simd_stable_pins_hold_at_every_simd_level(disabled):
         pinned = json.load(fh)["numpy"]
     if pinned != np.__version__:
         pytest.fail(f"golden outputs were pinned with numpy {pinned}, this is numpy {np.__version__}")
-    tests = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    probe = SIMD_PROBE.format(tests=tests)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    equal = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert equal == dict.fromkeys(SIMD_STABLE, True), disabled
+    assert run_probe(SIMD_PROBE, disabled) == dict.fromkeys(SIMD_STABLE, True), disabled
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 doob, square_weak, davis_decomposition, davis_bdg and sharp_davis run one
 parent-to-child recursion over the nodes of each tree.  Each path sees the
 operations of the path-matrix code in the same order, so every report must
-equal the oracle's byte for byte, apart from ``runtime_ms``.
+equal the oracle's byte for byte, apart from ``runtime_ms``.  The paraproduct
+check reads the rows of its pair sums one at a time and its Davis bounds per
+node; its report must equal that of the oracle that builds the pair tensor.
 """
 
 import json
@@ -78,7 +80,48 @@ def test_node_checks_build_no_path_matrix(monkeypatch):
         assert record(C.run_check(name, spec)) == expected[name], name
 
 
-@pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", np.inf)])
+PARAPRODUCT_CORPORA = [
+    (CorpusSpec(kind="mixed", depth=6, trials=40, seed=20247), {}),
+    (CorpusSpec(kind="mixed", depth=6, trials=12, seed=20247), {"families": 7, "q0": 3.0, "r0": 1.5, "r1": 1.0}),
+    (CorpusSpec(kind="mixed", depth=5, trials=12, seed=9), {"families": 1, "r1": 4.0 / 3.0}),
+    (CorpusSpec(kind="mixed", depth=12, trials=2, seed=20247), {}),
+    (CorpusSpec(kind="backprop", depth=10, trials=3, seed=20247), {}),
+    (CorpusSpec(kind="walk", depth=8, trials=5, seed=20247), {}),
+    (CorpusSpec(kind="increment", depth=7, trials=8, seed=20247), {}),
+    (CorpusSpec(kind="scaled_walk", depth=4, trials=5, seed=20247), {}),
+    (CorpusSpec(kind="doubling", depth=6, trials=3, seed=20247), {"r1": 5.0, "r0": 1.0}),
+    (CorpusSpec(kind="backprop", depth=1, trials=4, seed=3), {}),
+    (CorpusSpec(kind="backprop", depth=14, trials=1, seed=20247), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, params", PARAPRODUCT_CORPORA, ids=[f"{spec.kind}-{spec.depth}-{spec.trials}" for spec, _ in PARAPRODUCT_CORPORA]
+)
+def test_paraproduct_reproduces_the_pair_tensor_report(spec, params):
+    assert record(C.run_check("paraproduct", spec, **params)) == record(path_oracles.check_paraproduct(spec, **params))
+
+
+def test_paraproduct_builds_no_pair_tensor(monkeypatch):
+    # the dense (N+1, N+1, L) tensor failed at depth 20; the Davis bounds run
+    # per node, so only scalar processes expand to path matrices
+    spec = CorpusSpec(kind="mixed", depth=7, trials=20, seed=32)
+    expected = record(path_oracles.check_paraproduct(spec))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an (N+1, N+1, L) pair tensor was built")
+
+    def scalar_paths(self, _real=TreeProcess.paths):
+        assert self.width == 0, "a family path matrix was built"
+        return _real(self)
+
+    monkeypatch.setattr(fn, "paraproduct_deltaf_pairs", refuse)
+    monkeypatch.setattr(fn, "two_param_variation_paths", refuse)
+    monkeypatch.setattr(TreeProcess, "paths", scalar_paths)
+    assert record(C.run_check("paraproduct", spec)) == expected
+
+
+@pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", 1.0)])
 def test_davis_decompose_matches_the_path_matrix_oracle(kind, norm_exponent):
     for index in range(40):
         mart = G.corpus_martingale(kind, 6, seed=41, index=index)

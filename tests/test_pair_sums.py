@@ -1,20 +1,16 @@
 """The one pair-sum kernel against the earlier bodies of every pair sum.
 
 The Ito sums, the covariation and the paraproducts all run through
-``functionals.paraproduct_deltaf_pairs`` and its row function, and the
-refinement diagnostics stream the same sums through
+``functionals.paraproduct_deltaf_row``, which ``paraproduct_deltaf_pairs``
+stacks into the pair tensor, and the refinement diagnostics and the
+paraproduct check's r-variation stream the same sums through
 ``functionals.ParaproductGaps``.  Here each is compared float for float with
 its earlier body (``pair_sum_oracles``) on bundles whose values are not
 dyadic, so that every sum rounds and a change of summation order shows: a
 one-path bundle is contiguous in time, where ``np.sum`` would add pairwise.
 """
 
-import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +23,7 @@ from martkit import ito as I
 from martkit.report import CorpusSpec
 from martkit.tree import Martingale
 from notes_statements import from_tree_process, zero_only
+from simd_probe import SIMD_LEVELS, run_probe
 
 PARTITIONS = ("from_oscillation", "full", "zero_only", "union_grid")
 
@@ -119,9 +116,9 @@ def test_ito_sums_and_the_paraproduct_check_reach_only_the_one_kernel(monkeypatc
     calls.clear()
     spec = CorpusSpec(kind="mixed", depth=5, trials=3, seed=4)
     C.check_paraproduct(spec, families=4)
-    # per trial: one window estimate per family and the delta-f form
-    assert calls["paraproduct_deltaf_pairs"] == 5 * spec.trials
-    assert calls["paraproduct_pairs"] == 0
+    # per trial: the delta-f form reads one row per start s below the tree's
+    # depth, and no estimate builds the pair tensor
+    assert calls == {"paraproduct_deltaf_row": sum(mart.tree.depth for mart in spec.martingales())}
 
 
 def tree_bundle(depth: int, seed: int) -> I.GridCadlagPath:
@@ -204,9 +201,8 @@ def test_paraproduct_gaps_blocks_zero_their_unread_entries():
 
 
 REFINE_PROBE = """
-import json, sys
+import json
 import numpy as np
-sys.path.insert(0, {tests!r})
 import pair_sum_oracles as oracle
 from martkit import ito as I
 
@@ -226,19 +222,13 @@ for f, g in cases:
         diag = I.refine_converge(f, g, base, levels=levels, r=r)
         equal.append((diag.pi_distances, diag.discretization_errors) == oracle.refine_converge(f, g, base, levels, r))
     equal.append(I.chen_residual(f, g, base, 12) == oracle.chen_residual(f, g, base, 12))
-print(json.dumps({{"cases": len(equal), "equal": sum(equal)}}))
+print(json.dumps({"cases": len(equal), "equal": sum(equal)}))
 """
 
 
 def test_refinement_equals_the_oracle_at_every_simd_level():
     # the gaps are raised to r on their own (j, levels, paths) layout; numpy's
     # power must still give each cost the float of the per-level tensor column
-    root = Path(__file__).resolve().parents[1]
-    probe = REFINE_PROBE.format(tests=str(root / "tests"))
-    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+    for disabled in SIMD_LEVELS:
+        out = run_probe(REFINE_PROBE, disabled)
         assert out["equal"] == out["cases"] > 0, (disabled, out)
