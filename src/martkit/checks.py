@@ -127,6 +127,7 @@ def check_davis_decomposition(spec: CorpusSpec) -> CheckReport:
 def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
     """E Sf <= sqrt(3) E f* asserted; the remaining BDG directions carry no
     explicit constant and are only measured (in L^1 and L^p)."""
+    _exponents(p, lambda x: x > 0, "the L^p exponent p must be positive")
 
     def trial(tracker, i, mart):
         layout = mart.tree.layout
@@ -270,12 +271,14 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
     """Pathwise square-scale domination with constant 8 (rho = 2) asserted on
     every path; the moment inequality against (r/(r-2)) ||Mf||_p is measured."""
     rs = _exponents(r, lambda x: x > 2, "variation exponent must exceed 2")
+    _exponents(p, lambda x: x > 0, "the L^p exponent p must be positive")
 
     def trial(tracker, i, mart):
         w = mart.tree.leaf_prob
         pm = mart.paths()
         mf = fn.maximal_paths(pm)[-1]
-        for rr, (vr, rhs) in zip(rs, fn.lepingle_pathwise_bound(pm, rs)):
+        bounds = fn.lepingle_pathwise_bound(mart.flat, rs, mart.tree.layout, fn.min_nonzero_pairwise(pm))
+        for rr, (vr, rhs) in zip(rs, bounds):
             tracker.add_many(vr**2, rhs)
             tracker.measure(f"moment_ratio_r={rr}", ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)))
 
@@ -369,6 +372,7 @@ def check_paraproduct(
 
     def trial(tracker, i, mart):
         tree = mart.tree
+        layout = tree.layout
         w = tree.leaf_prob
         depth = tree.depth
         rng = spec.rng(i)
@@ -429,7 +433,7 @@ def check_paraproduct(
         # -- r-variation form: the gaps to the sums of a zero path are the sums
         best = fn.chain_dp(fn.ParaproductGaps(np.stack([f_pm, np.zeros_like(f_pm)], axis=1), dg), r_var)
         vr_pi = best[:, 0].max(axis=0) ** (1.0 / r_var)
-        vr_f = fn.variation_paths(f_pm, r1)
+        vr_f = fn.variation_paths(np.abs(f_m.flat), r1, layout)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))
@@ -439,7 +443,6 @@ def check_paraproduct(
             tree, spec.rng(i * 1000 + 888).normal(size=(tree.n_leaves, max(2, families)))
         )
         pred, bv = fn.davis_decompose(fam, norm_exponent=r0)
-        layout = tree.layout
         x_dbv = layout.accumulate(np.add, fn.component_norm(fn.increments(bv.flat, layout), r0), start=2)
         m_x_df = layout.accumulate(np.maximum, fn.component_norm(fn.increments(fam.flat, layout), r0))
         tracker.add(lq_norm(layout.leaves(x_dbv), q0, w), (q0 + 1.0) * lq_norm(layout.leaves(m_x_df), q0, w))

@@ -7,8 +7,11 @@ maximum, the increments, the square function and the Davis decomposition
 also act on node arrays: given a ``NodeLayout``, ``maximal_paths``,
 ``increments`` and ``square_function_paths`` take a flat node array and
 return one value per node, because each is F_n-measurable at level n.
-Running maxima and sums go through ``tree.accumulate_levels``, one parent-
-to-child step per level (for a path matrix, one contiguous row per step);
+``variation_paths`` takes a layout too, and ``running_oscillation`` and
+``lepingle_pathwise_bound`` take one always, so Lepingle's chain DPs and
+greedy partitions see each node once, not once per leaf below it.  Running
+maxima and sums go through ``tree.accumulate_levels``, one parent-to-child
+step per level (for a path matrix, one contiguous row per step);
 ratios whose denominator may vanish go through ``quotient``, which takes 0/0
 to be 0.  The tree-level wrappers ``maximal``, ``square_function`` and
 ``predictable_square`` turn a kernel's path matrix back into a
@@ -463,10 +466,34 @@ def variation(values: np.ndarray, r: float) -> float:
     return float(chain_dp(dist, r).max()) ** (1.0 / r)
 
 
-def variation_paths(pathmat: np.ndarray, r: float) -> np.ndarray:
-    """Per-path r-variation values for a (N+1, L) path matrix."""
+def variation_paths(values: np.ndarray, r: float, layout: NodeLayout | None = None) -> np.ndarray:
+    """Per-path r-variation values of a (N+1, L) path matrix, or one per leaf
+    of a flat node array on ``layout``.
+
+    On a layout, the chain DP runs level by level: a level-n node's best is
+    the max over its ancestors a of |f_node - f_a|^r + best[a], made as one
+    (n, size_n) block per level through ``NodeLayout.ancestors``.  A leaf's
+    best is the best of its path: each candidate adds a cost >= 0 to an
+    ancestor's best, and rounding is monotone.  Each (node, ancestor) pair
+    sees chain_dp's ops on ``PathGaps`` in its order and a max is exact in
+    any order, so every float is the path matrix's."""
     check_exponent(r)
-    return chain_dp(PathGaps(np.asarray(pathmat, dtype=np.float64)), r).max(axis=0) ** (1.0 / r)
+    values = np.asarray(values, dtype=np.float64)
+    if layout is None:
+        return chain_dp(PathGaps(values), r).max(axis=0) ** (1.0 / r)
+    best = np.zeros_like(values)
+    f_levels, best_levels = layout.levels(values), layout.levels(best)
+    cand_buf, prev_buf = np.empty((2, max(anc.size for anc in layout.ancestors)))
+    for n, anc in enumerate(layout.ancestors[1:], 1):
+        cand = np.take(values, anc, out=cand_buf[: anc.size].reshape(anc.shape), mode="clip")
+        prev = np.take(best, anc, out=prev_buf[: anc.size].reshape(anc.shape), mode="clip")
+        np.subtract(f_levels[n], cand, out=cand)
+        np.abs(cand, out=cand)
+        if r != 1:
+            cand **= r
+        cand += prev
+        np.maximum.reduce(cand, axis=0, out=best_levels[n])
+    return layout.leaves(best) ** (1.0 / r)
 
 
 def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
@@ -478,10 +505,11 @@ def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
 # -- Lepingle stopping times and pathwise domination ------------------------
 
 
-def running_oscillation(pathmat: np.ndarray) -> np.ndarray:
-    """M_t = sup_{t'' <= t' <= t} |f_{t'} - f_{t''}| per path."""
-    osc = accumulate_rows(np.maximum, pathmat)
-    osc -= accumulate_rows(np.minimum, pathmat)
+def running_oscillation(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """M_t = sup_{t'' <= t' <= t} |f_{t'} - f_{t''}| per node of a flat node
+    array on ``layout``."""
+    osc = layout.accumulate(np.maximum, values.copy())
+    osc -= layout.accumulate(np.minimum, values.copy())
     return osc
 
 
@@ -496,45 +524,56 @@ def min_nonzero_pairwise(pathmat: np.ndarray) -> np.ndarray:
     return gaps.min(axis=0, initial=np.inf)
 
 
-def lepingle_pathwise_bound(pathmat: np.ndarray, rs: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per exponent r in ``rs``: the per-path r-variation V^r(f) and the
-    square-scale bound rhs = 64 * sum_m 2^{-(m-2)(r-2)} S_(m)^2 on V^r(f)^2.
+def lepingle_pathwise_bound(
+    values: np.ndarray, rs: tuple[float, ...], layout: NodeLayout, d_min: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per exponent r in ``rs``: the r-variation V^r(f) of each leaf's path
+    and the square-scale bound rhs = 64 * sum_m 2^{-(m-2)(r-2)} S_(m)^2 on
+    V^r(f)^2, for a flat node array ``values`` on ``layout``; ``d_min`` is
+    each path's smallest nonzero jump (``min_nonzero_pairwise`` of the path
+    matrix).
 
     S_(m)^2 sums the squared sampled jumps of the scale-m greedy partition,
     whose anchor moves to f_t once |f_t - anchor| >= 2^-m M_t (M the running
     oscillation).  The m-sum stops at m_star, the last scale where 2^-m M_inf
-    is at least a quarter of the smallest nonzero pathwise jump.  Past m_star
-    every nonzero increment triggers, so S_(m)^2 is the full sum of squared
-    increments; those dropped terms are nonnegative, so the truncation only
-    strengthens the asserted inequality.  One sweep over t evaluates blocks
-    of at most N+1 scales, so the working set stays a fixed multiple of the
-    path matrix, and each S_(m)^2 serves every exponent.
+    is at least a quarter of d_min.  Past m_star every nonzero increment
+    triggers, so S_(m)^2 is the full sum of squared increments; those dropped
+    terms are nonnegative, so the truncation only strengthens the asserted
+    inequality.  Everything up to time t is F_t-measurable, so one sweep down
+    the levels carries each scale's anchor and S_(m)^2 from parent to child,
+    for blocks of at most N+1 scales; m_star and M_inf > 0 depend on the whole
+    path, so a pair outside them is set to 0.0 at the leaves, the sum it
+    would have kept.  Each S_(m)^2 serves every exponent.
     """
     if not all(r > 2 for r in rs):
         raise ValueError("pathwise domination needs r > 2")
-    pm = np.asarray(pathmat, dtype=np.float64)
-    if pm.ndim == 1:
-        pm = pm[:, None]
-    n = pm.shape[0]
-    osc = running_oscillation(pm)
-    m_inf = osc[-1]
-    d_min = min_nonzero_pairwise(pm)
+    values = np.asarray(values, dtype=np.float64)
+    osc = running_oscillation(values, layout)
+    m_inf = layout.leaves(osc)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
     m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
-    out = [(variation_paths(pm, r), np.zeros(pm.shape[1])) for r in rs]
+    out = [(variation_paths(values, r, layout), np.zeros(m_inf.size)) for r in rs]
     m_max = int(m_star.max(initial=2))
+    f_levels, osc_levels, parents = layout.levels(values), layout.levels(osc), layout.parents
+    n = len(f_levels)
     for lo in range(2, m_max + 1, n):
         ms = np.arange(lo, min(lo + n, m_max + 1))
         thr = np.ldexp(1.0, -ms)[:, None]
-        active = (ms[:, None] <= m_star) & (m_inf > 0)
-        anchor = np.repeat(pm[:1], len(ms), axis=0)
-        s2 = np.zeros(anchor.shape)
+        state = np.zeros((2, len(ms), f_levels[0].size))  # (anchor, S_(m)^2) per scale and node
+        state[0] = f_levels[0]
         for t in range(1, n):
-            jump = pm[t] - anchor
-            trig = active & (osc[t] > 0) & (np.abs(jump) >= thr * osc[t])
-            np.add(s2, np.square(jump), out=s2, where=trig)
-            np.copyto(anchor, pm[t], where=trig)
+            if parents is not None:
+                state = np.take(state, parents[t], axis=2)
+            anchor, s2 = state
+            jump = f_levels[t] - anchor
+            # at M_t = 0 the path is constant so far: the trigger adds +0.0
+            # and moves the anchor to an equal value
+            trig = np.abs(jump) >= thr * osc_levels[t]
+            s2 += np.where(trig, np.square(jump), 0.0)
+            np.copyto(anchor, f_levels[t], where=trig)
+        s2 = state[1]
+        np.copyto(s2, 0.0, where=(ms[:, None] > m_star) | ~(m_inf > 0))
         for r, (_, rhs) in zip(rs, out):
             for m, s2_m in zip(ms.tolist(), s2):
                 rhs += 2.0 ** (-(m - 2) * (r - 2)) * s2_m

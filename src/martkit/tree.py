@@ -102,7 +102,8 @@ class NodeLayout:
     Level n occupies ``flat[offsets[n]:offsets[n+1]]``.  ``parents[n]`` maps
     level n into level n-1; ``parents=None`` is the identity, the layout of
     the rows of a path matrix (:meth:`rows`).  ``up`` is the flat index of
-    every node's parent, with level 0 pointing at itself.
+    every node's parent, with level 0 pointing at itself, and ``ancestors``
+    those of every node's ancestors, level by level.
     """
 
     def __init__(self, sizes: Sequence[int], parents: Sequence[np.ndarray] | None = None):
@@ -136,6 +137,22 @@ class NodeLayout:
             up[off[1] :] = np.concatenate(self.parents[1:])
             up[off[1] :] += np.repeat(off[:-2], np.diff(off[1:]))
         return _freeze(up)
+
+    @functools.cached_property
+    def ancestors(self) -> tuple[np.ndarray, ...]:
+        """Per level n, the (n, size_n) flat indices of every level-n node's
+        ancestors, row i the one at level i: its parent's ancestors, then its
+        parent.  About (N - 1) 2^(N+1) entries on a dyadic tree of depth N,
+        made once per layout."""
+        off, up = self.offsets, self.up
+        out = [np.empty((0, off[1]), dtype=np.int64)]
+        for n in range(1, len(off) - 1):
+            parent = up[off[n] : off[n + 1]]
+            anc = np.empty((n, parent.size), dtype=np.int64)
+            np.take(out[-1], parent - off[n - 1], axis=1, out=anc[:-1])
+            anc[-1] = parent
+            out.append(anc)
+        return tuple(map(_freeze, out))
 
 
 class FiltrationTree:

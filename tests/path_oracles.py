@@ -1,5 +1,5 @@
-"""The five node-array checks as they were written on path matrices, and the
-paraproduct check as it was written on pair tensors.
+"""The five node-array checks and lepingle as they were written on path
+matrices, and the paraproduct check as it was written on pair tensors.
 
 Each oracle is the path-matrix body of its check: every functional is formed
 per leaf on the (N+1, L) matrix of ``mart.paths()``, and both breakpoint
@@ -244,6 +244,58 @@ def check_paraproduct(spec, q0=2.0, q1=2.0, r0=2.0, r1=2.0, families=4):
     params = {"q0": q0, "q1": q1, "r0": r0, "r1": r1, "q": q, "r": r, "r_var": r_var}
     measured = {"window_bound": 0.0, "delta_f_bound": 0.0, "variation_bound": 0.0}
     return run_trials("paraproduct", params, spec, q0 + 2.0, trial, measured)
+
+
+def running_oscillation(pm):
+    """M_t = sup_{t'' <= t' <= t} |f_{t'} - f_{t''}| along each path."""
+    return np.maximum.accumulate(pm, axis=0) - np.minimum.accumulate(pm, axis=0)
+
+
+def lepingle_pathwise_bound(pathmat, rs):
+    """Per r in ``rs``, (V^r(f), rhs) per path: the chain DP and the greedy
+    partitions along every column of the path matrix."""
+    pm = np.asarray(pathmat, dtype=np.float64)
+    n = pm.shape[0]
+    osc = running_oscillation(pm)
+    m_inf = osc[-1]
+    d_min = fn.min_nonzero_pairwise(pm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
+    m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
+    out = [(fn.variation_paths(pm, r), np.zeros(pm.shape[1])) for r in rs]
+    m_max = int(m_star.max(initial=2))
+    for lo in range(2, m_max + 1, n):
+        ms = np.arange(lo, min(lo + n, m_max + 1))
+        thr = np.ldexp(1.0, -ms)[:, None]
+        active = (ms[:, None] <= m_star) & (m_inf > 0)
+        anchor = np.repeat(pm[:1], len(ms), axis=0)
+        s2 = np.zeros(anchor.shape)
+        for t in range(1, n):
+            jump = pm[t] - anchor
+            trig = active & (osc[t] > 0) & (np.abs(jump) >= thr * osc[t])
+            np.add(s2, np.square(jump), out=s2, where=trig)
+            np.copyto(anchor, pm[t], where=trig)
+        for r, (_, rhs) in zip(rs, out):
+            for m, s2_m in zip(ms.tolist(), s2):
+                rhs += 2.0 ** (-(m - 2) * (r - 2)) * s2_m
+    for _, rhs in out:
+        rhs *= 64.0
+    return out
+
+
+def check_lepingle(spec, r=(2.5, 3.0, 4.0), p=1.0):
+    rs = (r,) if np.isscalar(r) else tuple(r)
+
+    def trial(tracker, i, mart):
+        w = mart.tree.leaf_prob
+        pm = mart.paths()
+        mf = fn.maximal_paths(pm)[-1]
+        for rr, (vr, rhs) in zip(rs, lepingle_pathwise_bound(pm, rs)):
+            tracker.add_many(vr**2, rhs)
+            tracker.measure(f"moment_ratio_r={rr}", ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)))
+
+    moment = {f"moment_ratio_r={rr}": 0.0 for rr in rs}
+    return run_trials("lepingle", {"r": list(rs), "p": p}, spec, 8.0, trial, moment)
 
 
 ORACLES = {

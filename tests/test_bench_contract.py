@@ -76,6 +76,15 @@ def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
     assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 12}
 
 
+def test_lepingle_check_builds_no_path_gaps(monkeypatch):
+    # its chain DPs run on the tree's nodes, not on the columns of a path matrix
+    calls = Counter()
+    count_calls(monkeypatch, calls, fn.PathGaps, ("__init__",))
+    count_calls(monkeypatch, calls, fn, ("chain_dp",))
+    checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
+    assert calls == {}
+
+
 def test_davis_decomposition_check_decomposes_once_per_trial(monkeypatch):
     # keeps the traced davis bucket one call per trial, with no path round trip
     calls = Counter()

@@ -325,7 +325,9 @@ import json
 import numpy as np
 import chain_dp_oracles as oracle
 import pair_sum_oracles
+import path_oracles
 from martkit import functionals as fn
+from martkit import generators as G
 from martkit import ito
 from martkit import rough
 
@@ -352,6 +354,16 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
         for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
             X = rough.lift(path, r=2.5)
             equal.append(rough._halving_index(X, rough._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X))
+    trees = (G.gen_increment(6, seed=3), G.gen_leaf_backprop("normal", 8, seed=5), G.gen_walk_increments(8, seed=4),
+             G.gen_scaled_walk(4), G.gen_doubling(7), G.gen_log_weight(7))
+    for mart in trees:
+        pm, layout = mart.paths(), mart.tree.layout
+        for r in EXPONENTS + (4 / 3, 2):
+            equal.append(bool(np.array_equal(fn.variation_paths(mart.flat, r, layout), fn.variation_paths(pm, r))))
+        rs = (2.5, 3.0, 4.0)
+        node = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(pm))
+        for (vr, rhs), (vr_ref, rhs_ref) in zip(node, path_oracles.lepingle_pathwise_bound(pm, rs)):
+            equal.append(bool(np.array_equal(vr, vr_ref) and np.array_equal(rhs, rhs_ref)))
 print(json.dumps({"cases": len(equal), "equal": sum(equal)}))
 """
 
@@ -360,8 +372,9 @@ def test_blocks_equal_columns_at_every_simd_level():
     # numpy's power may take another code path at another SIMD level, and
     # on exact zeros; a 2-D block and a 1-D column must still raise each cost
     # alike, a power table read by index must give each cost the float of its
-    # own power, and the RDE split from a forward and a reversed DP must stay
-    # the defined one
+    # own power, the RDE split from a forward and a reversed DP must stay
+    # the defined one, and the (n, size_n) cost block of a tree level must
+    # raise each cost as the columns of the path matrix do
     for disabled in SIMD_LEVELS:
         out = run_probe(SIMD_PROBE, disabled)
         assert out["equal"] == out["cases"] > 0, (disabled, out)

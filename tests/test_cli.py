@@ -143,6 +143,8 @@ def test_check_usage_error():
         pytest.param("aux_lemmas", '{"good_lambda": [2.0, 1e-300, 2.0]}', "good_lambda needs (beta, delta, p) in", id="delta"),
         pytest.param("aux_lemmas", '{"m_vs_s_p": 0.001}', "needs 1/441 <= p <= 2", id="m_vs_s_p"),
         pytest.param("garsia_neveu", '{"p": 0.5}', "needs p >= 1", id="gn-p<1"),
+        pytest.param("davis_bdg", '{"p": -1}', "the L^p exponent p must be positive", id="bdg-p<0"),
+        pytest.param("lepingle", '{"p": 0}', "the L^p exponent p must be positive", id="lepingle-p=0"),
     ],
 )
 def test_bad_check_parameters_are_usage_errors(tmp_path, capsys, name, params, message):
@@ -150,6 +152,14 @@ def test_bad_check_parameters_are_usage_errors(tmp_path, capsys, name, params, m
     argv = ["check", name, "--seed", "1", "--trials", "2", "--depth", "3", "--params", params, "--out", str(out)]
     assert main(argv + (["--kind", "family", "--width", "2"] if name == "vector_valued" else [])) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["davis_bdg", "lepingle"])
+def test_a_bad_lp_exponent_is_a_usage_error_without_trials(tmp_path, name):
+    # p only reaches the trials' norms, so it is checked before any trial runs
+    out = tmp_path / "rep.json"
+    assert main(["check", name, "--trials", "0", "--seed", "1", "--params", '{"p": -1}', "--out", str(out)]) == 2
     assert not out.exists()
 
 

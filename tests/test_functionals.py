@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import path_oracles
 from martkit import functionals as fn
 from martkit import generators as G
 from martkit import ito
 from martkit.report import CorpusSpec, lq_norm
-from martkit.tree import FiltrationTree, Martingale, TreeProcess
+from martkit.tree import FiltrationTree, Martingale, NodeLayout, TreeProcess
 
 
 def walk2():
@@ -139,8 +140,6 @@ def test_time_scans_equal_the_numpy_accumulates():
         sf = np.zeros_like(pm)
         sf[1:] = np.sqrt(np.cumsum(fn.increments(pm) ** 2, axis=0))
         assert same_floats(fn.square_function_paths(pm), sf)
-        osc = np.maximum.accumulate(pm, axis=0) - np.minimum.accumulate(pm, axis=0)
-        assert same_floats(fn.running_oscillation(pm), osc)
 
 
 @given(scan_arrays())
@@ -252,7 +251,7 @@ def test_variation_holder_chain():
     rng = np.random.default_rng(8)
     for _ in range(40):
         vals = rng.normal(size=10)
-        v_inf = fn.running_oscillation(vals[:, None])[-1, 0]  # V^inf, the widest gap
+        v_inf = np.ptp(vals)  # V^inf, the widest gap
         v3 = fn.variation(vals, 3.0)
         v2 = fn.variation(vals, 2.0)
         assert v_inf <= v3 + 1e-12 and v3 <= v2 + 1e-12
@@ -375,7 +374,7 @@ def test_vector_variation_matches_bruteforce():
 
 def greedy_squares(pm, m, active):
     """Sum of squared sampled jumps of the scale-m greedy partition, per path."""
-    osc = fn.running_oscillation(pm)
+    osc = path_oracles.running_oscillation(pm)
     thr = 2.0**-m
     anchor = pm[0].copy()
     s2 = np.zeros(pm.shape[1])
@@ -402,7 +401,7 @@ def lepingle_one_scale_at_a_time(pathmat, r):
     if pm.ndim == 1:
         pm = pm[:, None]
     lhs = fn.variation_paths(pm, r) ** 2
-    m_inf = fn.running_oscillation(pm)[-1]
+    m_inf = path_oracles.running_oscillation(pm)[-1]
     d_min = min_nonzero_all_pairs(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
@@ -427,6 +426,12 @@ def lepingle_inputs():
     yield np.array([0.0, 1e-300, 1.0])  # about 1000 scales
 
 
+def bound_on_rows(pathmat, rs):
+    """``lepingle_pathwise_bound`` of a path matrix, on the layout of its rows."""
+    pm = np.asarray(pathmat, dtype=np.float64).reshape(len(pathmat), -1)
+    return fn.lepingle_pathwise_bound(pm.ravel(), rs, NodeLayout.rows(*pm.shape), fn.min_nonzero_pairwise(pm))
+
+
 def test_min_nonzero_pairwise_matches_all_pairs():
     for pm in lepingle_inputs():
         pm = pm.reshape(pm.shape[0], -1)
@@ -436,7 +441,7 @@ def test_min_nonzero_pairwise_matches_all_pairs():
 def test_lepingle_pathwise_bound_equals_one_scale_at_a_time():
     rs = (2.1, 2.5, 3.0, 4.0)
     for pm in lepingle_inputs():
-        for r, (vr, rhs) in zip(rs, fn.lepingle_pathwise_bound(pm, rs)):
+        for r, (vr, rhs) in zip(rs, bound_on_rows(pm, rs)):
             lhs_ref, rhs_ref = lepingle_one_scale_at_a_time(pm, r)
             assert np.array_equal(vr**2, lhs_ref)
             assert np.array_equal(rhs, rhs_ref)
@@ -444,19 +449,20 @@ def test_lepingle_pathwise_bound_equals_one_scale_at_a_time():
 
 def test_lepingle_pathwise_bound_examples():
     const = np.zeros((5, 1))
-    [(vr, rhs)] = fn.lepingle_pathwise_bound(const, (3.0,))
+    [(vr, rhs)] = bound_on_rows(const, (3.0,))
     assert vr[0] == rhs[0] == 0.0
     two_jump = np.array([0.0, 1.0, 1.0, 3.0, 3.0])
-    [(vr, rhs)] = fn.lepingle_pathwise_bound(two_jump[:, None], (3.0,))
+    [(vr, rhs)] = bound_on_rows(two_jump[:, None], (3.0,))
     assert vr[0] ** 2 <= rhs[0]
     with pytest.raises(ValueError):
-        fn.lepingle_pathwise_bound(two_jump[:, None], (2.0,))
+        bound_on_rows(two_jump[:, None], (2.0,))
 
 
 def test_lepingle_pathwise_bound_random_walks():
     for seed in range(100):
         mart = G.gen_walk_increments(10, seed=seed)
-        for vr, rhs in fn.lepingle_pathwise_bound(mart.paths(), (2.5, 3.0, 4.0)):
+        d_min = fn.min_nonzero_pairwise(mart.paths())
+        for vr, rhs in fn.lepingle_pathwise_bound(mart.flat, (2.5, 3.0, 4.0), mart.tree.layout, d_min):
             assert np.all(vr**2 <= rhs * (1 + 1e-9) + 1e-12)
 
 
@@ -465,11 +471,40 @@ def test_lepingle_pathwise_bound_working_set():
     pm = np.stack([np.zeros(4096), np.full(4096, 1e-300), 1.0 + 1e-3 * np.arange(4096)])
     tracemalloc.start()
     try:
-        fn.lepingle_pathwise_bound(pm, (2.5, 3.0, 4.0))
+        bound_on_rows(pm, (2.5, 3.0, 4.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 16 * pm.nbytes
+
+
+TREES = st.one_of(
+    st.builds(lambda depth, seed: G.gen_increment(depth, seed=seed), st.integers(0, 8), st.integers(0, 2**32 - 1)),
+    st.builds(
+        lambda depth, seed, dist: G.gen_leaf_backprop(dist, depth, seed=seed),
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["normal", "sign"]),
+    ),
+    st.builds(lambda depth, seed: G.gen_walk_increments(depth, seed=seed), st.integers(0, 8), st.integers(0, 2**32 - 1)),
+    st.builds(G.gen_scaled_walk, st.sampled_from([1, 4])),
+    st.builds(G.gen_doubling, st.integers(0, 8)),
+    st.builds(G.gen_log_weight, st.integers(0, 8)),
+)
+
+
+@given(TREES)
+@settings(max_examples=80, deadline=None)
+def test_node_variation_and_lepingle_equal_the_path_matrix(mart):
+    # doubling, log_weight and sign corpora hold exact zeros and ties, and the
+    # dyadic walks send the path-matrix DP to its power table and prefix sums
+    pm, layout = mart.paths(), mart.tree.layout
+    for r in (1, 4 / 3, 2, 2.5, 3, 4):
+        assert np.array_equal(fn.variation_paths(mart.flat, r, layout), fn.variation_paths(pm, r)), r
+    rs = (2.5, 3.0, 4.0)
+    node = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(pm))
+    for (vr, rhs), (vr_ref, rhs_ref) in zip(node, path_oracles.lepingle_pathwise_bound(pm, rs)):
+        assert np.array_equal(vr, vr_ref) and np.array_equal(rhs, rhs_ref)
 
 
 # -- paraproducts -----------------------------------------------------------------------

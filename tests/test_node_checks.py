@@ -6,6 +6,8 @@ operations of the path-matrix code in the same order, so every report must
 equal the oracle's byte for byte, apart from ``runtime_ms``.  The paraproduct
 check reads the rows of its pair sums one at a time and its Davis bounds per
 node; its report must equal that of the oracle that builds the pair tensor.
+lepingle's chain DPs and greedy partitions run per node, and its report must
+equal that of the oracle that runs them along every path.
 """
 
 import json
@@ -121,6 +123,24 @@ def test_paraproduct_builds_no_pair_tensor(monkeypatch):
     assert record(C.run_check("paraproduct", spec)) == expected
 
 
+LEPINGLE_CORPORA = [(CorpusSpec(kind="walk", depth=10, trials=5, seed=seed), {}) for seed in (20245, 41, 7, 19)] + [
+    (CorpusSpec(kind="mixed", depth=8, trials=40, seed=5), {"r": [2.1, 3.5], "p": 2.0}),
+    (CorpusSpec(kind="increment", depth=7, trials=10, seed=6, dist="sign"), {}),
+    (CorpusSpec(kind="doubling", depth=10, trials=1, seed=0), {}),
+    (CorpusSpec(kind="log_weight", depth=10, trials=1, seed=0), {"p": 0.5}),
+    (CorpusSpec(kind="scaled_walk", depth=16, trials=1, seed=0), {"r": 4.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, params", LEPINGLE_CORPORA, ids=[f"{spec.kind}-{spec.depth}-{spec.seed}" for spec, _ in LEPINGLE_CORPORA]
+)
+def test_lepingle_reproduces_the_path_matrix_report(spec, params):
+    # the chain DPs and greedy partitions run per node, the smallest nonzero
+    # jump and the maximal function per path
+    assert record(C.run_check("lepingle", spec, **params)) == record(path_oracles.check_lepingle(spec, **params))
+
+
 @pytest.mark.parametrize("kind, norm_exponent", [("mixed", 2.0), ("family", 1.5), ("family", 1.0)])
 def test_davis_decompose_matches_the_path_matrix_oracle(kind, norm_exponent):
     for index in range(40):
@@ -140,6 +160,7 @@ def test_node_kernels_repeat_over_their_leaf_blocks_as_the_path_kernels(kind):
             (fn.maximal_paths(mart.flat, layout), fn.maximal_paths(pm)),
             (fn.increments(mart.flat, layout), df),
             (fn.square_function_paths(mart.flat, layout), fn.square_function_paths(pm)),
+            (fn.running_oscillation(mart.flat, layout), path_oracles.running_oscillation(pm)),
         ):
             for n, level in enumerate(layout.levels(node)):
                 assert np.array_equal(tree.to_leaves(n, level), path[n])
