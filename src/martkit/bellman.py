@@ -9,8 +9,8 @@ residuals per x value.
 
 The pathwise form telescopes U along each path, so every sum in it is
 F_n-measurable: ``pathwise_sharp_sides`` runs it as one parent-to-child
-recursion over a flat node array, and a raw path matrix is the layout whose
-parent maps are the identity.
+recursion over a flat node array, and ``induction_values`` and
+``extremal_ratio`` read the node arrays of the same kernels.
 """
 
 from __future__ import annotations
@@ -107,23 +107,19 @@ def concavity_counterexample(gamma: float) -> dict | None:
 # -- pathwise form ---------------------------------------------------------
 
 
-def pathwise_sharp_sides(values: np.ndarray, layout: NodeLayout | None = None) -> tuple[np.ndarray, ...]:
+def pathwise_sharp_sides(values: np.ndarray, layout: NodeLayout) -> tuple[np.ndarray, ...]:
     """Per-path sides of the pathwise inequality
 
         3|f_0| + sum_{n>=1} |df_n|^2 / f*_n
           <=  2 f*_N + |f_N|^2 / f*_N - sum_{n=0}^{N-1} 2 f_n df_{n+1} / f*_n
 
-    for a flat node array on ``layout``, or for a (N+1, L) path matrix when
-    ``layout`` is None.  Returns (lhs, rhs, Sf_N, f*_N), one entry per leaf
-    (per path).  Terms with f*_n = 0 vanish (a zero running maximum forces
-    f_n = 0 and df_n = 0), so the 0/0 convention is 0.  The drift sum pairs
-    f_n with df_{n+1}, matching the telescoping of U along the path.  The
-    squares, the quotients and the drift terms are summed in one scan along
-    the paths, each in the order of its path.
+    for a flat node array on ``layout``.  Returns (lhs, rhs, Sf_N, f*_N), one
+    entry per leaf.  Terms with f*_n = 0 vanish (a zero running maximum
+    forces f_n = 0 and df_n = 0), so the 0/0 convention is 0.  The drift sum
+    pairs f_n with df_{n+1}, matching the telescoping of U along the path.
+    The squares, the quotients and the drift terms are summed in one scan
+    along the paths, each in the order of its path.
     """
-    if layout is None:
-        layout = NodeLayout.rows(*values.shape)
-        values = values.reshape(-1)
     fstar = fn.maximal_paths(values, layout)
     up = layout.up
     prev = values[up]
@@ -139,28 +135,23 @@ def pathwise_sharp_sides(values: np.ndarray, layout: NodeLayout | None = None) -
     return lhs, rhs, np.sqrt(sums[:, 0]), fstar
 
 
-def pathwise_sharp_check(pathmat: np.ndarray) -> bool:
-    lhs, rhs, _, _ = pathwise_sharp_sides(np.asarray(pathmat, dtype=np.float64))
+def pathwise_sharp_check(mart: Martingale) -> bool:
+    lhs, rhs, _, _ = pathwise_sharp_sides(mart.flat, mart.tree.layout)
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     return bool((lhs <= rhs + PATHWISE_TOL * scale).all())
 
 
 def induction_values(mart: Martingale, gamma: float = 3.0) -> np.ndarray:
-    """E U(f_n, S~_n, f*_n) per level; nonincreasing in n on any finite tree."""
-    pm = mart.paths()
-    w = mart.tree.leaf_prob
-    fstar = fn.maximal_paths(pm)
-    df = fn.increments(pm)
-    quot = fn.quotient(df**2, fstar[1:])
-    s_tilde = np.zeros_like(pm)
-    fn.accumulate_rows(np.add, quot, out=s_tilde[1:])
-    np.add(gamma * np.abs(pm[0]), s_tilde, out=s_tilde)
-    out = []
-    for n in range(pm.shape[0]):
-        m = fstar[n]
-        u = s_tilde[n] - fn.quotient(pm[n] ** 2 + (gamma - 1.0) * m * m, m)
-        out.append(float(w @ u))
-    return np.asarray(out)
+    """E U(f_n, S~_n, f*_n) per level; nonincreasing in n on any finite tree.
+    S~ and U are formed per node and each level's U is repeated over its leaf
+    blocks for the expectation."""
+    tree, layout, f = mart.tree, mart.tree.layout, mart.flat
+    fstar = fn.maximal_paths(f, layout)
+    s_tilde = fn.quotient(fn.increments(f, layout) ** 2, fstar)
+    layout.accumulate(np.add, s_tilde, start=2)
+    s_tilde += gamma * abs(f[0])
+    u = s_tilde - fn.quotient(f**2 + (gamma - 1.0) * fstar * fstar, fstar)
+    return np.asarray([float(tree.leaf_prob @ tree.to_leaves(n, u_n)) for n, u_n in enumerate(layout.levels(u))])
 
 
 # -- sharp Davis bound over a corpus -----------------------------------------
@@ -226,10 +217,9 @@ def extremal_tree(depth: int, r: float) -> Martingale:
 
 def extremal_ratio(depth: int, r: float) -> float:
     mart = extremal_tree(depth, r)
-    w = mart.tree.leaf_prob
-    pm = mart.paths()
-    e_s = float(w @ fn.square_function_paths(pm)[-1])
-    e_star = float(w @ fn.maximal_paths(pm)[-1])
+    w, layout = mart.tree.leaf_prob, mart.tree.layout
+    e_s = float(w @ layout.leaves(fn.square_function_paths(mart.flat, layout)))
+    e_star = float(w @ layout.leaves(fn.maximal_paths(mart.flat, layout)))
     return e_s / e_star
 
 

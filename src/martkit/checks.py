@@ -24,7 +24,7 @@ import numpy as np
 from . import bellman
 from . import functionals as fn
 from .report import CheckReport, CorpusSpec, closed_sublevel_block_scan, closed_tail_scan, good_lambda_sup, lambda_candidates, lq_norm, ratio, run_trials, truncation_ratio_sup
-from .tree import Martingale, StoppingRule
+from .tree import MAX_VECTOR_DIM, Martingale, StoppingRule
 
 
 def _conjugate(p: float) -> float:
@@ -147,14 +147,14 @@ def check_davis_bdg(spec: CorpusSpec, p: float = 2.0) -> CheckReport:
 
 
 def _predictable_pair(spec: CorpusSpec, index: int, mart: Martingale):
-    """Increasing predictable A (from the martingale's past) and xi >= A_N."""
+    """Increasing predictable A (from the martingale's past) and xi >= A_N.
+    A_n = A_{n-1} + scale_n |f_{n-1}| from A_0 = 0, per node."""
     tree = mart.tree
+    layout = tree.layout
     rng = spec.rng(index)
-    pm = mart.paths()
-    a = np.zeros(tree.n_leaves)
     scale = rng.uniform(0.2, 1.0, size=tree.depth)
-    for k in range(1, tree.depth + 1):
-        a = a + scale[k - 1] * np.abs(pm[k - 1])  # F_{k-1}-measurable increment
+    steps = np.repeat(np.append(0.0, scale), np.diff(layout.offsets)) * np.abs(mart.flat[layout.up])
+    a = layout.leaves(layout.accumulate(np.add, steps))
     noise = np.abs(rng.normal(size=tree.n_leaves))
     return a, a + noise
 
@@ -214,21 +214,23 @@ def check_aux_lemmas(
 
     def trial(tracker, i, mart):
         tree = mart.tree
+        layout = tree.layout
         w = tree.leaf_prob
-        pm = mart.paths()
         rng = spec.rng(index=i)
 
-        # sum of conditional expectations of positive variables
-        z = fn.increments(pm) ** 2
-        big_z = z.sum(axis=0)
+        # sum of conditional expectations of positive variables z_k = |df_k|^2,
+        # each level's average over the leaves in leaf order
+        z = fn.increments(mart.flat, layout) ** 2
+        z_levels = layout.levels(z)
         big_w = np.zeros(tree.n_leaves)
         for k in range(1, tree.depth + 1):
-            big_w = big_w + tree.atom_average_leaves(k - 1, z[k - 1])
+            big_w = big_w + tree.atom_average_leaves(k - 1, tree.to_leaves(k, z_levels[k]))
+        big_z = layout.leaves(layout.accumulate(np.add, z, start=2))
         for pp in sum_ek_p:
             tracker.add(float(w @ big_w**pp), pp**pp * float(w @ big_z**pp))
 
         # truncated-moment comparison: measure the best C, then assert with it
-        zz = np.abs(pm[-1]) + rng.uniform(0, 0.5, size=tree.n_leaves)
+        zz = np.abs(mart.leaf_values()) + rng.uniform(0, 0.5, size=tree.n_leaves)
         ww = np.abs(rng.normal(size=tree.n_leaves)) + 0.1
         c_star = truncation_ratio_sup(zz, ww, w, lambda_candidates(zz, ww))
         tracker.measure("best_truncation_C", c_star)
@@ -236,8 +238,8 @@ def check_aux_lemmas(
             tracker.add(float(w @ zz**pp), c_star * float(w @ ww**pp))
 
         # good-lambda: g = Mf, f = Sf, epsilon measured at every scan point
-        mf = fn.maximal_paths(pm)[-1]
-        sf = fn.square_function_paths(pm)[-1]
+        mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
+        sf = layout.leaves(fn.square_function_paths(mart.flat, layout))
         eps_star = good_lambda_sup(mf, sf, w, lambda_candidates(mf / beta, mf, sf / delta), beta, delta)
         tracker.measure("worst_good_lambda_eps", eps_star)
         if beta**gl_p * eps_star >= 1.0:
@@ -274,10 +276,10 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
     _exponents(p, lambda x: x > 0, "the L^p exponent p must be positive")
 
     def trial(tracker, i, mart):
+        layout = mart.tree.layout
         w = mart.tree.leaf_prob
-        pm = mart.paths()
-        mf = fn.maximal_paths(pm)[-1]
-        bounds = fn.lepingle_pathwise_bound(mart.flat, rs, mart.tree.layout, fn.min_nonzero_pairwise(pm))
+        mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
+        bounds = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(mart.paths()))
         for rr, (vr, rhs) in zip(rs, bounds):
             tracker.add_many(vr**2, rhs)
             tracker.measure(f"moment_ratio_r={rr}", ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)))
@@ -305,11 +307,11 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
 
     def trial(tracker, i, mart):
         tree = mart.tree
+        layout = tree.layout
         w = tree.leaf_prob
-        pm = np.abs(mart.paths())  # componentwise |martingale|: submartingales
-        m_comp = fn.maximal_paths(pm)[-1]
-        s_comp = fn.square_function_paths(mart.paths())[-1]
-        f_comp = pm[-1]
+        m_comp = layout.leaves(fn.maximal_paths(mart.flat, layout))
+        s_comp = layout.leaves(fn.square_function_paths(mart.flat, layout))
+        f_comp = np.abs(mart.leaf_values())  # componentwise |martingale|: submartingales
 
         tracker.measure(
             "bdg_lq_lr", ratio(lq_norm(fn.component_norm(m_comp, r), q, w), lq_norm(fn.component_norm(s_comp, r), q, w))
@@ -329,11 +331,10 @@ def check_vector_valued(spec: CorpusSpec, q: float = 3.0, r: float = 1.5, p: flo
         # weighted weak maximal bound, constant 1, on the first component
         rng = spec.rng(i)
         weight = np.abs(rng.normal(size=tree.n_leaves)) + 0.05
-        f0 = pm[:, :, 0]
-        _, lhs, rhs, w_star = fn.weighted_maximal_data(f0, weight, tree)
+        _, lhs, rhs, w_star = fn.weighted_maximal_data(np.abs(mart.flat[:, 0]), weight, tree)
         tracker.add_many(lhs, rhs)
         tracker.measure(
-            "weighted_strong_p", ratio(lq_norm(fn.maximal_paths(f0)[-1], p, w * weight), lq_norm(f0[-1], p, w * w_star))
+            "weighted_strong_p", ratio(lq_norm(m_comp[:, 0], p, w * weight), lq_norm(f_comp[:, 0], p, w * w_star))
         )
 
     measured = {"bdg_lq_lr": 0.0, "maximal_lp_lr": 0.0, "weighted_strong_p": 0.0}
@@ -363,8 +364,8 @@ def check_paraproduct(
     """
     if not all(1 <= x < math.inf for x in (q0, q1, r0, r1)):
         raise ValueError("q0, q1, r0 and r1 must be at least 1 and finite")
-    if not (families >= 1 and float(families).is_integer()):
-        raise ValueError(f"families must be a positive integer, got {families}")
+    if not (1 <= families <= MAX_VECTOR_DIM and float(families).is_integer()):
+        raise ValueError(f"families must be a positive integer at most {MAX_VECTOR_DIM}, got {families}")
     families = int(families)
     q = 1.0 / (1.0 / q0 + 1.0 / q1)
     r = 1.0 / (1.0 / r0 + 1.0 / r1)
@@ -425,7 +426,7 @@ def check_paraproduct(
             rows = [np.abs(fn.paraproduct_deltaf_row(f_pm[: b + 1], dg[:b], s)).max(axis=0) for s in range(a, b)]
             lhs_pow += np.max(rows, axis=0, initial=0.0) ** r_df
             f_pow += np.abs(f_pm[a:b] - f_pm[a]).max(axis=0, initial=0.0) ** r1
-        sg = fn.square_function_paths(g_pm)[-1]
+        sg = layout.leaves(fn.square_function_paths(mart.flat, layout))
         lhs = lq_norm(lhs_pow ** (1.0 / r_df), q, w)
         rhs = lq_norm(f_pow ** (1.0 / r1), q1, w) * lq_norm(sg, q0, w)
         tracker.measure("delta_f_bound", ratio(lhs, rhs))
@@ -433,7 +434,7 @@ def check_paraproduct(
         # -- r-variation form: the gaps to the sums of a zero path are the sums
         best = fn.chain_dp(fn.ParaproductGaps(np.stack([f_pm, np.zeros_like(f_pm)], axis=1), dg), r_var)
         vr_pi = best[:, 0].max(axis=0) ** (1.0 / r_var)
-        vr_f = fn.variation_paths(np.abs(f_m.flat), r1, layout)
+        vr_f = fn.variation_paths(f_pm, r1)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))

@@ -1,23 +1,21 @@
 """Pathwise functionals of adapted processes.
 
-The kernels act on a path matrix of shape (depth+1, n_paths[, K]), one
-column per root-to-leaf path, and are shared with the grid-time layers,
-which feed sampled path bundles through the same code.  The running
-maximum, the increments, the square function and the Davis decomposition
-also act on node arrays: given a ``NodeLayout``, ``maximal_paths``,
-``increments`` and ``square_function_paths`` take a flat node array and
-return one value per node, because each is F_n-measurable at level n.
-``variation_paths`` takes a layout too, and ``running_oscillation`` and
-``lepingle_pathwise_bound`` take one always, so Lepingle's chain DPs and
-greedy partitions see each node once, not once per leaf below it.  Running
-maxima and sums go through ``tree.accumulate_levels``, one parent-to-child
-step per level (for a path matrix, one contiguous row per step);
-ratios whose denominator may vanish go through ``quotient``, which takes 0/0
-to be 0.  The tree-level wrappers ``maximal``, ``square_function`` and
-``predictable_square`` turn a kernel's path matrix back into a
-``TreeProcess`` through ``TreeProcess.from_paths``, which checks that each
-row is constant on the atoms of its level.  No check or CLI command calls
-them; they stay because ``benchmarks/tracing.py`` wraps them by name.
+The adapted functionals f*_n, df_n and Sf_n are F_n-measurable, so on a
+filtration tree each is one value per level-n node: ``maximal_paths``,
+``increments`` and ``square_function_paths`` take a flat node array and its
+``NodeLayout`` and return one value per node, and the Davis decomposition
+runs on the same arrays.  ``variation_paths`` takes a layout too, or a
+(depth+1, n_paths) path matrix, the form of the grid bundles of the ito
+layer; ``running_oscillation`` and ``lepingle_pathwise_bound`` take a
+layout always, so Lepingle's chain DPs and greedy partitions see each node
+once, not once per leaf below it.  Running maxima and sums go through
+``NodeLayout.accumulate``, one parent-to-child step per level, and each
+path sees ``ufunc.accumulate`` of its own values, the same floats as a
+time scan of the path matrix.  Ratios whose denominator may vanish go
+through ``quotient``, which takes 0/0 to be 0.  No check or CLI command
+calls the tree-level wrappers ``maximal``, ``square_function`` and
+``predictable_square``; they stay because ``benchmarks/tracing.py`` wraps
+them by name.
 
 ``paraproduct_deltaf_row`` is the one pair-sum kernel: row s of the discrete
 paraproduct Pi(delta f, g)_{s,t} = sum_{s<j<=t} (f_{j-1} - f_s) dg_j, one
@@ -76,16 +74,15 @@ def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def accumulate_rows(ufunc: np.ufunc, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``ufunc.accumulate(arr, axis=0)``, one row at a time: out[0] = arr[0]
     and out[k] = ufunc(out[k-1], arr[k]), the same operations in the same
-    order, so every float is equal.  ``out`` may be ``arr`` itself.  This is
-    ``accumulate_levels`` with the identity parent maps of a path matrix.
+    order, so every float is equal.  ``out`` may be ``arr`` itself.
 
     numpy scans axis 0 one column at a time, stepping a whole row's stride per
-    element; on a tree path matrix (at most MAX_DEPTH + 1 rows of up to
-    millions of paths) the N contiguous row calls here are several times
-    faster.  Tall, narrow grid bundles (hundreds of time steps over tens of
-    paths) are the opposite case: there the overhead of one call per row
-    exceeds the strided scan (150-200 against 40 us at 128 x 64), so the time
-    cumsums of the ito and rough layers and
+    element; on the path matrices of the paraproduct check's windows (at
+    most MAX_DEPTH + 1 rows of up to millions of paths) the N contiguous row
+    calls here are several times faster.  Tall, narrow grid bundles
+    (hundreds of time steps over tens of paths) are the opposite case: there
+    the overhead of one call per row exceeds the strided scan (150-200 against
+    40 us at 128 x 64), so the time cumsums of the ito and rough layers and
     ``ito.AdaptedGridPartition.floor_indices`` keep ``ufunc.accumulate``.
     """
     if out is None:
@@ -96,48 +93,35 @@ def accumulate_rows(ufunc: np.ufunc, arr: np.ndarray, out: np.ndarray | None = N
     return out
 
 
-def maximal_paths(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
-    """Running maximum of |f_k|, k <= n: along each path of a path matrix, or
-    per node of a flat node array on ``layout``."""
-    out = np.abs(values)
-    if layout is None:
-        return accumulate_rows(np.maximum, out, out=out)
-    return layout.accumulate(np.maximum, out)
+def maximal_paths(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """Running maximum of |f_k|, k <= n, per node of a flat node array on
+    ``layout``."""
+    return layout.accumulate(np.maximum, np.abs(values))
 
 
 def maximal(f: TreeProcess) -> TreeProcess:
-    return TreeProcess.from_paths(f.tree, maximal_paths(f.paths()))
+    return TreeProcess.from_flat(f.tree, maximal_paths(f.flat, f.tree.layout))
 
 
-def increments(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
-    """df_k = f_k - f_{k-1}: rows k = 1..N of a path matrix (no k = 0 term),
-    or one per node of a flat node array on ``layout``, 0 at level 0."""
-    if layout is None:
-        return np.diff(values, axis=0)
+def increments(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """df_n = f_n - f_{n-1} per node of a flat node array on ``layout``, 0 at
+    level 0."""
     df = values - values[layout.up]
     df[: layout.offsets[1]] = 0.0
     return df
 
 
-def square_function_paths(values: np.ndarray, layout: NodeLayout | None = None) -> np.ndarray:
-    """Sf_n = (sum_{k<=n} |df_k|^2)^(1/2) with increments counted from k = 1,
-    along each path of a path matrix or per node of a flat node array on
-    ``layout``."""
-    if layout is not None:
-        s2 = increments(values, layout)
-        np.square(s2, out=s2)
-        layout.accumulate(np.add, s2, start=2)
-        return np.sqrt(s2, out=s2)
-    out = np.empty_like(values)
-    out[0] = 0.0
-    df2 = np.subtract(values[1:], values[:-1], out=out[1:])  # increments, in place
-    np.square(df2, out=df2)
-    np.sqrt(accumulate_rows(np.add, df2, out=df2), out=df2)
-    return out
+def square_function_paths(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """Sf_n = (sum_{k<=n} |df_k|^2)^(1/2), increments counted from k = 1,
+    per node of a flat node array on ``layout``."""
+    s2 = increments(values, layout)
+    np.square(s2, out=s2)
+    layout.accumulate(np.add, s2, start=2)
+    return np.sqrt(s2, out=s2)
 
 
 def square_function(f: Martingale) -> TreeProcess:
-    return TreeProcess.from_paths(f.tree, square_function_paths(f.paths()))
+    return TreeProcess.from_flat(f.tree, square_function_paths(f.flat, f.tree.layout))
 
 
 def predictable_square_paths(f: Martingale) -> np.ndarray:
@@ -563,8 +547,7 @@ def lepingle_pathwise_bound(
         state = np.zeros((2, len(ms), f_levels[0].size))  # (anchor, S_(m)^2) per scale and node
         state[0] = f_levels[0]
         for t in range(1, n):
-            if parents is not None:
-                state = np.take(state, parents[t], axis=2)
+            state = np.take(state, parents[t], axis=2)
             anchor, s2 = state
             jump = f_levels[t] - anchor
             # at M_t = 0 the path is constant so far: the trigger adds +0.0
@@ -686,7 +669,8 @@ class ParaproductGaps:
 def weighted_maximal_data(
     f_sub: np.ndarray, w_leaf: np.ndarray, tree: FiltrationTree
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted weak-type data for a nonnegative submartingale path matrix.
+    """Weighted weak-type data for a nonnegative submartingale, given as a
+    flat node array on ``tree.layout``.
 
     Returns (lambdas, lhs, rhs, Mw_N) where at each breakpoint v of Mf_N
     (scanned via the closed sets {Mf_N >= v}) lhs = v * w{Mf_N >= v} and
@@ -696,8 +680,8 @@ def weighted_maximal_data(
     w_leaf = np.asarray(w_leaf, dtype=np.float64)
     if np.any(w_leaf <= 0):
         raise ValueError("weight must be positive")
-    w_mart = Martingale.from_leaf_values(tree, w_leaf)
-    mw = maximal_paths(w_mart.paths())[-1]
-    mf = maximal_paths(f_sub)[-1]
-    lams, w_mass, mix_mass = report.closed_tail_scan(mf, tree.leaf_prob * w_leaf, tree.leaf_prob * f_sub[-1] * mw)
+    layout = tree.layout
+    mw = layout.leaves(maximal_paths(Martingale.from_leaf_values(tree, w_leaf).flat, layout))
+    mf = layout.leaves(maximal_paths(f_sub, layout))
+    lams, w_mass, mix_mass = report.closed_tail_scan(mf, tree.leaf_prob * w_leaf, tree.leaf_prob * layout.leaves(f_sub) * mw)
     return lams, lams * w_mass, mix_mass, mw

@@ -19,8 +19,7 @@ after level (``TreeProcess.flat``), and ``NodeLayout`` says where each level
 lies in it and which node is each node's parent.  A functional that is
 F_n-measurable at every level n is then one parent-to-child recursion over
 n_nodes values (about 2L on a binary tree) rather than over the (N+1) L
-entries of a path matrix; the rows of a path matrix are the layout whose
-parent maps are the identity.  ``TreeProcess.__init__`` validates
+entries of the path matrix ``TreeProcess.paths``.  ``TreeProcess.__init__`` validates
 per-level values; producers that build the flat array themselves
 (back-propagation, the tree JSON loader) hand it to ``from_flat``, the one
 constructor that skips validation.
@@ -86,7 +85,7 @@ def accumulate_levels(ufunc: np.ufunc, levels, parents=None, start: int = 1) -> 
 
     ``levels`` holds one array per level (views into a flat node array, or
     the rows of a matrix); ``parents=None`` maps each entry to the one at the
-    same position of the level before, as along the rows of a path matrix.
+    same position of the level before, as along the rows of a matrix.
     Each path sees ``ufunc.accumulate`` of its own values, the same
     operations in the same order.
     """
@@ -99,20 +98,15 @@ class NodeLayout:
     """Where each level of a flat, level-major node array lies, and how each
     level maps to the one before.
 
-    Level n occupies ``flat[offsets[n]:offsets[n+1]]``.  ``parents[n]`` maps
-    level n into level n-1; ``parents=None`` is the identity, the layout of
-    the rows of a path matrix (:meth:`rows`).  ``up`` is the flat index of
-    every node's parent, with level 0 pointing at itself, and ``ancestors``
-    those of every node's ancestors, level by level.
+    Level n occupies ``flat[offsets[n]:offsets[n+1]]`` and ``parents[n]``
+    maps level n into level n-1.  ``up`` is the flat index of every node's
+    parent, with level 0 pointing at itself, and ``ancestors`` those of every
+    node's ancestors, level by level.
     """
 
-    def __init__(self, sizes: Sequence[int], parents: Sequence[np.ndarray] | None = None):
+    def __init__(self, sizes: Sequence[int], parents: Sequence[np.ndarray]):
         self.offsets = tuple(itertools.accumulate(sizes, initial=0))
         self.parents = parents
-
-    @classmethod
-    def rows(cls, n_rows: int, n_paths: int) -> "NodeLayout":
-        return cls((n_paths,) * n_rows)
 
     def levels(self, flat: np.ndarray) -> list[np.ndarray]:
         off = self.offsets
@@ -131,9 +125,7 @@ class NodeLayout:
     def up(self) -> np.ndarray:
         off = self.offsets
         up = np.arange(off[-1], dtype=np.int64)
-        if self.parents is None:
-            up[off[1] :] -= off[1]
-        elif len(off) > 2:
+        if len(off) > 2:
             up[off[1] :] = np.concatenate(self.parents[1:])
             up[off[1] :] += np.repeat(off[:-2], np.diff(off[1:]))
         return _freeze(up)

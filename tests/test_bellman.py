@@ -62,16 +62,22 @@ def test_reduced_form_explains_gamma_crit():
 # -- pathwise inequality ---------------------------------------------------------
 
 
+def sides_on_rows(pm):
+    """``pathwise_sharp_sides`` of a raw (N+1, L) path matrix, on the layout
+    of its rows."""
+    return B.pathwise_sharp_sides(pm.ravel(), path_oracles.rows_layout(*pm.shape))
+
+
 def test_pathwise_constant_path_equality():
     path = np.full((6, 1), 2.5)
-    lhs, rhs, sf, fstar = B.pathwise_sharp_sides(path)
+    lhs, rhs, sf, fstar = sides_on_rows(path)
     assert sf[0] == 0.0 and fstar[0] == 2.5
     assert np.isclose(lhs[0], 7.5) and np.isclose(rhs[0], 7.5)
 
 
 def test_pathwise_single_fair_step():
     up = np.array([0.0, 1.0])[:, None]
-    lhs, rhs, sf, fstar = B.pathwise_sharp_sides(up)
+    lhs, rhs, sf, fstar = sides_on_rows(up)
     assert sf[0] == 1.0 and fstar[0] == 1.0
     assert np.isclose(lhs[0], 1.0) and np.isclose(rhs[0], 3.0)
 
@@ -79,7 +85,7 @@ def test_pathwise_single_fair_step():
 def test_pathwise_random_martingales():
     for seed in range(300):
         mart = G.corpus_martingale("mixed", 8, seed=5, index=seed)
-        assert B.pathwise_sharp_check(mart.paths())
+        assert B.pathwise_sharp_check(mart)
 
 
 def test_induction_values_nonincreasing():
@@ -115,15 +121,13 @@ def test_bellman_scans_equal_the_numpy_cumsums():
             for m, gamma in itertools.product((mart, shifted), (3.0, 2.5)):
                 assert np.array_equal(B.induction_values(m, gamma), induction_values_cumsum(m, gamma))
             pm = mart.paths()
-            df = fn.increments(pm)
-            fstar = np.maximum.accumulate(np.abs(pm), axis=0)
+            df = path_oracles.increments(pm)
+            fstar = path_oracles.maximal(pm)
             old_sides = path_oracles.pathwise_sharp_sides(pm, fstar, df)
-            # the node recursion, and the path matrix as identity parent maps
-            for sides in (B.pathwise_sharp_sides(mart.flat, mart.tree.layout), B.pathwise_sharp_sides(pm)):
-                lhs, rhs, sf, mf = sides
-                assert np.array_equal(sf, np.sqrt(np.cumsum(df**2, axis=0)[-1]))
-                assert np.array_equal(mf, fstar[-1])
-                assert np.array_equal(lhs, old_sides[0]) and np.array_equal(rhs, old_sides[1])
+            lhs, rhs, sf, mf = B.pathwise_sharp_sides(mart.flat, mart.tree.layout)
+            assert np.array_equal(sf, np.sqrt(np.cumsum(df**2, axis=0)[-1]))
+            assert np.array_equal(mf, fstar[-1])
+            assert np.array_equal(lhs, old_sides[0]) and np.array_equal(rhs, old_sides[1])
             assert B.sharp_davis_clause(RatioTracker(), sf, mf, mart.tree.leaf_prob) == (
                 float(mart.tree.leaf_prob @ sf),
                 float(mart.tree.leaf_prob @ mf),
@@ -155,8 +159,9 @@ def test_sharp_davis_scale_invariance():
     w = tree.leaf_prob
 
     def ratio(m):
-        pm = m.paths()
-        return (w @ fn.square_function_paths(pm)[-1]) / (w @ fn.maximal_paths(pm)[-1])
+        layout = m.tree.layout
+        sf, mf = fn.square_function_paths(m.flat, layout), fn.maximal_paths(m.flat, layout)
+        return (w @ layout.leaves(sf)) / (w @ layout.leaves(mf))
 
     scaled = Martingale(tree, [v * 17.0 for v in mart.values])
     assert abs(ratio(mart) - ratio(scaled)) <= 1e-12

@@ -24,7 +24,7 @@ from martkit.report import (
     validate_report_dict,
 )
 from martkit.tree import FiltrationTree, Martingale
-from path_oracles import closed_sublevel_scan, davis_decompose
+from path_oracles import closed_sublevel_scan, davis_decompose, increments, maximal, square_function
 from path_oracles import closed_tail_scan as numpy_closed_tail_scan
 from simd_probe import SIMD_LEVELS, run_probe
 
@@ -169,8 +169,8 @@ def test_doob_constant_parametrization():
     from martkit import functionals as fn
     from martkit.report import lq_norm
 
-    mf = fn.maximal_paths(np.abs(mart.paths()))[-1]
-    assert np.isclose(lq_norm(mf, 2.0, w) / (2.0 * lq_norm(np.abs(mart.paths()[-1]), 2.0, w)), 0.5)
+    mf = tree.layout.leaves(fn.maximal_paths(mart.flat, tree.layout))
+    assert np.isclose(lq_norm(mf, 2.0, w) / (2.0 * lq_norm(np.abs(mart.leaf_values()), 2.0, w)), 0.5)
     assert w.sum() == 1.0
 
 
@@ -231,10 +231,10 @@ def test_davis_decomposition_bounds_equal_the_numpy_scan(monkeypatch, spec):
     for (mart,), (_, jump, jump_bound), (_, _, tv_bound) in zip(marts, many, one):
         tree = mart.tree
         pm = mart.paths()
-        df = fn.increments(pm)
+        df = increments(pm)
         mdf_prev = np.vstack([np.zeros(pm.shape[1]), np.maximum.accumulate(np.abs(df), axis=0)[:-1]])
         assert np.array_equal(leaf_rows(tree, jump_bound), 2.0 * mdf_prev)
-        assert np.array_equal(leaf_rows(tree, jump), np.abs(fn.increments(davis_decompose(mart)[0])))
+        assert np.array_equal(leaf_rows(tree, jump), np.abs(increments(davis_decompose(mart)[0])))
         assert tv_bound == 2.0 * float(tree.leaf_prob @ np.abs(df).max(axis=0))
 
 
@@ -306,7 +306,7 @@ def aux_statistics(mart, rng):
     pm = mart.paths()
     zz = np.abs(pm[-1]) + rng.uniform(0, 0.5, size=mart.tree.n_leaves)
     ww = np.abs(rng.normal(size=mart.tree.n_leaves)) + 0.1
-    return zz, ww, fn.maximal_paths(pm)[-1], fn.square_function_paths(pm)[-1]
+    return zz, ww, maximal(pm)[-1], square_function(pm)[-1]
 
 
 def test_aux_scans_equal_the_loops_on_a_corpus():
@@ -569,14 +569,14 @@ def test_paraproduct_scans_equal_the_numpy_accumulates(monkeypatch):
     adds = recorded(monkeypatch, RatioTracker, "add")
     spec = small(depth=6, trials=8, seed=68)
     C.check_paraproduct(spec, q0=2.0, r0=2.0)
-    # the window sums its Pi rows and np.cumsum(dg2, axis=0), and the square function
+    # the window sums its Pi rows and np.cumsum(dg2, axis=0)
     assert sum(ufunc is np.add for ufunc, _, _ in scans) >= 4 * spec.trials
     for ufunc, arr, result in scans:
         assert np.array_equal(result, ufunc.accumulate(arr, axis=0))
     # M|df|_N read through the first asserted clause of each trial
     assert len(fams) == spec.trials and len(adds) == 2 * spec.trials
     for (fam,), (_, _, rhs) in zip(fams, adds[::2]):
-        x_df = fn.component_norm(fn.increments(fam.paths()), 2.0)
+        x_df = fn.component_norm(increments(fam.paths()), 2.0)
         m_x_df = np.maximum.accumulate(np.vstack([np.zeros(fam.tree.n_leaves), x_df]), axis=0)[-1]
         assert rhs == 3.0 * R.lq_norm(m_x_df, 2.0, fam.tree.leaf_prob)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from martkit import checks
 from martkit import generators as G
 from martkit.cli import main
+from martkit.report import CorpusSpec
 from martkit.tree import load_tree, save_tree, tree_from_dict
 
 
@@ -160,6 +161,23 @@ def test_a_bad_lp_exponent_is_a_usage_error_without_trials(tmp_path, name):
     # p only reaches the trials' norms, so it is checked before any trial runs
     out = tmp_path / "rep.json"
     assert main(["check", name, "--trials", "0", "--seed", "1", "--params", '{"p": -1}', "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("families", [65, 1e12])
+def test_too_many_families_are_refused_before_any_trial(tmp_path, monkeypatch, families):
+    # the Davis family is max(2, families) wide; a width above MAX_VECTOR_DIM
+    # used to fail only after the window loop had run `families` times
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial loop started")
+
+    monkeypatch.setattr(checks, "run_trials", no_trials)
+    spec = CorpusSpec(kind="mixed", depth=4, trials=1, seed=1)
+    with pytest.raises(ValueError, match="families must be a positive integer at most 64"):
+        checks.run_check("paraproduct", spec, families=families)
+    out = tmp_path / "rep.json"
+    argv = ["check", "paraproduct", "--trials", "1", "--depth", "4", "--seed", "1", "--out", str(out)]
+    assert main(argv + ["--params", json.dumps({"families": families})]) == 2
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from martkit import functionals as fn
 from martkit import generators as G
 from martkit import ito
 from martkit.report import CorpusSpec, lq_norm
-from martkit.tree import FiltrationTree, Martingale, NodeLayout, TreeProcess
+from martkit.tree import FiltrationTree, Martingale, TreeProcess
 
 
 def walk2():
@@ -23,38 +23,43 @@ def walk2():
 # -- maximal and square functions ---------------------------------------------
 
 
+def on_rows(kernel, pm):
+    """A node kernel on the raveled rows of a raw (N+1, L) path matrix."""
+    return kernel(pm.ravel(), path_oracles.rows_layout(*pm.shape)).reshape(pm.shape)
+
+
 def test_maximal_examples():
     path = np.array([0.0, 1.0, -2.0, 1.0])[:, None]
-    assert fn.maximal_paths(path)[:, 0].tolist() == [0.0, 1.0, 2.0, 2.0]
+    assert on_rows(fn.maximal_paths, path)[:, 0].tolist() == [0.0, 1.0, 2.0, 2.0]
     const = np.full((5, 1), -3.0)
-    assert np.all(fn.maximal_paths(const) == 3.0)
+    assert np.all(on_rows(fn.maximal_paths, const) == 3.0)
 
 
 def test_maximal_nondecreasing_and_submartingale():
     mart = G.gen_increment(6, seed=2)
-    mf = fn.maximal_paths(mart.paths())
-    assert np.all(np.diff(mf, axis=0) >= 0)
+    tree, layout = mart.tree, mart.tree.layout
+    mf = fn.maximal_paths(mart.flat, layout)
+    assert np.all(mf >= mf[layout.up])
     # one-step submartingale property of Mf
-    tree = mart.tree
+    levels = layout.levels(mf)
     for n in range(tree.depth):
-        cond = tree.atom_average_leaves(n, mf[n + 1])
-        assert np.all(mf[n] <= cond + 1e-12)
+        cond = tree.atom_average(n, tree.to_leaves(n + 1, levels[n + 1]))
+        assert np.all(levels[n] <= cond + 1e-12)
 
 
 def test_square_function_examples():
     path = np.array([0.0, 1.0, -1.0])[:, None]
-    assert np.isclose(fn.square_function_paths(path)[-1, 0], math.sqrt(5.0))
+    assert np.isclose(on_rows(fn.square_function_paths, path)[-1, 0], math.sqrt(5.0))
     walk = G.gen_scaled_walk(16)
-    assert np.all(fn.square_function_paths(walk.paths())[-1] == 1.0)
+    assert np.all(walk.tree.layout.leaves(fn.square_function_paths(walk.flat, walk.tree.layout)) == 1.0)
 
 
 def test_l2_isometry_and_predictable_square():
     for seed in range(30):
         mart = G.gen_leaf_backprop("normal", 6, seed=seed)
         tree = mart.tree
-        pm = mart.paths()
-        sf = fn.square_function_paths(pm)[-1]
-        lhs = lq_norm(pm[-1], 2.0, tree.leaf_prob)
+        sf = tree.layout.leaves(fn.square_function_paths(mart.flat, tree.layout))
+        lhs = lq_norm(mart.leaf_values(), 2.0, tree.leaf_prob)
         rhs = lq_norm(sf, 2.0, tree.leaf_prob)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
         # predictable square function of independent +-1 increments is sqrt(n)
@@ -68,10 +73,10 @@ def test_predictable_square_is_the_root_of_the_conditional_sum():
     # check_aux_lemmas reads sf_pred as sqrt(big_w): the same additions in the same order
     for mart in CorpusSpec(kind="mixed", depth=8, trials=300, seed=8).martingales():
         tree = mart.tree
-        z = fn.increments(mart.paths()) ** 2
+        z = tree.layout.levels(fn.increments(mart.flat, tree.layout) ** 2)
         big_w = np.zeros(tree.n_leaves)
         for k in range(1, tree.depth + 1):
-            big_w = big_w + tree.atom_average_leaves(k - 1, z[k - 1])
+            big_w = big_w + tree.atom_average_leaves(k - 1, tree.to_leaves(k, z[k]))
         assert np.array_equal(np.sqrt(big_w), fn.predictable_square_paths(mart)[-1])
 
 
@@ -133,13 +138,12 @@ def scan_corpora():
 
 
 def test_time_scans_equal_the_numpy_accumulates():
-    # the numpy call-site expressions the row scans replaced are the oracles
+    # numpy's time scans of the path matrix are the oracles of the node scans,
+    # which the tree-level wrappers repeat over each node's leaf block
     for mart in scan_corpora():
         pm = mart.paths()
-        assert same_floats(fn.maximal_paths(pm), np.maximum.accumulate(np.abs(pm), axis=0))
-        sf = np.zeros_like(pm)
-        sf[1:] = np.sqrt(np.cumsum(fn.increments(pm) ** 2, axis=0))
-        assert same_floats(fn.square_function_paths(pm), sf)
+        assert same_floats(fn.maximal(mart).paths(), path_oracles.maximal(pm))
+        assert same_floats(fn.square_function(mart).paths(), path_oracles.square_function(pm))
 
 
 @given(scan_arrays())
@@ -429,7 +433,7 @@ def lepingle_inputs():
 def bound_on_rows(pathmat, rs):
     """``lepingle_pathwise_bound`` of a path matrix, on the layout of its rows."""
     pm = np.asarray(pathmat, dtype=np.float64).reshape(len(pathmat), -1)
-    return fn.lepingle_pathwise_bound(pm.ravel(), rs, NodeLayout.rows(*pm.shape), fn.min_nonzero_pairwise(pm))
+    return fn.lepingle_pathwise_bound(pm.ravel(), rs, path_oracles.rows_layout(*pm.shape), fn.min_nonzero_pairwise(pm))
 
 
 def test_min_nonzero_pairwise_matches_all_pairs():
@@ -570,14 +574,14 @@ def test_paraproduct_general_F_matches_deltaf():
 def test_weighted_maximal_reduces_to_unweighted():
     mart = G.gen_leaf_backprop("normal", 6, seed=20)
     tree = mart.tree
-    f = np.abs(mart.paths())
+    f = np.abs(mart.flat)
     lams, lhs, rhs, _ = fn.weighted_maximal_data(f, np.ones(tree.n_leaves), tree)
     assert np.all(lhs <= rhs + 1e-12)
 
 
 def test_weighted_maximal_constant_f():
     tree = FiltrationTree.dyadic(3)
-    f = np.full((4, 8), 2.5)
+    f = np.full(tree.n_nodes, 2.5)
     lams, lhs, rhs, _ = fn.weighted_maximal_data(f, np.full(8, 0.7), tree)
     assert lams.tolist() == [2.5]
     assert np.isclose(lhs[0], rhs[0])  # equality at the only breakpoint
@@ -589,7 +593,7 @@ def test_weighted_maximal_random():
         mart = G.gen_leaf_backprop("normal", 6, seed=seed)
         tree = mart.tree
         w = np.abs(rng.normal(size=tree.n_leaves)) + 0.05
-        lams, lhs, rhs, _ = fn.weighted_maximal_data(np.abs(mart.paths()), w, tree)
+        lams, lhs, rhs, _ = fn.weighted_maximal_data(np.abs(mart.flat), w, tree)
         assert np.all(lhs <= rhs * (1 + 1e-9) + 1e-12)
     with pytest.raises(ValueError):
-        fn.weighted_maximal_data(np.abs(mart.paths()), np.zeros(tree.n_leaves), tree)
+        fn.weighted_maximal_data(np.abs(mart.flat), np.zeros(tree.n_leaves), tree)

@@ -462,7 +462,7 @@ def test_scaled_walk_square_function():
 
     mart = G.gen_scaled_walk(4)
     assert np.allclose(np.abs(np.diff(mart.paths(), axis=0)), 0.5)
-    assert np.all(square_function_paths(mart.paths())[-1] == 1.0)
+    assert np.all(mart.tree.layout.leaves(square_function_paths(mart.flat, mart.tree.layout)) == 1.0)
 
 
 def gen_dyadic_of_function(func, depth: int, sub: int = 64) -> Martingale:
