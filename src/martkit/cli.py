@@ -175,6 +175,8 @@ def cmd_rde(args) -> int:
         driver = rough.lift(path, r=args.r)
     elif args.driver.startswith("csv:"):
         path = rough.read_driver_csv(args.driver[4:])
+        if path.dim != 1:
+            raise ValueError(f"--driver {args.driver!r}: CSV column count {path.dim + 1}, but every --phi takes t and one driver column")
         driver = rough.lift(path, r=args.r)
     else:
         raise ValueError(f"unknown driver {args.driver!r}")

@@ -33,9 +33,9 @@ is taken without holding either.
 ``chain_dp`` is the one r-variation kernel, for 0 < r < inf.  A sequence
 reaches it through one of two sources: ``PathGaps`` for scalar values and
 the per-path gaps of a path matrix, ``DistColumns`` for the Euclidean
-distances of a vector sequence.  It reads |pairs[i, j]|^r for a
-block of w consecutive columns in one contiguous array, w =
-CHAIN_BLOCK_ELEMENTS // (n * trailing size), so a short sequence costs a few
+distances of a vector sequence or a stack of them.  It reads |pairs[i, j]|^r
+for a block of w columns, w = CHAIN_BLOCK_ELEMENTS // (n * trailing size * d),
+d the Euclidean axis of ``DistColumns`` or 1, so a short sequence costs a few
 numpy calls per block and two per column; when w < 2 (long or wide inputs)
 it reads one column at a time into the same reused buffer.  |.| is taken
 once, and r = 1 skips the power (x**1 == x).  When a certificate shows that
@@ -190,7 +190,7 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProc
 
 # Element budget of one chain-DP cost block: chain_dp reads the columns
 # [j0, j0 + w) of pairs together, with w = CHAIN_BLOCK_ELEMENTS // (n *
-# trailing size), and one column at a time when w < 2.  A block also makes
+# trailing size * d), and one column at a time when w < 2.  A block also makes
 # the unread costs below the diagonal, about w / 2 rows per column.  On a
 # 2-core x86 host with AVX-512 (numpy 2.4), blocks of 4096 elements ran
 # scalar sequences of 17 to 2,048 points 1.4 to 3 times faster than columns
@@ -210,14 +210,14 @@ def _split(arr: np.ndarray, cols: int | slice) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DistColumns:
-    """pairs[i, j] = |f_i - f_j| of an (n, d) vector sequence, Euclidean
-    across the trailing axis, made a column or a block of columns at a time,
-    so chain_dp never holds the (n, n) distance matrix.  Scalar sequences
-    take ``PathGaps``."""
+    """pairs[i, j] = |f_i - f_j| of an (n, d) vector sequence, or pairs[i, j,
+    b] of the B sequences stacked in (n, B, d) values, Euclidean across d and
+    made a column or a block of columns at a time, so chain_dp never holds a
+    distance matrix.  Scalar sequences take ``PathGaps``."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self.shape = (values.shape[0],) * 2
+        self.shape = (values.shape[0],) * 2 + values.shape[1:-1]
 
     def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
@@ -278,11 +278,12 @@ def _cost_columns(pairs, r: float):
     """Yield (j, costs) for j = 1..n-1 with costs[i] = |pairs[i, j]|**r,
     i < j, a contiguous view into one reused buffer that a later column
     overwrites.  The columns come in blocks of w = CHAIN_BLOCK_ELEMENTS //
-    (n * trailing size), or one at a time when w < 2.  For r != 1 the costs
-    are read from ``_power_table`` when it certifies the magnitudes."""
+    (n * trailing size * d), or one at a time when w < 2.  For r != 1 the
+    costs are read from ``_power_table`` when it certifies the magnitudes."""
     n, trail = pairs.shape[0], pairs.shape[2:]
     size = math.prod(trail)
-    width = CHAIN_BLOCK_ELEMENTS // max(n * size, 1)
+    d = pairs.values.shape[-1] if isinstance(pairs, DistColumns) else 1
+    width = CHAIN_BLOCK_ELEMENTS // max(n * size * d, 1)
     m = max(n - 1, 0)
     table = None if r == 1 else _power_table(pairs, r)
     if width < 2:

@@ -4,16 +4,21 @@ Picard solver for rough differential equations.
 Paths are sampled on a finite time grid.  A piecewise-linear path can be
 evaluated between samples, so Riemann-type sums refine indefinitely; a
 piecewise-constant cadlag path saturates at its own grid, which is then the
-finest resolvable partition scale.  Controlled paths have scalar state and
-a d-dimensional driver; second-level arrays are stored densely on grid
-pairs (n <= 512 guard).  Distances between path values are made a block
-of columns at a time, so a control or a variation never holds an (n, n)
-distance matrix, and the RDE solver picks each split point from two
-chain DPs over the interval it splits, a forward and a reversed one; the
-forward one also gives the interval's V^r X, which the solution returns
-with V^{r/2} XX.  Each Picard iterate builds its remainder once.  A
-coefficient declares three sups, of phi and its first two derivatives; the
-sup of a derivative is the Lipschitz constant the estimates read.
+finest resolvable partition scale.  A ``Control`` has a cheap float
+``lower(s, t)`` at most omega(s, t), so a spot check of ``sew`` runs the
+control's chain DP only when the defect exceeds ``lower ** theta``.
+Controlled paths have scalar state and a d-dimensional driver; second-level
+arrays and the remainder R, built once per path, are dense on grid pairs
+(n <= 512 guard).  Distances between path values are made a block of
+columns at a time, so no variation holds an (n, n) distance matrix.  The
+RDE solver splits a window at the grid time that halves V^r X, from a
+forward chain DP, which also gives V^r X, and a reversed one.  Each Picard
+step sews one iterate Z from y0 and takes six variations, |Z|_r, |Z'|_r and
+|R^Z|_{r/2} and the same three norms of its difference from the previous
+iterate Y, as two chain DPs over stacked problems (``picard_norms``): one
+at r over four sequences, one at r/2 over two remainders.  A coefficient
+declares three sups, of phi and its first two derivatives; the sup of a
+derivative is the Lipschitz constant the estimates read.
 """
 
 from __future__ import annotations
@@ -423,14 +428,21 @@ class ControlledPath:
         rem.flags.writeable = False
         return rem
 
-    def norms(self) -> dict:
-        r = self.rough.r
-        return {
-            "Y_r": fn.variation(self.values[:, None], r),
-            "Yp_r": fn.variation(self.deriv, r),
-            "Yp_sup": float(np.sqrt((self.deriv**2).sum(axis=1)).max()),
-            "R_r2": two_param_variation(self.remainder, r / 2.0),
-        }
+
+def picard_norms(Z: ControlledPath, Y: ControlledPath) -> tuple[dict, tuple[float, float, float]]:
+    """({"Y_r", "Yp_r", "Yp_sup", "R_r2"} norms of Z, (|R^Z - R^Y|_{r/2},
+    |Z' - Y'|_r, |Z - Y|_r)): one chain DP at r over the (n, 4, d) stack of
+    Z, Z', Z' - Y' and Z - Y, scalars padded with zeros (x^2 + 0.0 == x^2),
+    one at r/2 over the (n, n, 2) magnitudes of R^Z and R^Z - R^Y.  Each root
+    is ``float(best) ** (1 / exponent)``, the float of the problem's own DP."""
+    r, rho = Z.rough.r, Z.rough.r / 2.0
+    stack = np.zeros((Z.values.size, 4, Z.deriv.shape[1]))
+    stack[:, 0, 0], stack[:, 1], stack[:, 2], stack[:, 3, 0] = Z.values, Z.deriv, Z.deriv - Y.deriv, Z.values - Y.values
+    mag = np.sqrt(np.stack([Z.remainder, Z.remainder - Y.remainder], axis=-1) ** 2)
+    z_r, zp_r, dp_r, dz_r = (float(b) ** (1.0 / r) for b in chain_dp(fn.DistColumns(stack), r).max(axis=0))
+    rz, drz = (float(b) ** (1.0 / rho) for b in chain_dp(mag, rho).max(axis=0))
+    zp_sup = float(np.sqrt((Z.deriv**2).sum(axis=1)).max())
+    return {"Y_r": z_r, "Yp_r": zp_r, "Yp_sup": zp_sup, "R_r2": rz}, (drz, dp_r, dz_r)
 
 
 @dataclass
@@ -538,14 +550,6 @@ class RdeSolution:
         return all(b < a or b <= PICARD_TOL for run in self.metric_runs for a, b in zip(run, run[1:]))
 
 
-def _metric(phi: SmoothFunction, A: float, Y: ControlledPath, Z: ControlledPath) -> float:
-    r = Y.rough.r
-    m1 = two_param_variation(Y.remainder - Z.remainder, r / 2.0)
-    m2 = fn.variation(Y.deriv - Z.deriv, r)
-    m3 = 2.0 * (phi.dphi_sup + A * phi.d2phi_sup) * fn.variation((Y.values - Z.values)[:, None], r)
-    return max(m1, m2, m3)
-
-
 def default_smallness(phi: SmoothFunction) -> float:
     return 0.25 / (1.0 + phi.dphi_sup + phi.d2phi_sup)
 
@@ -555,17 +559,14 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
 
     Intervals whose driver norms reach the smallness threshold
     ``default_smallness(phi)`` are split at the grid time halving the
-    r-variation of X and solved left to right with matched initial data.
-    One forward chain DP gives both V^r X, from its last prefix control, and
-    the prefix controls of the split; a reversed one gives the suffix
-    controls (``_halving_index``).  A single grid step already above the
-    threshold is a jump the local theory cannot absorb and raises.  Each
-    Picard step sews one iterate from y0, whose norms and the two contraction
-    metrics it enters, as Z and then as Y, read one remainder array.  The
-    solution carries ``driver_norms`` = (V^r X, V^{r/2} XX) of X.  The
-    contraction metric must decrease strictly until it is at most
-    PICARD_TOL; the first iterate sets the radius A of the solution set, and
-    every later iterate is checked to stay in it.
+    r-variation of X (``_halving_index``) and solved left to right with
+    matched initial data.  A single grid step already above the threshold is
+    a jump the local theory cannot absorb and raises.  Each iterate's
+    remainder is built once, and its norms and the two contraction metrics
+    it enters read it (``picard_norms``).  The solution carries
+    ``driver_norms`` = (V^r X, V^{r/2} XX) of X.  The contraction metric must
+    decrease strictly until it is at most PICARD_TOL; the first iterate sets
+    the radius A of the solution set, and every later one must stay in it.
     """
     eps = default_smallness(phi)
     prefix = _prefix_controls(X.path.values, X.r)
@@ -597,7 +598,7 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
     increase_run = 0
     for it in range(1, PICARD_MAX_ITER + 1):
         Z = _sew_on_grid(compose(phi, Y), X, y0)
-        nz = Z.norms()
+        nz, (m_rem, m_deriv, m_values) = picard_norms(Z, Y)
         if A is None:
             A = 4.0 * max(1.0, nz["Yp_r"], math.sqrt(max(nz["R_r2"], 0.0)), phi.dphi_sup * nz["Y_r"])
         elif not (
@@ -607,7 +608,7 @@ def rde_solve(phi: SmoothFunction, X: RoughPath, y0: float) -> RdeSolution:
             and nz["Yp_sup"] <= phi.phi_sup * (1 + 1e-9)
         ):
             raise RdeError(f"iterate left the solution set (A = {A:.4g}): {nz}")
-        m = _metric(phi, A, Z, Y)
+        m = max(m_rem, m_deriv, 2.0 * (phi.dphi_sup + A * phi.d2phi_sup) * m_values)
         metrics.append(m)
         Y = Z
         if m <= PICARD_TOL:
@@ -646,11 +647,7 @@ def rde_stability(phi: SmoothFunction, X: RoughPath, X2: RoughPath, y0: float, y
     s1 = rde_solve(phi, X, y0)
     s2 = rde_solve(phi, X2, y02)
     r = X.r
-    num = max(
-        two_param_variation(s1.path.remainder - s2.path.remainder, r / 2.0),
-        fn.variation(s1.path.deriv - s2.path.deriv, r),
-        fn.variation((s1.path.values - s2.path.values)[:, None], r),
-    )
+    num = max(picard_norms(s1.path, s2.path)[1])
     den = max(
         fn.variation(X.path.values - X2.path.values, r),
         two_param_variation(X.xx - X2.xx, r / 2.0),
@@ -672,5 +669,5 @@ def read_driver_csv(path: str) -> SampledPath:
         first = fh.readline()
         if first.startswith("#") and "interpretation" in first:
             interpretation, skip = first.split(":", 1)[1].strip(), 2
-    data = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=skip))
+    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     return SampledPath(data[:, 0], data[:, 1:], interpretation)

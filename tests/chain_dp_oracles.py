@@ -18,11 +18,12 @@ import numpy as np
 
 
 class DistColumns:
-    """pairs[i, j] = |f_i - f_j|, Euclidean across the trailing axis."""
+    """pairs[i, j] = |f_i - f_j|, Euclidean across the last axis of (n, d)
+    values, or of (n, B, d) values stacking B problems."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
-        self.shape = (values.shape[0],) * 2
+        self.shape = (values.shape[0],) * 2 + values.shape[1:-1]
 
     def __getitem__(self, key) -> np.ndarray:
         rows, j = key

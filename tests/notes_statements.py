@@ -6,7 +6,9 @@ returns those of each window it solves), the norms of a controlled
 covector, the two composition estimates, the rough integral with its
 asserted remainder estimate, a finite-difference check of a coefficient's
 declared norms, and the path-aware splitter that saturates step paths at
-their grid when sewing.
+their grid when sewing.  ``controlled_norms`` and ``picard_metric`` are the
+controlled-path norms and the Picard contraction metric one variation at a
+time, the oracles of the two stacked DPs of ``rough.picard_norms``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,34 @@ def covector_norms(P: rough.ControlledCovector) -> dict:
     }
 
 
+def controlled_norms(Y: rough.ControlledPath) -> dict:
+    """|Y|_r, |Y'|_r, sup |Y'| and |R^Y|_{r/2}, each by its own chain DP."""
+    r = Y.rough.r
+    return {
+        "Y_r": fn.variation(Y.values[:, None], r),
+        "Yp_r": fn.variation(Y.deriv, r),
+        "Yp_sup": float(np.sqrt((Y.deriv**2).sum(axis=1)).max()),
+        "R_r2": rough.two_param_variation(Y.remainder, r / 2.0),
+    }
+
+
+def metric_variations(Y: rough.ControlledPath, Z: rough.ControlledPath) -> tuple[float, float, float]:
+    """|R^Y - R^Z|_{r/2}, |Y' - Z'|_r and |Y - Z|_r, each by its own chain DP."""
+    r = Y.rough.r
+    return (
+        rough.two_param_variation(Y.remainder - Z.remainder, r / 2.0),
+        fn.variation(Y.deriv - Z.deriv, r),
+        fn.variation((Y.values - Z.values)[:, None], r),
+    )
+
+
+def picard_metric(phi: rough.SmoothFunction, A: float, Y: rough.ControlledPath, Z: rough.ControlledPath) -> float:
+    """The contraction metric of the iterate Y against the previous one Z,
+    inside the solution set of radius A."""
+    m1, m2, m3 = metric_variations(Y, Z)
+    return max(m1, m2, 2.0 * (phi.dphi_sup + A * phi.d2phi_sup) * m3)
+
+
 def checked_compose(phi: rough.SmoothFunction, Y: rough.ControlledPath) -> rough.ControlledCovector:
     """``rough.compose(phi, Y)`` with the two composition estimates (with
     constant 1 in the declared norms) asserted:
@@ -77,7 +107,7 @@ def checked_compose(phi: rough.SmoothFunction, Y: rough.ControlledPath) -> rough
         |R^{phi(Y)}|_{r/2} <= |Dphi|_sup |R^Y|_{r/2} + 1/2 |Dphi|_Lip |Y|_r^2
     """
     out = rough.compose(phi, Y)
-    ny = Y.norms()
+    ny = rough.picard_norms(Y, Y)[0]
     no = covector_norms(out)
     lhs1 = no["Pp_r"]
     rhs1 = phi.dphi_sup * ny["Yp_r"] + phi.d2phi_sup * ny["Y_r"] * ny["Yp_sup"]
@@ -122,7 +152,7 @@ def rough_integral(P: rough.ControlledCovector, X: rough.RoughPath) -> tuple[rou
     np_norms = covector_norms(P)
     vx, vxx = variation_norms(X)
     rhs = np_norms["R_r2"] * vx + np_norms["Pp_r"] * vxx + np_norms["Pp_sup"] * vxx
-    lhs = Z.norms()["R_r2"]
+    lhs = rough.picard_norms(Z, Z)[0]["R_r2"]
     diag = {
         "remainder_r2": lhs,
         "remainder_bound": const * rhs,

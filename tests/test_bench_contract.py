@@ -215,6 +215,27 @@ def test_rde_solve_builds_one_remainder_and_one_path_per_iterate(monkeypatch):
     assert calls["__post_init__"] == sol.iterations + leaves + sol.subdivisions
 
 
+def test_rde_solve_runs_two_dps_per_picard_iterate(monkeypatch):
+    # an iterate's four r-variations are one stacked DP and its two
+    # r/2-variations another; besides them each solver node runs its forward
+    # DP and the one of its XX, and each split its reversed DP.  The spy
+    # counts the DPs that ``fn.variation`` runs too, which the tracer misses
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([[0.0], np.cumsum(rng.choice([-0.0125, 0.0125], size=256))])
+    cases = (
+        (R.linear_coefficient(1.0), R.rough_line(0.3, 256)),
+        (R.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0), R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"))),
+    )
+    for phi, X in cases:
+        calls = Counter()
+        count_calls(monkeypatch, calls, R, ("chain_dp",))
+        count_calls(monkeypatch, calls, fn, ("chain_dp",))
+        sol = R.rde_solve(phi, X, 1.0)
+        monkeypatch.undo()
+        assert calls["chain_dp"] == 2 * sol.iterations + 2 * (2 * sol.subdivisions + 1) + sol.subdivisions
+        assert sol.subdivisions >= 1
+
+
 def test_rde_command_runs_two_dps_over_the_driver(monkeypatch, tmp_path):
     # the error bound reads the solver's driver norms: the top window's
     # forward and reversed DPs, and one two-parameter variation of its XX

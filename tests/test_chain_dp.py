@@ -11,6 +11,8 @@ powers, which must give every cost the float of the column loop's power;
 inputs that the certificate cannot cover must be raised column by column.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,9 @@ def sources(n: int, rng):
     for dim in (1, 3, 9):
         vec = rng.normal(size=(n, dim))
         yield f"vector d={dim}", fn.DistColumns(vec), oracle.DistColumns(vec)
+    stack = rng.normal(size=(n, 4, 2))
+    stack[:, ::2, 1] = 0.0  # scalars padded to d = 2, as a Picard step stacks them
+    yield "stacked", fn.DistColumns(stack), oracle.DistColumns(stack)
     pm = rng.normal(size=(n, 3))
     yield "path gaps", fn.PathGaps(pm), oracle.PathGaps(pm)
     dense = rng.normal(size=(n, n, 2))
@@ -91,6 +96,36 @@ def test_chain_dp_equals_the_column_loop(monkeypatch, budget):
         for kind, pairs, ref in sources(n, rng):
             for r in EXPONENTS:
                 assert np.array_equal(fn.chain_dp(pairs, r), oracle.chain_dp(ref, r)), (kind, n, r)
+
+
+def test_distance_blocks_stay_within_the_budget():
+    # a DistColumns block makes w * n * B * d differences, and numpy adds
+    # broadcast buffers of up to twice that; with d and the batch axis B
+    # counted in the width, the costs, the differences and the buffers stay
+    # within four budgets beside the (n, B) best totals
+    rng = np.random.default_rng(45)
+    for shape in ((257, 4, 1), (33, 16), (33, 4, 4), (65, 9), (17, 64)):
+        values = rng.normal(size=shape)
+        tracemalloc.start()
+        try:
+            fn.chain_dp(fn.DistColumns(values), 2.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * DEFAULT + 16 * values[..., 0].size, shape
+
+
+def test_a_stacked_problem_keeps_its_floats():
+    # zero padding adds +0.0 to each sum of squares, which is exact
+    rng = np.random.default_rng(46)
+    for n in (2, 9, 65, 257):
+        vec, scalar = rng.normal(size=(n, 3)), rng.normal(size=n)
+        stack = np.zeros((n, 2, 3))
+        stack[:, 0], stack[:, 1, 0] = vec, scalar
+        for r in EXPONENTS:
+            best = fn.chain_dp(fn.DistColumns(stack), r)
+            assert np.array_equal(best[:, 0], fn.chain_dp(fn.DistColumns(vec), r)), (n, r)
+            assert np.array_equal(best[:, 1], fn.chain_dp(fn.DistColumns(scalar[:, None]), r)), (n, r)
 
 
 def test_variation_keeps_its_value():
@@ -332,6 +367,7 @@ from martkit import ito
 from martkit import rough
 
 from test_chain_dp import EXPONENTS, dyadic_sources, zero_heavy
+from test_rough import picard_cases, stacked_steps_equal_the_oracles
 
 rng = np.random.default_rng(44)
 equal = []
@@ -354,6 +390,7 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
         for path in (rough.SampledPath(times, walk, "step"), rough.SampledPath(times, vec[:, :2], "linear")):
             X = rough.lift(path, r=2.5)
             equal.append(rough._halving_index(X, rough._prefix_controls(X.path.values, X.r)) == oracle.halving_one_interval_at_a_time(X))
+    equal += [stacked_steps_equal_the_oracles(*case) for case in picard_cases()]
     trees = (G.gen_increment(6, seed=3), G.gen_leaf_backprop("normal", 8, seed=5), G.gen_walk_increments(8, seed=4),
              G.gen_scaled_walk(4), G.gen_doubling(7), G.gen_log_weight(7))
     for mart in trees:
@@ -373,8 +410,9 @@ def test_blocks_equal_columns_at_every_simd_level():
     # on exact zeros; a 2-D block and a 1-D column must still raise each cost
     # alike, a power table read by index must give each cost the float of its
     # own power, the RDE split from a forward and a reversed DP must stay
-    # the defined one, and the (n, size_n) cost block of a tree level must
-    # raise each cost as the columns of the path matrix do
+    # the defined one, the (n, size_n) cost block of a tree level must
+    # raise each cost as the columns of the path matrix do, and the two
+    # stacked DPs of a Picard step must give the floats of its six DPs
     for disabled in SIMD_LEVELS:
         out = run_probe(SIMD_PROBE, disabled)
         assert out["equal"] == out["cases"] > 0, (disabled, out)

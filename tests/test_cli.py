@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from martkit import checks
 from martkit import generators as G
+from martkit import rough
 from martkit.cli import main
 from martkit.report import CorpusSpec
 from martkit.tree import load_tree, save_tree, tree_from_dict
@@ -315,6 +316,19 @@ def test_rde_csv_driver(tmp_path, header):
     out = tmp_path / "rde.json"
     assert main(["rde", "--phi", "const:2", "--driver", f"csv:{driver}", "--out", str(out)]) == 0
     assert read(out)["sup_error_vs_oracle"] <= 1e-12
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_rde_csv_driver_needs_one_value_column(tmp_path, capsys, monkeypatch, columns):
+    # every coefficient takes a scalar driver, so the file is refused before
+    # any solving, by its column count
+    rows = np.column_stack([np.linspace(0.0, 1.0, 3)] + [[0.0, 0.1, -0.05]] * (columns - 1))
+    driver = tmp_path / "driver.csv"
+    np.savetxt(driver, rows, delimiter=",", header=",".join(["t"] + [f"x_{k}" for k in range(1, columns)]), comments="")
+    monkeypatch.setattr(rough, "rde_solve", None)
+    assert main(["rde", "--driver", f"csv:{driver}", "--out", str(tmp_path / "r.json")]) == 2
+    assert f"CSV column count {columns}, but every --phi takes t and one driver column" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_rde_walk_driver_requires_seed(tmp_path):

@@ -54,6 +54,19 @@ def test_square_function_examples():
     assert np.all(walk.tree.layout.leaves(fn.square_function_paths(walk.flat, walk.tree.layout)) == 1.0)
 
 
+def test_increments_vanish_at_the_root_whatever_its_value():
+    # df_0 = 0 by definition, where f_0 - f_0 is nan for a root of inf or nan
+    layout = FiltrationTree.dyadic(2).layout
+    first = layout.offsets[1]
+    for root in (np.inf, -np.inf, np.nan, 2.5):
+        values = np.arange(layout.offsets[-1], dtype=np.float64)
+        values[0] = root
+        with np.errstate(invalid="ignore"):
+            df, diff = fn.increments(values, layout), values - values[layout.up]
+        assert np.array_equal(df[:first], np.zeros(first))
+        assert np.array_equal(df[first:], diff[first:], equal_nan=True)
+
+
 def test_l2_isometry_and_predictable_square():
     for seed in range(30):
         mart = G.gen_leaf_backprop("normal", 6, seed=seed)

@@ -7,7 +7,17 @@ import pytest
 
 import chain_dp_oracles as oracle
 from martkit import rough as R
-from notes_statements import checked_compose, chen_residual, covector_remainder, rough_integral, validate_box, variation_norms
+from notes_statements import (
+    checked_compose,
+    chen_residual,
+    controlled_norms,
+    covector_remainder,
+    metric_variations,
+    picard_metric,
+    rough_integral,
+    validate_box,
+    variation_norms,
+)
 
 
 def dyadic_walk_path(n, seed=0, step=None):
@@ -269,7 +279,7 @@ def test_lift_chen_vector_driver():
 
 def implicit_bound_sides(Y: R.ControlledPath) -> tuple[float, float]:
     """(|Y|_r, |Y'|_sup |X|_r + |R|_{r/2}); left never exceeds right."""
-    n = Y.norms()
+    n = R.picard_norms(Y, Y)[0]
     vx, _ = variation_norms(Y.rough)
     return n["Y_r"], n["Yp_sup"] * vx + n["R_r2"]
 
@@ -355,15 +365,74 @@ def test_rde_piecewise_linear_lift_driver():
     assert np.abs(sol.path.values - np.exp(X.times)).max() <= 1e-3
 
 
+def demo_walk(seed: int) -> R.RoughPath:
+    """The driver of the rde_walk demo: 256 steps of +-0.2/16 on [0, 0.3]."""
+    rng = np.random.default_rng(seed)
+    step = 0.2 / math.sqrt(256)
+    vals = np.concatenate([[0.0], np.cumsum(rng.choice([-step, step], size=256))])
+    return R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"), r=2.5)
+
+
+def picard_cases() -> list[tuple[R.SmoothFunction, R.RoughPath, float]]:
+    """(phi, X, y0) of the rde_line demo, the rde_walk demo at seed 11 and a
+    2-D walk under a coefficient phi(y) = (sin y, cos y / 2) given by hand
+    (61 Picard iterations over 7 splits)."""
+    rng = np.random.default_rng(7)
+    plane = np.cumsum(rng.choice([-0.0125, 0.0125], size=(65, 2)), axis=0)
+    user = R.SmoothFunction(
+        phi=lambda y: np.stack([np.sin(y), 0.5 * np.cos(y)], axis=-1),
+        dphi=lambda y: np.stack([np.cos(y), -0.5 * np.sin(y)], axis=-1),
+        phi_sup=1.0,
+        dphi_sup=1.0,
+        d2phi_sup=1.0,
+    )
+    return [
+        (R.linear_coefficient(1.0, box=8.0), R.rough_line(0.3, 256, r=2.5), 1.0),
+        (R.scalar_coefficient(np.sin, np.cos, lambda y: -np.sin(y), box=8.0), demo_walk(11), 1.0),
+        (user, R.lift(R.SampledPath(np.linspace(0.0, 0.3, 65), plane - plane[0], "step"), r=2.5), 0.5),
+    ]
+
+
+def stacked_steps_equal_the_oracles(phi: R.SmoothFunction, X: R.RoughPath, y0: float) -> bool:
+    """Solve with every ``picard_norms`` call recorded: each step's norms and
+    metric variations, and each metric of the solution's runs, must be the
+    floats of the oracles that take one variation at a time, in every bit."""
+    steps, real = [], R.picard_norms
+
+    def spy(Z, Y):
+        out = real(Z, Y)
+        steps.append((Z, Y, out))
+        return out
+
+    R.picard_norms = spy
+    try:
+        sol = R.rde_solve(phi, X, y0)
+    finally:
+        R.picard_norms = real
+    same = len(steps) == sol.iterations
+    for run in sol.metric_runs:
+        run_steps, steps = steps[: len(run)], steps[len(run) :]
+        first = controlled_norms(run_steps[0][0])
+        # the radius rde_solve sets from a run's first iterate
+        A = 4.0 * max(1.0, first["Yp_r"], math.sqrt(max(first["R_r2"], 0.0)), phi.dphi_sup * first["Y_r"])
+        for (Z, Y, (norms, variations)), m in zip(run_steps, run):
+            same &= {k: v.hex() for k, v in norms.items()} == {k: v.hex() for k, v in controlled_norms(Z).items()}
+            same &= [v.hex() for v in variations] == [v.hex() for v in metric_variations(Z, Y)]
+            same &= m.hex() == picard_metric(phi, A, Z, Y).hex()
+    return same
+
+
+def test_stacked_picard_step_equals_the_oracles():
+    # two stacked DPs per step give the six variations of six separate DPs
+    for phi, X, y0 in picard_cases():
+        assert stacked_steps_equal_the_oracles(phi, X, y0), X.dim
+
+
 def halving_drivers():
     yield R.rough_line(0.3, 128, r=2.5)
     yield R.rough_line(0.3, 512, r=2.5)
     for seed in range(4):
-        # the demo walk driver: +-step increments, many tied gaps
-        rng = np.random.default_rng(seed)
-        step = 0.2 / math.sqrt(256)
-        vals = np.concatenate([[0.0], np.cumsum(rng.choice([-step, step], size=256))])
-        yield R.lift(R.SampledPath(np.linspace(0.0, 0.3, 257), vals, "step"), r=2.5)
+        yield demo_walk(seed)  # +-step increments, many tied gaps
     for dim in (1, 2, 3):
         rng = np.random.default_rng(20 + dim)
         vals = np.cumsum(rng.choice([-0.05, 0.05], size=(97, dim)), axis=0)
