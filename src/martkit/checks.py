@@ -24,7 +24,7 @@ import numpy as np
 from . import bellman
 from . import functionals as fn
 from .report import CheckReport, CorpusSpec, closed_sublevel_block_scan, closed_tail_scan, good_lambda_sup, lambda_candidates, lq_norm, ratio, run_trials, truncation_ratio_sup
-from .tree import MAX_VECTOR_DIM, Martingale, StoppingRule
+from .tree import MAX_VECTOR_DIM, Martingale, StoppingRule, accumulate_levels
 
 
 def _conjugate(p: float) -> float:
@@ -398,10 +398,11 @@ def check_paraproduct(
             du = u_k - u_k[lo_t, cols]
             win = (lo_t <= t) & (t < hi_t)
             terms = np.where(win[:-1], du[:-1] * dg, 0.0)
-            sup_pi = np.abs(fn.accumulate_rows(np.add, terms, out=terms)).max(axis=0, initial=0.0)
+            accumulate_levels(np.add, terms)
+            sup_pi = np.abs(terms).max(axis=0, initial=0.0)
             sup_f = np.abs(du).max(axis=0, where=win, initial=0.0)
-            dg2 = np.vstack([np.zeros(tree.n_leaves), dg**2])
-            cums = fn.accumulate_rows(np.add, dg2, out=dg2)
+            cums = np.vstack([np.zeros(tree.n_leaves), dg**2])
+            accumulate_levels(np.add, cums)
             s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
             lhs_pow += sup_pi**r
             f_pow += sup_f**r1

@@ -34,21 +34,21 @@ is taken without holding either.
 reaches it through one of two sources: ``PathGaps`` for scalar values and
 the per-path gaps of a path matrix, ``DistColumns`` for the Euclidean
 distances of a vector sequence or a stack of them.  It reads |pairs[i, j]|^r
-for a block of w columns, w = CHAIN_BLOCK_ELEMENTS // (n * trailing size * d),
-d the Euclidean axis of ``DistColumns`` or 1, so a short sequence costs a few
-numpy calls per block and two per column; when w < 2 (long or wide inputs)
-it reads one column at a time into the same reused buffer.  |.| is taken
-once, and r = 1 skips the power (x**1 == x).  When a certificate shows that
-every magnitude is an exact multiple k 2^s of one power of two with k at
-most the width of the widest cost column (``_power_table``: ``PathGaps``
-and ``ParaproductGaps`` of dyadic values, such as +-1/sqrt(N) walks with N
-a power of 4), each k is raised once into a table and every cost is read
-from it, the float the power gives on that magnitude; otherwise every cost
-is raised by numpy's power.  For r = 1 on dyadic ``PathGaps`` with total
-variation below 2^53 units, every chain sum is exact and the longest chain
-is the best, so ``_exact_total_variation`` returns the prefix sums of
-|increments|, the DP's own floats, in O(n) instead of O(n^2); other values
-run the DP.  ``variation`` returns the float best.max() ** (1/r).
+for a block of w columns, w = max(1, CHAIN_BLOCK_ELEMENTS // (n * trailing
+size * d)), d the Euclidean axis of ``DistColumns`` or 1, so a short
+sequence costs a few numpy calls per block and two per column, and a long or
+wide one reads blocks of one column.  |.| is taken once, and r = 1 skips the
+power (x**1 == x).  When a certificate shows that every magnitude is an
+exact multiple k 2^s of one power of two with k at most the width of the
+widest cost column (``_power_table``: ``PathGaps`` and ``ParaproductGaps``
+of dyadic values, such as +-1/sqrt(N) walks with N a power of 4), each k is
+raised once into a table and every cost is read from it, the float the power
+gives on that magnitude; otherwise every cost is raised by numpy's power.
+For r = 1 on dyadic ``PathGaps`` with total variation below 2^53 units,
+every chain sum is exact and the longest chain is the best, so
+``_exact_total_variation`` returns the prefix sums of |increments|, the DP's
+own floats, in O(n) instead of O(n^2); other values run the DP.
+``variation`` returns the float best.max() ** (1/r).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ import math
 import numpy as np
 
 from . import report
-from .tree import FiltrationTree, Martingale, NodeLayout, TreeProcess, accumulate_levels
+from .tree import FiltrationTree, Martingale, NodeLayout, TreeProcess
 
 
 def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -69,28 +69,6 @@ def quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 # -- maximal and square functions ----------------------------------------
-
-
-def accumulate_rows(ufunc: np.ufunc, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``ufunc.accumulate(arr, axis=0)``, one row at a time: out[0] = arr[0]
-    and out[k] = ufunc(out[k-1], arr[k]), the same operations in the same
-    order, so every float is equal.  ``out`` may be ``arr`` itself.
-
-    numpy scans axis 0 one column at a time, stepping a whole row's stride per
-    element; on the path matrices of the paraproduct check's windows (at
-    most MAX_DEPTH + 1 rows of up to millions of paths) the N contiguous row
-    calls here are several times faster.  Tall, narrow grid bundles
-    (hundreds of time steps over tens of paths) are the opposite case: there
-    the overhead of one call per row exceeds the strided scan (150-200 against
-    40 us at 128 x 64), so the time cumsums of the ito and rough layers and
-    ``ito.AdaptedGridPartition.floor_indices`` keep ``ufunc.accumulate``.
-    """
-    if out is None:
-        out = arr.copy()
-    elif out is not arr:
-        np.copyto(out, arr)
-    accumulate_levels(ufunc, out)
-    return out
 
 
 def maximal_paths(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
@@ -188,38 +166,35 @@ def davis_decompose(f: Martingale, norm_exponent: float = 2.0) -> tuple[TreeProc
 
 # -- r-variation -----------------------------------------------------------
 
-# Element budget of one chain-DP cost block: chain_dp reads the columns
-# [j0, j0 + w) of pairs together, with w = CHAIN_BLOCK_ELEMENTS // (n *
-# trailing size * d), and one column at a time when w < 2.  A block also makes
-# the unread costs below the diagonal, about w / 2 rows per column.  On a
-# 2-core x86 host with AVX-512 (numpy 2.4), blocks of 4096 elements ran
-# scalar sequences of 17 to 2,048 points 1.4 to 3 times faster than columns
-# and no measured shape slower; at 8192, path gaps of 3 to 9 points by 400
-# to 1,024 paths ran 5 to 31% slower.
+# Element budget of one chain-DP cost block: chain_dp reads the columns [j0,
+# j0 + w) of pairs together, with w = max(1, CHAIN_BLOCK_ELEMENTS // (n *
+# trailing size * d)); a one-column block holds the (n - 1) * trailing size
+# costs of its column.  A block also makes the unread costs below the
+# diagonal, about w / 2 rows per column.  On a 2-core x86 host with AVX-512
+# (numpy 2.4), blocks of 4096 elements ran scalar sequences of 17 to 2,048
+# points 1.4 to 3 times faster than columns and no measured shape slower; at
+# 8192, path gaps of 3 to 9 points by 400 to 1,024 paths ran 5 to 31% slower.
 CHAIN_BLOCK_ELEMENTS = 4096
 
 
-def _split(arr: np.ndarray, cols: int | slice) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, at) for one column j, (arr[:j], arr[j]), or for a slice j0:j1
-    of columns, (arr[:j1 - 1], arr[j0:j1, None]): ``at`` broadcasts against
-    ``rows`` into the column's (j, ...) or the block's (j1 - j0, j1 - 1, ...)
-    layout."""
-    if isinstance(cols, int):
-        return arr[:cols], arr[cols]
+def _split(arr: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, at) = (arr[:j1 - 1], arr[j0:j1, None]) for a slice j0:j1 of
+    columns: ``at`` broadcasts against ``rows`` into the block's (j1 - j0,
+    j1 - 1, ...) layout."""
     return arr[: cols.stop - 1], arr[cols, None]
 
 
 class DistColumns:
     """pairs[i, j] = |f_i - f_j| of an (n, d) vector sequence, or pairs[i, j,
     b] of the B sequences stacked in (n, B, d) values, Euclidean across d and
-    made a column or a block of columns at a time, so chain_dp never holds a
-    distance matrix.  Scalar sequences take ``PathGaps``."""
+    made a block of columns at a time, so chain_dp never holds a distance
+    matrix.  Scalar sequences take ``PathGaps``."""
 
     def __init__(self, values: np.ndarray):
         self.values = values
         self.shape = (values.shape[0],) * 2 + values.shape[1:-1]
 
-    def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
+    def magnitudes(self, cols: slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
         rows, at = _split(self.values, cols)
         diff = rows - at
@@ -230,39 +205,36 @@ class DistColumns:
 
 class PathGaps:
     """pairs[i, j] = pm[j] - pm[i] of an (N+1, ...) path matrix, or of an
-    (n,) scalar sequence, whose |pairs[i, j]| = |x_i - x_j|, made a column or
-    a block of columns at a time, so chain_dp never holds the (N+1, N+1, ...)
-    difference tensor."""
+    (n,) scalar sequence, whose |pairs[i, j]| = |x_i - x_j|, made a block of
+    columns at a time, so chain_dp never holds the (N+1, N+1, ...) difference
+    tensor."""
 
     def __init__(self, pm: np.ndarray):
         self.pm = pm
         self.shape = pm.shape[:1] + pm.shape
 
-    def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
+    def magnitudes(self, cols: slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
         rows, at = _split(self.pm, cols)
         np.subtract(at, rows, out=out)
         return np.abs(out, out=out)
 
 
-def _costs(pairs, cols: int | slice, r: float, out: np.ndarray, table=None, index=None) -> np.ndarray:
-    """|pairs[i, j]|**r into ``out``: out[i] for i < j of one column j, or
-    out[j - j0, i] for i < j1 - 1 of a slice j0:j1 of columns, so each
-    column's costs are one contiguous row.  A block also makes the entries
-    with i >= j, which are never read.  x**1 == x exactly, so r = 1 skips the
-    power.
+def _costs(pairs, cols: slice, r: float, out: np.ndarray, table=None, index=None) -> np.ndarray:
+    """|pairs[i, j]|**r into ``out``: out[j - j0, i] for i < j1 - 1 of a
+    slice j0:j1 of columns, so each column's costs are one contiguous row.
+    A block also makes the entries with i >= j, which are never read.
+    x**1 == x exactly, so r = 1 skips the power.
 
     With a ``table`` = (2^-s, powers) from ``_power_table``, every magnitude
     is k 2^s exactly with 0 <= k < powers.size, so k = |pairs[i, j]| 2^-s is
     an exact product, cast into the reused intp buffer ``index``, and the
     cost is powers[k] = (k 2^s)**r, the float the power gives on this
     magnitude.  Without one, numpy's power raises every cost."""
-    if not isinstance(pairs, np.ndarray):
-        pairs.magnitudes(cols, out)
-    elif isinstance(cols, int):
-        np.abs(pairs[:cols, cols], out=out)
-    else:
+    if isinstance(pairs, np.ndarray):
         np.abs(pairs[: cols.stop - 1, cols].swapaxes(0, 1), out=out)
+    else:
+        pairs.magnitudes(cols, out)
     if r == 1:
         return out
     if table is not None:
@@ -277,21 +249,15 @@ def _costs(pairs, cols: int | slice, r: float, out: np.ndarray, table=None, inde
 def _cost_columns(pairs, r: float):
     """Yield (j, costs) for j = 1..n-1 with costs[i] = |pairs[i, j]|**r,
     i < j, a contiguous view into one reused buffer that a later column
-    overwrites.  The columns come in blocks of w = CHAIN_BLOCK_ELEMENTS //
-    (n * trailing size * d), or one at a time when w < 2.  For r != 1 the
-    costs are read from ``_power_table`` when it certifies the magnitudes."""
+    overwrites.  The columns come in blocks of w = max(1, CHAIN_BLOCK_ELEMENTS
+    // (n * trailing size * d)).  For r != 1 the costs are read from
+    ``_power_table`` when it certifies the magnitudes."""
     n, trail = pairs.shape[0], pairs.shape[2:]
     size = math.prod(trail)
     d = pairs.values.shape[-1] if isinstance(pairs, DistColumns) else 1
-    width = CHAIN_BLOCK_ELEMENTS // max(n * size * d, 1)
+    width = max(1, CHAIN_BLOCK_ELEMENTS // max(n * size * d, 1))
     m = max(n - 1, 0)
     table = None if r == 1 else _power_table(pairs, r)
-    if width < 2:
-        buf = np.empty((m,) + trail)
-        index = np.empty(buf.size if table else 0, dtype=np.intp)
-        for j in range(1, n):
-            yield j, _costs(pairs, j, r, buf[:j], table, index)
-        return
     buf = np.empty(min(width, m) * m * size)
     index = np.empty(buf.size if table else 0, dtype=np.intp)
     for j0 in range(1, n, width):
@@ -309,7 +275,7 @@ def step_cost(values: np.ndarray, r: float) -> float:
     this candidate in its last column, so its float maximum is at least this
     float."""
     ends = np.asarray(values, dtype=np.float64)[[0, -1]]
-    return float(_costs(PathGaps(ends) if ends.ndim == 1 else DistColumns(ends), 1, r, np.empty(1))[0])
+    return float(_costs(PathGaps(ends) if ends.ndim == 1 else DistColumns(ends), slice(1, 2), r, np.empty((1, 1)))[0, 0])
 
 
 def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
@@ -380,7 +346,7 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
     - Other sources (Euclidean distances, dense arrays) return None.
 
     The table is made only when span + 1 <= (n - 1) * trailing size, the
-    widest cost column: it holds no more floats than the column buffer of
+    widest cost column: it holds no more floats than a one-column block of
     ``_cost_columns`` and raises at most 2/n of the DP's costs.  It also
     needs 2^-s and span 2^s finite.  The powers are made by
     the same in-place ``**`` as ``_costs`` on one contiguous array."""
@@ -620,8 +586,8 @@ class ParaproductGaps:
     """pairs[i, j, k] = Pi(delta f^(k), g)_{i,j} - Pi(delta f^(k+1), g)_{i,j}
     for K stacked paths ``f_stack`` of shape (n, K, ...) against one g with
     increments ``dg`` (n - 1, ...), so pairs has shape (n, n, K - 1, ...): the
-    gaps between successive pair sums, made a column or a block of columns at
-    a time, so chain_dp never holds an (n, n, ...) pair-sum tensor.
+    gaps between successive pair sums, made a block of columns at a time, so
+    chain_dp never holds an (n, n, ...) pair-sum tensor.
 
     The source keeps one running sum per start row i, path k and trailing
     index, and steps column j - 1 to column j by adding (f_{j-1} - f_i)
@@ -641,11 +607,10 @@ class ParaproductGaps:
         self._terms = np.empty(f_stack.shape)
         self._next = 1
 
-    def magnitudes(self, cols: int | slice, out: np.ndarray) -> np.ndarray:
+    def magnitudes(self, cols: slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``; the
-        entries of a block with i >= j are set to 0."""
-        block = isinstance(cols, slice)
-        j0, j1 = (cols.start, cols.stop) if block else (cols, cols + 1)
+        entries with i >= j are set to 0."""
+        j0, j1 = cols.start, cols.stop
         if j0 == 1:
             self._sums.fill(0.0)
         elif j0 != self._next:
@@ -655,11 +620,10 @@ class ParaproductGaps:
             terms *= self.dg[j - 1]
             sums = self._sums[:j]
             sums += terms
-            col = out[j - j0, :j] if block else out
+            col = out[j - j0, :j]
             np.subtract(sums[:, :-1], sums[:, 1:], out=col)
             np.abs(col, out=col)
-            if block:
-                out[j - j0, j:] = 0.0
+            out[j - j0, j:] = 0.0
         self._next = j1
         return out
 

@@ -259,8 +259,8 @@ def refine_converge(
 
     All levels share one chain DP for the distances, over the gaps
     |Pi^{pi_l} - Pi^{pi_{l+1}}| that ``functionals.ParaproductGaps`` makes a
-    column at a time from the stacked discretizations, and one for the
-    other levels' discretization errors; levels and paths are independent
+    block of columns at a time from the stacked discretizations, and one for
+    the other levels' discretization errors; levels and paths are independent
     trailing axes, so no (N+1, N+1, P) tensor is built and every float is
     that of one level at a time.  On dyadic walks (``sampled_walk`` with N
     a power of 4, such as the demo's 256 steps and the 64 of the golden ito
@@ -268,6 +268,10 @@ def refine_converge(
     (``functionals._power_table``); other N, such as 48, raise every cost.
     """
     fn.check_exponent(r)
+    # round(log2 N) <= log2 GRID_GUARD, so a further level repeats the full grid
+    top = GRID_GUARD.bit_length() - 1
+    if not 0 <= levels <= top:
+        raise ValueError(f"levels must be in 0..{top}, got {levels}")
     n = f.n_steps
     start_power = max(0, int(round(np.log2(n))) - levels)
     parts = [base.union_grid(max(1, n >> (start_power + level))) for level in range(levels + 1)]

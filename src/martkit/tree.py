@@ -88,6 +88,16 @@ def accumulate_levels(ufunc: np.ufunc, levels, parents=None, start: int = 1) -> 
     same position of the level before, as along the rows of a matrix.
     Each path sees ``ufunc.accumulate`` of its own values, the same
     operations in the same order.
+
+    On the rows of a matrix this is ``ufunc.accumulate(m, axis=0)`` in place.
+    numpy scans axis 0 one column at a time, stepping a whole row's stride per
+    element; on the path matrices of the paraproduct check's windows (at
+    most MAX_DEPTH + 1 rows of up to millions of paths) the contiguous row
+    calls here are several times faster.  Tall, narrow grid bundles
+    (hundreds of time steps over tens of paths) are the opposite case: there
+    the overhead of one call per row exceeds the strided scan (150-200 against
+    40 us at 128 x 64), so the time cumsums of the ito and rough layers and
+    ``ito.AdaptedGridPartition.floor_indices`` keep ``ufunc.accumulate``.
     """
     for n in range(start, len(levels)):
         prev = levels[n - 1] if parents is None else levels[n - 1][parents[n]]

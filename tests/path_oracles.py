@@ -158,7 +158,7 @@ def check_davis_decomposition(spec):
             tracker.flag()
         size = np.abs(increments(pm))
         mdf_prev = np.zeros_like(size)
-        fn.accumulate_rows(np.maximum, size[:-1], out=mdf_prev[1:])
+        np.maximum.accumulate(size[:-1], axis=0, out=mdf_prev[1:])
         dpred = increments(pred)
         tracker.add_many(np.abs(dpred).ravel(), 2.0 * mdf_prev.ravel())
         tv = np.abs(increments(bv)).sum(axis=0)
@@ -349,7 +349,7 @@ def check_paraproduct(spec, q0=2.0, q1=2.0, r0=2.0, r1=2.0, families=4):
             sup_pi = np.abs(pi_lo).max(axis=0, where=(lo_t <= t) & (t <= hi_t), initial=0.0)
             sup_f = np.abs(u_k - u_k[lo_t, cols]).max(axis=0, where=(lo_t <= t) & (t < hi_t), initial=0.0)
             dg2 = np.vstack([np.zeros(tree.n_leaves), np.diff(g_pm, axis=0) ** 2])
-            cums = fn.accumulate_rows(np.add, dg2, out=dg2)
+            cums = np.add.accumulate(dg2, axis=0)
             s_win = np.sqrt(np.maximum(cums[hi_t, cols] - cums[lo_t, cols], 0.0))
             lhs_pow += sup_pi**r
             f_pow += sup_f**r1

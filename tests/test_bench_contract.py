@@ -295,6 +295,27 @@ def test_short_variation_reads_its_costs_in_blocks(monkeypatch):
     assert width >= 2 and calls["magnitudes"] <= -(-64 // width)
 
 
+def test_long_and_wide_sources_read_one_column_blocks(monkeypatch):
+    # inputs whose block width is 1 read their costs through the same slice
+    # path as any other block, never through a separate column loop
+    seen = []
+    real = fn._costs
+
+    def spy(pairs, cols, r, out, table=None, index=None):
+        seen.append(cols)
+        return real(pairs, cols, r, out, table, index)
+
+    monkeypatch.setattr(fn, "_costs", spy)
+    rng = np.random.default_rng(35)
+    g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)  # the ito demo's shapes
+    ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
+    fn.chain_dp(fn.DistColumns(rng.normal(size=(65, 64))), 2.5)
+    fn.chain_dp(fn.PathGaps(rng.normal(size=2049)), 2.5)
+    fn.chain_dp(rng.normal(size=(65, 65, 64)), 2.5)
+    assert len(seen) == 2 * 256 + 64 + 2048 + 64
+    assert all(isinstance(cols, slice) and cols.stop - cols.start == 1 for cols in seen)
+
+
 def test_halving_index_holds_no_table():
     # two chain DPs hold a few (n,) arrays and one block of costs; the
     # (513, 513) float64 table they replaced took 2.1 MB

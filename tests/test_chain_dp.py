@@ -3,7 +3,7 @@
 ``chain_dp`` reads its costs a block of columns at a time, with a block width
 set by ``functionals.CHAIN_BLOCK_ELEMENTS``.  The tests shrink that budget
 so that small inputs cross every case: one block, several blocks that divide
-the n - 1 columns exactly or not, and one column at a time.  For r = 1 the
+the n - 1 columns exactly or not, and blocks of one column.  For r = 1 the
 prefix sums that replace the DP on certified inputs must equal the column
 loop too, and inputs whose chain sums may round must be left to the DP.
 For r != 1 the costs of certified dyadic inputs come from one table of
@@ -28,7 +28,7 @@ EXPONENTS = (1, 1.0, 1.5, 2.5, 3, 4)
 DEFAULT = fn.CHAIN_BLOCK_ELEMENTS
 BUDGETS = (DEFAULT, 96, 24)
 # paths of the wide lattice walk: from 33 points on, the default budget
-# reads its gaps one column at a time
+# reads its gaps in blocks of one column
 WIDE = 64
 
 
@@ -73,7 +73,7 @@ def covered(budget: int, size: int, ns) -> set[str]:
     for n in ns:
         width = budget // (n * size)
         if width < 2:
-            cases.add("columns")
+            cases.add("one-column blocks")
         elif width >= n - 1:
             cases.add("one block")
         elif (n - 1) % width == 0:
@@ -89,9 +89,9 @@ def test_chain_dp_equals_the_column_loop(monkeypatch, budget):
     rng = np.random.default_rng(40)
     ns = range(2, 71) if budget < DEFAULT else (2, 7, 64, 65, 257)
     if budget < DEFAULT:
-        assert covered(budget, 1, ns) == {"columns", "one block", "exact blocks", "ragged blocks"}
+        assert covered(budget, 1, ns) == {"one-column blocks", "one block", "exact blocks", "ragged blocks"}
     else:
-        assert "columns" in covered(budget, WIDE, ns)
+        assert "one-column blocks" in covered(budget, WIDE, ns)
     for n in ns:
         for kind, pairs, ref in sources(n, rng):
             for r in EXPONENTS:
@@ -104,7 +104,7 @@ def test_distance_blocks_stay_within_the_budget():
     # counted in the width, the costs, the differences and the buffers stay
     # within four budgets beside the (n, B) best totals
     rng = np.random.default_rng(45)
-    for shape in ((257, 4, 1), (33, 16), (33, 4, 4), (65, 9), (17, 64)):
+    for shape in ((257, 4, 1), (33, 16), (33, 4, 4), (65, 9), (17, 64), (65, 64)):
         values = rng.normal(size=shape)
         tracemalloc.start()
         try:

@@ -382,6 +382,8 @@ def test_bad_trial_counts_are_usage_errors(tmp_path, capsys, argv, message):
         pytest.param(["--T", "nan"], "T must be finite and positive", id="T=nan"),
         pytest.param(["--T", "0"], "T must be finite and positive", id="T=0"),
         pytest.param(["--eps", "nan"], "eps must be >= 0", id="eps=nan"),
+        pytest.param(["--levels", "-1"], "levels must be in 0..12", id="levels=-1"),
+        pytest.param(["--levels", "13"], "levels must be in 0..12", id="levels=13"),
     ],
 )
 def test_ito_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):

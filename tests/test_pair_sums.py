@@ -125,8 +125,8 @@ def tree_bundle(depth: int, seed: int) -> I.GridCadlagPath:
     return from_tree_process(G.gen_leaf_backprop("normal", depth, seed=seed))
 
 
-# (n_steps, n_paths): the small ones take chain_dp's cost blocks, 256 x 64
-# its column path
+# (n_steps, n_paths): the small ones take chain_dp's blocks of several
+# columns, 256 x 64 its blocks of one column
 REFINE_SHAPES = ((16, 3), (33, 2), (40, 3), (64, 1), (256, 64))
 
 
@@ -139,13 +139,13 @@ def test_refine_converge_equals_the_pair_tensor_oracle(levels, r):
     taken = set()
     for f, g in cases:
         width = fn.CHAIN_BLOCK_ELEMENTS // ((f.n_steps + 1) * levels * f.values.shape[1])
-        taken.add("blocks" if width >= 2 else "columns")
+        taken.add("blocks" if width >= 2 else "one-column blocks")
         for base in (I.AdaptedGridPartition.from_oscillation(f, 0.4), zero_only(f)):
             diag = I.refine_converge(f, g, base, levels=levels, r=r)
             distances, disc = oracle.refine_converge(f, g, base, levels=levels, r=r)
             assert diag.pi_distances == distances, (f.values.shape, levels, r)
             assert diag.discretization_errors == disc, (f.values.shape, levels, r)
-    assert taken == {"blocks", "columns"}
+    assert taken == {"blocks", "one-column blocks"}
 
 
 def test_refine_converge_without_refinement_reports_only_the_error():
@@ -172,10 +172,10 @@ def gap_source(n: int = 9, k: int = 3, paths: int = 2) -> fn.ParaproductGaps:
 
 def test_paraproduct_gaps_reject_columns_out_of_order():
     gaps = gap_source()
-    gaps.magnitudes(1, np.empty((1, 2, 2)))
+    gaps.magnitudes(slice(1, 2), np.empty((1, 1, 2, 2)))
     with pytest.raises(ValueError, match="in order"):
-        gaps.magnitudes(3, np.empty((3, 2, 2)))
-    gaps.magnitudes(2, np.empty((2, 2, 2)))
+        gaps.magnitudes(slice(3, 4), np.empty((1, 3, 2, 2)))
+    gaps.magnitudes(slice(2, 3), np.empty((1, 2, 2, 2)))
     with pytest.raises(ValueError, match="in order"):
         gaps.magnitudes(slice(2, 5), np.empty((3, 4, 2, 2)))
     # column 1 starts a new pass, with the same floats
@@ -187,7 +187,7 @@ def test_paraproduct_gaps_blocks_zero_their_unread_entries():
     # a reused buffer may hold anything; **= r must not warn on what is not read
     gaps = gap_source()
     out = np.full((4, 5, 2, 2), -np.inf)
-    gaps.magnitudes(1, np.empty((1, 2, 2)))
+    gaps.magnitudes(slice(1, 2), np.empty((1, 1, 2, 2)))
     gaps.magnitudes(slice(2, 6), out)
     for k in range(4):
         assert np.all(out[k, k + 2 :] == 0.0)
