@@ -279,7 +279,7 @@ def check_lepingle(spec: CorpusSpec, r: float | tuple = (2.5, 3.0, 4.0), p: floa
         layout = mart.tree.layout
         w = mart.tree.leaf_prob
         mf = layout.leaves(fn.maximal_paths(mart.flat, layout))
-        bounds = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(mart.paths()))
+        bounds = fn.lepingle_pathwise_bound(mart.flat, rs, layout)
         for rr, (vr, rhs) in zip(rs, bounds):
             tracker.add_many(vr**2, rhs)
             tracker.measure(f"moment_ratio_r={rr}", ratio(lq_norm(vr, p, w), rr / (rr - 2.0) * lq_norm(mf, p, w)))
@@ -435,7 +435,7 @@ def check_paraproduct(
         # -- r-variation form: the gaps to the sums of a zero path are the sums
         best = fn.chain_dp(fn.ParaproductGaps(np.stack([f_pm, np.zeros_like(f_pm)], axis=1), dg), r_var)
         vr_pi = best[:, 0].max(axis=0) ** (1.0 / r_var)
-        vr_f = fn.variation_paths(f_pm, r1)
+        vr_f = fn.variation_paths(np.abs(f_m.flat), r1, layout)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))

@@ -2,9 +2,10 @@
 rough/Ito/Bellman demos.
 
 Exit codes: 0 all assertions hold, 1 at least one violation, 2 usage or
-configuration error.  Stochastic commands demand an explicit --seed; reruns
-with identical arguments produce byte-identical outputs except for the
-runtime_ms fields.
+configuration error, an RDE outside the local solution theory
+(``rough.RdeError``) or a run out of memory.  Stochastic commands demand an
+explicit --seed; reruns with identical arguments produce byte-identical
+outputs except for the runtime_ms fields.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def cmd_suite(args) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"suite configuration must be a JSON object, got {config!r}")
         entries = config.get("checks", [])
         seed = args.seed if args.seed is not None else config.get("seed")
     elif args.default:
@@ -116,11 +119,19 @@ def cmd_suite(args) -> int:
         raise ValueError("either --config or --default is required")
     if not entries:
         raise ValueError("suite configuration has no checks")
-    reports: list[CheckReport] = []
+    if not isinstance(entries, list):
+        raise ValueError(f"suite checks must be a JSON list, got {entries!r}")
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"suite entry must be a JSON object, got {entry!r}")
         unknown = sorted(set(entry) - {"check", "params", "corpus"})
         if unknown:
             raise ValueError(f"unknown suite entry keys {unknown}")
+        for key in ("params", "corpus"):
+            if not isinstance(entry.get(key, {}), dict):
+                raise ValueError(f"suite entry {key} must be a JSON object, got {entry[key]!r}")
+    reports: list[CheckReport] = []
+    for entry in entries:
         name = entry["check"]
         corpus_cfg = dict(entry.get("corpus", {}))
         if seed is not None and "seed" not in entry.get("corpus", {}):
@@ -365,7 +376,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TreeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TreeError, rough.RdeError, MemoryError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,18 +4,16 @@ The adapted functionals f*_n, df_n and Sf_n are F_n-measurable, so on a
 filtration tree each is one value per level-n node: ``maximal_paths``,
 ``increments`` and ``square_function_paths`` take a flat node array and its
 ``NodeLayout`` and return one value per node, and the Davis decomposition
-runs on the same arrays.  ``variation_paths`` takes a layout too, or a
-(depth+1, n_paths) path matrix, the form of the grid bundles of the ito
-layer; ``running_oscillation`` and ``lepingle_pathwise_bound`` take a
-layout always, so Lepingle's chain DPs and greedy partitions see each node
-once, not once per leaf below it.  Running maxima and sums go through
-``NodeLayout.accumulate``, one parent-to-child step per level, and each
-path sees ``ufunc.accumulate`` of its own values, the same floats as a
-time scan of the path matrix.  Ratios whose denominator may vanish go
-through ``quotient``, which takes 0/0 to be 0.  No check or CLI command
-calls the tree-level wrappers ``maximal``, ``square_function`` and
-``predictable_square``; they stay because ``benchmarks/tracing.py`` wraps
-them by name.
+runs on the same arrays.  ``variation_paths``, ``running_oscillation`` and
+``lepingle_pathwise_bound`` take a layout too, so Lepingle's chain DPs,
+smallest jumps and greedy partitions see each node once, not once per leaf
+below it.  Running maxima and sums go through ``NodeLayout.accumulate``,
+one parent-to-child step per level, and each path sees ``ufunc.accumulate``
+of its own values, the same floats as a time scan of the path matrix.
+Ratios whose denominator may vanish go through ``quotient``, which takes
+0/0 to be 0.  No check or CLI command calls the tree-level wrappers
+``maximal``, ``square_function`` and ``predictable_square``; they stay
+because ``benchmarks/tracing.py`` wraps them by name.
 
 ``paraproduct_deltaf_row`` is the one pair-sum kernel: row s of the discrete
 paraproduct Pi(delta f, g)_{s,t} = sum_{s<j<=t} (f_{j-1} - f_s) dg_j, one
@@ -30,24 +28,25 @@ time for every start row, and hands chain_dp the gaps between the sums of
 successive paths, so the r-variation distance between two pair-sum tensors
 is taken without holding either.
 
-``chain_dp`` is the one r-variation kernel, for 0 < r < inf.  A sequence
-reaches it through one of two sources: ``PathGaps`` for scalar values and
-the per-path gaps of a path matrix, ``DistColumns`` for the Euclidean
-distances of a vector sequence or a stack of them.  It reads |pairs[i, j]|^r
-for a block of w columns, w = max(1, CHAIN_BLOCK_ELEMENTS // (n * trailing
-size * d)), d the Euclidean axis of ``DistColumns`` or 1, so a short
-sequence costs a few numpy calls per block and two per column, and a long or
-wide one reads blocks of one column.  |.| is taken once, and r = 1 skips the
-power (x**1 == x).  When a certificate shows that every magnitude is an
-exact multiple k 2^s of one power of two with k at most the width of the
-widest cost column (``_power_table``: ``PathGaps`` and ``ParaproductGaps``
-of dyadic values, such as +-1/sqrt(N) walks with N a power of 4), each k is
-raised once into a table and every cost is read from it, the float the power
-gives on that magnitude; otherwise every cost is raised by numpy's power.
-For r = 1 on dyadic ``PathGaps`` with total variation below 2^53 units,
-every chain sum is exact and the longest chain is the best, so
-``_exact_total_variation`` returns the prefix sums of |increments|, the DP's
-own floats, in O(n) instead of O(n^2); other values run the DP.
+``chain_dp`` is the one r-variation kernel, for 0 < r < inf.  Every
+sequence reaches it through one source, ``DistColumns``: (n,) scalars, or
+(n, ..., d) values, Euclidean across d, whose middle axes are independent
+problems (a path matrix pm passes as pm[..., None]); for d = 1 the gap is
+|x_j - x_i|.  It reads |pairs[i, j]|^r for a block of w columns, w = max(1,
+CHAIN_BLOCK_ELEMENTS // (n * trailing size * d)), d = 1 for the other
+sources, so a short sequence costs a few numpy calls per block and two per
+column, and a long or wide one reads blocks of one column.  |.| is taken
+once, and r = 1 skips the power (x**1 == x).  When a certificate shows that
+every magnitude is an exact multiple k 2^s of one power of two with k at
+most the width of the widest cost column (``_power_table``: dyadic d = 1
+``DistColumns`` and ``ParaproductGaps``, such as +-1/sqrt(N) walks with N
+a power of 4), each k is raised once into a table and every cost is read
+from it, the float the power gives on that magnitude; otherwise every cost
+is raised by numpy's power.  For r = 1 on a dyadic d = 1 ``DistColumns``
+with total variation below 2^53 units, every chain sum is exact and the
+longest chain is the best, so ``_exact_total_variation`` returns the prefix
+sums of |increments|, the DP's own floats, in O(n) instead of O(n^2); other
+values run the DP.
 ``variation`` returns the float best.max() ** (1/r).
 """
 
@@ -185,39 +184,26 @@ def _split(arr: np.ndarray, cols: slice) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DistColumns:
-    """pairs[i, j] = |f_i - f_j| of an (n, d) vector sequence, or pairs[i, j,
-    b] of the B sequences stacked in (n, B, d) values, Euclidean across d and
-    made a block of columns at a time, so chain_dp never holds a distance
-    matrix.  Scalar sequences take ``PathGaps``."""
+    """pairs[i, j] = |f_i - f_j| of (n,) scalars or of (n, ..., d) values,
+    Euclidean across d, the middle axes independent problems, made a block
+    of columns at a time, so chain_dp never holds a distance matrix.  With
+    d = 1 the values are also kept as ``scalars``, for the certificates."""
 
     def __init__(self, values: np.ndarray):
-        self.values = values
-        self.shape = (values.shape[0],) * 2 + values.shape[1:-1]
+        self.values = values if values.ndim > 1 else values[:, None]
+        self.shape = (values.shape[0],) * 2 + self.values.shape[1:-1]
+        self.scalars = self.values[..., 0] if self.values.shape[-1] == 1 else None
 
     def magnitudes(self, cols: slice, out: np.ndarray) -> np.ndarray:
         """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
         rows, at = _split(self.values, cols)
+        if self.scalars is not None:
+            np.subtract(at, rows, out=out[..., None])
+            return np.abs(out, out=out)
         diff = rows - at
         diff *= diff
         np.add.reduce(diff.reshape(-1, diff.shape[-1]), axis=-1, out=out.reshape(-1))
         return np.sqrt(out, out=out)
-
-
-class PathGaps:
-    """pairs[i, j] = pm[j] - pm[i] of an (N+1, ...) path matrix, or of an
-    (n,) scalar sequence, whose |pairs[i, j]| = |x_i - x_j|, made a block of
-    columns at a time, so chain_dp never holds the (N+1, N+1, ...) difference
-    tensor."""
-
-    def __init__(self, pm: np.ndarray):
-        self.pm = pm
-        self.shape = pm.shape[:1] + pm.shape
-
-    def magnitudes(self, cols: slice, out: np.ndarray) -> np.ndarray:
-        """|pairs[i, j]| into ``out`` in the layout of ``_split``."""
-        rows, at = _split(self.pm, cols)
-        np.subtract(at, rows, out=out)
-        return np.abs(out, out=out)
 
 
 def _costs(pairs, cols: slice, r: float, out: np.ndarray, table=None, index=None) -> np.ndarray:
@@ -270,12 +256,11 @@ def _cost_columns(pairs, r: float):
 
 def step_cost(values: np.ndarray, r: float) -> float:
     """|values[-1] - values[0]|**r, Euclidean across a trailing axis: the cost
-    of the one-step chain, made by chain_dp's own ops on ``PathGaps`` or
-    ``DistColumns``.  The DP over any sequence with these end points holds
-    this candidate in its last column, so its float maximum is at least this
-    float."""
+    of the one-step chain, made by chain_dp's own ops on ``DistColumns``.
+    The DP over any sequence with these end points holds this candidate in
+    its last column, so its float maximum is at least this float."""
     ends = np.asarray(values, dtype=np.float64)[[0, -1]]
-    return float(_costs(PathGaps(ends) if ends.ndim == 1 else DistColumns(ends), slice(1, 2), r, np.empty((1, 1)))[0, 0])
+    return float(_costs(DistColumns(ends), slice(1, 2), r, np.empty((1, 1)))[0, 0])
 
 
 def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
@@ -306,9 +291,9 @@ def _dyadic_units(x: np.ndarray) -> tuple[int, np.ndarray] | None:
 
 
 def _exact_total_variation(pairs) -> np.ndarray | None:
-    """The r = 1 chain DP of a ``PathGaps`` as the prefix sums best = [0,
-    cumsum |diff x|] of its values x (axis 0), when a certificate shows that
-    every float the DP makes is exact; else None.
+    """The r = 1 chain DP of a d = 1 ``DistColumns`` as the prefix sums
+    best = [0, cumsum |diff x|] of its ``scalars`` x (axis 0), when a
+    certificate shows that every float the DP makes is exact; else None.
 
     The certificate: ``_dyadic_units`` writes every x as an integer multiple
     of one unit u = 2^s, and the last check is best[-1] < 2^53 u.  Then each
@@ -318,10 +303,9 @@ def _exact_total_variation(pairs) -> np.ndarray | None:
     is exact.  Adding a point to a chain never lowers its exact sum
     (triangle inequality), so the DP's maximum over the chains ending at j
     is the full chain's sum, best[j]."""
-    units = _dyadic_units(pairs.pm) if isinstance(pairs, PathGaps) else None
-    if units is None:
+    x = getattr(pairs, "scalars", None)
+    if x is None or (units := _dyadic_units(x)) is None:
         return None
-    x = pairs.pm
     best = np.zeros(x.shape)
     np.cumsum(np.abs(np.diff(x, axis=0)), axis=0, out=best[1:])
     if not np.ldexp(best[-1], -units[0]).max() < 2.0**53:
@@ -334,8 +318,9 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
     certificate shows that every magnitude |pairs[i, j]| the DP reads is
     exactly k 2^s with 0 <= k <= span; else None.
 
-    - A ``PathGaps`` certifies its values x (``_dyadic_units``): every gap
-      is an exact multiple of 2^s, at most the per-path range of x in units.
+    - A d = 1 ``DistColumns`` certifies its ``scalars`` x
+      (``_dyadic_units``): every gap is an exact multiple of 2^s, at most
+      the per-problem range of x in units.
     - A ``ParaproductGaps`` certifies f_stack in units 2^a and dg in units
       2^b, s = a + b.  Each term (f_{j-1} - f_i) dg_{j-1} is a multiple of
       2^s, at most range_f |dg_{j-1}| in units (range_f the largest range of
@@ -343,7 +328,7 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
       range_f sum |dg| and every gap between two paths' sums at most span =
       2 range_f sum |dg|, per trailing index.  With span below 2^53 no term,
       sum or gap rounds.
-    - Other sources (Euclidean distances, dense arrays) return None.
+    - Other sources (distances with d > 1, dense arrays) return None.
 
     The table is made only when span + 1 <= (n - 1) * trailing size, the
     widest cost column: it holds no more floats than a one-column block of
@@ -359,7 +344,7 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
             return None
         s = f[0] + g[0]
         span = 2.0 * (f_range * np.abs(g[1]).sum(axis=0)).max()
-    elif isinstance(pairs, PathGaps) and (units := _dyadic_units(pairs.pm)) is not None:
+    elif getattr(pairs, "scalars", None) is not None and (units := _dyadic_units(pairs.scalars)) is not None:
         s, span = units[0], np.ptp(units[1], axis=0).max()
     else:
         return None
@@ -373,8 +358,8 @@ def _power_table(pairs, r: float) -> tuple[float, np.ndarray] | None:
 def chain_dp(pairs: np.ndarray, r: float) -> np.ndarray:
     """Best totals of sum |pairs[u_{k-1}, u_k]|^r over increasing chains.
 
-    ``pairs`` has shape (n, n, ...), as an array, a ``PathGaps``, a
-    ``DistColumns`` or a ``ParaproductGaps``; only its strict upper triangle is
+    ``pairs`` has shape (n, n, ...), as an array, a ``DistColumns`` or a
+    ``ParaproductGaps``; only its strict upper triangle is
     read, a block of columns at a time and in column order
     (``_cost_columns``), and trailing axes are independent problems.
     Returns ``best`` of shape (n, ...) with best[j] the largest total over
@@ -413,25 +398,22 @@ def variation(values: np.ndarray, r: float) -> float:
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] <= 1:
         return 0.0
-    dist = PathGaps(values) if values.ndim == 1 else DistColumns(values)
-    return float(chain_dp(dist, r).max()) ** (1.0 / r)
+    return float(chain_dp(DistColumns(values), r).max()) ** (1.0 / r)
 
 
-def variation_paths(values: np.ndarray, r: float, layout: NodeLayout | None = None) -> np.ndarray:
-    """Per-path r-variation values of a (N+1, L) path matrix, or one per leaf
-    of a flat node array on ``layout``.
+def variation_paths(values: np.ndarray, r: float, layout: NodeLayout) -> np.ndarray:
+    """Per-path r-variation values, one per leaf of a flat node array on
+    ``layout``.
 
-    On a layout, the chain DP runs level by level: a level-n node's best is
+    The chain DP runs level by level: a level-n node's best is
     the max over its ancestors a of |f_node - f_a|^r + best[a], made as one
     (n, size_n) block per level through ``NodeLayout.ancestors``.  A leaf's
     best is the best of its path: each candidate adds a cost >= 0 to an
     ancestor's best, and rounding is monotone.  Each (node, ancestor) pair
-    sees chain_dp's ops on ``PathGaps`` in its order and a max is exact in
-    any order, so every float is the path matrix's."""
+    sees chain_dp's ops on the path matrix, ``DistColumns(pm[..., None])``,
+    in its order and a max is exact in any order, so every float is pm's."""
     check_exponent(r)
     values = np.asarray(values, dtype=np.float64)
-    if layout is None:
-        return chain_dp(PathGaps(values), r).max(axis=0) ** (1.0 / r)
     best = np.zeros_like(values)
     f_levels, best_levels = layout.levels(values), layout.levels(best)
     cand_buf, prev_buf = np.empty((2, max(anc.size for anc in layout.ancestors)))
@@ -464,25 +446,26 @@ def running_oscillation(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
     return osc
 
 
-def min_nonzero_pairwise(pathmat: np.ndarray) -> np.ndarray:
-    """Smallest nonzero |f_i - f_j| over index pairs, per path (inf if none).
+def _smallest_jumps(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """Smallest nonzero |f_i - f_j| over the index pairs of each leaf's path
+    (inf if none): each node's |f - f_a| to every ancestor a, zeros skipped,
+    then a running minimum down the levels.  Rounding is monotone, so this
+    is the float of the path's sorted neighbours (fl(c - a) >= fl(b - a) for
+    a <= b <= c), and under gradual underflow x - y = 0 only when x = y."""
+    jumps = np.full(values.shape, np.inf)
+    f_levels, jump_levels = layout.levels(values), layout.levels(jumps)
+    for n, anc in enumerate(layout.ancestors[1:], 1):
+        gaps = np.abs(f_levels[n] - values[anc])
+        gaps[gaps == 0] = np.inf
+        np.minimum.reduce(gaps, axis=0, out=jump_levels[n])
+    return layout.leaves(layout.accumulate(np.minimum, jumps))
 
-    Sorted neighbours suffice: rounding is monotone, so fl(c - a) >= fl(b - a)
-    for a <= b <= c, and under gradual underflow x - y = 0 only when x = y.
-    """
-    gaps = np.diff(np.sort(pathmat, axis=0), axis=0)
-    gaps[gaps == 0] = np.inf
-    return gaps.min(axis=0, initial=np.inf)
 
-
-def lepingle_pathwise_bound(
-    values: np.ndarray, rs: tuple[float, ...], layout: NodeLayout, d_min: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def lepingle_pathwise_bound(values: np.ndarray, rs: tuple[float, ...], layout: NodeLayout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per exponent r in ``rs``: the r-variation V^r(f) of each leaf's path
     and the square-scale bound rhs = 64 * sum_m 2^{-(m-2)(r-2)} S_(m)^2 on
-    V^r(f)^2, for a flat node array ``values`` on ``layout``; ``d_min`` is
-    each path's smallest nonzero jump (``min_nonzero_pairwise`` of the path
-    matrix).
+    V^r(f)^2, for a flat node array ``values`` on ``layout``; d_min is each
+    path's smallest nonzero jump (``_smallest_jumps``).
 
     S_(m)^2 sums the squared sampled jumps of the scale-m greedy partition,
     whose anchor moves to f_t once |f_t - anchor| >= 2^-m M_t (M the running
@@ -501,6 +484,7 @@ def lepingle_pathwise_bound(
     values = np.asarray(values, dtype=np.float64)
     osc = running_oscillation(values, layout)
     m_inf = layout.leaves(osc)
+    d_min = _smallest_jumps(values, layout)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
     m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)

@@ -259,13 +259,15 @@ def refine_converge(
 
     All levels share one chain DP for the distances, over the gaps
     |Pi^{pi_l} - Pi^{pi_{l+1}}| that ``functionals.ParaproductGaps`` makes a
-    block of columns at a time from the stacked discretizations, and one for
-    the other levels' discretization errors; levels and paths are independent
-    trailing axes, so no (N+1, N+1, P) tensor is built and every float is
-    that of one level at a time.  On dyadic walks (``sampled_walk`` with N
-    a power of 4, such as the demo's 256 steps and the 64 of the golden ito
-    run) both DPs raise each distinct gap once into a power table
-    (``functionals._power_table``); other N, such as 48, raise every cost.
+    block of columns at a time from the stacked discretizations, and one over
+    ``functionals.DistColumns`` of the other levels' discretization errors
+    f - f^(pi), passed as (N+1, levels, P, 1) scalars; levels and paths are
+    independent trailing axes, so no (N+1, N+1, P) tensor is built and
+    every float is that of one level at a time.  On dyadic walks
+    (``sampled_walk`` with N a power of 4, such as the demo's 256 steps and
+    the 64 of the golden ito run) both DPs raise each distinct gap once into
+    a power table (``functionals._power_table``); other N, such as 48, raise
+    every cost.
     """
     fn.check_exponent(r)
     # round(log2 N) <= log2 GRID_GUARD, so a further level repeats the full grid
@@ -278,5 +280,6 @@ def refine_converge(
     fds = np.stack([discretize(f, p).values for p in parts], axis=1)  # (N+1, levels+1, P)
     gaps = fn.ParaproductGaps(fds, np.diff(g.values, axis=0))
     distances = [f.expectation(d) for d in fn.chain_dp(gaps, r).max(axis=0) ** (1.0 / r)]
-    disc = [f.expectation(e) for e in fn.variation_paths(f.values[:, None] - fds[:, :-1], 3.0)] + [0.0]
+    errors = fn.chain_dp(fn.DistColumns((f.values[:, None] - fds[:, :-1])[..., None]), 3.0)
+    disc = [f.expectation(e) for e in errors.max(axis=0) ** (1.0 / 3.0)] + [0.0]
     return RefinementDiagnostics(distances, disc, [start_power + k for k in range(levels + 1)], f.sampled)

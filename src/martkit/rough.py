@@ -161,11 +161,11 @@ def variation_control(path: SampledPath, r: float) -> Control:
         grid = path.times
         mask = (grid > s) & (grid < t)
         pts = np.concatenate([path.eval(np.array([s])), path.values[mask], path.eval(np.array([t]))], axis=0)
-        return chain_dp(fn.PathGaps(pts[:, 0]) if path.dim == 1 else fn.DistColumns(pts), r).max()
+        return chain_dp(fn.DistColumns(pts), r).max()
 
     def lower(s: float, t: float) -> float:
         ends = np.concatenate([path.eval(np.array([s])), path.eval(np.array([t]))], axis=0)
-        return fn.step_cost(ends[:, 0] if path.dim == 1 else ends, r)
+        return fn.step_cost(ends, r)
 
     return Control(fun, lower)
 
@@ -175,7 +175,7 @@ def _prefix_controls(values: np.ndarray, r: float) -> np.ndarray:
     the path with these (n+1, d) values: the running maximum of one forward
     chain DP.  Its last entry is V^r(path)^r, the value that
     ``variation_control(path, r)(0, T)`` gives on the grid."""
-    return np.maximum.accumulate(chain_dp(fn.PathGaps(values[:, 0]) if values.shape[1] == 1 else fn.DistColumns(values), r))
+    return np.maximum.accumulate(chain_dp(fn.DistColumns(values), r))
 
 
 # -- sewing ------------------------------------------------------------------

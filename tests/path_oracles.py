@@ -5,7 +5,10 @@ Each oracle is the path-matrix body of its check: every functional is formed
 per leaf on the (N+1, L) matrix of ``mart.paths()`` by numpy's own time scans
 (``maximal``, ``increments``, ``square_function``), and both breakpoint
 scans sort with numpy's stable argsort.  The paraproduct oracle also builds
-the (N+1, N+1, L) pair tensor Pi(delta f, g) and runs the chain DP on it.
+the (N+1, N+1, L) pair tensor Pi(delta f, g) and runs the chain DP on it;
+the lepingle oracle runs the chain DP and the greedy partitions along every
+column of the path matrix and takes each path's smallest jump from its
+sorted values.
 The checks must reproduce their reports float for float (``runtime_ms``
 aside).
 """
@@ -26,6 +29,20 @@ def rows_layout(n_rows, n_paths):
     every parent map is the identity."""
     same = np.arange(n_paths)
     return NodeLayout((n_paths,) * n_rows, [np.empty(0, dtype=np.int64)] + [same] * (n_rows - 1))
+
+
+def variation_paths(pm, r):
+    """Per-path r-variation of a path matrix: one chain DP over its gaps,
+    the paths independent problems."""
+    return fn.chain_dp(fn.DistColumns(np.asarray(pm, dtype=np.float64)[..., None]), r).max(axis=0) ** (1.0 / r)
+
+
+def min_nonzero_pairwise(pm):
+    """Smallest nonzero |f_i - f_j| over index pairs, per path (inf if
+    none), from the sorted neighbours of each path."""
+    gaps = np.diff(np.sort(pm, axis=0), axis=0)
+    gaps[gaps == 0] = np.inf
+    return gaps.min(axis=0, initial=np.inf)
 
 
 def maximal(pm):
@@ -376,7 +393,7 @@ def check_paraproduct(spec, q0=2.0, q1=2.0, r0=2.0, r1=2.0, families=4):
         tracker.measure("delta_f_bound", ratio(lhs, rhs))
 
         vr_pi = fn.two_param_variation_paths(pi, r_var)
-        vr_f = fn.variation_paths(f_pm, r1)
+        vr_f = variation_paths(f_pm, r1)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))
@@ -410,11 +427,11 @@ def lepingle_pathwise_bound(pathmat, rs):
     n = pm.shape[0]
     osc = running_oscillation(pm)
     m_inf = osc[-1]
-    d_min = fn.min_nonzero_pairwise(pm)
+    d_min = min_nonzero_pairwise(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
     m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
-    out = [(fn.variation_paths(pm, r), np.zeros(pm.shape[1])) for r in rs]
+    out = [(variation_paths(pm, r), np.zeros(pm.shape[1])) for r in rs]
     m_max = int(m_star.max(initial=2))
     for lo in range(2, m_max + 1, n):
         ms = np.arange(lo, min(lo + n, m_max + 1))
@@ -458,4 +475,5 @@ ORACLES = {
     "davis_decomposition": check_davis_decomposition,
     "davis_bdg": check_davis_bdg,
     "sharp_davis": sharp_davis_check,
+    "lepingle": check_lepingle,
 }

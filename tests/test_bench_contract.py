@@ -79,7 +79,7 @@ def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
 def test_lepingle_check_builds_no_path_gaps(monkeypatch):
     # its chain DPs run on the tree's nodes, not on the columns of a path matrix
     calls = Counter()
-    count_calls(monkeypatch, calls, fn.PathGaps, ("__init__",))
+    count_calls(monkeypatch, calls, fn.DistColumns, ("__init__",))
     count_calls(monkeypatch, calls, fn, ("chain_dp",))
     checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
     assert calls == {}
@@ -187,8 +187,8 @@ def test_rde_solve_runs_each_driver_dp_once(monkeypatch):
     real = R.chain_dp
 
     def spy(pairs, r):
-        if isinstance(pairs, fn.PathGaps):
-            runs[pairs.pm.tobytes()] += 1
+        if isinstance(pairs, fn.DistColumns) and pairs.values.ndim == 2:  # the (n, 1) driver, not a Picard stack
+            runs[pairs.values.tobytes()] += 1
         return real(pairs, r)
 
     monkeypatch.setattr(R, "chain_dp", spy)
@@ -310,7 +310,7 @@ def test_long_and_wide_sources_read_one_column_blocks(monkeypatch):
     g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)  # the ito demo's shapes
     ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
     fn.chain_dp(fn.DistColumns(rng.normal(size=(65, 64))), 2.5)
-    fn.chain_dp(fn.PathGaps(rng.normal(size=2049)), 2.5)
+    fn.chain_dp(fn.DistColumns(rng.normal(size=2049)), 2.5)
     fn.chain_dp(rng.normal(size=(65, 65, 64)), 2.5)
     assert len(seen) == 2 * 256 + 64 + 2048 + 64
     assert all(isinstance(cols, slice) and cols.stop - cols.start == 1 for cols in seen)
@@ -400,23 +400,24 @@ def test_demo_refinement_takes_power_tables(monkeypatch, seed):
     monkeypatch.setattr(PowerInput, "seen", [])
     tables = record_tables(monkeypatch)
     ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
-    assert tables == [("ParaproductGaps", 2.5, True), ("PathGaps", 3.0, True)]
+    assert tables == [("ParaproductGaps", 2.5, True), ("DistColumns", 3.0, True)]
     assert PowerInput.seen == []
 
 
 def test_refinement_runs_no_dp_on_the_full_grid_error(monkeypatch):
     # the last level is the full grid, where f - f^(pi) is identically 0
     shapes = []
-    real = fn.variation_paths
+    real = fn.chain_dp
 
-    def spy(pathmat, r):
-        shapes.append((pathmat.shape, r))
-        return real(pathmat, r)
+    def spy(pairs, r):
+        if isinstance(pairs, fn.DistColumns):
+            shapes.append((pairs.values.shape, r))
+        return real(pairs, r)
 
-    monkeypatch.setattr(fn, "variation_paths", spy)
+    monkeypatch.setattr(fn, "chain_dp", spy)
     g = ito.GridCadlagPath.sampled_walk(256, 64, seed=11)  # the ito demo's shapes: 64 +-1/16 lattice paths
     diag = ito.refine_converge(g, g, ito.AdaptedGridPartition.from_oscillation(g, 0.5), levels=4)
-    assert shapes == [((257, 4, 64), 3.0)]
+    assert shapes == [((257, 4, 64, 1), 3.0)]
     assert diag.discretization_errors[-1] == 0.0 and len(diag.discretization_errors) == 5
 
 

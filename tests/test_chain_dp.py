@@ -50,9 +50,9 @@ def zero_heavy(n: int) -> list[tuple[str, np.ndarray]]:
 def sources(n: int, rng):
     """(kind, package pairs, oracle pairs) on n points."""
     vals = rng.normal(size=n)
-    yield "scalar", fn.PathGaps(vals), oracle.DistColumns(vals)
+    yield "scalar", fn.DistColumns(vals), oracle.DistColumns(vals)
     rounded = np.round(vals)  # ties among distances
-    yield "scalar ties", fn.PathGaps(rounded), oracle.DistColumns(rounded)
+    yield "scalar ties", fn.DistColumns(rounded), oracle.DistColumns(rounded)
     for dim in (1, 3, 9):
         vec = rng.normal(size=(n, dim))
         yield f"vector d={dim}", fn.DistColumns(vec), oracle.DistColumns(vec)
@@ -60,11 +60,11 @@ def sources(n: int, rng):
     stack[:, ::2, 1] = 0.0  # scalars padded to d = 2, as a Picard step stacks them
     yield "stacked", fn.DistColumns(stack), oracle.DistColumns(stack)
     pm = rng.normal(size=(n, 3))
-    yield "path gaps", fn.PathGaps(pm), oracle.PathGaps(pm)
+    yield "path gaps", fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
     dense = rng.normal(size=(n, n, 2))
     yield "dense", dense, dense
     for kind, pm in zero_heavy(n):
-        yield kind, fn.PathGaps(pm), oracle.PathGaps(pm)
+        yield kind, fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
 
 
 def covered(budget: int, size: int, ns) -> set[str]:
@@ -148,9 +148,9 @@ def both_sources(x: np.ndarray):
     """(kind, package pairs, oracle pairs): x as a scalar sequence, and as
     the one-path and, for 2-D x, the many-path matrix of path gaps."""
     flat = x if x.ndim == 1 else x[:, 0]
-    yield "scalar", fn.PathGaps(flat), oracle.DistColumns(flat)
+    yield "scalar", fn.DistColumns(flat), oracle.DistColumns(flat)
     pm = x if x.ndim == 2 else x[:, None]
-    yield "path gaps", fn.PathGaps(pm), oracle.PathGaps(pm)
+    yield "path gaps", fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
 
 
 def certified_values():
@@ -198,8 +198,8 @@ def test_exact_total_variation_leaves_other_sources_to_the_dp():
     vec = np.ldexp(np.arange(12.0).reshape(6, 2), -3)
     assert fn._exact_total_variation(fn.DistColumns(vec)) is None  # Euclidean distances round
     assert fn._exact_total_variation(np.zeros((4, 4))) is None
-    assert fn._exact_total_variation(fn.PathGaps(np.arange(5))) is None  # integer dtype
-    assert fn.chain_dp(fn.PathGaps(np.zeros((5, 0))), 1).shape == (5, 0)  # no paths
+    assert fn._exact_total_variation(fn.DistColumns(np.arange(5))) is None  # integer dtype
+    assert fn.chain_dp(fn.DistColumns(np.zeros((5, 0, 1))), 1).shape == (5, 0)  # no paths
 
 
 @given(
@@ -247,9 +247,9 @@ def dyadic_sources(n: int):
     1/sqrt(N) is a power of two)."""
     for past in (0, 1):
         x = at_the_span_bound(n, 1, past)[:, 0]
-        yield f"scalar, bound + {past}", fn.PathGaps(x), oracle.DistColumns(x), not past
+        yield f"scalar, bound + {past}", fn.DistColumns(x), oracle.DistColumns(x), not past
         pm = at_the_span_bound(n, 5, past)
-        yield f"path gaps, bound + {past}", fn.PathGaps(pm), oracle.PathGaps(pm), not past
+        yield f"path gaps, bound + {past}", fn.DistColumns(pm[..., None]), oracle.PathGaps(pm), not past
     for steps, paths in ((16, 8), (64, 32)):
         gaps, dense = refinement_gaps(steps, paths, seed=n)
         yield f"refinement of {steps} steps", gaps, dense, True
@@ -270,15 +270,15 @@ def declined_tables():
     rng = np.random.default_rng(47)
     steps = np.cumsum(rng.choice([-1.0, 1.0], size=(33, 4)), axis=0)
     for kind, pm in (("0.0125 steps", steps * 0.0125), ("1/sqrt(48) steps", steps / np.sqrt(48))):
-        yield kind, fn.PathGaps(pm), oracle.PathGaps(pm)
-        yield f"{kind}, scalar", fn.PathGaps(pm[:, 0]), oracle.DistColumns(pm[:, 0])
+        yield kind, fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
+        yield f"{kind}, scalar", fn.DistColumns(pm[:, 0]), oracle.DistColumns(pm[:, 0])
     gaps, dense = refinement_gaps(48, 4, seed=3)
     yield "refinement of 48 steps", gaps, dense
     for kind, bad in (("nan", np.nan), ("inf", np.inf)):
         pm = steps / 4.0
         pm[5, 1] = bad
-        yield kind, fn.PathGaps(pm), None
-    yield "integer dtype", fn.PathGaps(np.arange(9)), None
+        yield kind, fn.DistColumns(pm[..., None]), None
+    yield "integer dtype", fn.DistColumns(np.arange(9)), None
     vec = np.ldexp(steps[:, :2], -2)
     yield "vector", fn.DistColumns(vec), oracle.DistColumns(vec)
     dense = np.ldexp(np.abs(steps[:, None, :2] - steps[None, :, :2]), -2)
@@ -290,11 +290,11 @@ def declined_tables():
     dg = np.full((8, 1), 2.0**23)
     yield "sums near 2^53 units", fn.ParaproductGaps(f, dg), None
     pm = np.array([[0.0], [2.0**52 - 1], [1.0]])
-    yield "range near 2^53 units", fn.PathGaps(pm), oracle.PathGaps(pm)
+    yield "range near 2^53 units", fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
     pm = np.ldexp(steps[:9], -1070)  # a unit of 2^-1070, whose inverse overflows
-    yield "subnormal unit", fn.PathGaps(pm), oracle.PathGaps(pm)
+    yield "subnormal unit", fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)
     # one unit of 2^1023: the range of 2 units overflows
-    yield "overflowing gaps", fn.PathGaps(np.ldexp(np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]), 1023)), None
+    yield "overflowing gaps", fn.DistColumns(np.ldexp(np.array([[0.0], [1.0], [-1.0], [0.0], [1.0]]), 1023)[..., None]), None
     f = np.zeros((5, 2, 1))
     f[1::2] = 2.0**1023
     f[2::2] = -(2.0**1023)
@@ -376,9 +376,9 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
     for n in (9, 33, 65):
         vals, vec, pm = rng.normal(size=n), rng.normal(size=(n, 9)), rng.normal(size=(n, 5))
         dense = rng.normal(size=(n, n, 2))
-        pairs = [(fn.PathGaps(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
-                 (fn.PathGaps(pm), oracle.PathGaps(pm)), (dense, dense)]
-        pairs += [(fn.PathGaps(zm), oracle.PathGaps(zm)) for _, zm in zero_heavy(n)]
+        pairs = [(fn.DistColumns(vals), oracle.DistColumns(vals)), (fn.DistColumns(vec), oracle.DistColumns(vec)),
+                 (fn.DistColumns(pm[..., None]), oracle.PathGaps(pm)), (dense, dense)]
+        pairs += [(fn.DistColumns(zm[..., None]), oracle.PathGaps(zm)) for _, zm in zero_heavy(n)]
         for r in EXPONENTS:
             for new, ref in pairs:
                 equal.append(bool(np.array_equal(fn.chain_dp(new, r), oracle.chain_dp(ref, r))))
@@ -396,9 +396,9 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
     for mart in trees:
         pm, layout = mart.paths(), mart.tree.layout
         for r in EXPONENTS + (4 / 3, 2):
-            equal.append(bool(np.array_equal(fn.variation_paths(mart.flat, r, layout), fn.variation_paths(pm, r))))
+            equal.append(bool(np.array_equal(fn.variation_paths(mart.flat, r, layout), path_oracles.variation_paths(pm, r))))
         rs = (2.5, 3.0, 4.0)
-        node = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(pm))
+        node = fn.lepingle_pathwise_bound(mart.flat, rs, layout)
         for (vr, rhs), (vr_ref, rhs_ref) in zip(node, path_oracles.lepingle_pathwise_bound(pm, rs)):
             equal.append(bool(np.array_equal(vr, vr_ref) and np.array_equal(rhs, rhs_ref)))
 print(json.dumps({"cases": len(equal), "equal": sum(equal)}))

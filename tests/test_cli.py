@@ -274,6 +274,9 @@ def test_suite_config_file(tmp_path):
         ({"check": "doob", "parms": {"p": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "unknown suite entry keys ['parms']"),
         ({"check": "doob", "params": {"q": 2.0}, "corpus": {"depth": 4, "trials": 3}}, "bad parameters for check 'doob'"),
         ({"check": "doob", "corpus": {"depth": 4, "trials": 2**20}}, "trials must be below 2**20"),
+        (1, "suite entry must be a JSON object, got 1"),
+        ({"check": "doob", "corpus": [["depth", 4]]}, "suite entry corpus must be a JSON object"),
+        ({"check": "doob", "params": [1]}, "suite entry params must be a JSON object"),
     ],
 )
 def test_suite_unknown_keys_are_usage_errors(tmp_path, capsys, entry, message):
@@ -289,6 +292,45 @@ def test_suite_empty_config_is_usage_error(tmp_path):
     cfg.write_text(json.dumps({"seed": 1, "checks": []}))
     assert main(["suite", "--config", str(cfg)]) == 2
     assert main(["suite"]) == 2
+
+
+def test_suite_config_that_is_no_object_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[]")
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+    assert "suite configuration must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+# JSON values that are not objects, nested a little
+NOT_OBJECTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    st.sampled_from(["config", "entry", "params", "corpus"]),
+    NOT_OBJECTS,
+)
+@settings(max_examples=120, deadline=None)
+def test_suite_config_of_wrong_types_meets_the_exit_contract(tmp_path_factory, slot, bad):
+    # every slot that must hold a JSON object exits 2 and writes no report;
+    # the bad slot is found before any trial runs
+    entry = {"check": "doob", "corpus": {"depth": 2, "trials": 1}, "params": {}}
+    config = {"seed": 1, "checks": [entry]}
+    if slot == "config":
+        config = bad
+    elif slot == "entry":
+        config["checks"] = [entry, bad]
+    else:
+        entry[slot] = bad
+    tmp = tmp_path_factory.mktemp("suite")
+    cfg, out = tmp / "cfg.json", tmp / "out.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_suite_has_no_tolerance_option():
@@ -350,12 +392,27 @@ def test_rde_walk_driver_requires_seed(tmp_path):
         pytest.param(["--phi", "const:inf"], "must be finite", id="phi=const:inf"),
         pytest.param(["--phi", "sin:3"], "sin takes no argument", id="phi=sin:3"),
         pytest.param(["--n", "100000"], "rough layer grid exceeds guard 512", id="n=100000"),
+        pytest.param(
+            ["--driver", "walk", "--amplitude", "50", "--seed", "1", "--n", "16"],
+            "single grid step carries variation 12.5 >= smallness threshold",
+            id="amplitude=50",
+        ),
     ],
 )
 def test_rde_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     assert main(["rde", *argv, "--out", str(tmp_path / "r.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_running_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(checks, "run_trials", exhausted)
+    assert main(["check", "paraproduct", "--seed", "1", "--out", str(tmp_path / "p.json")]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize(

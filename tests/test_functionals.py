@@ -279,7 +279,7 @@ def test_variation_monotone_under_refinement():
 def test_variation_paths_agrees_with_scalar():
     rng = np.random.default_rng(10)
     pm = rng.normal(size=(8, 12))
-    out = fn.variation_paths(pm, 2.5)
+    out = fn.variation_paths(pm.ravel(), 2.5, path_oracles.rows_layout(*pm.shape))
     for c in range(12):
         assert np.isclose(out[c], fn.variation(pm[:, c], 2.5))
 
@@ -294,7 +294,7 @@ def ito_walk_and_base():
     "entry",
     [
         lambda r: fn.variation(np.arange(4.0), r),
-        lambda r: fn.variation_paths(np.zeros((4, 2)), r),
+        lambda r: fn.variation_paths(np.zeros(8), r, path_oracles.rows_layout(4, 2)),
         lambda r: fn.two_param_variation_paths(np.zeros((4, 4, 2)), r),
         lambda r: ito.refine_converge(*ito_walk_and_base(), levels=2, r=r),
     ],
@@ -341,10 +341,10 @@ def dist_inputs():
 
 
 def test_dist_columns_equal_the_dense_matrix():
-    # scalar sequences take PathGaps, vector ones DistColumns
+    # scalar and vector sequences alike take DistColumns
     for vals in dist_inputs():
         dense = dense_dist(vals)
-        cols = fn.PathGaps(vals) if vals.ndim == 1 else fn.DistColumns(vals)
+        cols = fn.DistColumns(vals)
         n = vals.shape[0]
         assert cols.shape == dense.shape
         for j in range(1, n):
@@ -412,7 +412,7 @@ def lepingle_one_scale_at_a_time(pathmat, r):
     pm = np.asarray(pathmat, dtype=np.float64)
     if pm.ndim == 1:
         pm = pm[:, None]
-    lhs = fn.variation_paths(pm, r) ** 2
+    lhs = path_oracles.variation_paths(pm, r) ** 2
     m_inf = path_oracles.running_oscillation(pm)[-1]
     d_min = min_nonzero_all_pairs(pm)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -441,13 +441,15 @@ def lepingle_inputs():
 def bound_on_rows(pathmat, rs):
     """``lepingle_pathwise_bound`` of a path matrix, on the layout of its rows."""
     pm = np.asarray(pathmat, dtype=np.float64).reshape(len(pathmat), -1)
-    return fn.lepingle_pathwise_bound(pm.ravel(), rs, path_oracles.rows_layout(*pm.shape), fn.min_nonzero_pairwise(pm))
+    return fn.lepingle_pathwise_bound(pm.ravel(), rs, path_oracles.rows_layout(*pm.shape))
 
 
-def test_min_nonzero_pairwise_matches_all_pairs():
+def test_smallest_jumps_match_all_pairs():
     for pm in lepingle_inputs():
         pm = pm.reshape(pm.shape[0], -1)
-        assert np.array_equal(fn.min_nonzero_pairwise(pm), min_nonzero_all_pairs(pm))
+        assert np.array_equal(fn._smallest_jumps(pm.ravel(), path_oracles.rows_layout(*pm.shape)), min_nonzero_all_pairs(pm))
+    for mart in (G.gen_walk_increments(8, seed=2), G.gen_doubling(7), G.gen_leaf_backprop("sign", 6, seed=3)):
+        assert np.array_equal(fn._smallest_jumps(mart.flat, mart.tree.layout), min_nonzero_all_pairs(mart.paths()))
 
 
 def test_lepingle_pathwise_bound_equals_one_scale_at_a_time():
@@ -473,8 +475,7 @@ def test_lepingle_pathwise_bound_examples():
 def test_lepingle_pathwise_bound_random_walks():
     for seed in range(100):
         mart = G.gen_walk_increments(10, seed=seed)
-        d_min = fn.min_nonzero_pairwise(mart.paths())
-        for vr, rhs in fn.lepingle_pathwise_bound(mart.flat, (2.5, 3.0, 4.0), mart.tree.layout, d_min):
+        for vr, rhs in fn.lepingle_pathwise_bound(mart.flat, (2.5, 3.0, 4.0), mart.tree.layout):
             assert np.all(vr**2 <= rhs * (1 + 1e-9) + 1e-12)
 
 
@@ -512,9 +513,10 @@ def test_node_variation_and_lepingle_equal_the_path_matrix(mart):
     # dyadic walks send the path-matrix DP to its power table and prefix sums
     pm, layout = mart.paths(), mart.tree.layout
     for r in (1, 4 / 3, 2, 2.5, 3, 4):
-        assert np.array_equal(fn.variation_paths(mart.flat, r, layout), fn.variation_paths(pm, r)), r
+        assert np.array_equal(fn.variation_paths(mart.flat, r, layout), path_oracles.variation_paths(pm, r)), r
     rs = (2.5, 3.0, 4.0)
-    node = fn.lepingle_pathwise_bound(mart.flat, rs, layout, fn.min_nonzero_pairwise(pm))
+    node = fn.lepingle_pathwise_bound(mart.flat, rs, layout)
+    assert np.array_equal(fn._smallest_jumps(mart.flat, layout), path_oracles.min_nonzero_pairwise(pm))
     for (vr, rhs), (vr_ref, rhs_ref) in zip(node, path_oracles.lepingle_pathwise_bound(pm, rs)):
         assert np.array_equal(vr, vr_ref) and np.array_equal(rhs, rhs_ref)
 

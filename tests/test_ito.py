@@ -249,7 +249,8 @@ def ito_bound_data(
     pairs = I.ito_pairs(f, g, partition)
     lhs = lq_norm(fn.two_param_variation_paths(pairs, r), q, f.weights)
     fd = I.discretize(f, partition)
-    rhs = lq_norm(fn.variation_paths(fd.values, p1), q1, f.weights) * lq_norm(
+    vr_fd = fn.chain_dp(fn.DistColumns(fd.values[..., None]), p1).max(axis=0) ** (1.0 / p1)
+    rhs = lq_norm(vr_fd, q1, f.weights) * lq_norm(
         np.ptp(g.values, axis=0), q0, f.weights  # V^inf g, the widest gap
     )
     return {"lhs": lhs, "rhs": rhs, "q": q, "sampled": f.sampled}

@@ -1,14 +1,15 @@
 """The node-array checks against their path-matrix oracles.
 
 doob, square_weak, davis_decomposition, davis_bdg, garsia_neveu, aux_lemmas,
-sharp_davis and vector_valued run parent-to-child recursions over the nodes
-of each tree.  Each path sees the operations of the path-matrix code in the
+sharp_davis, lepingle and vector_valued run parent-to-child recursions over
+the nodes of each tree.  Each path sees the operations of the path-matrix code in the
 same order, so every report must equal the oracle's byte for byte, apart
 from ``runtime_ms``.  The paraproduct check reads the rows of its pair sums
 one at a time and its Davis bounds per node; its report must equal that of
 the oracle that builds the pair tensor.
-lepingle's chain DPs and greedy partitions run per node, and its report must
-equal that of the oracle that runs them along every path.
+lepingle's chain DPs, smallest jumps and greedy partitions run per node,
+and its report must equal that of the oracle that runs them along every
+path.
 """
 
 import json
@@ -27,9 +28,9 @@ from martkit.report import CorpusSpec, closed_sublevel_block_scan
 from martkit.tree import FiltrationTree, TreeProcess
 
 CHECKS = sorted(path_oracles.ORACLES)
-# a trial of these two costs about as much as three of the others; 75 trials
-# of each mixed corpus keep the file's run time near that of the other five
-CAPPED = {"aux_lemmas": 75, "garsia_neveu": 75}
+# a trial of these three costs about as much as three of the others; 75
+# trials of each mixed corpus keep the file's run time near that of the others
+CAPPED = {"aux_lemmas": 75, "garsia_neveu": 75, "lepingle": 75}
 
 
 def record(report) -> str:
@@ -142,8 +143,8 @@ LEPINGLE_CORPORA = [(CorpusSpec(kind="walk", depth=10, trials=5, seed=seed), {})
     "spec, params", LEPINGLE_CORPORA, ids=[f"{spec.kind}-{spec.depth}-{spec.seed}" for spec, _ in LEPINGLE_CORPORA]
 )
 def test_lepingle_reproduces_the_path_matrix_report(spec, params):
-    # the chain DPs and greedy partitions run per node, the smallest nonzero
-    # jump and the maximal function per path
+    # the chain DPs, the smallest nonzero jumps, the greedy partitions and
+    # the maximal function run per node
     assert record(C.run_check("lepingle", spec, **params)) == record(path_oracles.check_lepingle(spec, **params))
 
 
