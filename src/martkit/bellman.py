@@ -4,8 +4,10 @@ The function U(x, y, m) = y - (|x|^2 + (gamma - 1) m^2) / m on the domain
 |x| <= m is concave along martingale moves exactly when gamma >= 3, which
 yields E Sf <= sqrt(3) E f* with the best possible constant.  The module
 also hosts the extremal two-point construction approaching sqrt(3) from
-below, built a level at a time.  The concavity grid evaluates one array of
-residuals per x value.
+below, built a level at a time, ``np.where`` selecting each node's branch
+(opening, boundary or refill).  The one-step residuals are elementwise on
+arrays; the concavity grid evaluates one (h, y) array of them per x value
+and keeps the first strict minimum.
 
 The pathwise form telescopes U along each path, so every sum in it is
 F_n-measurable: ``pathwise_sharp_sides`` runs it as one parent-to-child

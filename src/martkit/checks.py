@@ -11,6 +11,12 @@ quantity's worst value for the report's ``measured``.  Checks with a
 hypothesis (Garsia-Neveu, truncation, good-lambda) verify it at every scan
 point first and count non-qualifying trials in
 ``tracker.hypothesis_failures``.
+
+Every check but ``paraproduct`` builds no path matrix: each runs
+parent-to-child recursions over the tree's nodes (``NodeLayout``) and reads
+leaf values only at the last level, with every report float equal to the
+path-matrix computation's.  Only ``paraproduct`` expands path matrices, for
+its stopping windows and pair sums.
 """
 
 from __future__ import annotations
@@ -435,7 +441,7 @@ def check_paraproduct(
         # -- r-variation form: the gaps to the sums of a zero path are the sums
         best = fn.chain_dp(fn.ParaproductGaps(np.stack([f_pm, np.zeros_like(f_pm)], axis=1), dg), r_var)
         vr_pi = best[:, 0].max(axis=0) ** (1.0 / r_var)
-        vr_f = fn.variation_paths(np.abs(f_m.flat), r1, layout)
+        (vr_f,) = fn.variation_paths(np.abs(f_m.flat), (r1,), layout)
         lhs = lq_norm(vr_pi, q, w)
         rhs = lq_norm(vr_f, q1, w) * lq_norm(sg, q0, w)
         tracker.measure("variation_bound", ratio(lhs, rhs))

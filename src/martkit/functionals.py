@@ -7,9 +7,13 @@ filtration tree each is one value per level-n node: ``maximal_paths``,
 runs on the same arrays.  ``variation_paths``, ``running_oscillation`` and
 ``lepingle_pathwise_bound`` take a layout too, so Lepingle's chain DPs,
 smallest jumps and greedy partitions see each node once, not once per leaf
-below it.  Running maxima and sums go through ``NodeLayout.accumulate``,
-one parent-to-child step per level, and each path sees ``ufunc.accumulate``
-of its own values, the same floats as a time scan of the path matrix.
+below it.  ``variation_paths(values, rs, layout)`` takes a sequence of
+exponents and returns one per-leaf array per exponent: it makes each level's
+ancestor gaps once (``_ancestor_gaps``) for every exponent's DP, and the
+smallest-jump scan reads the same generator.  Running maxima and sums go
+through ``NodeLayout.accumulate``, one parent-to-child step per level, and
+each path sees ``ufunc.accumulate`` of its own values, the same floats as a
+time scan of the path matrix.
 Ratios whose denominator may vanish go through ``quotient``, which takes
 0/0 to be 0.  No check or CLI command calls the tree-level wrappers
 ``maximal``, ``square_function`` and ``predictable_square``; they stay
@@ -401,32 +405,45 @@ def variation(values: np.ndarray, r: float) -> float:
     return float(chain_dp(DistColumns(values), r).max()) ** (1.0 / r)
 
 
-def variation_paths(values: np.ndarray, r: float, layout: NodeLayout) -> np.ndarray:
-    """Per-path r-variation values, one per leaf of a flat node array on
+def _ancestor_gaps(values: np.ndarray, layout: NodeLayout):
+    """Per level n >= 1 of a flat node array on ``layout``: n and the (n,
+    size_n) block |f_node - f_a| over every level-n node's ancestors a, row i
+    the one at level i (``NodeLayout.ancestors``), which the caller may
+    overwrite."""
+    f_levels = layout.levels(values)
+    for n, anc in enumerate(layout.ancestors[1:], 1):
+        gaps = values[anc]
+        np.subtract(f_levels[n], gaps, out=gaps)
+        yield n, np.abs(gaps, out=gaps)
+
+
+def variation_paths(values: np.ndarray, rs, layout: NodeLayout) -> list[np.ndarray]:
+    """Per-path r-variation values for each exponent r of the sequence
+    ``rs``: one array per r, one value per leaf of a flat node array on
     ``layout``.
 
     The chain DP runs level by level: a level-n node's best is
-    the max over its ancestors a of |f_node - f_a|^r + best[a], made as one
-    (n, size_n) block per level through ``NodeLayout.ancestors``.  A leaf's
-    best is the best of its path: each candidate adds a cost >= 0 to an
-    ancestor's best, and rounding is monotone.  Each (node, ancestor) pair
-    sees chain_dp's ops on the path matrix, ``DistColumns(pm[..., None])``,
-    in its order and a max is exact in any order, so every float is pm's."""
-    check_exponent(r)
+    the max over its ancestors a of |f_node - f_a|^r + best[a].  Each level's
+    gaps are made once (``_ancestor_gaps``) and every exponent adds its
+    costs, ``gaps ** r``, to its own row of the ancestors' bests, gathered
+    for all exponents by one take; one max over the ancestor axis then
+    writes the level for every r.  A leaf's best is the best of its path:
+    each candidate adds a cost >= 0 to an ancestor's best, and rounding is
+    monotone.  Each (node, ancestor) pair sees chain_dp's ops on the path
+    matrix, ``DistColumns(pm[..., None])``, in its order and a max is exact
+    in any order, so every float is pm's."""
+    rs = tuple(rs)
+    for r in rs:
+        check_exponent(r)
     values = np.asarray(values, dtype=np.float64)
-    best = np.zeros_like(values)
-    f_levels, best_levels = layout.levels(values), layout.levels(best)
-    cand_buf, prev_buf = np.empty((2, max(anc.size for anc in layout.ancestors)))
-    for n, anc in enumerate(layout.ancestors[1:], 1):
-        cand = np.take(values, anc, out=cand_buf[: anc.size].reshape(anc.shape), mode="clip")
-        prev = np.take(best, anc, out=prev_buf[: anc.size].reshape(anc.shape), mode="clip")
-        np.subtract(f_levels[n], cand, out=cand)
-        np.abs(cand, out=cand)
-        if r != 1:
-            cand **= r
-        cand += prev
-        np.maximum.reduce(cand, axis=0, out=best_levels[n])
-    return layout.leaves(best) ** (1.0 / r)
+    best = np.zeros((len(rs), values.size))
+    best_levels = [level.T for level in layout.levels(best.T)]
+    for n, gaps in _ancestor_gaps(values, layout):
+        prev = np.take(best, layout.ancestors[n], axis=1)
+        for row, r in zip(prev, rs):
+            row += gaps if r == 1 else gaps**r
+        np.maximum.reduce(prev, axis=1, out=best_levels[n])
+    return [layout.leaves(row) ** (1.0 / r) for row, r in zip(best, rs)]
 
 
 def two_param_variation_paths(cost: np.ndarray, rho: float) -> np.ndarray:
@@ -453,9 +470,8 @@ def _smallest_jumps(values: np.ndarray, layout: NodeLayout) -> np.ndarray:
     is the float of the path's sorted neighbours (fl(c - a) >= fl(b - a) for
     a <= b <= c), and under gradual underflow x - y = 0 only when x = y."""
     jumps = np.full(values.shape, np.inf)
-    f_levels, jump_levels = layout.levels(values), layout.levels(jumps)
-    for n, anc in enumerate(layout.ancestors[1:], 1):
-        gaps = np.abs(f_levels[n] - values[anc])
+    jump_levels = layout.levels(jumps)
+    for n, gaps in _ancestor_gaps(values, layout):
         gaps[gaps == 0] = np.inf
         np.minimum.reduce(gaps, axis=0, out=jump_levels[n])
     return layout.leaves(layout.accumulate(np.minimum, jumps))
@@ -488,7 +504,7 @@ def lepingle_pathwise_bound(values: np.ndarray, rs: tuple[float, ...], layout: N
     with np.errstate(divide="ignore", invalid="ignore"):
         m_star = np.where(m_inf > 0, np.floor(np.log2(4.0 * m_inf / d_min)), 1.0)
     m_star = np.where(np.isfinite(m_star), np.maximum(m_star, 2), 2).astype(np.int64)
-    out = [(variation_paths(values, r, layout), np.zeros(m_inf.size)) for r in rs]
+    out = [(vr, np.zeros(m_inf.size)) for vr in variation_paths(values, rs, layout)]
     m_max = int(m_star.max(initial=2))
     f_levels, osc_levels, parents = layout.levels(values), layout.levels(osc), layout.parents
     n = len(f_levels)
@@ -504,13 +520,19 @@ def lepingle_pathwise_bound(values: np.ndarray, rs: tuple[float, ...], layout: N
             # at M_t = 0 the path is constant so far: the trigger adds +0.0
             # and moves the anchor to an equal value
             trig = np.abs(jump) >= thr * osc_levels[t]
-            s2 += np.where(trig, np.square(jump), 0.0)
+            # s2 keeps its value where trig is false, as s2 + 0.0 would for s2 >= +0
+            np.square(jump, out=jump)
+            np.add(s2, jump, out=s2, where=trig)
             np.copyto(anchor, f_levels[t], where=trig)
-        s2 = state[1]
-        np.copyto(s2, 0.0, where=(ms[:, None] > m_star) | ~(m_inf > 0))
+        np.copyto(state[1], 0.0, where=(ms[:, None] > m_star) | ~(m_inf > 0))
+        # rows [rhs; c_m S_(m)^2 for m in ms], summed by one reduce over
+        # axis 0, which adds the rows in order
+        rows = np.empty((len(ms) + 1, m_inf.size))
         for r, (_, rhs) in zip(rs, out):
-            for m, s2_m in zip(ms.tolist(), s2):
-                rhs += 2.0 ** (-(m - 2) * (r - 2)) * s2_m
+            rows[0] = rhs
+            coef = [2.0 ** (-(m - 2) * (r - 2)) for m in ms.tolist()]
+            np.multiply(np.array(coef)[:, None], state[1], out=rows[1:])
+            np.add.reduce(rows, axis=0, out=rhs)
     for _, rhs in out:
         rhs *= 64.0
     return out

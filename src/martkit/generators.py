@@ -3,8 +3,11 @@
 All randomness flows through counter-based Philox streams derived from an
 explicit integer seed, so identical seeds reproduce corpora bit for bit and
 per-trial streams are independent splits of the root seed.  Leaf
-back-propagation fills and centers one flat node array, the trial's only
-process; both dyadic walks come from one level-wise builder.
+back-propagation fills and centers one flat node array in place, the trial's
+only process; both dyadic walks come from one level-wise builder.  One
+dispatch, ``generate``, serves ``martkit gen``, which passes its own seed,
+and ``corpus_martingale``, which passes each trial's.  A depth outside
+0..MAX_DEPTH is a ``TreeError`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def gen_increment(depth: int, seed: int, dist: str = "normal") -> Martingale:
     # constructor could reject it, so each level's node count is checked once
     # its child counts are drawn (dyadic generators rely on uniform's guard)
     if not 0 <= depth <= MAX_DEPTH:
-        raise TreeError(f"depth {depth} exceeds guard {MAX_DEPTH}")
+        raise TreeError(f"depth must be in 0..{MAX_DEPTH}, got {depth}")
     if dist not in DISTS:  # checked before any draw: a depth-0 shape makes none
         raise ValueError(f"unknown distribution {dist!r}")
     rng = rng_for(seed)

@@ -134,10 +134,9 @@ class NodeLayout:
     @functools.cached_property
     def up(self) -> np.ndarray:
         off = self.offsets
-        up = np.arange(off[-1], dtype=np.int64)
-        if len(off) > 2:
-            up[off[1] :] = np.concatenate(self.parents[1:])
-            up[off[1] :] += np.repeat(off[:-2], np.diff(off[1:]))
+        up = np.zeros(off[-1], dtype=np.int64)
+        for n in range(1, len(off) - 1):
+            np.add(self.parents[n], off[n - 1], out=up[off[n] : off[n + 1]])
         return _freeze(up)
 
     @functools.cached_property
@@ -371,13 +370,26 @@ class Martingale(TreeProcess):
             self.validate_martingale()
 
     def validate_martingale(self) -> None:
-        tree = self.tree
-        for n in range(1, tree.depth + 1):
-            child_mass = _group_sum(tree.parents[n], tree.node_prob[n], self.values[n], tree.level_sizes[n - 1])
-            parent_mass = (self.values[n - 1].T * tree.node_prob[n - 1]).T
-            scale = max(1.0, float(np.abs(child_mass).max(initial=0.0)))
-            if np.abs(child_mass - parent_mass).max() > MARTINGALE_RTOL * scale:
-                raise TreeError(f"martingale averaging violated at level {n}")
+        """Raise for the first level n whose children's masses miss their
+        parents' by more than MARTINGALE_RTOL of the level's largest child
+        mass (or of 1).  One group sum keyed by ``layout.up`` makes the child
+        masses of levels 1..N at once: each parent's bin adds the same terms
+        in the same order as a bincount of its level alone."""
+        tree, layout = self.tree, self.tree.layout
+        if tree.depth == 0:
+            return
+        off = layout.offsets
+        prob = np.concatenate(tree.node_prob)
+        child_mass = _group_sum(layout.up[off[1] :], prob[off[1] :], self.flat[off[1] :], off[-2])
+        parent_mass = (self.flat[: off[-2]].T * prob[: off[-2]]).T
+        starts = np.asarray(off[:-2])
+        miss = np.maximum.reduceat(np.abs(child_mass - parent_mass), starts)
+        scale = np.maximum.reduceat(np.abs(child_mass), starts)
+        if miss.ndim == 2:
+            miss, scale = miss.max(axis=1), scale.max(axis=1)
+        bad = np.flatnonzero(miss > MARTINGALE_RTOL * np.maximum(scale, 1.0))
+        if bad.size:
+            raise TreeError(f"martingale averaging violated at level {bad[0] + 1}")
 
     @classmethod
     def from_leaf_values(cls, tree: FiltrationTree, leaf_values: np.ndarray) -> "Martingale":

@@ -69,11 +69,13 @@ def count_calls(monkeypatch, calls: Counter, owner, names) -> None:
 
 
 def test_lepingle_check_calls_its_kernels_once_per_trial(monkeypatch):
-    # keeps the traced lepingle and variation buckets one call per unit of work
+    # keeps the traced lepingle and variation buckets one call per unit of
+    # work: one variation_paths call serves every exponent of a trial, and
+    # a trial makes its ancestor gaps twice, for the DPs and the smallest jump
     calls = Counter()
-    count_calls(monkeypatch, calls, fn, ("lepingle_pathwise_bound", "variation_paths"))
+    count_calls(monkeypatch, calls, fn, ("lepingle_pathwise_bound", "variation_paths", "_ancestor_gaps"))
     checks.check_lepingle(CorpusSpec(kind="walk", depth=5, trials=4, seed=3), r=(2.5, 3.0, 4.0))
-    assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 12}
+    assert calls == {"lepingle_pathwise_bound": 4, "variation_paths": 4, "_ancestor_gaps": 8}
 
 
 def test_lepingle_check_builds_no_path_gaps(monkeypatch):

@@ -395,8 +395,12 @@ for budget in (fn.CHAIN_BLOCK_ELEMENTS, 96):
              G.gen_scaled_walk(4), G.gen_doubling(7), G.gen_log_weight(7))
     for mart in trees:
         pm, layout = mart.paths(), mart.tree.layout
-        for r in EXPONENTS + (4 / 3, 2):
-            equal.append(bool(np.array_equal(fn.variation_paths(mart.flat, r, layout), path_oracles.variation_paths(pm, r))))
+        rs = EXPONENTS + (4 / 3, 2)
+        for r, vr in zip(rs, fn.variation_paths(mart.flat, rs, layout)):
+            equal.append(bool(np.array_equal(vr, path_oracles.variation_paths(pm, r))))
+        for r in rs:
+            (vr,) = fn.variation_paths(mart.flat, (r,), layout)
+            equal.append(bool(np.array_equal(vr, path_oracles.variation_paths(pm, r))))
         rs = (2.5, 3.0, 4.0)
         node = fn.lepingle_pathwise_bound(mart.flat, rs, layout)
         for (vr, rhs), (vr_ref, rhs_ref) in zip(node, path_oracles.lepingle_pathwise_bound(pm, rs)):

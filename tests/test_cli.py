@@ -12,7 +12,7 @@ from martkit import generators as G
 from martkit import rough
 from martkit.cli import main
 from martkit.report import CorpusSpec
-from martkit.tree import load_tree, save_tree, tree_from_dict
+from martkit.tree import MAX_DEPTH, load_tree, save_tree, tree_from_dict
 
 
 def read(path):
@@ -98,6 +98,16 @@ def test_gen_unknown_distribution_is_a_usage_error(tmp_path):
         for depth in ("3", "0"):  # a depth-0 increment shape draws nothing
             assert main(["gen", "--gen", gen, "--depth", depth, "--seed", "1", "--dist", "bogus", "--out", str(out)]) == 2
             assert not out.exists()
+
+
+@pytest.mark.parametrize("gen", G.GENERATORS)
+@pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1])
+def test_gen_out_of_range_depth_is_a_usage_error(tmp_path, capsys, gen, depth):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--gen", gen, "--depth", str(depth), "--seed", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    if gen == "increment":
+        assert f"depth must be in 0..{MAX_DEPTH}, got {depth}" in capsys.readouterr().err
 
 
 def test_check_exit_codes(tmp_path):
@@ -495,11 +505,16 @@ def test_list_checks(capsys):
 
 
 def test_console_script_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the package runs from the checkout's src, not from an installed copy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-m", "martkit", "list-checks"], capture_output=True, text=True
+        [sys.executable, "-m", "martkit", "list-checks"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "sharp_davis" in proc.stdout

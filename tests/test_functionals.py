@@ -279,7 +279,7 @@ def test_variation_monotone_under_refinement():
 def test_variation_paths_agrees_with_scalar():
     rng = np.random.default_rng(10)
     pm = rng.normal(size=(8, 12))
-    out = fn.variation_paths(pm.ravel(), 2.5, path_oracles.rows_layout(*pm.shape))
+    (out,) = fn.variation_paths(pm.ravel(), (2.5,), path_oracles.rows_layout(*pm.shape))
     for c in range(12):
         assert np.isclose(out[c], fn.variation(pm[:, c], 2.5))
 
@@ -294,7 +294,7 @@ def ito_walk_and_base():
     "entry",
     [
         lambda r: fn.variation(np.arange(4.0), r),
-        lambda r: fn.variation_paths(np.zeros(8), r, path_oracles.rows_layout(4, 2)),
+        lambda r: fn.variation_paths(np.zeros(8), (r,), path_oracles.rows_layout(4, 2)),
         lambda r: fn.two_param_variation_paths(np.zeros((4, 4, 2)), r),
         lambda r: ito.refine_converge(*ito_walk_and_base(), levels=2, r=r),
     ],
@@ -510,10 +510,12 @@ TREES = st.one_of(
 @settings(max_examples=80, deadline=None)
 def test_node_variation_and_lepingle_equal_the_path_matrix(mart):
     # doubling, log_weight and sign corpora hold exact zeros and ties, and the
-    # dyadic walks send the path-matrix DP to its power table and prefix sums
+    # dyadic walks send the path-matrix DP to its power table and prefix sums;
+    # one call serves every exponent, r = 1 and repeated ones among them
     pm, layout = mart.paths(), mart.tree.layout
-    for r in (1, 4 / 3, 2, 2.5, 3, 4):
-        assert np.array_equal(fn.variation_paths(mart.flat, r, layout), path_oracles.variation_paths(pm, r)), r
+    for rs in ((1, 4 / 3, 2, 2.5, 3, 4), (3, 1, 2.5, 3, 1)):
+        for r, vr in zip(rs, fn.variation_paths(mart.flat, rs, layout), strict=True):
+            assert np.array_equal(vr, path_oracles.variation_paths(pm, r)), (rs, r)
     rs = (2.5, 3.0, 4.0)
     node = fn.lepingle_pathwise_bound(mart.flat, rs, layout)
     assert np.array_equal(fn._smallest_jumps(mart.flat, layout), path_oracles.min_nonzero_pairwise(pm))

@@ -11,6 +11,7 @@ from martkit import tree as tree_module
 from martkit.report import CorpusSpec
 from martkit.tree import (
     INFINITY,
+    MARTINGALE_RTOL,
     UNIFORM_CACHE_SIZE,
     FiltrationTree,
     Martingale,
@@ -446,6 +447,51 @@ def test_generator_invariant_bulk_seeded():
     # averaging property across 10^4 seeded trials of every generator family
     for index in range(10_000):
         G.corpus_martingale("mixed", depth=6, seed=31, index=index).validate_martingale()
+
+
+def validate_by_level(mart: Martingale) -> None:
+    """The averaging check one level at a time, the oracle of
+    ``Martingale.validate_martingale``: per level n, each parent's mass
+    against its children's, to MARTINGALE_RTOL of the level's largest child
+    mass (or of 1)."""
+    tree = mart.tree
+    for n in range(1, tree.depth + 1):
+        weighted = (mart.values[n].T * tree.node_prob[n]).T.reshape(tree.level_sizes[n], -1)
+        child_mass = np.stack(
+            [np.bincount(tree.parents[n], weights=col, minlength=tree.level_sizes[n - 1]) for col in weighted.T], axis=1
+        )
+        parent_mass = (mart.values[n - 1].T * tree.node_prob[n - 1]).T.reshape(child_mass.shape)
+        scale = max(1.0, float(np.abs(child_mass).max(initial=0.0)))
+        if np.abs(child_mass - parent_mass).max() > MARTINGALE_RTOL * scale:
+            raise TreeError(f"martingale averaging violated at level {n}")
+
+
+def raised(validate) -> str | None:
+    try:
+        validate()
+    except TreeError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.sampled_from(["increment", "backprop", "family"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1e-12, 3e-11, 1e-10, 3e-10, 1e-6, 1.0, -1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_validate_martingale_matches_the_level_loop(kind, depth, seed, where, delta):
+    # one node moved at a random level, by about the tolerance or far past it:
+    # the one-pass check raises at the oracle's level with its message, or passes
+    mart = G.corpus_martingale(kind, depth=depth, seed=seed, index=0, width=3 if kind == "family" else 0)
+    flat = mart.flat.copy()
+    node = min(int(where * mart.tree.n_nodes), mart.tree.n_nodes - 1)
+    flat[node] += delta * max(1.0, float(np.abs(flat).max()))
+    moved = Martingale.from_flat(mart.tree, flat)
+    assert raised(moved.validate_martingale) == raised(lambda: validate_by_level(moved))
+    assert raised(mart.validate_martingale) is None
 
 
 def test_doubling_martingale():
